@@ -5,9 +5,7 @@ use crate::acquire::AcquisitionSource;
 use crate::cache::{CurveCache, CurveKey};
 use crate::metrics::EvalReport;
 use crate::strategy::{uniform_allocation, water_filling_allocation, Strategy, TSchedule};
-use st_curve::{
-    CurveEstimator, EstimationMode, FitError, MeasureRequest, PowerLaw, SliceLossMeasurement,
-};
+use st_curve::{CurveEstimator, EstimationMode, MeasureRequest, PowerLaw, SliceLossMeasurement};
 use st_data::dataset::imbalance_ratio_of;
 use st_data::{seeded_rng, split_seed, SliceId, SlicedDataset};
 use st_models::{train_on_examples, Mlp, ModelSpec, TrainConfig};
@@ -36,7 +34,11 @@ pub struct TunerConfig {
     pub max_iterations: usize,
     /// Master seed; all internal randomness derives from it.
     pub seed: u64,
-    /// Estimator worker threads (0 = all cores).
+    /// Estimator worker threads, the calling thread included (0 = all
+    /// cores). Both estimation planes spread their measurement groups over
+    /// them, with bit-identical results at any count. [`SliceTuner::new`]
+    /// pins it to 1 under the `sharded` kernel, whose products already fan
+    /// out over the kernel's own threads.
     pub threads: usize,
     /// Optional shared memo table for curve estimations. Keys include the
     /// dataset's content fingerprint and the derived estimator seed, so a
@@ -92,6 +94,8 @@ pub struct TunerConfig {
     /// (`st_models::train_on_rows_batched`), and the trained group is
     /// evaluated through one stacked-weight product per validation matrix
     /// (`st_models::MultiEval`) instead of one narrow product per model.
+    /// Groups run concurrently on the estimator's [`TunerConfig::threads`],
+    /// longest first, as the sequential plane's single requests do.
     /// Bit-identical per request to the sequential plane — batching is an
     /// execution strategy, not a different schedule — which the `pipeline`
     /// bench's `batched` gate asserts. Engaged only on the dense data
@@ -1606,8 +1610,10 @@ fn schedule(
 }
 
 /// Replaces failed fits with the log-mean of the successful ones (or a mild
-/// default when nothing fits).
-fn resolve_fallbacks(fits: Vec<Result<PowerLaw, FitError>>) -> Vec<PowerLaw> {
+/// default when nothing fits): the curves the engine allocates on. The
+/// error type is free so callers holding stored fits (a checkpoint's error
+/// codes) resolve them exactly as the engine does.
+pub fn resolve_fallbacks<E>(fits: Vec<Result<PowerLaw, E>>) -> Vec<PowerLaw> {
     let ok: Vec<PowerLaw> = fits
         .iter()
         .filter_map(|f| f.as_ref().ok())
@@ -1625,6 +1631,7 @@ fn resolve_fallbacks(fits: Vec<Result<PowerLaw, FitError>>) -> Vec<PowerLaw> {
 mod tests {
     use super::*;
     use crate::acquire::PoolSource;
+    use st_curve::FitError;
     use st_data::families::census;
 
     fn quick_config() -> TunerConfig {
@@ -1688,7 +1695,7 @@ mod tests {
         // The batched plane is an execution strategy: lockstep-trained
         // groups and stacked evaluation must reproduce the sequential
         // plane's measurements and fits bit for bit, in both schedules and
-        // regardless of the sequential plane's estimator thread count.
+        // regardless of either plane's estimator thread count.
         let fam = census();
         let run = |batched: bool, mode: EstimationMode, threads: usize| {
             let ds = SlicedDataset::generate(&fam, &[80, 40, 60, 20], 50, 18);
@@ -1702,20 +1709,21 @@ mod tests {
             (est, tuner.trainings())
         };
         for mode in [EstimationMode::Amortized, EstimationMode::Exhaustive] {
-            let (batched, tb) = run(true, mode, 1);
-            for threads in [1usize, 2] {
-                let (seq, ts) = run(false, mode, threads);
-                assert_eq!(tb, ts, "{mode:?} training counts");
-                assert_eq!(batched.len(), seq.len());
-                for (s, (b, q)) in batched.iter().zip(&seq).enumerate() {
-                    assert_eq!(b.points.len(), q.points.len(), "{mode:?} slice {s}");
+            let (seq, ts) = run(false, mode, 1);
+            for (batched, threads) in [(false, 2usize), (true, 1), (true, 2), (true, 4)] {
+                let (other, to) = run(batched, mode, threads);
+                let case = format!("{mode:?} batched={batched} threads={threads}");
+                assert_eq!(to, ts, "{case} training counts");
+                assert_eq!(other.len(), seq.len());
+                for (s, (b, q)) in other.iter().zip(&seq).enumerate() {
+                    assert_eq!(b.points.len(), q.points.len(), "{case} slice {s}");
                     for (bp, qp) in b.points.iter().zip(&q.points) {
-                        assert_eq!(bp.n.to_bits(), qp.n.to_bits(), "{mode:?} subset count");
-                        assert_eq!(bp.loss.to_bits(), qp.loss.to_bits(), "{mode:?} loss");
+                        assert_eq!(bp.n.to_bits(), qp.n.to_bits(), "{case} subset count");
+                        assert_eq!(bp.loss.to_bits(), qp.loss.to_bits(), "{case} loss");
                     }
                     let (bf, qf) = (b.fit.as_ref().unwrap(), q.fit.as_ref().unwrap());
-                    assert_eq!(bf.a.to_bits(), qf.a.to_bits(), "{mode:?} fit a");
-                    assert_eq!(bf.b.to_bits(), qf.b.to_bits(), "{mode:?} fit b");
+                    assert_eq!(bf.a.to_bits(), qf.a.to_bits(), "{case} fit a");
+                    assert_eq!(bf.b.to_bits(), qf.b.to_bits(), "{case} fit b");
                 }
             }
         }
@@ -1726,20 +1734,24 @@ mod tests {
         // Deep group members route MultiEval through the per-model
         // fallback (no stacked head); the contract is the same.
         let fam = census();
-        let run = |batched: bool| {
+        let run = |batched: bool, threads: usize| {
             let ds = SlicedDataset::generate(&fam, &[60, 30, 45, 25], 40, 19);
             let mut src = PoolSource::new(fam.clone(), 173);
             let mut cfg = quick_config().with_seed(13);
             cfg.spec = ModelSpec::small();
             cfg.repeats = 2;
             cfg.batched_plane = batched;
+            cfg.threads = threads;
             let tuner = SliceTuner::new(ds, &mut src, cfg);
             tuner.estimate_curves_detailed(2)
         };
-        for (b, q) in run(true).iter().zip(&run(false)) {
-            assert_eq!(b.points.len(), q.points.len());
-            for (bp, qp) in b.points.iter().zip(&q.points) {
-                assert_eq!(bp.loss.to_bits(), qp.loss.to_bits());
+        let seq = run(false, 1);
+        for threads in [1usize, 2] {
+            for (b, q) in run(true, threads).iter().zip(&seq) {
+                assert_eq!(b.points.len(), q.points.len(), "threads={threads}");
+                for (bp, qp) in b.points.iter().zip(&q.points) {
+                    assert_eq!(bp.loss.to_bits(), qp.loss.to_bits(), "threads={threads}");
+                }
             }
         }
     }

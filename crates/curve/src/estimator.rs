@@ -100,6 +100,9 @@ pub type TrainEvalFn<'a> = dyn Fn(&MeasureRequest) -> Vec<SliceLossMeasurement> 
 pub type TrainEvalBatchFn<'a> =
     dyn Fn(&[MeasureRequest]) -> Vec<Vec<SliceLossMeasurement>> + Sync + 'a;
 
+/// One request's outcome: its measurements, or why it kept failing.
+type Measured = Result<Vec<SliceLossMeasurement>, EstimateError>;
+
 /// One estimation round's requests grouped into same-shape training batches.
 ///
 /// Batched training (`st_models::train_on_rows_batched`) runs models in
@@ -166,7 +169,10 @@ pub struct CurveEstimator {
     pub mode: EstimationMode,
     /// Base seed; every request derives a unique child seed.
     pub seed: u64,
-    /// Worker threads for parallel measurement (0 = all available cores).
+    /// Worker threads for measurement, the calling thread included (0 =
+    /// all available cores). Both planes spread their groups over them: a
+    /// sequential request is a group of one, a batched group trains in
+    /// lockstep on one thread. Results do not depend on the count.
     pub threads: usize,
     /// Retries per failed measurement before the request is given up and
     /// reported as an [`EstimateError`] (a retry is a bit-identical
@@ -281,14 +287,8 @@ impl CurveEstimator {
         assert!(self.repeats > 0, "need at least one repeat");
 
         let requests = self.build_requests(num_slices);
-        let (results, errors) = run_requests(
-            &requests,
-            measure,
-            self.effective_threads(),
-            self.retries,
-            self.guards,
-        );
-        let points = self.group_points(num_slices, &requests, &results);
+        let results = self.dispatch_each(&requests, measure);
+        let (points, errors) = self.group_points(num_slices, &requests, results);
 
         (
             points
@@ -305,12 +305,12 @@ impl CurveEstimator {
     /// The full request schedule is built exactly as in the sequential path
     /// (same stream-counter seeds), grouped into same-shape batches via
     /// [`BatchedTrainPlan::build`] with the caller's shape `key`, and each
-    /// group is handed to `measure` whole. Results are scattered back into
-    /// request order before the (unchanged) point grouping and fitting, so
-    /// a batched measurement function whose per-request results match the
-    /// sequential [`TrainEvalFn`] bit-for-bit yields bit-identical
-    /// estimates. Groups run one after another: the batched kernels inside
-    /// the measurement function are the parallelism.
+    /// group is handed to `measure` whole. Groups run concurrently on the
+    /// estimator's [`threads`](Self::threads), longest first; results are
+    /// scattered back by request index before the (unchanged) point
+    /// grouping and fitting, so a batched measurement function whose
+    /// per-request results match the sequential [`TrainEvalFn`]
+    /// bit-for-bit yields bit-identical estimates at any thread count.
     ///
     /// # Panics
     /// Panics if `fractions` is empty, `repeats == 0`, or `measure` returns
@@ -348,47 +348,8 @@ impl CurveEstimator {
 
         let requests = self.build_requests(num_slices);
         let plan = BatchedTrainPlan::build(&requests, key);
-        let mut slots: Vec<Option<Vec<SliceLossMeasurement>>> = vec![None; requests.len()];
-        let mut errors: Vec<EstimateError> = Vec::new();
-        for group in plan.groups() {
-            let batch: Vec<MeasureRequest> = group.iter().map(|&i| requests[i]).collect();
-            let out = if self.guards {
-                let mut attempt = 0usize;
-                loop {
-                    let caught =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| measure(&batch)));
-                    match caught {
-                        Ok(out) => break Some(out),
-                        Err(p) => {
-                            if attempt >= self.retries {
-                                let cause = payload_str(p.as_ref());
-                                errors.extend(batch.iter().map(|r| EstimateError {
-                                    target_slice: r.target_slice,
-                                    frac: r.frac,
-                                    rep: r.rep,
-                                    attempts: attempt + 1,
-                                    cause: cause.clone(),
-                                }));
-                                break None;
-                            }
-                            attempt += 1;
-                        }
-                    }
-                }
-            } else {
-                Some(measure(&batch))
-            };
-            let Some(out) = out else { continue };
-            assert_eq!(
-                out.len(),
-                batch.len(),
-                "batched measure must return one result per request"
-            );
-            for (&i, r) in group.iter().zip(out) {
-                slots[i] = Some(r);
-            }
-        }
-        let points = self.group_points(num_slices, &requests, &slots);
+        let results = self.dispatch(&requests, plan.groups, measure);
+        let (points, errors) = self.group_points(num_slices, &requests, results);
 
         (
             points
@@ -458,14 +419,8 @@ impl CurveEstimator {
             .into_iter()
             .filter(|r| r.target_slice.is_some_and(|s| targets[s]))
             .collect();
-        let (results, errors) = run_requests(
-            &requests,
-            measure,
-            self.effective_threads(),
-            self.retries,
-            self.guards,
-        );
-        let points = self.group_points(num_slices, &requests, &results);
+        let results = self.dispatch_each(&requests, measure);
+        let (points, errors) = self.group_points(num_slices, &requests, results);
 
         (
             points
@@ -486,20 +441,25 @@ impl CurveEstimator {
         )
     }
 
-    /// Groups measurement results as `points[slice][repeat]`. `None` slots
-    /// (requests whose measurement exhausted its retries) contribute
-    /// nothing.
+    /// Groups per-request measurement results as `points[slice][repeat]`.
+    /// Requests whose measurement exhausted its retries contribute nothing
+    /// and come back as the errors, in request order.
     fn group_points(
         &self,
         num_slices: usize,
         requests: &[MeasureRequest],
-        results: &[Option<Vec<SliceLossMeasurement>>],
-    ) -> Vec<Vec<Vec<CurvePoint>>> {
+        results: Vec<Measured>,
+    ) -> (Vec<Vec<Vec<CurvePoint>>>, Vec<EstimateError>) {
         let mut points: Vec<Vec<Vec<CurvePoint>>> =
             vec![vec![Vec::new(); self.repeats]; num_slices];
-        for (req, measurements) in requests.iter().zip(results) {
-            let Some(measurements) = measurements else {
-                continue;
+        let mut errors = Vec::new();
+        for (req, measured) in requests.iter().zip(results) {
+            let measurements = match measured {
+                Ok(m) => m,
+                Err(e) => {
+                    errors.push(e);
+                    continue;
+                }
             };
             for m in measurements {
                 if m.slice >= num_slices {
@@ -513,7 +473,115 @@ impl CurveEstimator {
                 points[m.slice][req.rep].push(CurvePoint::size_weighted(m.n as f64, m.loss));
             }
         }
-        points
+        (points, errors)
+    }
+
+    /// The sequential plane: [`dispatch`](Self::dispatch) with every request
+    /// a group of one.
+    fn dispatch_each(
+        &self,
+        requests: &[MeasureRequest],
+        measure: &TrainEvalFn<'_>,
+    ) -> Vec<Measured> {
+        let groups = (0..requests.len()).map(|i| vec![i]).collect();
+        self.dispatch(requests, groups, &|batch| {
+            batch.iter().map(measure).collect()
+        })
+    }
+
+    /// The one executor behind both planes. Runs every group of request
+    /// indices through `measure` on [`effective_threads`](Self::effective_threads)
+    /// workers, the calling thread among them (one worker runs inline and
+    /// spawns nothing). Groups go out longest first — descending Σ`frac`,
+    /// ties in plan order — so the largest trainings do not start last and
+    /// leave the other workers idle. Results land in request-index slots,
+    /// so they are the same at any thread count and timing.
+    fn dispatch(
+        &self,
+        requests: &[MeasureRequest],
+        mut groups: Vec<Vec<usize>>,
+        measure: &TrainEvalBatchFn<'_>,
+    ) -> Vec<Measured> {
+        let weight = |g: &[usize]| -> f64 { g.iter().map(|&i| requests[i].frac).sum() };
+        groups.sort_by(|a, b| weight(b).total_cmp(&weight(a)));
+        let slots: Mutex<Vec<Option<Measured>>> = Mutex::new(vec![None; requests.len()]);
+        // Relaxed: the counter only hands out group indices; results travel
+        // through the mutex and the scope's join.
+        let next = AtomicUsize::new(0);
+        let work = || {
+            while let Some(group) = groups.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let batch: Vec<MeasureRequest> = group.iter().map(|&i| requests[i]).collect();
+                let results = self.measure_group(&batch, measure);
+                let mut slots = slots.lock().expect("poisoned result slots");
+                for (&i, r) in group.iter().zip(results) {
+                    slots[i] = Some(r);
+                }
+            }
+        };
+        let workers = self.effective_threads().min(groups.len());
+        if workers <= 1 {
+            work();
+        } else {
+            crossbeam::scope(|scope| {
+                let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(|_| work())).collect();
+                work();
+                for h in helpers {
+                    h.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                }
+            })
+            .expect("measurement worker panicked");
+        }
+        slots
+            .into_inner()
+            .expect("poisoned result slots")
+            .into_iter()
+            .map(|slot| slot.expect("every request belongs to one group"))
+            .collect()
+    }
+
+    /// One group's measurement with panic isolation and deterministic
+    /// retry. Measurements are pure functions of their seed-pinned
+    /// requests, so a retry re-executes the identical computation: a
+    /// transient fault (an injected first-attempt panic) recovers
+    /// bit-identically, and a persistent one fails every attempt and
+    /// becomes one [`EstimateError`] per member (lockstep models fail
+    /// together).
+    fn measure_group(
+        &self,
+        batch: &[MeasureRequest],
+        measure: &TrainEvalBatchFn<'_>,
+    ) -> Vec<Measured> {
+        let mut attempt = 0usize;
+        let out = loop {
+            if !self.guards {
+                break measure(batch);
+            }
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| measure(batch))) {
+                Ok(out) => break out,
+                Err(p) if attempt >= self.retries => {
+                    let cause = payload_str(p.as_ref());
+                    return batch
+                        .iter()
+                        .map(|r| {
+                            Err(EstimateError {
+                                target_slice: r.target_slice,
+                                frac: r.frac,
+                                rep: r.rep,
+                                attempts: attempt + 1,
+                                cause: cause.clone(),
+                            })
+                        })
+                        .collect();
+                }
+                Err(_) => attempt += 1,
+            }
+        };
+        assert_eq!(
+            out.len(),
+            batch.len(),
+            "batched measure must return one result per request"
+        );
+        out.into_iter().map(Ok).collect()
     }
 
     fn effective_threads(&self) -> usize {
@@ -626,84 +694,6 @@ fn payload_str(p: &(dyn std::any::Any + Send)) -> String {
     } else {
         "opaque panic payload".to_string()
     }
-}
-
-/// One measurement with panic isolation and deterministic retry. The
-/// measurement is a pure function of its seed-pinned request, so every
-/// retry re-executes the identical computation: a transient fault (an
-/// injected first-attempt panic) recovers bit-identically, a persistent one
-/// fails every attempt and becomes an [`EstimateError`].
-fn measure_caught(
-    req: &MeasureRequest,
-    measure: &TrainEvalFn<'_>,
-    retries: usize,
-    guards: bool,
-) -> Result<Vec<SliceLossMeasurement>, EstimateError> {
-    if !guards {
-        return Ok(measure(req));
-    }
-    let mut attempt = 0usize;
-    loop {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| measure(req))) {
-            Ok(out) => return Ok(out),
-            Err(p) => {
-                if attempt >= retries {
-                    return Err(EstimateError {
-                        target_slice: req.target_slice,
-                        frac: req.frac,
-                        rep: req.rep,
-                        attempts: attempt + 1,
-                        cause: payload_str(p.as_ref()),
-                    });
-                }
-                attempt += 1;
-            }
-        }
-    }
-}
-
-/// Runs every request through `measure` on a scoped thread pool, preserving
-/// request order in the result vector. A request whose measurement exhausts
-/// its retries leaves a `None` slot and an [`EstimateError`]; errors are
-/// returned in request order, independent of thread timing.
-fn run_requests(
-    requests: &[MeasureRequest],
-    measure: &TrainEvalFn<'_>,
-    threads: usize,
-    retries: usize,
-    guards: bool,
-) -> (Vec<Option<Vec<SliceLossMeasurement>>>, Vec<EstimateError>) {
-    let n = requests.len();
-    let results: Mutex<Vec<Option<Vec<SliceLossMeasurement>>>> = Mutex::new(vec![None; n]);
-    let errors: Mutex<Vec<Option<EstimateError>>> = Mutex::new(vec![None; n]);
-    let next = AtomicUsize::new(0);
-    let workers = threads.max(1).min(n.max(1));
-
-    crossbeam::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                match measure_caught(&requests[i], measure, retries, guards) {
-                    Ok(out) => results.lock().expect("poisoned results lock")[i] = Some(out),
-                    Err(e) => errors.lock().expect("poisoned errors lock")[i] = Some(e),
-                }
-            });
-        }
-    })
-    .expect("measurement worker panicked");
-
-    (
-        results.into_inner().expect("poisoned results lock"),
-        errors
-            .into_inner()
-            .expect("poisoned errors lock")
-            .into_iter()
-            .flatten()
-            .collect(),
-    )
 }
 
 #[cfg(test)]
@@ -935,6 +925,90 @@ mod tests {
                 assert_eq!(af.a.to_bits(), bf.a.to_bits());
             }
         }
+    }
+
+    #[test]
+    fn batched_groups_run_concurrently_on_the_estimator_threads() {
+        use std::sync::Condvar;
+        use std::time::Duration;
+        // Returns the peak number of groups in flight and the threads that
+        // ran a group.
+        let run = |threads: usize| {
+            let state = Mutex::new((0usize, 0usize, Vec::new()));
+            let arrived = Condvar::new();
+            let measure = |group: &[MeasureRequest]| -> Vec<Vec<SliceLossMeasurement>> {
+                let mut s = state.lock().unwrap();
+                s.0 += 1;
+                s.1 = s.1.max(s.0);
+                s.2.push(std::thread::current().id());
+                arrived.notify_all();
+                // With several workers, hold each group until two have been
+                // in flight at once: a dispatcher that can overlap groups
+                // must, and the timeout fails a serial one instead of
+                // hanging it.
+                let mut s = arrived
+                    .wait_timeout_while(s, Duration::from_secs(3), |s| threads > 1 && s.1 < 2)
+                    .unwrap()
+                    .0;
+                s.0 -= 1;
+                vec![Vec::new(); group.len()]
+            };
+            let mut est = CurveEstimator::fast(4);
+            est.threads = threads;
+            let key = |r: &MeasureRequest| (r.frac * 10.0).round() as u64;
+            est.estimate_detailed_batched(1, &key, &measure);
+            let (_, peak, ran_on) = state.into_inner().unwrap();
+            (peak, ran_on)
+        };
+        assert_eq!(run(2).0, 2, "two workers run two groups at once");
+        let (peak, ran_on) = run(1);
+        assert_eq!(peak, 1);
+        assert_eq!(ran_on.len(), 5, "fast(): one group per fraction");
+        let caller = std::thread::current().id();
+        assert!(
+            ran_on.iter().all(|&t| t == caller),
+            "one worker runs every group inline on the caller"
+        );
+    }
+
+    #[test]
+    fn failing_groups_report_errors_in_request_order_at_any_thread_count() {
+        let curves = vec![PowerLaw::new(2.0, 0.3), PowerLaw::new(3.5, 0.31)];
+        let clean = synthetic_measure(vec![200, 400], curves, 0.2);
+        let measure = |group: &[MeasureRequest]| -> Vec<Vec<SliceLossMeasurement>> {
+            if group[0].target_slice == Some(1) {
+                panic!("persistent group fault");
+            }
+            group.iter().map(&clean).collect()
+        };
+        let key = |r: &MeasureRequest| {
+            (r.target_slice.unwrap() as u64) << 8 | (r.frac * 10.0).round() as u64
+        };
+        let est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
+        let errors_at = |threads: usize| {
+            let mut est = est.clone();
+            est.threads = threads;
+            est.estimate_detailed_batched_checked(2, &key, &measure).1
+        };
+        let serial = errors_at(1);
+        assert_eq!(
+            serial,
+            errors_at(4),
+            "thread count must not change the errors"
+        );
+        // Request order is the schedule's (repeat-major, fractions
+        // ascending), not the plan's group order or the dispatch order.
+        let want: Vec<(f64, usize)> = est
+            .build_requests(2)
+            .iter()
+            .filter(|r| r.target_slice == Some(1))
+            .map(|r| (r.frac, r.rep))
+            .collect();
+        let got: Vec<(f64, usize)> = serial.iter().map(|e| (e.frac, e.rep)).collect();
+        assert_eq!(got, want);
+        assert!(serial
+            .iter()
+            .all(|e| e.attempts == est.retries + 1 && e.cause == "persistent group fault"));
     }
 
     #[test]

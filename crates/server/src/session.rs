@@ -16,7 +16,7 @@
 
 use serde::json::Value;
 use slice_tuner::checkpoint::{self, RoundCheckpoint};
-use slice_tuner::{PoolSource, SliceTuner, Strategy, TSchedule, TunerConfig};
+use slice_tuner::{resolve_fallbacks, PoolSource, SliceTuner, Strategy, TSchedule, TunerConfig};
 use st_curve::{EstimationMode, PowerLaw};
 use st_data::{families, io, DatasetFamily, SlicedDataset};
 use st_linalg::fault;
@@ -359,19 +359,18 @@ impl Session {
 
     /// The allocation the tuner would spend the remaining budget on — a
     /// pure function of the checkpoint, computed without training.
-    /// Slices whose fit failed get the engine's neutral fallback curve.
+    /// Slices whose fit failed get the engine's fallback curve
+    /// ([`resolve_fallbacks`]: the log-mean of the successful fits).
     pub fn allocation(&self) -> Result<(Vec<f64>, f64), String> {
         let cp = self
             .load_checkpoint()?
             .ok_or("no rounds completed yet (advance first)")?;
-        let fits = self.curves()?;
-        let curves: Vec<PowerLaw> = fits
-            .iter()
-            .map(|fit| match fit {
-                Ok((b, a)) => PowerLaw::new(f64::from_bits(*b), f64::from_bits(*a)),
-                Err(_) => PowerLaw::new(1.0, 0.3),
-            })
-            .collect();
+        let curves = resolve_fallbacks(
+            self.curves()?
+                .into_iter()
+                .map(|fit| fit.map(|(b, a)| PowerLaw::new(f64::from_bits(b), f64::from_bits(a))))
+                .collect(),
+        );
         let sizes = self.sizes_after(&cp)?;
         let costs = self.family.costs();
         let remaining = f64::from_bits(cp.remaining_bits).max(0.0);
@@ -513,6 +512,39 @@ mod tests {
         assert_eq!(d.len(), 4);
         assert!(remaining > 0.0);
         assert!(d.iter().all(|x| x.is_finite() && *x >= 0.0));
+    }
+
+    #[test]
+    fn allocation_gives_a_failed_fit_the_engine_fallback() {
+        let dir = tmpdir("failed_fit");
+        let mut s = Session::new(0, census_spec(), &dir).expect("session");
+        s.advance(1, 1, 1).expect("advance to round 1");
+        let mut cp = s.load_checkpoint().expect("load").expect("present");
+        fn fits(cp: &mut RoundCheckpoint) -> &mut Vec<checkpoint::EstimateSnapshot> {
+            cp.inc
+                .as_mut()
+                .and_then(|inc| inc.prev.as_mut())
+                .expect("curves recorded")
+        }
+        let healthy: Vec<PowerLaw> = fits(&mut cp)[1..]
+            .iter()
+            .map(|e| {
+                let (b, a) = e.fit.clone().expect("healthy fit");
+                PowerLaw::new(f64::from_bits(b), f64::from_bits(a))
+            })
+            .collect();
+        let allocation_with = |cp: &RoundCheckpoint| {
+            checkpoint::save(&s.checkpoint_path, cp).expect("save checkpoint");
+            let (d, _) = s.allocation().expect("allocation");
+            d.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        // Slice 0's fit failed: it must be allocated on the engine's
+        // fallback, the log-mean of the other slices' fits.
+        fits(&mut cp)[0].fit = Err("not_enough_points".to_string());
+        let failed = allocation_with(&cp);
+        let fallback = PowerLaw::log_mean(&healthy);
+        fits(&mut cp)[0].fit = Ok((fallback.b.to_bits(), fallback.a.to_bits()));
+        assert_eq!(failed, allocation_with(&cp));
     }
 
     #[test]
