@@ -1,12 +1,11 @@
 //! End-to-end pipeline profiler: times one full estimator → fit → optimize
 //! trial with a per-phase breakdown (data generation, subset trainings,
-//! curve fitting, convex solver), gates the matrix-native estimation data
-//! plane against the per-call gather baseline, the batched estimation
-//! plane (lockstep group training + stacked eval; pinned per run, so the
-//! reading is independent of `ST_BATCH`) against the sequential plane, and
-//! the prepacked operand API against per-call packing, gates the
-//! fault-tolerance guards' overhead on the fault-free hot path, and emits
-//! machine-readable `BENCH_pipeline.json` (schema in `docs/profiling.md`).
+//! curve fitting, convex solver), gates the dense estimation plane
+//! (matrix-native data plane, lockstep group training, stacked eval)
+//! against the per-call gather reference and the prepacked operand API
+//! against per-call packing, gates the fault-tolerance guards' overhead on
+//! the fault-free hot path, and emits machine-readable
+//! `BENCH_pipeline.json` (schema in `docs/profiling.md`).
 //!
 //! ```text
 //! cargo run --release -p st_bench --bin pipeline
@@ -52,15 +51,14 @@ struct Phase {
 /// incremental cell — on the same size.)
 const GATE_VALIDATION: usize = 500;
 
-/// The estimation plane under test: per-call gather (PR-4 baseline),
-/// sequential dense (the matrix-native plane, one training per measure
-/// call), or batched dense (same schedule through lockstep group training
-/// and stacked evaluation). All three are bit-identical by contract.
+/// The estimation plane under test: per-call gather (the PR-4 reference,
+/// one cloned-subset training per request) or dense (the matrix-native
+/// plane with lockstep group training and stacked evaluation). The two are
+/// bit-identical by contract.
 #[derive(Clone, Copy, PartialEq)]
 enum Plane {
     PerCall,
-    Sequential,
-    Batched,
+    Dense,
 }
 
 fn gate_config(setup: &FamilySetup, seed: u64, plane: Plane) -> slice_tuner::TunerConfig {
@@ -69,34 +67,7 @@ fn gate_config(setup: &FamilySetup, seed: u64, plane: Plane) -> slice_tuner::Tun
     cfg.fractions = vec![0.2, 0.4, 0.6, 0.8, 1.0];
     cfg.repeats = 5;
     cfg.per_call_gather = plane == Plane::PerCall;
-    // Pinned explicitly so the bench reading is independent of ST_BATCH.
-    cfg.batched_plane = plane == Plane::Batched;
     cfg
-}
-
-/// The batched-plane gate cell: the UTKFace analog under the paper's
-/// softmax model. The batched plane's compressible costs are the eval
-/// GEMMs (the stacked `[W_1 | … | W_R]` head fills simd panels a per-model
-/// product leaves idle) and per-request packing/scratch setup; its
-/// incompressible costs — softmax/NLL transcendentals and minibatch
-/// arithmetic — are op-for-op pinned by the bit-identity contract. The
-/// census cell's 12-feature 2-class head is transcendental-bound, so it
-/// can only show the amortization sliver; the faces cell's 16-feature
-/// 4-class head (8 slices, 400-row starting slices) leaves the eval GEMM
-/// the dominant compressible cost, which is exactly the quantity this
-/// gate tests. Bit-identity is still cross-checked on *both* cells.
-fn batched_gate_setup() -> FamilySetup {
-    let mut setup = FamilySetup::faces();
-    // Single affine layer: the stacked-head shape (deeper models fall back
-    // to per-model packed views and would gate the fallback instead).
-    setup.spec = st_models::ModelSpec::softmax();
-    // Paper-scale validation sets (the census cell's 500 per slice, tripled
-    // across faces' 8 slices): evaluation reads every validation row once
-    // per measure call, training only its subset rows once per epoch, so
-    // larger validation sets weight the cell toward the eval GEMM — the
-    // compressible cost under test — without touching the schedule.
-    setup.validation = 1500;
-    setup
 }
 
 /// One full (uncached) curve estimation on the gate cell, on the given
@@ -243,67 +214,39 @@ fn main() {
     //
     // The estimator's hot path used to clone every subset's examples and
     // re-gather every slice's validation matrix once per measure call
-    // (the PR-4 baseline, kept behind `TunerConfig::per_call_gather`).
-    // The matrix-native plane builds the dense snapshot once, samples
-    // subsets as row ids, and trains/evaluates straight from the shared
-    // matrices. Both planes must be bit-identical; the dense plane must
+    // (the PR-4 reference, kept behind `TunerConfig::per_call_gather`).
+    // The dense plane builds the dense snapshot once, samples subsets as
+    // row ids, trains each same-shape group in lockstep, and evaluates
+    // straight from the shared matrices. Both planes must be
+    // bit-identical and train equally often; the dense plane must
     // be faster on the estimation ("training") and end-to-end
     // ("full_trial") phases. Interleaved best-of rounds keep scheduler
     // noise off one contender.
     let rounds = if quick { 3 } else { 4 };
     let (mut est_call_s, mut est_dense_s) = (f64::INFINITY, f64::INFINITY);
     let (mut trial_call_s, mut trial_dense_s) = (f64::INFINITY, f64::INFINITY);
-    let (secs, detailed_call, _) = run_estimation(&setup, Plane::PerCall);
+    let (secs, detailed_call, call_trainings) = run_estimation(&setup, Plane::PerCall);
     est_call_s = est_call_s.min(secs);
-    let (secs, detailed, trainings) = run_estimation(&setup, Plane::Sequential);
+    let (secs, detailed, trainings) = run_estimation(&setup, Plane::Dense);
     est_dense_s = est_dense_s.min(secs);
     assert_estimates_identical(&detailed_call, &detailed);
-    // Batched plane on the census cell: un-timed bit-identity cross-check
-    // (the timed batched gate runs on its own cell below), so the
-    // lockstep/stacked plane is verified on two families, not one.
-    let (_, detailed_batched, batched_census_trainings) = run_estimation(&setup, Plane::Batched);
-    assert_estimates_identical(&detailed, &detailed_batched);
     assert_eq!(
-        trainings, batched_census_trainings,
-        "batched plane must train exactly as often as the sequential plane"
+        trainings, call_trainings,
+        "the dense plane must train exactly as often as the per-call plane"
     );
     let (secs, trial_call) = run_full_trial(&setup, Plane::PerCall, budget);
     trial_call_s = trial_call_s.min(secs);
-    let (secs, trial) = run_full_trial(&setup, Plane::Sequential, budget);
+    let (secs, trial) = run_full_trial(&setup, Plane::Dense, budget);
     trial_dense_s = trial_dense_s.min(secs);
     assert_trials_identical(&trial_call, &trial);
-    let (_, trial_batched) = run_full_trial(&setup, Plane::Batched, budget);
-    assert_trials_identical(&trial, &trial_batched);
     for _ in 1..rounds {
         est_call_s = est_call_s.min(run_estimation(&setup, Plane::PerCall).0);
-        est_dense_s = est_dense_s.min(run_estimation(&setup, Plane::Sequential).0);
+        est_dense_s = est_dense_s.min(run_estimation(&setup, Plane::Dense).0);
         trial_call_s = trial_call_s.min(run_full_trial(&setup, Plane::PerCall, budget).0);
-        trial_dense_s = trial_dense_s.min(run_full_trial(&setup, Plane::Sequential, budget).0);
+        trial_dense_s = trial_dense_s.min(run_full_trial(&setup, Plane::Dense, budget).0);
     }
     let est_speedup = est_call_s / est_dense_s;
     let trial_speedup = trial_call_s / trial_dense_s;
-
-    // ---- Batched-plane gate: lockstep training + stacked eval ------------
-    //
-    // Sequential vs batched estimation on the batched gate cell (see
-    // [`batched_gate_setup`]), interleaved best-of rounds, bit-identity
-    // and training-count equality asserted on the first round.
-    let bsetup = batched_gate_setup();
-    let (mut bat_seq_s, mut bat_s) = (f64::INFINITY, f64::INFINITY);
-    let (secs, bat_seq_detailed, bat_seq_trainings) = run_estimation(&bsetup, Plane::Sequential);
-    bat_seq_s = bat_seq_s.min(secs);
-    let (secs, bat_detailed, batched_trainings) = run_estimation(&bsetup, Plane::Batched);
-    bat_s = bat_s.min(secs);
-    assert_estimates_identical(&bat_seq_detailed, &bat_detailed);
-    assert_eq!(
-        bat_seq_trainings, batched_trainings,
-        "batched plane must train exactly as often as the sequential plane"
-    );
-    for _ in 1..rounds {
-        bat_seq_s = bat_seq_s.min(run_estimation(&bsetup, Plane::Sequential).0);
-        bat_s = bat_s.min(run_estimation(&bsetup, Plane::Batched).0);
-    }
-    let batched_speedup = bat_seq_s / bat_s;
 
     // Phase: curve fit — refit the measured points exactly as the
     // estimator does after its trainings, repeated for a stable reading.
@@ -356,7 +299,7 @@ fn main() {
     let run_guards_cell = |unguarded: bool| {
         let ds = SlicedDataset::generate(&setup.family, &setup.equal_sizes(), setup.validation, 11);
         let mut source = PoolSource::new(setup.family.clone(), 0x9157);
-        let mut cfg = gate_config(&setup, 11, Plane::Sequential);
+        let mut cfg = gate_config(&setup, 11, Plane::Dense);
         if unguarded {
             cfg = cfg.without_guards();
         }
@@ -411,11 +354,6 @@ fn main() {
             trainings: Some(trainings),
         },
         Phase {
-            name: "batched",
-            ms: bat_s * 1e3,
-            trainings: Some(batched_trainings),
-        },
-        Phase {
             name: "curve_fit",
             ms: curve_fit_s * 1e3,
             trainings: None,
@@ -437,13 +375,12 @@ fn main() {
         },
     ];
     // `total_ms` is the serial estimate → fit → solve pipeline (one trial's
-    // phases, sequential plane); the remaining phases are gate-cell
-    // measurements that overlap it (`batched` is the batched gate cell's
-    // estimation, `full_trial` contains an estimation, `incremental` is
-    // its own trial) and are summed separately so neither total silently
-    // drops a phase.
+    // phases, dense plane); the remaining phases are gate-cell measurements
+    // that overlap it (`full_trial` contains an estimation, `incremental`
+    // is its own trial) and are summed separately so neither total
+    // silently drops a phase.
     let total_ms: f64 = data_gen_s * 1e3 + est_dense_s * 1e3 + curve_fit_s * 1e3 + solver_s * 1e3;
-    let gated_phases_ms: f64 = bat_s * 1e3 + trial_dense_s * 1e3 + inc_s * 1e3;
+    let gated_phases_ms: f64 = trial_dense_s * 1e3 + inc_s * 1e3;
 
     println!("{} (B = {budget}, {} slices)", setup.label, sizes.len());
     println!("{:<12} {:>12}  note", "phase", "ms");
@@ -464,32 +401,22 @@ fn main() {
         allocation.len()
     );
     println!(
-        "{:<12} {:>12.3}  (batched + full_trial + incremental, overlap the above)\n",
+        "{:<12} {:>12.3}  (full_trial + incremental, overlap the above)\n",
         "gated", gated_phases_ms
     );
 
-    println!("data-plane gate: matrix-native vs per-call gather (bit-identical)");
     println!(
-        "  training:   per-call {:.3} ms | matrix-native {:.3} ms | speedup {est_speedup:.2}x",
+        "data-plane gate: dense plane vs per-call gather (bit-identical, same training count)"
+    );
+    println!(
+        "  training:   per-call {:.3} ms | dense {:.3} ms | speedup {est_speedup:.2}x",
         est_call_s * 1e3,
         est_dense_s * 1e3,
     );
     println!(
-        "  full_trial: per-call {:.3} ms | matrix-native {:.3} ms | speedup {trial_speedup:.2}x (target >= 1.15x{})",
+        "  full_trial: per-call {:.3} ms | dense {:.3} ms | speedup {trial_speedup:.2}x (target >= 1.15x{})",
         trial_call_s * 1e3,
         trial_dense_s * 1e3,
-        if no_gate { ", not enforced" } else { "" }
-    );
-
-    println!(
-        "\nbatched gate: lockstep group training + stacked eval vs sequential plane ({}, softmax)",
-        bsetup.label
-    );
-    println!(
-        "  training: sequential {:.3} ms | batched {:.3} ms | speedup {batched_speedup:.2}x \
-         (target >= 1.3x{}; bit-identical, same training count)",
-        bat_seq_s * 1e3,
-        bat_s * 1e3,
         if no_gate { ", not enforced" } else { "" }
     );
 
@@ -631,7 +558,7 @@ fn main() {
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"pipeline\",");
-    let _ = writeln!(json, "  \"schema_version\": 5,");
+    let _ = writeln!(json, "  \"schema_version\": 6,");
     let _ = writeln!(json, "  \"kernel\": \"{}\",", kernel.name());
     let _ = writeln!(json, "  \"quick\": {quick},");
     let _ = writeln!(json, "  \"family\": \"{}\",", setup.label);
@@ -681,19 +608,6 @@ fn main() {
     let _ = writeln!(json, "    \"target\": 1.15,");
     let _ = writeln!(json, "    \"gate_enforced\": {}", !no_gate);
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"batched\": {{");
-    let _ = writeln!(json, "    \"family\": \"{}\",", bsetup.label);
-    let _ = writeln!(
-        json,
-        "    \"training_sequential_ms\": {:.6},",
-        bat_seq_s * 1e3
-    );
-    let _ = writeln!(json, "    \"training_batched_ms\": {:.6},", bat_s * 1e3);
-    let _ = writeln!(json, "    \"speedup\": {batched_speedup:.4},");
-    let _ = writeln!(json, "    \"trainings\": {batched_trainings},");
-    let _ = writeln!(json, "    \"target\": 1.3,");
-    let _ = writeln!(json, "    \"gate_enforced\": {}", !no_gate);
-    let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"prepacked\": {{");
     let _ = writeln!(json, "    \"shape\": \"{rows}x{k}x{n}\",");
     let _ = writeln!(json, "    \"minibatch\": {mb},");
@@ -736,7 +650,7 @@ fn main() {
     if !no_gate {
         assert!(
             est_speedup >= 1.15 && trial_speedup >= 1.15,
-            "matrix-native data plane must be >= 1.15x over per-call gather on the \
+            "the dense plane must be >= 1.15x over per-call gather on the \
              training and full_trial phases, got {est_speedup:.2}x / {trial_speedup:.2}x"
         );
         assert!(
@@ -750,17 +664,12 @@ fn main() {
              baseline on the gate cell, got {inc_speedup:.2}x"
         );
         assert!(
-            batched_speedup >= 1.3,
-            "the batched estimation plane must be >= 1.3x over the sequential \
-             plane on the training phase, got {batched_speedup:.2}x"
-        );
-        assert!(
             guards_overhead <= 1.02,
             "the fault-tolerance guards must cost <= 1.02x on the fault-free \
              estimation hot path, got {guards_overhead:.3}x"
         );
         println!(
-            "gates passed: data plane >= 1.15x, batched >= 1.3x, prepacked >= 1.2x, \
+            "gates passed: data plane >= 1.15x, prepacked >= 1.2x, \
              incremental >= 1.5x, guards <= 1.02x, bit-identical outputs"
         );
     }

@@ -1,6 +1,6 @@
 //! Perf-trend reporter: folds the machine-readable bench artifacts of the
 //! current build — `BENCH_pipeline.json` (per-phase timings + data-plane /
-//! batched / prepacked / incremental gate readings) and, when present,
+//! prepacked / incremental / guards gate readings) and, when present,
 //! `BENCH_kernels.json` (kernel-gate speedups + the batched-vs-looped
 //! small-shape group), `BENCH_drift.json` (drift-robustness gate
 //! ratios), and `BENCH_service.json` (service-level chaos gate
@@ -121,9 +121,13 @@ fn main() {
     let quick = pipeline.contains("\"quick\": true");
 
     let phase = |name: &str| num_after(&pipeline, &format!("\"name\": \"{name}\", \"ms\": "));
-    // `incremental` appears from pipeline schema 3 on and `batched` from
-    // schema 4; older artifacts fold in with nulls for them.
-    let phase_names = [
+    // The batched gate (phase and section) exists in pipeline schemas 4–5
+    // only: schema 6 folded it into the one dense estimation plane, so
+    // newer entries carry no `batched` phase or `batched_speedup`.
+    let batched = schema < 6;
+    // `incremental` appears from pipeline schema 3 on; older artifacts fold
+    // in with nulls for it (and for `batched` before schema 4).
+    let phase_names: Vec<&str> = [
         "data_gen",
         "training",
         "batched",
@@ -131,7 +135,10 @@ fn main() {
         "solver",
         "full_trial",
         "incremental",
-    ];
+    ]
+    .into_iter()
+    .filter(|&name| batched || name != "batched")
+    .collect();
 
     let mut entry = String::new();
     let _ = writeln!(entry, "    {{");
@@ -195,17 +202,20 @@ fn main() {
             .and_then(|at| num_after(&pipeline[at..], "\"speedup\": ")),
         ",",
     );
-    // Batched-plane gate reading (pipeline schema 4+). The `"batched": {`
-    // needle skips past the phase entry (`"name": "batched", "ms": …`)
-    // because only the gate block opens an object under that key.
-    write_num(
-        &mut entry,
-        "batched_speedup",
-        pipeline
-            .find("\"batched\": {")
-            .and_then(|at| num_after(&pipeline[at..], "\"speedup\": ")),
-        ",",
-    );
+    // Batched-plane gate reading (pipeline schemas 4–5). The
+    // `"batched": {` needle skips past the phase entry
+    // (`"name": "batched", "ms": …`) because only the gate block opens an
+    // object under that key.
+    if batched {
+        write_num(
+            &mut entry,
+            "batched_speedup",
+            pipeline
+                .find("\"batched\": {")
+                .and_then(|at| num_after(&pipeline[at..], "\"speedup\": ")),
+            ",",
+        );
+    }
     // Incremental re-estimation gate readings (pipeline schema 3+).
     let inc_section = pipeline.find("\"incremental\": {");
     write_num(

@@ -22,10 +22,7 @@
 //!
 //! The loop scalars (remaining budget, spent, the `T` threshold) are stored
 //! as exact f64 bit patterns; incremental re-estimation state (dirty flags
-//! and the previous round's estimates) is stored the same way. The
-//! warm-start model store is deliberately **not** checkpointed: warm-started
-//! runs are tolerance-comparable, never bit-identical, so there are no bits
-//! to preserve (see `TunerConfig::warm_start`).
+//! and the previous round's estimates) is stored the same way.
 //!
 //! ## Format
 //!

@@ -9,25 +9,12 @@
 //! exactly. [`IncrementalState`] is therefore a pure memo: it carries the
 //! previous round's estimates, a per-slice dirty set that
 //! [`SliceTuner::run_iterative`](crate::SliceTuner) refreshes after each
-//! acquisition, and (opt-in) the warm-start model store.
+//! acquisition, and the drift layer's per-slice seed bumps.
 //!
 //! Results that depend on this history must never be inserted into the
 //! shared [`CurveCache`](crate::CurveCache) — see the cache module docs.
 
 use st_curve::SliceEstimate;
-use st_models::Mlp;
-use std::collections::HashMap;
-use std::sync::Mutex;
-
-/// Identity of one exhaustive-schedule measurement: the target slice, the
-/// subset fraction's bits, and the repeat index. Request seeds are a pure
-/// function of schedule position, so this triple names "the same training"
-/// across rounds — the warm-start store is keyed by it.
-pub type WarmKey = (Option<usize>, u64, usize);
-
-/// Warm-start model store: the most recent model trained for each
-/// measurement key, to seed the next re-measurement of that key.
-pub(crate) type WarmStore = Mutex<HashMap<WarmKey, Mlp>>;
 
 /// Per-run state threaded through incremental re-estimation
 /// ([`SliceTuner::estimate_curves_incremental`](crate::SliceTuner)).
@@ -37,9 +24,6 @@ pub struct IncrementalState {
     /// Which slices' training data changed since the last estimation.
     /// Starts all-true so the first round measures everything.
     pub(crate) dirty: Vec<bool>,
-    /// Warm-start store, consulted only when
-    /// [`TunerConfig::warm_start`](crate::TunerConfig) is set.
-    pub(crate) warm: WarmStore,
     /// Per-slice measurement-seed bump, raised by drift recovery so a
     /// flagged slice's next re-measure draws from a fresh seed stream
     /// instead of replaying the pinned pre-drift one. Zero (the default
@@ -53,7 +37,6 @@ impl IncrementalState {
         IncrementalState {
             prev: None,
             dirty: vec![true; num_slices],
-            warm: Mutex::new(HashMap::new()),
             seed_bumps: vec![0; num_slices],
         }
     }
@@ -90,10 +73,7 @@ impl IncrementalState {
         self.prev.is_some()
     }
 
-    /// Serializable view for the round checkpoint. The warm-start store is
-    /// deliberately not captured: warm starts are a tolerance-mode feature
-    /// (they already change bits round to round), and re-deriving the
-    /// models on resume costs one extra cold training per key at worst.
+    /// Serializable view for the round checkpoint.
     pub(crate) fn snapshot(&self) -> crate::checkpoint::IncSnapshot {
         crate::checkpoint::IncSnapshot {
             dirty: self.dirty.clone(),

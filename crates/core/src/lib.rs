@@ -72,7 +72,7 @@ pub use checkpoint::{clean_orphan_temp, clean_orphan_temps, CheckpointError, Rou
 pub use config::{strategy_from_name, strategy_to_name, ExperimentSpec, SpecError};
 pub use drift::{DriftDetector, DriftFlag};
 pub use error::Error;
-pub use incremental::{IncrementalState, WarmKey};
+pub use incremental::IncrementalState;
 pub use influence::{influence_sweep, InfluencePoint, InfluenceSweep};
 pub use metrics::{avg_eer, max_eer, EvalReport};
 pub use report::{acquisition_markdown, methods_csv, methods_markdown, series_markdown};
@@ -86,9 +86,7 @@ pub use trials::{
     ensure_deterministic_kernel, plan_thread_budget, run_trials_parallel, try_run_trials_parallel,
     ThreadBudget, TrialError,
 };
-pub use tuner::{
-    batch_plane_names, resolve_fallbacks, RunResult, SliceTuner, TunerConfig, TuningWarning,
-};
+pub use tuner::{resolve_fallbacks, RunResult, SliceTuner, TunerConfig, TuningWarning};
 
 // Re-exported so downstream callers (the CLI's `--mode` flag, integration
 // tests) can pick an estimation schedule without a direct st_curve edge.

@@ -409,16 +409,19 @@ mod tests {
         assert_bit_identical(&run(1), &run(8));
     }
 
-    /// The batched estimation plane must leave trial aggregates untouched:
-    /// batched and sequential planes aggregate bit-identically in both
-    /// estimation modes and at any `--jobs` count.
+    /// The dense estimation plane must leave trial aggregates untouched:
+    /// lockstep-trained groups aggregate bit-identically to the per-call
+    /// gather reference in both estimation modes and at any `--jobs` and
+    /// estimator thread count.
     #[test]
-    fn batched_plane_aggregates_match_sequential_at_any_jobs() {
+    fn dense_plane_aggregates_match_per_call_gather_at_any_jobs() {
         let fam = census();
-        let run = |batched: bool, mode: EstimationMode, jobs: usize| {
+        let run = |per_call: bool, mode: EstimationMode, jobs: usize, threads: usize| {
             let mut cfg = quick_config().with_mode(mode);
-            cfg.repeats = 2; // groups of ≥ 2 engage lockstep training
-            cfg.batched_plane = batched;
+            cfg.spec = ModelSpec::small(); // 24 wide: lockstep engages
+            cfg.repeats = 2;
+            cfg.per_call_gather = per_call;
+            cfg.threads = threads;
             run_trials_parallel(
                 &fam,
                 &[40; 4],
@@ -431,10 +434,9 @@ mod tests {
             )
         };
         for mode in [EstimationMode::Amortized, EstimationMode::Exhaustive] {
-            let batched = run(true, mode, 1);
-            for jobs in [1usize, 2] {
-                assert_bit_identical(&batched, &run(false, mode, jobs));
-                assert_bit_identical(&batched, &run(true, mode, jobs));
+            let reference = run(true, mode, 1, 1);
+            for (jobs, threads) in [(1usize, 1usize), (1, 2), (2, 1), (2, 4)] {
+                assert_bit_identical(&reference, &run(false, mode, jobs, threads));
             }
         }
     }

@@ -35,8 +35,8 @@ pub struct TunerConfig {
     /// Master seed; all internal randomness derives from it.
     pub seed: u64,
     /// Estimator worker threads, the calling thread included (0 = all
-    /// cores). Both estimation planes spread their measurement groups over
-    /// them, with bit-identical results at any count. [`SliceTuner::new`]
+    /// cores). Measurement groups are spread over them, each group on one
+    /// thread, with bit-identical results at any count. [`SliceTuner::new`]
     /// pins it to 1 under the `sharded` kernel, whose products already fan
     /// out over the kernel's own threads.
     pub threads: usize,
@@ -53,11 +53,12 @@ pub struct TunerConfig {
     /// in the workspace assumes bit-identical kernels.
     pub allow_nondeterministic_kernel: bool,
     /// Forces the estimator back onto the per-call gather path: clone the
-    /// subset examples and rebuild every slice's validation matrix on
-    /// every `measure` call, instead of riding the dataset's cached dense
-    /// snapshot and row-id subsets. Bit-identical either way (the data
-    /// plane contract); exists as the baseline for the `pipeline` bench's
-    /// data-plane gate and regression tests. Off by default.
+    /// subset examples, rebuild every slice's validation matrix, and train
+    /// one model at a time for every request, instead of riding the
+    /// dataset's cached dense snapshot, row-id subsets, and lockstep group
+    /// training. Bit-identical either way (the data plane contract); exists
+    /// as the reference for the `pipeline` bench's data-plane gate and the
+    /// bit-identity tests. Off by default.
     pub per_call_gather: bool,
     /// Incremental re-estimation across acquisition rounds: the working
     /// dataset switches to append-only snapshots, the iterative loop tracks
@@ -71,39 +72,13 @@ pub struct TunerConfig {
     /// [`TunerConfig::cache`] (their results are history-dependent; see
     /// [`crate::cache`]).
     pub incremental: bool,
-    /// Warm-start re-measurements from the model the same measurement key
-    /// trained last round instead of a fresh He initialization. Opt-in and
-    /// off by default because warm-starting reorders the math: the skipped
-    /// init draws shift the RNG stream, so warm results are
-    /// tolerance-comparable to cold ones, never bit-identical —
-    /// from-scratch training stays the bit-identity baseline (the same
-    /// posture as [`TunerConfig::per_call_gather`]). Only consulted when
-    /// [`TunerConfig::incremental`] is set and the dense data plane is in
-    /// use.
-    pub warm_start: bool,
     /// Keeps every incremental-mode semantic (pinned estimator seed,
-    /// accumulator-seeded fits, append-only snapshots, optional
-    /// warm-start) but re-measures **every** slice every round instead of
-    /// only the dirty ones. This is the from-scratch cost baseline the
-    /// `pipeline` bench's incremental gate compares against: identical
-    /// math, none of the skipping. Off by default.
+    /// accumulator-seeded fits, append-only snapshots) but re-measures
+    /// **every** slice every round instead of only the dirty ones. This is
+    /// the from-scratch cost baseline the `pipeline` bench's incremental
+    /// gate compares against: identical math, none of the skipping. Off by
+    /// default.
     pub incremental_refit_all: bool,
-    /// Batched estimation plane: one estimation round's same-shape subset
-    /// trainings are grouped ([`st_curve::BatchedTrainPlan`]) and run in
-    /// lockstep through the batched GEMM family
-    /// (`st_models::train_on_rows_batched`), and the trained group is
-    /// evaluated through one stacked-weight product per validation matrix
-    /// (`st_models::MultiEval`) instead of one narrow product per model.
-    /// Groups run concurrently on the estimator's [`TunerConfig::threads`],
-    /// longest first, as the sequential plane's single requests do.
-    /// Bit-identical per request to the sequential plane — batching is an
-    /// execution strategy, not a different schedule — which the `pipeline`
-    /// bench's `batched` gate asserts. Engaged only on the dense data
-    /// plane's full schedule (the per-call gather baseline, partial
-    /// incremental re-estimation, and warm-started rounds keep the
-    /// sequential path). Defaults to on; `ST_BATCH=0` in the environment
-    /// opts default-constructed configs out (the CI baseline leg).
-    pub batched_plane: bool,
     /// Panic-isolation retries for estimation measurements and trial
     /// workers (CLI `--retries`, default 2). Retries are **bit-identical**
     /// re-executions — every measurement is a pure function of its
@@ -169,35 +144,6 @@ fn incremental_env_default() -> bool {
     *FLAG.get_or_init(|| std::env::var("ST_INCREMENTAL").is_ok_and(|v| v == "1"))
 }
 
-/// The list of valid `ST_BATCH` values, for the unknown-value warning and
-/// usage strings — the `st_linalg::kernel_names()` of the batched-plane
-/// toggle.
-pub fn batch_plane_names() -> &'static str {
-    "0 | 1"
-}
-
-/// `ST_BATCH=0` opts every default-constructed [`TunerConfig`] out of the
-/// batched estimation plane, pinning the sequential bit-identity baseline
-/// (the CI matrix's `ST_BATCH=0` leg). `ST_BATCH=1` and an unset variable
-/// keep the default. A silent typo here would let CI green-light a plane it
-/// never ran, so unknown values warn like unknown `ST_KERNEL` /
-/// `ST_SIMD_FORCE` values do, listing the accepted settings.
-fn batched_env_default() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| match std::env::var("ST_BATCH") {
-        Ok(v) if v == "0" => false,
-        Ok(v) if v == "1" => true,
-        Ok(other) => {
-            eprintln!(
-                "warning: unknown ST_BATCH '{other}', using the batched plane (valid values: {})",
-                batch_plane_names()
-            );
-            true
-        }
-        Err(_) => true,
-    })
-}
-
 impl TunerConfig {
     /// Baseline configuration around a model spec.
     pub fn new(spec: ModelSpec) -> Self {
@@ -217,9 +163,7 @@ impl TunerConfig {
             allow_nondeterministic_kernel: false,
             per_call_gather: false,
             incremental: incremental_env_default(),
-            warm_start: false,
             incremental_refit_all: false,
-            batched_plane: batched_env_default(),
             max_retries: 2,
             checkpoint: None,
             resume: false,
@@ -284,26 +228,11 @@ impl TunerConfig {
         self
     }
 
-    /// Opts incremental re-measurements into warm-started training (see
-    /// [`TunerConfig::warm_start`]).
-    pub fn with_warm_start(mut self) -> Self {
-        self.warm_start = true;
-        self
-    }
-
     /// Disables dirty-slice skipping while keeping every other
     /// incremental-mode semantic (see
     /// [`TunerConfig::incremental_refit_all`]).
     pub fn with_incremental_refit_all(mut self) -> Self {
         self.incremental_refit_all = true;
-        self
-    }
-
-    /// Forces the estimator onto the sequential (one training per
-    /// `measure` call) plane, the bit-identity baseline the batched plane
-    /// is gated against (see [`TunerConfig::batched_plane`]).
-    pub fn with_sequential_plane(mut self) -> Self {
-        self.batched_plane = false;
         self
     }
 
@@ -682,7 +611,6 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
             retries: self.config.max_retries,
             guards: !self.config.unguarded,
         };
-        let warm = self.config.warm_start.then_some(&state.warm);
         let estimates: Vec<st_curve::SliceEstimate> = match &state.prev {
             Some(prev) => {
                 let targets: Vec<bool> = if self.config.incremental_refit_all {
@@ -693,7 +621,6 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
                 let (partial, errors) = self.run_estimator_with(
                     &estimator,
                     Some(&targets),
-                    warm,
                     Some(&state.seed_bumps),
                     stream,
                 );
@@ -720,7 +647,6 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
                 let (full, errors) = self.run_estimator_with(
                     &estimator,
                     Some(&vec![true; n]),
-                    warm,
                     Some(&state.seed_bumps),
                     stream,
                 );
@@ -737,25 +663,14 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         estimates
     }
 
-    /// Executes one full (uncached) estimation with the given schedule.
-    ///
-    /// The hot path is matrix-native: the dataset's dense snapshot
-    /// ([`SlicedDataset::matrices`]) is fetched **once** per estimation —
-    /// per-slice validation matrices, label vectors, and the stacked
-    /// training matrix are built at most once per acquisition step instead
-    /// of once per `measure` call — subsets are sampled as row ids (no
-    /// `Example` clones), training gathers minibatches straight from the
-    /// stacked matrix ([`st_models::train_on_rows`]), and the per-slice
-    /// subset counts fall out of the sampling pass instead of an
-    /// O(slices × subset) re-scan. Bit-identical to the per-call gather
-    /// baseline ([`TunerConfig::per_call_gather`]), which the pipeline
-    /// bench gates.
+    /// Executes one full (uncached) estimation with the given schedule
+    /// (see [`run_estimator_with`](Self::run_estimator_with)).
     fn run_estimator(
         &self,
         estimator: &CurveEstimator,
         round: u64,
     ) -> Vec<st_curve::SliceEstimate> {
-        let (estimates, errors) = self.run_estimator_with(estimator, None, None, None, round);
+        let (estimates, errors) = self.run_estimator_with(estimator, None, None, round);
         self.record_quarantines(errors, round);
         estimates
             .into_iter()
@@ -780,46 +695,44 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         }
     }
 
-    /// [`run_estimator`](Self::run_estimator) generalized for incremental
-    /// re-estimation: `targets = Some(flags)` re-measures only the flagged
-    /// slices through the exhaustive schedule's full request list (so the
-    /// flagged slices' request seeds — and bits — match a full run), and
-    /// `warm = Some(store)` warm-starts each measurement from the model
-    /// its key trained last time (dense data plane only; the per-call
-    /// gather baseline ignores it, staying the bit-identity reference).
-    /// `bumps = Some(per_slice)` applies drift-recovery seed bumps: a slice
-    /// with a non-zero bump derives its measurement seeds from a bumped
-    /// request seed, so its post-drift re-measurement draws fresh subsets
-    /// instead of replaying the pinned pre-drift ones. A zero bump leaves
-    /// the request seed untouched — the no-drift path is bit-identical.
+    /// One uncached estimation: the full schedule when `targets` is `None`,
+    /// else the partial exhaustive schedule over the flagged slices (whose
+    /// request seeds — and bits — match a full run's; see
+    /// [`CurveEstimator::estimate`]). `bumps = Some(per_slice)` applies
+    /// drift-recovery seed bumps: a slice with a non-zero bump derives its
+    /// measurement seeds from a bumped request seed, so its post-drift
+    /// re-measurement draws fresh subsets instead of replaying the pinned
+    /// pre-drift ones. A zero bump leaves the request seed untouched — the
+    /// no-drift path is bit-identical.
+    ///
+    /// The round's requests are grouped by [`shape_key`], so every request
+    /// in a group trains on the same subset length and targets the same
+    /// slice. The hot path is matrix-native: the dataset's dense snapshot
+    /// ([`SlicedDataset::matrices`]) is fetched **once** per estimation —
+    /// per-slice validation matrices, label vectors, and the stacked
+    /// training matrix are built at most once per acquisition step —
+    /// subsets are sampled as row ids with their per-slice counts, each
+    /// group's models train in lockstep through the batched GEMM family
+    /// ([`st_models::train_on_rows_batched`]; a group of one, or one that
+    /// cannot run in lockstep, trains model by model through
+    /// [`st_models::train_on_rows`]), and the group is evaluated with one
+    /// stacked-weight product per validation matrix
+    /// ([`st_models::MultiEval`]). Per request, every step is bit-identical
+    /// to the per-call gather reference ([`TunerConfig::per_call_gather`]),
+    /// which the pipeline bench gates.
     fn run_estimator_with(
         &self,
         estimator: &CurveEstimator,
         targets: Option<&[bool]>,
-        warm: Option<&crate::incremental::WarmStore>,
         bumps: Option<&[u64]>,
         round: u64,
     ) -> (
         Vec<Option<st_curve::SliceEstimate>>,
         Vec<st_curve::EstimateError>,
     ) {
+        let key = shape_key(self.ds.train_sizes());
         if self.config.per_call_gather {
-            return self.run_estimator_per_call(estimator, targets, bumps, round);
-        }
-        // The batched plane covers the dense data plane's *full* schedule:
-        // a partial (incremental) round re-measures sparse request subsets
-        // whose grouping rarely pays, and warm starts give each model a
-        // different initial network, which breaks the lockstep precondition.
-        // An active ST_FAULT plan also forces the sequential plane: its
-        // injection points are armed per request, which lockstep group
-        // training cannot honor.
-        if self.config.batched_plane
-            && targets.is_none()
-            && warm.is_none()
-            && !st_linalg::fault::active()
-        {
-            let (estimates, errors) = self.run_estimator_batched(estimator);
-            return (estimates.into_iter().map(Some).collect(), errors);
+            return self.run_estimator_per_call(estimator, targets, &key, bumps, round);
         }
         let n = self.ds.num_slices();
         let ds = &self.ds;
@@ -827,171 +740,32 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         let spec = &self.config.spec;
         let train_cfg = &self.config.train;
         let counter = &self.trainings;
-        let warm_models = warm;
-
-        let measure = move |req: &MeasureRequest| -> Vec<SliceLossMeasurement> {
-            // ST_FAULT nan_loss injection point: arms the trainer's loss
-            // corruption for this (slice, round) for the duration of the
-            // measurement. A no-op unless a matching plan entry exists.
-            let _nan_guard = st_linalg::fault::arm_nan_loss(req.target_slice, round);
-            let seed = bumped_seed(req, bumps);
-            let subset = match req.target_slice {
-                None => dense.joint_subset_rows(req.frac, &mut seeded_rng(split_seed(seed, 0))),
-                Some(s) => {
-                    let len = dense.slice_len(s);
-                    let k = ((len as f64 * req.frac).round() as usize).clamp(1, len.max(1));
-                    let mut rng = seeded_rng(split_seed(seed, 1));
-                    dense.exhaustive_subset_rows(SliceId(s), k, &mut rng)
-                }
-            };
-            let cfg = train_cfg.with_seed(split_seed(seed, 2));
-            let model = match warm_models {
-                Some(store) => {
-                    let key: crate::incremental::WarmKey =
-                        (req.target_slice, req.frac.to_bits(), req.rep);
-                    let init = store
-                        .lock()
-                        .expect("warm store poisoned")
-                        .get(&key)
-                        .cloned();
-                    let m = match init {
-                        Some(prev) => st_models::train_on_rows_warm(
-                            &prev,
-                            &dense.train_x,
-                            &dense.train_y,
-                            &subset.rows,
-                            ds.feature_dim,
-                            ds.num_classes,
-                            spec,
-                            &cfg,
-                        ),
-                        None => st_models::train_on_rows(
-                            &dense.train_x,
-                            &dense.train_y,
-                            &subset.rows,
-                            ds.feature_dim,
-                            ds.num_classes,
-                            spec,
-                            &cfg,
-                        ),
-                    };
-                    store
-                        .lock()
-                        .expect("warm store poisoned")
-                        .insert(key, m.clone());
-                    m
-                }
-                None => st_models::train_on_rows(
-                    &dense.train_x,
-                    &dense.train_y,
-                    &subset.rows,
-                    ds.feature_dim,
-                    ds.num_classes,
-                    spec,
-                    &cfg,
-                ),
-            };
-            counter.fetch_add(1, Ordering::Relaxed);
-
-            // One trained model scores every slice: pack the weights once
-            // and reuse them for all per-slice forwards; the validation
-            // matrices come from the shared snapshot instead of per-call
-            // gathers, and one activation scratch serves every slice.
-            // All three reuses are bit-identical to their per-call twins.
-            let packed = model.packed();
-            let mut scratch = st_models::EvalScratch::default();
-            let mut eval_slice = |s: usize| -> SliceLossMeasurement {
-                SliceLossMeasurement {
-                    slice: s,
-                    n: subset.per_slice[s],
-                    loss: st_models::log_loss_packed_scratch(
-                        &packed,
-                        &dense.val_x[s],
-                        &dense.val_y[s],
-                        &mut scratch,
-                    ),
-                }
-            };
-            match req.target_slice {
-                None => (0..n).map(&mut eval_slice).collect(),
-                Some(s) => vec![eval_slice(s)],
-            }
-        };
-
-        schedule(estimator, n, targets, &measure)
-    }
-
-    /// The batched estimation plane ([`TunerConfig::batched_plane`]): the
-    /// round's requests are grouped into same-shape batches by an RNG-free
-    /// shape key (the exact `take` formulas of the dense snapshot's subset
-    /// samplers, so every request in a group trains on the same subset
-    /// length), each group's models train in lockstep through the batched
-    /// GEMM family, and the whole group is evaluated with one
-    /// stacked-weight product per validation matrix. Subset sampling, seed
-    /// derivation, and loss arithmetic are identical to the sequential
-    /// `measure` closure — per request the returned measurements match the
-    /// sequential plane bit for bit (`train_on_rows_batched` and
-    /// `MultiEval` each carry their own bit-identity contract and tests).
-    fn run_estimator_batched(
-        &self,
-        estimator: &CurveEstimator,
-    ) -> (Vec<st_curve::SliceEstimate>, Vec<st_curve::EstimateError>) {
-        let n = self.ds.num_slices();
-        let ds = &self.ds;
-        let dense = self.ds.matrices();
-        let spec = &self.config.spec;
-        let train_cfg = &self.config.train;
-        let counter = &self.trainings;
-
-        let slice_lens: Vec<usize> = (0..n).map(|s| dense.slice_len(s)).collect();
-        let total_rows: usize = slice_lens.iter().sum();
-        let key = move |req: &MeasureRequest| -> u64 {
-            match req.target_slice {
-                // Joint subsets: total predicted length, per slice
-                // `round(n·frac).clamp(1, n)` for non-empty slices (a zero
-                // fraction samples nothing at all).
-                None => {
-                    if req.frac == 0.0 {
-                        return 0;
-                    }
-                    slice_lens
-                        .iter()
-                        .filter(|&&l| l > 0)
-                        .map(|&l| ((l as f64 * req.frac).round() as usize).clamp(1, l) as u64)
-                        .sum()
-                }
-                // Exhaustive subsets: every other slice rides whole, so the
-                // length is determined by (target, take); tag the target in
-                // the high bits to keep distinct val-set groups apart.
-                Some(s) => {
-                    let len = slice_lens[s];
-                    let k = ((len as f64 * req.frac).round() as usize).clamp(1, len.max(1));
-                    let take = (k.min(len) + total_rows - len) as u64;
-                    ((s as u64 + 1) << 40) | take
-                }
-            }
-        };
 
         let measure = move |group: &[MeasureRequest]| -> Vec<Vec<SliceLossMeasurement>> {
-            // Per-request subset sampling with the sequential plane's exact
-            // seed streams — grouping must not perturb a single RNG draw.
+            // ST_FAULT nan_loss injection point: the shape key pins one
+            // target slice per group, so one scope arms the whole group's
+            // training for this (slice, round). A no-op unless a matching
+            // plan entry exists.
+            let _nan_guard = st_linalg::fault::arm_nan_loss(group[0].target_slice, round);
+            // Per-request subset sampling with each request's own seed
+            // streams — grouping must not perturb a single RNG draw.
+            let seeds: Vec<u64> = group.iter().map(|req| bumped_seed(req, bumps)).collect();
             let subsets: Vec<st_data::SubsetRows> = group
                 .iter()
-                .map(|req| match req.target_slice {
-                    None => {
-                        dense.joint_subset_rows(req.frac, &mut seeded_rng(split_seed(req.seed, 0)))
-                    }
+                .zip(&seeds)
+                .map(|(req, &seed)| match req.target_slice {
+                    None => dense.joint_subset_rows(req.frac, &mut seeded_rng(split_seed(seed, 0))),
                     Some(s) => {
                         let len = dense.slice_len(s);
                         let k = ((len as f64 * req.frac).round() as usize).clamp(1, len.max(1));
-                        let mut rng = seeded_rng(split_seed(req.seed, 1));
+                        let mut rng = seeded_rng(split_seed(seed, 1));
                         dense.exhaustive_subset_rows(SliceId(s), k, &mut rng)
                     }
                 })
                 .collect();
-            let configs: Vec<TrainConfig> = group
+            let configs: Vec<TrainConfig> = seeds
                 .iter()
-                .map(|req| train_cfg.with_seed(split_seed(req.seed, 2)))
+                .map(|&seed| train_cfg.with_seed(split_seed(seed, 2)))
                 .collect();
             let row_sets: Vec<&[usize]> = subsets.iter().map(|s| s.rows.as_slice()).collect();
             let models = st_models::train_on_rows_batched(
@@ -1023,7 +797,7 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
             };
             match group[0].target_slice {
                 // Amortized: each training informs every slice's curve,
-                // slices ascending like the sequential closure.
+                // slices ascending.
                 None => (0..n).for_each(|s| eval_slice(s, &mut out)),
                 // Exhaustive: the shape key pins one target per group.
                 Some(s) => eval_slice(s, &mut out),
@@ -1031,18 +805,19 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
             out
         };
 
-        estimator.estimate_detailed_batched_checked(n, &key, &measure)
+        estimator.estimate(n, targets, &key, &measure)
     }
 
-    /// The PR-4 estimation data plane, kept as the bit-identity baseline:
-    /// every `measure` call clones its subset examples, re-builds each
-    /// slice's validation matrix, and re-scans the subset per slice for
-    /// `n_in_subset` (see [`TunerConfig::per_call_gather`]). Warm-starting
-    /// is a dense-plane feature and is ignored here.
+    /// The PR-4 estimation data plane, kept as the bit-identity reference:
+    /// each request of a group is measured on its own, cloning its subset
+    /// examples, re-building each slice's validation matrix, and
+    /// re-scanning the subset per slice for `n_in_subset` (see
+    /// [`TunerConfig::per_call_gather`]).
     fn run_estimator_per_call(
         &self,
         estimator: &CurveEstimator,
         targets: Option<&[bool]>,
+        key: &dyn Fn(&MeasureRequest) -> u64,
         bumps: Option<&[u64]>,
         round: u64,
     ) -> (
@@ -1094,7 +869,9 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
             }
         };
 
-        schedule(estimator, n, targets, &measure)
+        estimator.estimate(n, targets, key, &|group| {
+            group.iter().map(&measure).collect()
+        })
     }
 
     /// One-shot's continuous allocation: solve the convex program for the
@@ -1588,24 +1365,37 @@ fn bumped_seed(req: &MeasureRequest, bumps: Option<&[u64]>) -> u64 {
     }
 }
 
-/// Routes a measure closure through the estimator's full schedule
-/// (`targets = None`, every slice estimated) or the partial exhaustive
-/// schedule over the flagged slices.
-fn schedule(
-    estimator: &CurveEstimator,
-    num_slices: usize,
-    targets: Option<&[bool]>,
-    measure: &st_curve::TrainEvalFn<'_>,
-) -> (
-    Vec<Option<st_curve::SliceEstimate>>,
-    Vec<st_curve::EstimateError>,
-) {
-    match targets {
-        None => {
-            let (estimates, errors) = estimator.estimate_detailed_checked(num_slices, measure);
-            (estimates.into_iter().map(Some).collect(), errors)
+/// The estimator's RNG-free shape key over the per-slice training sizes:
+/// the exact `take` formulas of the subset samplers, so every request in a
+/// group trains on the same subset length (the lockstep precondition). An
+/// exhaustive request's target slice rides in the high bits, so a group
+/// scores one validation set and arms one fault scope.
+fn shape_key(slice_lens: Vec<usize>) -> impl Fn(&MeasureRequest) -> u64 {
+    let total_rows: usize = slice_lens.iter().sum();
+    move |req: &MeasureRequest| -> u64 {
+        match req.target_slice {
+            // Joint subsets: total predicted length, per slice
+            // `round(n·frac).clamp(1, n)` for non-empty slices (a zero
+            // fraction samples nothing at all).
+            None => {
+                if req.frac == 0.0 {
+                    return 0;
+                }
+                slice_lens
+                    .iter()
+                    .filter(|&&l| l > 0)
+                    .map(|&l| ((l as f64 * req.frac).round() as usize).clamp(1, l) as u64)
+                    .sum()
+            }
+            // Exhaustive subsets: every other slice rides whole, so the
+            // length is determined by (target, take).
+            Some(s) => {
+                let len = slice_lens[s];
+                let k = ((len as f64 * req.frac).round() as usize).clamp(1, len.max(1));
+                let take = (k.min(len) + total_rows - len) as u64;
+                ((s as u64 + 1) << 40) | take
+            }
         }
-        Some(t) => estimator.estimate_detailed_for_checked(num_slices, t, measure),
     }
 }
 
@@ -1660,97 +1450,43 @@ mod tests {
     }
 
     #[test]
-    fn estimation_data_plane_matches_per_call_gather() {
-        // The matrix-native data plane (cached matrices, row-id subsets,
-        // train_on_rows, one-pass subset counts) must reproduce the
-        // per-call gather baseline bit for bit, in both schedules.
+    fn dense_plane_matches_per_call_gather_at_any_thread_count() {
+        // The dense plane (cached matrices, row-id subsets, lockstep group
+        // training, stacked evaluation) must reproduce the per-call gather
+        // reference bit for bit, in both schedules, for the stacked-head
+        // softmax and the 24-wide `small` model (whose groups of two train
+        // in lockstep), at any estimator thread count.
         let fam = census();
-        let run = |per_call: bool, mode: EstimationMode| {
-            let ds = SlicedDataset::generate(&fam, &[80, 40, 60, 20], 50, 17);
-            let mut src = PoolSource::new(fam.clone(), 171);
-            let mut cfg = quick_config().with_seed(9).with_mode(mode);
-            cfg.per_call_gather = per_call;
-            let tuner = SliceTuner::new(ds, &mut src, cfg);
-            tuner.estimate_curves_detailed(3)
-        };
-        for mode in [EstimationMode::Amortized, EstimationMode::Exhaustive] {
-            let dense = run(false, mode);
-            let legacy = run(true, mode);
-            assert_eq!(dense.len(), legacy.len());
-            for (d, l) in dense.iter().zip(&legacy) {
-                assert_eq!(d.points.len(), l.points.len(), "{mode:?}");
-                for (dp, lp) in d.points.iter().zip(&l.points) {
-                    assert_eq!(dp.n.to_bits(), lp.n.to_bits(), "{mode:?} subset count");
-                    assert_eq!(dp.loss.to_bits(), lp.loss.to_bits(), "{mode:?} loss");
-                }
-                let (df, lf) = (d.fit.as_ref().unwrap(), l.fit.as_ref().unwrap());
-                assert_eq!(df.a.to_bits(), lf.a.to_bits(), "{mode:?} fit a");
-                assert_eq!(df.b.to_bits(), lf.b.to_bits(), "{mode:?} fit b");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_plane_matches_sequential_bitwise() {
-        // The batched plane is an execution strategy: lockstep-trained
-        // groups and stacked evaluation must reproduce the sequential
-        // plane's measurements and fits bit for bit, in both schedules and
-        // regardless of either plane's estimator thread count.
-        let fam = census();
-        let run = |batched: bool, mode: EstimationMode, threads: usize| {
-            let ds = SlicedDataset::generate(&fam, &[80, 40, 60, 20], 50, 18);
+        let run = |per_call: bool, spec: ModelSpec, mode: EstimationMode, threads: usize| {
+            let ds = SlicedDataset::generate(&fam, &[60, 30, 45, 25], 40, 18);
             let mut src = PoolSource::new(fam.clone(), 172);
             let mut cfg = quick_config().with_seed(11).with_mode(mode);
-            cfg.repeats = 2; // groups of ≥ 2 engage lockstep training
-            cfg.batched_plane = batched;
+            cfg.spec = spec;
+            cfg.repeats = 2;
+            cfg.per_call_gather = per_call;
             cfg.threads = threads;
             let tuner = SliceTuner::new(ds, &mut src, cfg);
             let est = tuner.estimate_curves_detailed(4);
             (est, tuner.trainings())
         };
-        for mode in [EstimationMode::Amortized, EstimationMode::Exhaustive] {
-            let (seq, ts) = run(false, mode, 1);
-            for (batched, threads) in [(false, 2usize), (true, 1), (true, 2), (true, 4)] {
-                let (other, to) = run(batched, mode, threads);
-                let case = format!("{mode:?} batched={batched} threads={threads}");
-                assert_eq!(to, ts, "{case} training counts");
-                assert_eq!(other.len(), seq.len());
-                for (s, (b, q)) in other.iter().zip(&seq).enumerate() {
-                    assert_eq!(b.points.len(), q.points.len(), "{case} slice {s}");
-                    for (bp, qp) in b.points.iter().zip(&q.points) {
-                        assert_eq!(bp.n.to_bits(), qp.n.to_bits(), "{case} subset count");
-                        assert_eq!(bp.loss.to_bits(), qp.loss.to_bits(), "{case} loss");
+        for spec in [ModelSpec::softmax(), ModelSpec::small()] {
+            for mode in [EstimationMode::Amortized, EstimationMode::Exhaustive] {
+                let (reference, ref_trainings) = run(true, spec.clone(), mode, 1);
+                for threads in [1usize, 2, 4] {
+                    let (dense, trainings) = run(false, spec.clone(), mode, threads);
+                    let case = format!("{} {mode:?} threads={threads}", spec.name);
+                    assert_eq!(trainings, ref_trainings, "{case} training counts");
+                    assert_eq!(dense.len(), reference.len());
+                    for (s, (d, r)) in dense.iter().zip(&reference).enumerate() {
+                        assert_eq!(d.points.len(), r.points.len(), "{case} slice {s}");
+                        for (dp, rp) in d.points.iter().zip(&r.points) {
+                            assert_eq!(dp.n.to_bits(), rp.n.to_bits(), "{case} subset count");
+                            assert_eq!(dp.loss.to_bits(), rp.loss.to_bits(), "{case} loss");
+                        }
+                        let (df, rf) = (d.fit.as_ref().unwrap(), r.fit.as_ref().unwrap());
+                        assert_eq!(df.a.to_bits(), rf.a.to_bits(), "{case} fit a");
+                        assert_eq!(df.b.to_bits(), rf.b.to_bits(), "{case} fit b");
                     }
-                    let (bf, qf) = (b.fit.as_ref().unwrap(), q.fit.as_ref().unwrap());
-                    assert_eq!(bf.a.to_bits(), qf.a.to_bits(), "{case} fit a");
-                    assert_eq!(bf.b.to_bits(), qf.b.to_bits(), "{case} fit b");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_plane_matches_sequential_on_deep_models() {
-        // Deep group members route MultiEval through the per-model
-        // fallback (no stacked head); the contract is the same.
-        let fam = census();
-        let run = |batched: bool, threads: usize| {
-            let ds = SlicedDataset::generate(&fam, &[60, 30, 45, 25], 40, 19);
-            let mut src = PoolSource::new(fam.clone(), 173);
-            let mut cfg = quick_config().with_seed(13);
-            cfg.spec = ModelSpec::small();
-            cfg.repeats = 2;
-            cfg.batched_plane = batched;
-            cfg.threads = threads;
-            let tuner = SliceTuner::new(ds, &mut src, cfg);
-            tuner.estimate_curves_detailed(2)
-        };
-        let seq = run(false, 1);
-        for threads in [1usize, 2] {
-            for (b, q) in run(true, threads).iter().zip(&seq) {
-                assert_eq!(b.points.len(), q.points.len(), "threads={threads}");
-                for (bp, qp) in b.points.iter().zip(&q.points) {
-                    assert_eq!(bp.loss.to_bits(), qp.loss.to_bits(), "threads={threads}");
                 }
             }
         }
@@ -1904,7 +1640,7 @@ mod tests {
 
     /// Runs an exhaustive-mode iterative trial with the given incremental
     /// knobs and returns (result, trainings).
-    fn iterative_run(incremental: bool, refit_all: bool, warm: bool) -> (RunResult, usize) {
+    fn iterative_run(incremental: bool, refit_all: bool) -> (RunResult, usize) {
         let fam = census();
         let ds = SlicedDataset::generate(&fam, &[60, 25, 45, 30], 60, 21);
         let mut src = PoolSource::new(fam, 77);
@@ -1913,7 +1649,6 @@ mod tests {
             .with_mode(EstimationMode::Exhaustive);
         cfg.incremental = incremental;
         cfg.incremental_refit_all = refit_all;
-        cfg.warm_start = warm;
         cfg.max_iterations = 3;
         let mut tuner = SliceTuner::new(ds, &mut src, cfg);
         let result = tuner.run(Strategy::Iterative(TSchedule::moderate()), 300.0);
@@ -1926,8 +1661,8 @@ mod tests {
         // On a run whose budget is spent in one round there is nothing to
         // reuse yet, so dirty-tracking must reproduce the forced-full-refit
         // run exactly — same acquisitions, same loss bits, same trainings.
-        let (skip, skip_trainings) = iterative_run(true, false, false);
-        let (full, full_trainings) = iterative_run(true, true, false);
+        let (skip, skip_trainings) = iterative_run(true, false);
+        let (full, full_trainings) = iterative_run(true, true);
         assert_eq!(skip.acquired, full.acquired);
         assert_eq!(skip.iterations, full.iterations);
         for (a, b) in skip
@@ -1948,8 +1683,8 @@ mod tests {
     fn incremental_run_is_bit_reproducible() {
         // History-dependent does not mean nondeterministic: the same
         // incremental trial twice must produce identical bits.
-        let (a, ta) = iterative_run(true, false, false);
-        let (b, tb) = iterative_run(true, false, false);
+        let (a, ta) = iterative_run(true, false);
+        let (b, tb) = iterative_run(true, false);
         assert_eq!(a.acquired, b.acquired);
         assert_eq!(ta, tb);
         for (x, y) in a
@@ -2009,25 +1744,6 @@ mod tests {
         let per_slice = tuner.config().fractions.len() * tuner.config().repeats;
         assert_eq!(tuner.trainings() - t0, per_slice);
         assert_eq!(state.dirty(), &[false; 4]);
-    }
-
-    #[test]
-    fn warm_start_run_stays_close_to_cold() {
-        // Warm-starting reorders the math (skipped init draws shift the
-        // RNG stream), so results are tolerance-comparable, never
-        // bit-identical; the run must still complete and land in the same
-        // loss regime.
-        let (cold, _) = iterative_run(true, false, false);
-        let (warm, _) = iterative_run(true, false, true);
-        assert_eq!(warm.acquired.len(), cold.acquired.len());
-        assert!(warm.report.overall_loss.is_finite());
-        assert!(
-            (warm.report.overall_loss - cold.report.overall_loss).abs()
-                < 0.5 * cold.report.overall_loss.max(0.1),
-            "warm overall loss {} strayed from cold {}",
-            warm.report.overall_loss,
-            cold.report.overall_loss
-        );
     }
 
     #[test]

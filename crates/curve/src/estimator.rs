@@ -1,10 +1,11 @@
 //! The subset-sampling learning-curve estimation loop (Sections 4.1–4.2).
 //!
 //! The estimator is decoupled from any concrete model or dataset: callers
-//! provide a *measurement function* that, given a subset request, trains a
-//! model and reports the per-slice validation losses. This crate schedules
-//! the requests (exhaustively or amortized), runs them in parallel, and fits
-//! averaged power-law curves.
+//! provide a *measurement function* that, given a group of same-shape
+//! subset requests, trains their models and reports the per-slice
+//! validation losses. This crate schedules the requests (exhaustively or
+//! amortized), groups them by a caller-supplied shape key, runs the groups
+//! in parallel, and fits averaged power-law curves.
 
 use crate::fit::{fit_power_law, FitError, IncrementalFit};
 use crate::model::PowerLaw;
@@ -36,10 +37,9 @@ pub struct MeasureRequest {
     pub frac: f64,
     /// Seed for subset selection and model training.
     pub seed: u64,
-    /// Which repeat (averaged curve) this request contributes to. Stable
-    /// across full and partial schedules, so `(target_slice, frac, rep)`
-    /// identifies the same measurement from round to round — the key the
-    /// tuner's warm-start store uses.
+    /// Which repeat (averaged curve) this request contributes to. A partial
+    /// schedule's request keeps the repeat index (and seed) it has in the
+    /// full schedule.
     pub rep: usize,
 }
 
@@ -83,20 +83,17 @@ impl std::fmt::Display for EstimateError {
 
 impl std::error::Error for EstimateError {}
 
-/// The measurement callback: train on the requested subset, evaluate, and
-/// return one [`SliceLossMeasurement`] per slice of interest.
+/// The measurement callback: train one same-shape group of requests
+/// together and return one measurement vector per request, **in the
+/// group's request order**.
 ///
 /// Amortized requests should return a measurement for **every** slice (one
 /// training informs all curves); exhaustive requests need only return the
-/// target slice's measurement — any extras are ignored.
-pub type TrainEvalFn<'a> = dyn Fn(&MeasureRequest) -> Vec<SliceLossMeasurement> + Sync + 'a;
-
-/// The batched measurement callback: train one same-shape group of requests
-/// together (lockstep batched training, stacked evaluation) and return one
-/// measurement vector per request, **in the group's request order**. Each
-/// element must equal what the sequential [`TrainEvalFn`] would have
-/// returned for that request — the batched plane is an execution strategy,
-/// not a different schedule.
+/// target slice's measurement — any extras are ignored. Each request's
+/// measurements must not depend on which group it landed in: grouping is an
+/// execution strategy (lockstep training, stacked evaluation), not a
+/// different schedule, so a group of one measures what any larger group
+/// would for the same request.
 pub type TrainEvalBatchFn<'a> =
     dyn Fn(&[MeasureRequest]) -> Vec<Vec<SliceLossMeasurement>> + Sync + 'a;
 
@@ -170,9 +167,8 @@ pub struct CurveEstimator {
     /// Base seed; every request derives a unique child seed.
     pub seed: u64,
     /// Worker threads for measurement, the calling thread included (0 =
-    /// all available cores). Both planes spread their groups over them: a
-    /// sequential request is a group of one, a batched group trains in
-    /// lockstep on one thread. Results do not depend on the count.
+    /// all available cores). Measurement groups are spread over them, each
+    /// group on one thread. Results do not depend on the count.
     pub threads: usize,
     /// Retries per failed measurement before the request is given up and
     /// reported as an [`EstimateError`] (a retry is a bit-identical
@@ -219,7 +215,8 @@ impl CurveEstimator {
         self
     }
 
-    /// Number of model trainings one [`estimate`](Self::estimate) call costs.
+    /// Number of model trainings one full-schedule
+    /// [`estimate`](Self::estimate) call costs.
     ///
     /// This is the quantity Table 8 compares: amortized is `K·R`; exhaustive
     /// is `|S|·K·R`.
@@ -231,214 +228,85 @@ impl CurveEstimator {
         }
     }
 
-    /// Estimates one power-law curve per slice.
+    /// Estimates one power-law curve per slice — or, with `targets`, per
+    /// flagged slice.
     ///
-    /// Measurements are collected in parallel, grouped per `(slice, repeat)`,
-    /// fitted independently, and averaged in log space across repeats
-    /// (`PowerLaw::log_mean`). A slice whose every repeat fails to fit
-    /// reports the error.
+    /// The request schedule is built with stream-counter seeds, grouped
+    /// into same-shape batches by the caller's shape `key`
+    /// ([`BatchedTrainPlan::build`]), and each group is handed to `measure`
+    /// whole. Groups run concurrently on the estimator's
+    /// [`threads`](Self::threads), longest first, with panic isolation and
+    /// retry per group; results are scattered back by request index before
+    /// they are grouped per `(slice, repeat)`, fitted independently, and
+    /// averaged in log space across repeats (`PowerLaw::log_mean`). A
+    /// measure function whose per-request results do not depend on grouping
+    /// therefore yields the same bits under any key and at any thread
+    /// count. A slice whose every repeat fails to fit reports the error in
+    /// its estimate.
+    ///
+    /// `targets = None` runs the full schedule: every slice comes back
+    /// `Some`, fitted with [`fit_power_law`]. `targets = Some(flags)` is
+    /// the dirty-slice path of incremental mode: only requests targeting a
+    /// flagged slice run, unflagged slices come back `None` (the tuner
+    /// reuses their previous round's estimates), and fits are seeded from
+    /// an [`IncrementalFit`] absorbing the round's points, which agrees
+    /// with the batch fit to refinement tolerance. The full schedule is
+    /// built before it is filtered, so every surviving request keeps its
+    /// full-schedule seed and a flagged slice's measurements reproduce the
+    /// from-scratch bits.
+    ///
+    /// Requests whose group kept failing after every retry come back as
+    /// errors, one per request in request order, and contribute no points —
+    /// a slice losing all of its measurements reports a [`FitError`], and
+    /// the caller decides whether to quarantine (the tuner does).
     ///
     /// # Panics
-    /// Panics if `fractions` is empty or `repeats == 0`.
+    /// Panics if `fractions` is empty, `repeats == 0`, or `measure` returns
+    /// a result count different from its group size; if `targets` has a
+    /// length other than `num_slices` or is given under
+    /// [`EstimationMode::Amortized`] (one joint training measures every
+    /// slice, so there is nothing to skip); or, when
+    /// [`guards`](Self::guards) is off, whenever a measurement panics.
     pub fn estimate(
         &self,
         num_slices: usize,
-        measure: &TrainEvalFn<'_>,
-    ) -> Vec<Result<PowerLaw, FitError>> {
-        self.estimate_detailed(num_slices, measure)
-            .into_iter()
-            .map(|e| e.fit)
-            .collect()
-    }
-
-    /// [`estimate`](Self::estimate) keeping the evidence: per-repeat fits
-    /// and the raw measured points, so callers can compute reliability
-    /// diagnostics (bootstrap bands, model-zoo comparisons) without
-    /// re-running any trainings.
-    ///
-    /// # Panics
-    /// Panics if `fractions` is empty or `repeats == 0`.
-    pub fn estimate_detailed(
-        &self,
-        num_slices: usize,
-        measure: &TrainEvalFn<'_>,
-    ) -> Vec<SliceEstimate> {
-        self.estimate_detailed_checked(num_slices, measure).0
-    }
-
-    /// [`estimate_detailed`](Self::estimate_detailed) also reporting the
-    /// requests whose measurement kept failing after every retry. A failed
-    /// request contributes no points, so a slice losing all of its
-    /// measurements reports a [`FitError`] in its estimate — the caller
-    /// decides whether to quarantine (the tuner does).
-    ///
-    /// # Panics
-    /// Panics if `fractions` is empty or `repeats == 0`; or, when
-    /// [`guards`](Self::guards) is off, whenever a measurement panics.
-    pub fn estimate_detailed_checked(
-        &self,
-        num_slices: usize,
-        measure: &TrainEvalFn<'_>,
-    ) -> (Vec<SliceEstimate>, Vec<EstimateError>) {
-        assert!(
-            !self.fractions.is_empty(),
-            "need at least one subset fraction"
-        );
-        assert!(self.repeats > 0, "need at least one repeat");
-
-        let requests = self.build_requests(num_slices);
-        let results = self.dispatch_each(&requests, measure);
-        let (points, errors) = self.group_points(num_slices, &requests, results);
-
-        (
-            points
-                .into_iter()
-                .map(|per_rep| fold_estimate(per_rep, &fit_power_law))
-                .collect(),
-            errors,
-        )
-    }
-
-    /// [`estimate_detailed`](Self::estimate_detailed) through a *batched*
-    /// measurement function.
-    ///
-    /// The full request schedule is built exactly as in the sequential path
-    /// (same stream-counter seeds), grouped into same-shape batches via
-    /// [`BatchedTrainPlan::build`] with the caller's shape `key`, and each
-    /// group is handed to `measure` whole. Groups run concurrently on the
-    /// estimator's [`threads`](Self::threads), longest first; results are
-    /// scattered back by request index before the (unchanged) point
-    /// grouping and fitting, so a batched measurement function whose
-    /// per-request results match the sequential [`TrainEvalFn`]
-    /// bit-for-bit yields bit-identical estimates at any thread count.
-    ///
-    /// # Panics
-    /// Panics if `fractions` is empty, `repeats == 0`, or `measure` returns
-    /// a result count different from its group size.
-    pub fn estimate_detailed_batched(
-        &self,
-        num_slices: usize,
+        targets: Option<&[bool]>,
         key: &dyn Fn(&MeasureRequest) -> u64,
         measure: &TrainEvalBatchFn<'_>,
-    ) -> Vec<SliceEstimate> {
-        self.estimate_detailed_batched_checked(num_slices, key, measure)
-            .0
-    }
-
-    /// [`estimate_detailed_batched`](Self::estimate_detailed_batched) with
-    /// panic isolation and retry per *group* (lockstep models fail
-    /// together): a group exhausting its retries reports one
-    /// [`EstimateError`] per member request and contributes no points.
-    ///
-    /// # Panics
-    /// Panics if `fractions` is empty, `repeats == 0`, or `measure` returns
-    /// a result count different from its group size; or, when
-    /// [`guards`](Self::guards) is off, whenever a measurement panics.
-    pub fn estimate_detailed_batched_checked(
-        &self,
-        num_slices: usize,
-        key: &dyn Fn(&MeasureRequest) -> u64,
-        measure: &TrainEvalBatchFn<'_>,
-    ) -> (Vec<SliceEstimate>, Vec<EstimateError>) {
-        assert!(
-            !self.fractions.is_empty(),
-            "need at least one subset fraction"
-        );
-        assert!(self.repeats > 0, "need at least one repeat");
-
-        let requests = self.build_requests(num_slices);
-        let plan = BatchedTrainPlan::build(&requests, key);
-        let results = self.dispatch(&requests, plan.groups, measure);
-        let (points, errors) = self.group_points(num_slices, &requests, results);
-
-        (
-            points
-                .into_iter()
-                .map(|per_rep| fold_estimate(per_rep, &fit_power_law))
-                .collect(),
-            errors,
-        )
-    }
-
-    /// Partial re-estimation: re-measures only the slices flagged in
-    /// `targets`, returning `None` for the rest (the tuner reuses their
-    /// previous round's estimates). This is the dirty-slice path of
-    /// incremental mode.
-    ///
-    /// The **full** schedule is built first and then filtered: per-request
-    /// seeds come from a sequential stream counter, so assigning before
-    /// filtering keeps every surviving request's seed identical to a full
-    /// estimation's — a flagged slice's measurements reproduce the
-    /// from-scratch bits (when the measurement function itself is
-    /// deterministic). Fits are seeded from an [`IncrementalFit`] absorbing
-    /// the round's points one at a time, which agrees with the batch fit to
-    /// refinement tolerance.
-    ///
-    /// # Panics
-    /// Panics if `fractions` is empty, `repeats == 0`, `targets.len()`
-    /// differs from `num_slices`, or the mode is
-    /// [`EstimationMode::Amortized`] — an amortized training measures every
-    /// slice at once, so there is nothing to skip and callers should run
-    /// [`estimate_detailed`](Self::estimate_detailed) instead.
-    pub fn estimate_detailed_for(
-        &self,
-        num_slices: usize,
-        targets: &[bool],
-        measure: &TrainEvalFn<'_>,
-    ) -> Vec<Option<SliceEstimate>> {
-        self.estimate_detailed_for_checked(num_slices, targets, measure)
-            .0
-    }
-
-    /// [`estimate_detailed_for`](Self::estimate_detailed_for) also reporting
-    /// the requests whose measurement kept failing after every retry (see
-    /// [`estimate_detailed_checked`](Self::estimate_detailed_checked)).
-    ///
-    /// # Panics
-    /// Same conditions as [`estimate_detailed_for`](Self::estimate_detailed_for).
-    pub fn estimate_detailed_for_checked(
-        &self,
-        num_slices: usize,
-        targets: &[bool],
-        measure: &TrainEvalFn<'_>,
     ) -> (Vec<Option<SliceEstimate>>, Vec<EstimateError>) {
         assert!(
             !self.fractions.is_empty(),
             "need at least one subset fraction"
         );
         assert!(self.repeats > 0, "need at least one repeat");
-        assert_eq!(targets.len(), num_slices, "one target flag per slice");
-        assert_eq!(
-            self.mode,
-            EstimationMode::Exhaustive,
-            "partial re-estimation requires the exhaustive schedule"
-        );
-
-        let requests: Vec<MeasureRequest> = self
-            .build_requests(num_slices)
-            .into_iter()
-            .filter(|r| r.target_slice.is_some_and(|s| targets[s]))
-            .collect();
-        let results = self.dispatch_each(&requests, measure);
+        let mut requests = self.build_requests(num_slices);
+        if let Some(targets) = targets {
+            assert_eq!(targets.len(), num_slices, "one target flag per slice");
+            assert_eq!(
+                self.mode,
+                EstimationMode::Exhaustive,
+                "partial re-estimation requires the exhaustive schedule"
+            );
+            requests.retain(|r| r.target_slice.is_some_and(|s| targets[s]));
+        }
+        let plan = BatchedTrainPlan::build(&requests, key);
+        let results = self.dispatch(&requests, plan.groups, measure);
         let (points, errors) = self.group_points(num_slices, &requests, results);
 
-        (
-            points
-                .into_iter()
-                .enumerate()
-                .map(|(s, per_rep)| {
-                    if !targets[s] {
-                        return None;
-                    }
-                    Some(fold_estimate(per_rep, &|pts| {
-                        let mut inc = IncrementalFit::new();
-                        inc.absorb_all(pts);
-                        inc.fit()
-                    }))
-                })
-                .collect(),
-            errors,
-        )
+        let estimates = points
+            .into_iter()
+            .enumerate()
+            .map(|(s, per_rep)| match targets {
+                None => Some(fold_estimate(per_rep, &fit_power_law)),
+                Some(flags) if flags[s] => Some(fold_estimate(per_rep, &|pts| {
+                    let mut inc = IncrementalFit::new();
+                    inc.absorb_all(pts);
+                    inc.fit()
+                })),
+                Some(_) => None,
+            })
+            .collect();
+        (estimates, errors)
     }
 
     /// Groups per-request measurement results as `points[slice][repeat]`.
@@ -476,23 +344,10 @@ impl CurveEstimator {
         (points, errors)
     }
 
-    /// The sequential plane: [`dispatch`](Self::dispatch) with every request
-    /// a group of one.
-    fn dispatch_each(
-        &self,
-        requests: &[MeasureRequest],
-        measure: &TrainEvalFn<'_>,
-    ) -> Vec<Measured> {
-        let groups = (0..requests.len()).map(|i| vec![i]).collect();
-        self.dispatch(requests, groups, &|batch| {
-            batch.iter().map(measure).collect()
-        })
-    }
-
-    /// The one executor behind both planes. Runs every group of request
-    /// indices through `measure` on [`effective_threads`](Self::effective_threads)
-    /// workers, the calling thread among them (one worker runs inline and
-    /// spawns nothing). Groups go out longest first — descending Σ`frac`,
+    /// The executor: runs every group of request indices through `measure`
+    /// on [`effective_threads`](Self::effective_threads) workers, the
+    /// calling thread among them (one worker runs inline and spawns
+    /// nothing). Groups go out longest first — descending Σ`frac`,
     /// ties in plan order — so the largest trainings do not start last and
     /// leave the other workers idle. Results land in request-index slots,
     /// so they are the same at any thread count and timing.
@@ -700,6 +555,60 @@ fn payload_str(p: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
 
+    /// A per-request measurement function, the form the synthetic worlds
+    /// below are written in.
+    type PerRequest<'a> = dyn Fn(&MeasureRequest) -> Vec<SliceLossMeasurement> + Sync + 'a;
+
+    /// An RNG-free shape key in the tuner's style: target slice and
+    /// fraction, so a group gathers one cell's repeats.
+    fn shape_key(r: &MeasureRequest) -> u64 {
+        let s = r.target_slice.map_or(0, |s| s as u64 + 1);
+        s << 8 | (r.frac * 10.0).round() as u64
+    }
+
+    /// Every request its own group (request seeds are distinct).
+    fn own_group(r: &MeasureRequest) -> u64 {
+        r.seed
+    }
+
+    /// Runs `est` through a per-request measure function looped over each
+    /// shape group.
+    fn run(
+        est: &CurveEstimator,
+        num_slices: usize,
+        targets: Option<&[bool]>,
+        measure: &PerRequest<'_>,
+    ) -> (Vec<Option<SliceEstimate>>, Vec<EstimateError>) {
+        est.estimate(num_slices, targets, &shape_key, &|group| {
+            group.iter().map(measure).collect()
+        })
+    }
+
+    /// The full schedule's estimates, every slice present.
+    fn full(
+        est: &CurveEstimator,
+        num_slices: usize,
+        measure: &PerRequest<'_>,
+    ) -> Vec<SliceEstimate> {
+        run(est, num_slices, None, measure)
+            .0
+            .into_iter()
+            .map(|e| e.expect("the full schedule estimates every slice"))
+            .collect()
+    }
+
+    /// The full schedule's fitted curves.
+    fn fits(
+        est: &CurveEstimator,
+        num_slices: usize,
+        measure: &PerRequest<'_>,
+    ) -> Vec<Result<PowerLaw, FitError>> {
+        full(est, num_slices, measure)
+            .into_iter()
+            .map(|e| e.fit)
+            .collect()
+    }
+
     /// A synthetic world of slices with known power laws; the measurement
     /// function reports exact curve values (optionally noised).
     fn synthetic_measure(
@@ -740,13 +649,23 @@ mod tests {
         }
     }
 
+    /// Asserts two estimate lists carry the same points and fit bits.
+    fn assert_same_bits(a: &[SliceEstimate], b: &[SliceEstimate], case: &str) {
+        assert_eq!(a.len(), b.len(), "{case}");
+        for (s, (x, y)) in a.iter().zip(b).enumerate() {
+            assert_eq!(x.points, y.points, "{case} slice {s} points");
+            let (xf, yf) = (x.fit.as_ref().unwrap(), y.fit.as_ref().unwrap());
+            assert_eq!(xf.b.to_bits(), yf.b.to_bits(), "{case} slice {s} b");
+            assert_eq!(xf.a.to_bits(), yf.a.to_bits(), "{case} slice {s} a");
+        }
+    }
+
     #[test]
     fn amortized_recovers_exact_curves() {
         let curves = vec![PowerLaw::new(2.9, 0.2), PowerLaw::new(1.8, 0.45)];
         let measure = synthetic_measure(vec![300, 300], curves.clone(), 0.0);
         let est = CurveEstimator::paper_default(7);
-        let fits = est.estimate(2, &measure);
-        for (fit, truth) in fits.iter().zip(&curves) {
+        for (fit, truth) in fits(&est, 2, &measure).iter().zip(&curves) {
             let fit = fit.as_ref().unwrap();
             assert!((fit.b - truth.b).abs() < 0.05, "b {} vs {}", fit.b, truth.b);
             assert!((fit.a - truth.a).abs() < 0.01, "a {} vs {}", fit.a, truth.a);
@@ -758,8 +677,7 @@ mod tests {
         let curves = vec![PowerLaw::new(2.0, 0.3), PowerLaw::new(3.5, 0.31)];
         let measure = synthetic_measure(vec![200, 400], curves.clone(), 0.0);
         let est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
-        let fits = est.estimate(2, &measure);
-        for (fit, truth) in fits.iter().zip(&curves) {
+        for (fit, truth) in fits(&est, 2, &measure).iter().zip(&curves) {
             let fit = fit.as_ref().unwrap();
             assert!((fit.a - truth.a).abs() < 0.02);
         }
@@ -770,7 +688,7 @@ mod tests {
         let curves = vec![PowerLaw::new(2.5, 0.25)];
         let measure = synthetic_measure(vec![300], curves.clone(), 0.25);
         let est = CurveEstimator::paper_default(11);
-        let fit = est.estimate(1, &measure)[0].clone().unwrap();
+        let fit = fits(&est, 1, &measure)[0].clone().unwrap();
         // Relative comparison is what Slice Tuner needs; 25% noise should
         // not move the exponent by more than ~0.1.
         assert!((fit.a - 0.25).abs() < 0.1, "a {}", fit.a);
@@ -789,38 +707,31 @@ mod tests {
         let curves = vec![PowerLaw::new(2.0, 0.3), PowerLaw::new(1.1, 0.6)];
         let measure = synthetic_measure(vec![250, 250], curves, 0.3);
         let est = CurveEstimator::fast(5);
-        let a = est.estimate(2, &measure);
-        let b = est.estimate(2, &measure);
-        for (x, y) in a.iter().zip(&b) {
-            let (x, y) = (x.as_ref().unwrap(), y.as_ref().unwrap());
-            assert_eq!((x.b, x.a), (y.b, y.a));
-        }
+        let a = full(&est, 2, &measure);
+        let b = full(&est, 2, &measure);
+        assert_same_bits(&a, &b, "rerun");
     }
 
     #[test]
-    fn detailed_estimate_keeps_points_and_repeat_fits() {
+    fn estimate_keeps_points_and_repeat_fits() {
         let curves = vec![PowerLaw::new(2.0, 0.3)];
         let measure = synthetic_measure(vec![300], curves, 0.1);
         let est = CurveEstimator::fast(5);
-        let detail = est.estimate_detailed(1, &measure);
+        let detail = full(&est, 1, &measure);
         assert_eq!(detail.len(), 1);
         let e = &detail[0];
         assert!(e.fit.is_ok());
         assert_eq!(e.repeat_fits.len(), est.repeats);
         // fast(): 5 fractions × 2 repeats = 10 pooled points.
         assert_eq!(e.points.len(), 10);
-        // The public `estimate` is exactly the detailed fit.
-        let plain = est.estimate(1, &measure)[0].clone().unwrap();
-        let detailed = e.fit.clone().unwrap();
-        assert_eq!((plain.b, plain.a), (detailed.b, detailed.a));
     }
 
     #[test]
-    fn detailed_estimate_yields_bands() {
+    fn estimate_yields_bands() {
         let curves = vec![PowerLaw::new(2.0, 0.3)];
         let measure = synthetic_measure(vec![300], curves, 0.2);
         let est = CurveEstimator::fast(6);
-        let e = &est.estimate_detailed(1, &measure)[0];
+        let e = &full(&est, 1, &measure)[0];
         let bands = e.bands(100, 0.9, 3).unwrap();
         assert!(bands.a_interval().lo <= bands.a_interval().hi);
         assert!(bands.relative_width(300.0) >= 0.0);
@@ -835,17 +746,18 @@ mod tests {
         ];
         let measure = synthetic_measure(vec![200, 400, 300], curves, 0.2);
         let est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
-        let full = est.estimate_detailed(3, &measure);
-        let partial = est.estimate_detailed_for(3, &[true, false, true], &measure);
+        let whole = full(&est, 3, &measure);
+        let (partial, errors) = run(&est, 3, Some(&[true, false, true]), &measure);
+        assert!(errors.is_empty());
         assert!(partial[1].is_none(), "unflagged slice is skipped");
         for s in [0, 2] {
             let p = partial[s].as_ref().unwrap();
             // Seeds are assigned before filtering, so the flagged slices'
             // measured points are bit-identical to the full schedule's.
-            assert_eq!(p.points, full[s].points, "slice {s} points");
+            assert_eq!(p.points, whole[s].points, "slice {s} points");
             // Fits agree to refinement tolerance (the incremental seed
             // differs from the batch init by streaming round-off only).
-            let (pf, ff) = (p.fit.as_ref().unwrap(), full[s].fit.as_ref().unwrap());
+            let (pf, ff) = (p.fit.as_ref().unwrap(), whole[s].fit.as_ref().unwrap());
             assert!((pf.b - ff.b).abs() < 1e-6 * ff.b, "{} {}", pf.b, ff.b);
             assert!((pf.a - ff.a).abs() < 1e-6, "{} {}", pf.a, ff.a);
         }
@@ -859,7 +771,7 @@ mod tests {
             Vec::new()
         };
         let est = CurveEstimator::fast(1).with_mode(EstimationMode::Exhaustive);
-        let out = est.estimate_detailed_for(2, &[false, false], &measure);
+        let (out, _) = run(&est, 2, Some(&[false, false]), &measure);
         assert!(out.iter().all(|o| o.is_none()));
         assert_eq!(calls.load(Ordering::Relaxed), 0);
     }
@@ -869,18 +781,14 @@ mod tests {
     fn partial_estimate_rejects_amortized_mode() {
         let measure = |_req: &MeasureRequest| Vec::new();
         let est = CurveEstimator::fast(1);
-        let _ = est.estimate_detailed_for(2, &[true, false], &measure);
+        let _ = run(&est, 2, Some(&[true, false]), &measure);
     }
 
     #[test]
     fn batched_plan_partitions_requests_in_first_occurrence_order() {
         let est = CurveEstimator::fast(3).with_mode(EstimationMode::Exhaustive);
         let requests = est.build_requests(2);
-        // Key on (target slice, fraction bucket) — an RNG-free shape proxy.
-        let key = |r: &MeasureRequest| {
-            (r.target_slice.unwrap() as u64) << 32 | (r.frac * 10.0).round() as u64
-        };
-        let plan = BatchedTrainPlan::build(&requests, &key);
+        let plan = BatchedTrainPlan::build(&requests, &shape_key);
         assert_eq!(plan.num_requests(), requests.len());
         // Every index appears exactly once.
         let mut seen = vec![false; requests.len()];
@@ -904,31 +812,39 @@ mod tests {
     }
 
     #[test]
-    fn batched_estimate_matches_sequential_bitwise() {
+    fn grouping_does_not_change_estimates() {
+        // Grouping is an execution strategy: one-request groups and shape
+        // groups must fold to the same bits, full and partial.
         let curves = vec![PowerLaw::new(2.0, 0.3), PowerLaw::new(3.5, 0.31)];
+        let measure = synthetic_measure(vec![200, 400], curves, 0.2);
+        let each = |group: &[MeasureRequest]| -> Vec<Vec<SliceLossMeasurement>> {
+            assert_eq!(group.len(), 1, "one request per group");
+            vec![measure(&group[0])]
+        };
         for mode in [EstimationMode::Amortized, EstimationMode::Exhaustive] {
-            let measure = synthetic_measure(vec![200, 400], curves.clone(), 0.2);
             let est = CurveEstimator::fast(9).with_mode(mode);
-            let seq = est.estimate_detailed(2, &measure);
-            // Batched twin delegating per request — exercises the plan,
-            // scatter, and fold plumbing around the same measurements.
-            let key = |r: &MeasureRequest| {
-                let s = r.target_slice.map_or(u64::MAX, |s| s as u64);
-                s << 8 | (r.frac * 10.0).round() as u64
-            };
-            let batched = est
-                .estimate_detailed_batched(2, &key, &|group| group.iter().map(&measure).collect());
-            for (s, (a, b)) in seq.iter().zip(&batched).enumerate() {
-                assert_eq!(a.points, b.points, "mode {mode:?} slice {s} points");
-                let (af, bf) = (a.fit.as_ref().unwrap(), b.fit.as_ref().unwrap());
-                assert_eq!(af.b.to_bits(), bf.b.to_bits());
-                assert_eq!(af.a.to_bits(), bf.a.to_bits());
-            }
+            let singles: Vec<SliceEstimate> = est
+                .estimate(2, None, &own_group, &each)
+                .0
+                .into_iter()
+                .flatten()
+                .collect();
+            assert_same_bits(&full(&est, 2, &measure), &singles, &format!("{mode:?}"));
         }
+        let est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
+        let targets = [false, true];
+        let grouped = run(&est, 2, Some(&targets), &measure).0;
+        let singles = est.estimate(2, Some(&targets), &own_group, &each).0;
+        assert!(grouped[0].is_none() && singles[0].is_none());
+        assert_same_bits(
+            &[grouped[1].clone().unwrap()],
+            &[singles[1].clone().unwrap()],
+            "partial",
+        );
     }
 
     #[test]
-    fn batched_groups_run_concurrently_on_the_estimator_threads() {
+    fn groups_run_concurrently_on_the_estimator_threads() {
         use std::sync::Condvar;
         use std::time::Duration;
         // Returns the peak number of groups in flight and the threads that
@@ -955,8 +871,7 @@ mod tests {
             };
             let mut est = CurveEstimator::fast(4);
             est.threads = threads;
-            let key = |r: &MeasureRequest| (r.frac * 10.0).round() as u64;
-            est.estimate_detailed_batched(1, &key, &measure);
+            est.estimate(1, None, &shape_key, &measure);
             let (_, peak, ran_on) = state.into_inner().unwrap();
             (peak, ran_on)
         };
@@ -981,14 +896,11 @@ mod tests {
             }
             group.iter().map(&clean).collect()
         };
-        let key = |r: &MeasureRequest| {
-            (r.target_slice.unwrap() as u64) << 8 | (r.frac * 10.0).round() as u64
-        };
         let est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
         let errors_at = |threads: usize| {
             let mut est = est.clone();
             est.threads = threads;
-            est.estimate_detailed_batched_checked(2, &key, &measure).1
+            est.estimate(2, None, &shape_key, &measure).1
         };
         let serial = errors_at(1);
         assert_eq!(
@@ -1013,9 +925,9 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "one result per request")]
-    fn batched_estimate_rejects_short_group_results() {
+    fn estimate_rejects_short_group_results() {
         let est = CurveEstimator::fast(1);
-        let _ = est.estimate_detailed_batched(1, &|_| 0, &|_group| Vec::new());
+        let _ = est.estimate(1, None, &|_| 0, &|_group| Vec::new());
     }
 
     #[test]
@@ -1029,8 +941,7 @@ mod tests {
             }]
         };
         let est = CurveEstimator::fast(1);
-        let fits = est.estimate(1, &measure);
-        assert!(fits[0].is_err());
+        assert!(fits(&est, 1, &measure)[0].is_err());
     }
 
     #[test]
@@ -1038,7 +949,7 @@ mod tests {
         let curves = vec![PowerLaw::new(2.0, 0.3), PowerLaw::new(3.5, 0.31)];
         let clean_measure = synthetic_measure(vec![200, 400], curves.clone(), 0.2);
         let est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
-        let clean = est.estimate_detailed(2, &clean_measure);
+        let clean = full(&est, 2, &clean_measure);
 
         // The first measurement request targeting slice 0 panics exactly
         // once; the retry re-runs the identical seed-pinned computation.
@@ -1049,15 +960,11 @@ mod tests {
             }
             clean_measure(req)
         };
-        let (recovered, errors) = est.estimate_detailed_checked(2, &faulty);
+        let (recovered, errors) = run(&est, 2, None, &faulty);
         assert!(fired.load(Ordering::Relaxed), "fault fired");
         assert!(errors.is_empty(), "retry absorbed the transient fault");
-        for (s, (a, b)) in clean.iter().zip(&recovered).enumerate() {
-            assert_eq!(a.points, b.points, "slice {s} points");
-            let (af, bf) = (a.fit.as_ref().unwrap(), b.fit.as_ref().unwrap());
-            assert_eq!(af.b.to_bits(), bf.b.to_bits());
-            assert_eq!(af.a.to_bits(), bf.a.to_bits());
-        }
+        let recovered: Vec<SliceEstimate> = recovered.into_iter().flatten().collect();
+        assert_same_bits(&clean, &recovered, "retried");
     }
 
     #[test]
@@ -1071,7 +978,7 @@ mod tests {
             clean_measure(req)
         };
         let est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
-        let (detail, errors) = est.estimate_detailed_checked(2, &faulty);
+        let (detail, errors) = run(&est, 2, None, &faulty);
         assert!(!errors.is_empty());
         for e in &errors {
             assert_eq!(e.target_slice, Some(1));
@@ -1081,9 +988,10 @@ mod tests {
         }
         // The faulty slice has no points, so its fit is a typed error; the
         // healthy slice still fits.
-        assert!(detail[0].fit.is_ok());
-        assert!(detail[1].fit.is_err());
-        assert!(detail[1].points.is_empty());
+        let (healthy, faulty) = (detail[0].as_ref().unwrap(), detail[1].as_ref().unwrap());
+        assert!(healthy.fit.is_ok());
+        assert!(faulty.fit.is_err());
+        assert!(faulty.points.is_empty());
     }
 
     #[test]
@@ -1093,10 +1001,10 @@ mod tests {
         };
         let mut est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
         est.retries = 0;
-        let (detail, errors) = est.estimate_detailed_checked(1, &faulty);
+        let (detail, errors) = run(&est, 1, None, &faulty);
         assert!(!errors.is_empty());
         assert!(errors.iter().all(|e| e.attempts == 1));
-        assert!(detail[0].fit.is_err());
+        assert!(detail[0].as_ref().unwrap().fit.is_err());
     }
 
     #[test]
@@ -1105,12 +1013,9 @@ mod tests {
         let measure = synthetic_measure(vec![300, 120], curves, 0.2);
         let mut est = CurveEstimator::fast(3);
         est.threads = 1;
-        let seq = est.estimate(2, &measure);
+        let seq = full(&est, 2, &measure);
         est.threads = 8;
-        let par = est.estimate(2, &measure);
-        for (a, b) in seq.iter().zip(&par) {
-            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-            assert_eq!((a.b, a.a), (b.b, b.a));
-        }
+        let par = full(&est, 2, &measure);
+        assert_same_bits(&seq, &par, "threads 1 vs 8");
     }
 }

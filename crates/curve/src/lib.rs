@@ -31,7 +31,7 @@ pub mod zoo;
 pub use bands::{bootstrap_curve, CurveBands};
 pub use estimator::{
     BatchedTrainPlan, CurveEstimator, EstimateError, EstimationMode, MeasureRequest, SliceEstimate,
-    SliceLossMeasurement, TrainEvalBatchFn, TrainEvalFn,
+    SliceLossMeasurement, TrainEvalBatchFn,
 };
 pub use fit::{
     fit_power_law, fit_power_law_seeded, fit_power_law_with_floor, log_space_seed, FitError,

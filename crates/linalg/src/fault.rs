@@ -9,7 +9,7 @@
 //! runs and retries.
 //!
 //! Grammar (comma-separated specs, unknown ones warn and are skipped,
-//! mirroring the `ST_KERNEL` / `ST_BATCH` convention):
+//! mirroring the `ST_KERNEL` convention):
 //!
 //! ```text
 //! ST_FAULT=trial_panic@2,nan_loss@slice3:round1,fit_diverge@0.1

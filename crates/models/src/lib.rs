@@ -48,7 +48,7 @@ pub use residual::{
 };
 pub use spec::ModelSpec;
 pub use trainer::{
-    train, train_on_examples, train_on_rows, train_on_rows_batched, train_on_rows_warm,
-    train_validated, try_train_on_rows, try_train_on_rows_batched, try_train_validated,
-    TrainConfig, TrainError, TrainOutcome,
+    train, train_on_examples, train_on_rows, train_on_rows_batched, train_validated,
+    try_train_on_rows, try_train_on_rows_batched, try_train_validated, TrainConfig, TrainError,
+    TrainOutcome,
 };

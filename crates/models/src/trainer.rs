@@ -221,7 +221,6 @@ pub fn try_train_validated(
         x,
         y,
         None,
-        None,
         validation,
         input_dim,
         num_classes,
@@ -286,7 +285,6 @@ pub fn try_train_on_rows(
         y,
         Some(rows),
         None,
-        None,
         input_dim,
         num_classes,
         spec,
@@ -294,52 +292,6 @@ pub fn try_train_on_rows(
         None,
     )?
     .model)
-}
-
-/// [`train_on_rows`] warm-started from an existing network instead of a
-/// fresh He initialization.
-///
-/// The RNG stream is still seeded from `config.seed`, but the
-/// initialization draws are skipped, so every subsequent shuffle and
-/// dropout mask differs from a cold run: warm-started results are
-/// tolerance-comparable to cold ones, never bit-comparable. That is why
-/// the tuner's warm-start flag is opt-in and gated by tolerance, while
-/// from-scratch training stays the bit-identity baseline.
-///
-/// Returns `init.clone()` untouched when `rows` is empty.
-///
-/// # Panics
-/// Panics on shape mismatches (including `init` not matching
-/// `(input_dim, spec, num_classes)`), out-of-range row ids, or
-/// out-of-range labels among the sampled rows.
-#[allow(clippy::too_many_arguments)]
-pub fn train_on_rows_warm(
-    init: &Mlp,
-    x: &Matrix,
-    y: &[usize],
-    rows: &[usize],
-    input_dim: usize,
-    num_classes: usize,
-    spec: &ModelSpec,
-    config: &TrainConfig,
-) -> Mlp {
-    if rows.is_empty() {
-        return init.clone();
-    }
-    train_core(
-        x,
-        y,
-        Some(rows),
-        Some(init),
-        None,
-        input_dim,
-        num_classes,
-        spec,
-        config,
-        None,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-    .model
 }
 
 /// Trains many same-shape subset models in lockstep through the batched
@@ -371,6 +323,11 @@ pub fn train_on_rows_warm(
 /// the cache every minibatch step — a measured net loss, the same
 /// small-shape economics behind the kernel layer's own `PACK_MIN_ROWS`
 /// cutoff.
+///
+/// Groups trained under an armed `ST_FAULT` `nan_loss` injection
+/// ([`st_linalg::fault::nan_loss_armed`]) fall back too: the per-model loop
+/// is where the injection point lives, so an armed group fails exactly as
+/// its members would one by one.
 ///
 /// # Panics
 /// Panics on shape mismatches, out-of-range row ids or labels, or
@@ -419,7 +376,8 @@ pub fn try_train_on_rows_batched(
         && configs
             .iter()
             .all(|c| c.with_seed(0) == configs[0].with_seed(0))
-        && some_layer_fills_a_panel;
+        && some_layer_fills_a_panel
+        && !st_linalg::fault::nan_loss_armed();
     if !lockstep {
         return row_sets
             .iter()
@@ -693,17 +651,11 @@ fn forward_train_batched(
 /// of `x` (an index indirection resolved at minibatch-gather time);
 /// `None` trains on all rows. Both paths run the identical op and RNG
 /// sequence for the same effective training set.
-///
-/// `init = Some(net)` starts from a clone of `net` instead of a fresh He
-/// initialization. The RNG is still seeded from `config.seed`, but the
-/// skipped init draws shift the stream, so warm runs are not bit-
-/// comparable to cold ones (see [`train_on_rows_warm`]).
 #[allow(clippy::too_many_arguments)]
 fn train_core(
     x: &Matrix,
     y: &[usize],
     rows: Option<&[usize]>,
-    init: Option<&Mlp>,
     validation: Option<(&Matrix, &[usize])>,
     input_dim: usize,
     num_classes: usize,
@@ -728,27 +680,7 @@ fn train_core(
     }
 
     let mut rng = seeded_rng(config.seed);
-    let mut net = match init {
-        Some(m) => {
-            assert_eq!(
-                m.layers.len(),
-                spec.hidden.len() + 1,
-                "warm-start layer count mismatch"
-            );
-            assert_eq!(
-                m.layers[0].w.rows(),
-                input_dim,
-                "warm-start input dim mismatch"
-            );
-            assert_eq!(
-                m.layers.last().expect("non-empty net").b.len(),
-                num_classes,
-                "warm-start class count mismatch"
-            );
-            m.clone()
-        }
-        None => Mlp::new(input_dim, &spec.hidden, num_classes, &mut rng),
-    };
+    let mut net = Mlp::new(input_dim, &spec.hidden, num_classes, &mut rng);
     let n = rows.map_or(x.rows(), <[usize]>::len);
     if n == 0 {
         return Ok(TrainOutcome {
@@ -1331,8 +1263,16 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    /// Fault plans are process-global: the tests installing one hold this
+    /// lock so they cannot clear each other's plan mid-run.
+    fn fault_plan_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn injected_nan_loss_fails_training_on_every_attempt() {
+        let _serial = fault_plan_lock();
         let (x, y) = blobs(20, &[(-2.0, 0.0), (2.0, 0.0)], 10);
         let rows: Vec<usize> = (0..x.rows()).collect();
         st_linalg::fault::install(Some(
@@ -1366,6 +1306,33 @@ mod tests {
         )
         .is_ok());
         st_linalg::fault::install(None);
+    }
+
+    #[test]
+    fn injected_nan_loss_fails_lockstep_groups() {
+        // Two equal-length basic models are a lockstep group; an armed
+        // injection must fail it just as it fails each model trained alone.
+        let _serial = fault_plan_lock();
+        let (x, y) = blobs(20, &[(-2.0, 0.0), (2.0, 0.0)], 10);
+        let rows: Vec<usize> = (0..x.rows()).collect();
+        let configs = [
+            TrainConfig::default().with_seed(1),
+            TrainConfig::default().with_seed(2),
+        ];
+        let group = || {
+            try_train_on_rows_batched(&x, &y, &[&rows, &rows], 2, 2, &ModelSpec::basic(), &configs)
+        };
+        st_linalg::fault::install(Some(
+            st_linalg::fault::parse_plan("nan_loss@slice1:round2").unwrap(),
+        ));
+        let armed = {
+            let _armed = st_linalg::fault::arm_nan_loss(Some(1), 2);
+            group()
+        };
+        let disarmed = group();
+        st_linalg::fault::install(None);
+        assert_eq!(armed, Err(TrainError::NonFiniteLoss { epoch: 0 }));
+        assert!(disarmed.is_ok(), "scope dropped: the group trains clean");
     }
 
     #[test]
@@ -1484,73 +1451,5 @@ mod tests {
     #[should_panic(expected = "dropout must be in [0, 1)")]
     fn rejects_dropout_of_one() {
         let _ = TrainConfig::default().with_dropout(1.0);
-    }
-
-    #[test]
-    fn warm_start_with_zero_epochs_returns_init_unchanged() {
-        let (x, y) = blobs(10, &[(-2.0, 0.0), (2.0, 0.0)], 11);
-        let mut rng = seeded_rng(77);
-        let init = Mlp::new(2, &[], 2, &mut rng);
-        let cfg = TrainConfig {
-            epochs: 0,
-            ..TrainConfig::default()
-        };
-        let rows: Vec<usize> = (0..x.rows()).collect();
-        let out = train_on_rows_warm(&init, &x, &y, &rows, 2, 2, &ModelSpec::softmax(), &cfg);
-        assert_eq!(out, init);
-    }
-
-    #[test]
-    fn warm_start_on_empty_rows_returns_init_clone() {
-        let (x, y) = blobs(5, &[(-2.0, 0.0), (2.0, 0.0)], 12);
-        let mut rng = seeded_rng(78);
-        let init = Mlp::new(2, &[], 2, &mut rng);
-        let out = train_on_rows_warm(
-            &init,
-            &x,
-            &y,
-            &[],
-            2,
-            2,
-            &ModelSpec::softmax(),
-            &TrainConfig::default(),
-        );
-        assert_eq!(out, init);
-    }
-
-    #[test]
-    fn warm_start_differs_from_cold_but_both_converge() {
-        let (x, y) = blobs(60, &[(-2.0, 0.0), (2.0, 0.0)], 13);
-        let rows: Vec<usize> = (0..x.rows()).collect();
-        let cfg = TrainConfig::default();
-        let cold = train_on_rows(&x, &y, &rows, 2, 2, &ModelSpec::softmax(), &cfg);
-        // Warm-start from the cold result: the skipped He-init draws shift
-        // the RNG stream, so the bits differ even though training data and
-        // seed are identical.
-        let warm = train_on_rows_warm(&cold, &x, &y, &rows, 2, 2, &ModelSpec::softmax(), &cfg);
-        assert_ne!(warm, cold);
-        let cold_loss = log_loss(&cold, &x, &y);
-        let warm_loss = log_loss(&warm, &x, &y);
-        assert!(cold_loss < 0.1, "cold loss {cold_loss}");
-        assert!(warm_loss < 0.1, "warm loss {warm_loss}");
-    }
-
-    #[test]
-    #[should_panic(expected = "warm-start input dim mismatch")]
-    fn warm_start_rejects_incompatible_init() {
-        let (x, y) = blobs(5, &[(-2.0, 0.0), (2.0, 0.0)], 14);
-        let mut rng = seeded_rng(79);
-        let init = Mlp::new(3, &[], 2, &mut rng);
-        let rows: Vec<usize> = (0..x.rows()).collect();
-        let _ = train_on_rows_warm(
-            &init,
-            &x,
-            &y,
-            &rows,
-            2,
-            2,
-            &ModelSpec::softmax(),
-            &TrainConfig::default(),
-        );
     }
 }

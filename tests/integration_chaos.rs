@@ -157,6 +157,42 @@ fn persistent_nan_loss_quarantines_the_slice_and_completes() {
     );
 }
 
+/// The same persistent NaN loss on the dense plane: slice 1's shape groups
+/// (two repeats of the 24-wide `small` model, a lockstep group) must fail
+/// exactly as the per-call reference's one-model measurements do — the
+/// same warnings (slice, round, attempts, cause) and the same result bits
+/// at any estimator thread count.
+#[test]
+fn nan_loss_quarantine_matches_per_call_gather() {
+    let _plan = PlanGuard::install("nan_loss@slice1:round1");
+    let run = |per_call: bool, threads: usize| {
+        let mut cfg = quick_config().with_mode(EstimationMode::Exhaustive);
+        cfg.spec = ModelSpec::small();
+        cfg.repeats = 2;
+        cfg.per_call_gather = per_call;
+        cfg.threads = threads;
+        run_cell(&cfg, 1, None)
+    };
+    let reference = run(true, 1);
+    let warnings = &reference.trials[0].warnings;
+    assert!(
+        warnings.iter().any(|w| matches!(
+            w,
+            TuningWarning::EstimationQuarantined {
+                slice: Some(1),
+                round: 1,
+                ..
+            }
+        )),
+        "slice 1 / round 1 must be quarantined, got: {warnings:?}"
+    );
+    for threads in [1, 2, 4] {
+        let dense = run(false, threads);
+        assert_bit_identical(&reference, &dense);
+        assert_eq!(&dense.trials[0].warnings, warnings, "threads={threads}");
+    }
+}
+
 /// Universal fit divergence routes every slice through the fallback-curve
 /// path; the run completes and allocation stays usable.
 #[test]

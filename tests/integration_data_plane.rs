@@ -1,11 +1,12 @@
-//! Integration: the matrix-native estimation data plane (cached dense
-//! snapshots, row-id subsets, `train_on_rows`, fused-bias forwards) must
-//! be bit-identical to the per-call gather baseline across the whole
-//! stack — single estimations, full strategy runs, and the parallel trial
-//! executor — and the snapshot cache must track acquisitions.
+//! Integration: the dense estimation plane (cached dense snapshots, row-id
+//! subsets, lockstep group training, stacked evaluation) must be
+//! bit-identical to the per-call gather reference across the whole stack —
+//! single estimations, full and incremental strategy runs, and the parallel
+//! trial executor — and the snapshot cache must track acquisitions.
 
 use slice_tuner::{
-    run_trials_parallel, AggregateResult, PoolSource, SliceTuner, Strategy, TSchedule, TunerConfig,
+    run_trials_parallel, AggregateResult, PoolSource, RunResult, SliceTuner, Strategy, TSchedule,
+    TunerConfig,
 };
 use st_data::{families, SlicedDataset};
 use st_models::ModelSpec;
@@ -108,6 +109,67 @@ fn exhaustive_estimation_matches_per_call_gather() {
     for (d, l) in dense.iter().zip(&legacy) {
         assert_eq!(d.a.to_bits(), l.a.to_bits());
         assert_eq!(d.b.to_bits(), l.b.to_bits());
+    }
+}
+
+/// Asserts two runs bought, spent, and scored the same bits.
+fn assert_runs_identical(a: &RunResult, b: &RunResult, case: &str) {
+    assert_eq!(a.acquired, b.acquired, "{case}: acquisitions");
+    assert_eq!(a.iterations, b.iterations, "{case}: iterations");
+    assert_eq!(a.spent.to_bits(), b.spent.to_bits(), "{case}: spent");
+    assert_eq!(a.trainings, b.trainings, "{case}: trainings");
+    for (x, y) in a
+        .report
+        .per_slice_losses
+        .iter()
+        .zip(&b.report.per_slice_losses)
+    {
+        assert_eq!(x.to_bits(), y.to_bits(), "{case}: per-slice loss bits");
+    }
+    assert_eq!(
+        a.report.overall_loss.to_bits(),
+        b.report.overall_loss.to_bits(),
+        "{case}: overall loss bits"
+    );
+}
+
+/// Incremental re-estimation under the exhaustive schedule runs partial
+/// rounds — only the dirty slices' requests, grouped by shape. With the
+/// 24-wide `small` model and two repeats those groups train in lockstep;
+/// the run must still match the per-call reference bit for bit at any
+/// estimator thread count.
+#[test]
+fn exhaustive_incremental_run_matches_per_call_gather() {
+    let fam = families::census();
+    let run = |per_call: bool, threads: usize| {
+        let ds = SlicedDataset::generate(&fam, &[60, 25, 45, 30], 40, 21);
+        let mut src = PoolSource::new(fam.clone(), 56);
+        let mut cfg = quick_config(per_call)
+            .with_seed(5)
+            .with_mode(st_curve::EstimationMode::Exhaustive)
+            .with_incremental();
+        cfg.spec = ModelSpec::small();
+        cfg.threads = threads;
+        cfg.max_iterations = 4;
+        let mut tuner = SliceTuner::new(ds, &mut src, cfg);
+        tuner.run(Strategy::Iterative(TSchedule::moderate()), 300.0)
+    };
+    let reference = run(true, 1);
+    // Full rounds would cost 4 slices × 3 fractions × 2 repeats each, plus
+    // the run's two evaluation trainings: fewer means some round skipped
+    // clean slices.
+    assert!(
+        reference.trainings < 2 + reference.iterations * 24,
+        "no partial round ran ({} trainings over {} rounds)",
+        reference.trainings,
+        reference.iterations
+    );
+    for threads in [1, 2, 4] {
+        assert_runs_identical(
+            &run(false, threads),
+            &reference,
+            &format!("threads={threads}"),
+        );
     }
 }
 

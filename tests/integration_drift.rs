@@ -174,6 +174,67 @@ fn persistent_drift_exhausts_recovery_budget_and_quarantines() {
     );
 }
 
+/// Asserts two runs bought, spent, scored, and warned the same bits.
+fn assert_runs_identical(a: &RunResult, b: &RunResult, case: &str) {
+    assert_eq!(a.acquired, b.acquired, "{case}: acquisitions");
+    assert_eq!(a.iterations, b.iterations, "{case}: iterations");
+    assert_eq!(a.spent.to_bits(), b.spent.to_bits(), "{case}: spent");
+    assert_eq!(a.trainings, b.trainings, "{case}: trainings");
+    for (x, y) in a
+        .report
+        .per_slice_losses
+        .iter()
+        .zip(&b.report.per_slice_losses)
+    {
+        assert_eq!(x.to_bits(), y.to_bits(), "{case}: per-slice loss bits");
+    }
+    assert_eq!(a.warnings, b.warnings, "{case}: warnings");
+}
+
+/// Drift recovery bumps the drifting slice's measurement seed, and the
+/// next round re-measures it through the dense plane's shape groups (two
+/// repeats of the 24-wide `small` model train in lockstep). The run must
+/// match the per-call gather reference bit for bit — acquisitions, losses,
+/// warnings, and the checkpointed round state, whose incremental snapshot
+/// holds the bumped round's estimates — at any estimator thread count.
+#[test]
+fn drift_recovery_matches_per_call_gather() {
+    let _guard = DriftGuard::clean();
+    let dir = std::env::temp_dir().join("st_drift_tests");
+    std::fs::create_dir_all(&dir).expect("create checkpoint dir");
+    let run = |per_call: bool, threads: usize| {
+        let path = dir.join(format!("plane-{per_call}-{threads}.json"));
+        std::fs::remove_file(&path).ok();
+        let mut cfg = aware_config().with_checkpoint(path.display().to_string());
+        cfg.spec = ModelSpec::small();
+        cfg.repeats = 2;
+        cfg.per_call_gather = per_call;
+        cfg.threads = threads;
+        let result = run_drifting(cfg);
+        let state = std::fs::read_to_string(&path).expect("round checkpoint written");
+        (result, state)
+    };
+    let (reference, reference_state) = run(true, 1);
+    // A detection before the last round means a later round re-measured
+    // the slice from its bumped seed.
+    assert!(
+        reference.warnings.iter().any(|w| matches!(
+            w,
+            TuningWarning::DriftDetected { slice: 0, round, .. }
+                if *round < reference.iterations as u64
+        )),
+        "slice 0 must be flagged before the last round, got {:?} over {} rounds",
+        reference.warnings,
+        reference.iterations
+    );
+    for threads in [1, 2, 4] {
+        let (dense, state) = run(false, threads);
+        let case = format!("threads={threads}");
+        assert_runs_identical(&dense, &reference, &case);
+        assert!(state == reference_state, "{case}: round checkpoints differ");
+    }
+}
+
 /// ST_DRIFT composes with ST_FAULT: a run facing both a drifting slice and
 /// an injected persistent NaN fault on another slice completes with both
 /// warning kinds.
