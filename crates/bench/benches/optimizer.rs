@@ -1,14 +1,9 @@
-//! Microbench: the convex acquisition solver (§5.1) and its pieces.
-//!
-//! Ablation: projected subgradient (general λ) vs the closed-form KKT water
-//! filling (λ = 0) — the design tradeoff called out in DESIGN.md.
+//! Microbench: the convex acquisition solver (§5.1) and its pieces, at
+//! λ = 0 (pure loss) and λ = 1 (the paper's default fairness weight).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_curve::PowerLaw;
-use st_optim::{
-    change_ratio, project_weighted_simplex, solve_kkt, solve_projected, AcquisitionProblem,
-    SolverOptions,
-};
+use st_optim::{change_ratio, project_weighted_simplex, solve, AcquisitionProblem};
 use std::hint::black_box;
 
 fn problem(n: usize, lambda: f64) -> AcquisitionProblem {
@@ -24,14 +19,14 @@ fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimizer");
     group.sample_size(20);
     for n in [4usize, 10, 20, 50] {
-        let p = problem(n, 1.0);
-        group.bench_with_input(BenchmarkId::new("projected_subgradient", n), &p, |b, p| {
-            b.iter(|| solve_projected(black_box(p), &SolverOptions::default()))
-        });
-        let p0 = problem(n, 0.0);
-        group.bench_with_input(BenchmarkId::new("kkt_water_filling", n), &p0, |b, p| {
-            b.iter(|| solve_kkt(black_box(p)))
-        });
+        for lambda in [0.0, 1.0] {
+            let p = problem(n, lambda);
+            group.bench_with_input(
+                BenchmarkId::new(format!("exact_lambda{lambda}"), n),
+                &p,
+                |b, p| b.iter(|| solve(black_box(p))),
+            );
+        }
     }
     group.finish();
 

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_curve::PowerLaw;
-use st_optim::{solve_overlap, solve_projected, AcquisitionProblem, OverlapProblem, SolverOptions};
+use st_optim::{solve, solve_overlap, AcquisitionProblem, OverlapProblem};
 use std::hint::black_box;
 
 /// `n` overlapping slices over `n·(n−1)/2 + n` atoms: one exclusive atom
@@ -43,9 +43,9 @@ fn bench_overlap(c: &mut Criterion) {
                 format!("{n}slices_{}atoms", ov.num_atoms()),
             ),
             &ov,
-            |b, ov| b.iter(|| solve_overlap(black_box(ov), &SolverOptions::default())),
+            |b, ov| b.iter(|| solve_overlap(black_box(ov))),
         );
-        // The partition solver on the same slice count, for scale.
+        // The exact partition solver on the same slice count, for scale.
         let p = AcquisitionProblem::new(
             ov.curves.clone(),
             ov.slice_sizes.clone(),
@@ -54,7 +54,7 @@ fn bench_overlap(c: &mut Criterion) {
             1.0,
         );
         group.bench_with_input(BenchmarkId::new("partition", n), &p, |b, p| {
-            b.iter(|| solve_projected(black_box(p), &SolverOptions::default()))
+            b.iter(|| solve(black_box(p)))
         });
     }
     group.finish();

@@ -634,10 +634,10 @@ fn cmd_sensitivity(args: &Args) -> Result<(), String> {
         .collect();
     let problem =
         st_optim::AcquisitionProblem::new(curves, sizes, tuner.dataset().costs(), budget, lambda);
-    let report = st_optim::budget_sensitivity(&problem, &st_optim::BarrierOptions::default());
+    let report = st_optim::budget_sensitivity(&problem);
 
     println!(
-        "budget {budget}: marginal objective value {:.6}/unit",
+        "budget {budget}: marginal objective value {:.4e}/unit",
         report.marginal_value
     );
     println!(
@@ -653,7 +653,6 @@ fn cmd_sensitivity(args: &Args) -> Result<(), String> {
     let sweep = st_optim::budget_curve(
         &problem,
         &[budget * 0.5, budget, budget * 2.0, budget * 4.0],
-        &st_optim::BarrierOptions::default(),
     );
     println!("\nobjective vs budget:");
     for (b, f) in sweep {

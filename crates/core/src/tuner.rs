@@ -24,8 +24,6 @@ pub struct TunerConfig {
     pub repeats: usize,
     /// Amortized (Section 4.2) or exhaustive (Section 4.1) estimation.
     pub mode: EstimationMode,
-    /// Convex-solver options.
-    pub solver: st_optim::SolverOptions,
     /// Fairness weight λ (paper default 1).
     pub lambda: f64,
     /// Minimum slice size `L` enforced by Algorithm 1.
@@ -153,7 +151,6 @@ impl TunerConfig {
             fractions: vec![0.2, 0.4, 0.6, 0.8, 1.0],
             repeats: 2,
             mode: EstimationMode::Amortized,
-            solver: st_optim::SolverOptions::default(),
             lambda: 1.0,
             min_slice_size: 20,
             max_iterations: 20,
@@ -874,8 +871,8 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         })
     }
 
-    /// One-shot's continuous allocation: solve the convex program for the
-    /// given curves and budget (Section 5.1).
+    /// One-shot's continuous allocation: the exact optimum of the convex
+    /// program for the given curves and budget (Section 5.1).
     pub fn one_shot_allocation(&self, curves: &[PowerLaw], budget: f64) -> Vec<f64> {
         let sizes: Vec<f64> = self.ds.train_sizes().iter().map(|&s| s as f64).collect();
         let costs = self.ds.costs();
@@ -886,7 +883,7 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
             budget,
             self.config.lambda,
         );
-        st_optim::solve_projected(&problem, &self.config.solver)
+        st_optim::solve(&problem).0
     }
 
     /// Copies the source's current per-slice costs into the working

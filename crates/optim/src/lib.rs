@@ -10,24 +10,18 @@
 //!
 //! where the `(b_i, a_i)` come from fitted learning curves, `A` is the
 //! current average loss, `C` the per-slice acquisition costs and `B` the
-//! budget. Three solvers of independent lineage are provided and
-//! cross-checked against each other in tests:
-//!
-//! - [`solve_projected`] — projected subgradient descent with an exact
-//!   weighted-simplex projection; handles any `λ ≥ 0`.
-//! - [`solve_barrier`] — a log-barrier interior-point Newton method on the
-//!   softplus-smoothed program; also any `λ ≥ 0`.
-//! - [`solve_kkt`] — a closed-form KKT water-filling solver for the `λ = 0`
-//!   case.
+//! budget. [`solve`] finds the exact optimum and the budget multiplier
+//! `θ`: with `A` fixed the program is separable, each slice's optimum for a
+//! given `θ` has a closed form, and bisection on `θ` meets the budget.
 //!
 //! [`change_ratio()`] implements Algorithm 1's `GetChangeRatio`: the largest
 //! fraction of a proposed acquisition that keeps the imbalance-ratio change
-//! within the iteration limit `T`. [`budget_sensitivity`] differentiates the
-//! optimum with respect to the budget (marginal value of crowdsourcing
-//! money). [`solve_overlap`] generalizes the program to overlapping slices
-//! (the paper's stated future work) via per-atom acquisition.
+//! within the iteration limit `T`. [`budget_sensitivity`] reads the
+//! optimum's derivative with respect to the budget off `θ` (marginal value
+//! of crowdsourcing money). [`solve_overlap`] generalizes the program to
+//! overlapping slices (the paper's stated future work) via per-atom
+//! acquisition.
 
-pub mod barrier;
 pub mod change_ratio;
 pub mod overlap;
 pub mod problem;
@@ -36,11 +30,10 @@ pub mod rounding;
 pub mod sensitivity;
 pub mod solver;
 
-pub use barrier::{solve_barrier, BarrierOptions};
 pub use change_ratio::change_ratio;
 pub use overlap::{solve_overlap, OverlapProblem};
 pub use problem::AcquisitionProblem;
 pub use projection::project_weighted_simplex;
 pub use rounding::round_to_budget;
 pub use sensitivity::{budget_curve, budget_sensitivity, SensitivityReport};
-pub use solver::{solve_kkt, solve_projected, SolverOptions};
+pub use solver::solve;

@@ -15,7 +15,7 @@ use st_curve::PowerLaw;
 ///
 /// ```
 /// use st_curve::PowerLaw;
-/// use st_optim::{solve_projected, AcquisitionProblem, SolverOptions};
+/// use st_optim::{solve, AcquisitionProblem};
 ///
 /// // Two slices of 100 examples each; slice 0's curve is much steeper.
 /// let problem = AcquisitionProblem::new(
@@ -25,8 +25,9 @@ use st_curve::PowerLaw;
 ///     200.0, // budget
 ///     1.0,   // lambda
 /// );
-/// let d = solve_projected(&problem, &SolverOptions::default());
-/// assert!(problem.is_feasible(&d, 1e-6));
+/// let (d, theta) = solve(&problem);
+/// assert!(problem.is_feasible(&d, 1e-9));
+/// assert!(theta > 0.0);
 /// assert!(problem.objective(&d) < problem.objective(&[100.0, 100.0]));
 /// ```
 #[derive(Debug, Clone)]

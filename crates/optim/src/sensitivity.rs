@@ -4,16 +4,16 @@
 //! right ballpark?" before committing crowdsourcing money. This module
 //! differentiates the solved program with respect to the budget:
 //!
-//! - the **marginal value of budget** (the equality constraint's dual
-//!   variable ν): predicted objective improvement per extra unit of budget;
+//! - the **marginal value of budget**: predicted objective improvement per
+//!   extra unit of budget. It is `−θ`, where `θ` is the budget constraint's
+//!   multiplier that [`solve`] returns (the envelope theorem);
 //! - **allocation sensitivities** `∂d_i/∂B`: where the next unit of budget
 //!   would go.
 //!
-//! Both fall out of the KKT stationarity conditions for free once the
-//! program is solved, and are validated against finite differences in tests.
+//! Both are validated against finite differences in tests.
 
-use crate::barrier::{solve_barrier, BarrierOptions};
 use crate::problem::AcquisitionProblem;
+use crate::solver::solve;
 
 /// Sensitivity report at the optimum for a given budget.
 #[derive(Debug, Clone)]
@@ -21,42 +21,36 @@ pub struct SensitivityReport {
     /// The optimal allocation at the probed budget.
     pub allocation: Vec<f64>,
     /// Marginal objective change per unit budget (≤ 0: more budget can only
-    /// help). This is `−ν`, the negative dual of the budget constraint.
+    /// help). This is `−θ`, the negative multiplier of the budget
+    /// constraint.
     pub marginal_value: f64,
     /// `∂d_i/∂B` — how the next budget unit would be split across slices
     /// (costs-weighted entries sum to ≈ 1).
     pub allocation_gradient: Vec<f64>,
 }
 
-/// Finite-difference step used for the budget probe, relative to `B`.
+/// Finite-difference step used for the allocation probe, relative to `B`.
 const REL_STEP: f64 = 1e-3;
 
-/// Solves the program at `B` and `B(1 + ε)` and differentiates.
-///
-/// Uses the interior-point solver, whose solutions are smooth in `B` (the
-/// projected-subgradient path is noisier under tiny budget perturbations).
+/// Solves the program at `B` and `B(1 + ε)`: the marginal value is `−θ` at
+/// `B`, and the allocation gradient is the forward difference.
 ///
 /// # Panics
 /// Panics when the problem's budget is non-positive (there is no meaningful
 /// sensitivity at `B = 0`).
-pub fn budget_sensitivity(p: &AcquisitionProblem, opts: &BarrierOptions) -> SensitivityReport {
+pub fn budget_sensitivity(p: &AcquisitionProblem) -> SensitivityReport {
     assert!(p.budget > 0.0, "sensitivity needs a positive budget");
-    let d0 = solve_barrier(p, opts);
+    let (d0, theta) = solve(p);
     let h = p.budget * REL_STEP;
 
     let mut bumped = p.clone();
     bumped.budget = p.budget + h;
-    let d1 = solve_barrier(&bumped, opts);
-
-    let f0 = p.objective(&d0);
-    // Evaluate the bumped optimum under the same objective: `objective` only
-    // depends on curves/sizes/λ, so this is well-defined.
-    let f1 = p.objective(&d1);
+    let (d1, _) = solve(&bumped);
 
     let allocation_gradient: Vec<f64> = d0.iter().zip(&d1).map(|(a, b)| (b - a) / h).collect();
     SensitivityReport {
         allocation: d0,
-        marginal_value: (f1 - f0) / h,
+        marginal_value: -theta,
         allocation_gradient,
     }
 }
@@ -66,19 +60,14 @@ pub fn budget_sensitivity(p: &AcquisitionProblem, opts: &BarrierOptions) -> Sens
 ///
 /// # Panics
 /// Panics when `budgets` is empty.
-pub fn budget_curve(
-    p: &AcquisitionProblem,
-    budgets: &[f64],
-    opts: &BarrierOptions,
-) -> Vec<(f64, f64)> {
+pub fn budget_curve(p: &AcquisitionProblem, budgets: &[f64]) -> Vec<(f64, f64)> {
     assert!(!budgets.is_empty(), "need at least one budget");
     budgets
         .iter()
         .map(|&b| {
             let mut q = p.clone();
             q.budget = b;
-            let d = solve_barrier(&q, opts);
-            (b, p.objective(&d))
+            (b, p.objective(&solve(&q).0))
         })
         .collect()
 }
@@ -104,7 +93,7 @@ mod tests {
 
     #[test]
     fn marginal_value_is_negative() {
-        let rep = budget_sensitivity(&problem(), &BarrierOptions::default());
+        let rep = budget_sensitivity(&problem());
         assert!(
             rep.marginal_value < 0.0,
             "extra budget must lower the objective"
@@ -114,7 +103,7 @@ mod tests {
     #[test]
     fn allocation_gradient_spends_the_extra_budget() {
         let p = problem();
-        let rep = budget_sensitivity(&p, &BarrierOptions::default());
+        let rep = budget_sensitivity(&p);
         let spent: f64 = rep
             .allocation_gradient
             .iter()
@@ -131,10 +120,10 @@ mod tests {
     fn marginal_value_matches_objective_difference() {
         // Direct check at a coarser step: f(B + ΔB) − f(B) ≈ marginal · ΔB.
         let p = problem();
-        let rep = budget_sensitivity(&p, &BarrierOptions::default());
+        let rep = budget_sensitivity(&p);
         let mut big = p.clone();
         big.budget = p.budget * 1.1;
-        let d_big = solve_barrier(&big, &BarrierOptions::default());
+        let (d_big, _) = solve(&big);
         let actual = p.objective(&d_big) - p.objective(&rep.allocation);
         let predicted = rep.marginal_value * (big.budget - p.budget);
         // The objective is convex decreasing in B, so the linear prediction
@@ -154,11 +143,7 @@ mod tests {
     #[test]
     fn diminishing_returns_across_budgets() {
         let p = problem();
-        let curve = budget_curve(
-            &p,
-            &[100.0, 200.0, 400.0, 800.0, 1600.0],
-            &BarrierOptions::default(),
-        );
+        let curve = budget_curve(&p, &[100.0, 200.0, 400.0, 800.0, 1600.0]);
         // Objective decreases with budget...
         for w in curve.windows(2) {
             assert!(w[1].1 < w[0].1, "{curve:?}");
@@ -178,6 +163,6 @@ mod tests {
     fn rejects_zero_budget() {
         let mut p = problem();
         p.budget = 0.0;
-        let _ = budget_sensitivity(&p, &BarrierOptions::default());
+        let _ = budget_sensitivity(&p);
     }
 }

@@ -1,145 +1,132 @@
-//! Solvers for the acquisition program.
+//! The exact solver for the acquisition program.
+//!
+//! With the average loss `A` held constant (the paper's own convexity
+//! argument in Section 5.1), the objective is separable: slice `i`
+//! contributes `f_i(x) = g_i(x) + λ·max(0, g_i(x)/A − 1)` with
+//! `g_i(x) = b_i x^(−a_i)` at size `x = |s_i| + d_i`. For a budget
+//! multiplier `θ > 0`, each slice minimizes `f_i(x) + θ c_i x` on its own,
+//! and the minimizer has a closed form in one of three regions:
+//!
+//! ```text
+//! above A:  x = (a b (1 + λ/A) / (θ c))^(1 / (a + 1))   if that x has g(x) > A
+//! below A:  x = (a b / (θ c))^(1 / (a + 1))             if that x has g(x) < A
+//! kink:     x = (b / A)^(1 / a)                          otherwise (g(x) = A)
+//! ```
+//!
+//! and `d_i = max(0, x − |s_i|)`. Each `d_i` is non-increasing and
+//! continuous in `θ`, so bisection on `θ` meets the budget.
 
 use crate::problem::AcquisitionProblem;
 use crate::projection::project_weighted_simplex;
 
-/// Options for [`solve_projected`].
-#[derive(Debug, Clone)]
-pub struct SolverOptions {
-    /// Maximum subgradient iterations.
-    pub max_iters: usize,
-    /// Initial step scale (relative to `B / n`).
-    pub step_scale: f64,
-    /// Early-stop tolerance on the best-objective improvement, checked every
-    /// 50 iterations.
-    pub tol: f64,
+/// One slice's separable term, prepared for repeated evaluation at
+/// different multipliers.
+struct SliceTerm {
+    size: f64,
+    cost: f64,
+    /// `1 / (a + 1)`: the exponent of the closed forms.
+    exp: f64,
+    /// `(a b / c)^(1/(a+1))`: the below-`A` optimum at `θ = 1`.
+    below: f64,
+    /// The above-`A` optimum at `θ = 1` (the slope scaled by `1 + λ/A`).
+    above: f64,
+    /// The size where the loss meets `A`.
+    kink: f64,
 }
 
-impl Default for SolverOptions {
-    fn default() -> Self {
-        SolverOptions {
-            max_iters: 4000,
-            step_scale: 0.5,
-            tol: 1e-10,
-        }
+impl SliceTerm {
+    /// The slice's optimal acquisition at multiplier `theta`.
+    fn acquisition(&self, theta: f64) -> f64 {
+        let t = theta.powf(-self.exp);
+        let (above, below) = (self.above * t, self.below * t);
+        let x = if above < self.kink {
+            above
+        } else if below > self.kink {
+            below
+        } else {
+            self.kink
+        };
+        (x - self.size).max(0.0)
     }
 }
 
-/// Projected subgradient descent with a diminishing step and best-iterate
-/// tracking. Handles any `λ ≥ 0`; the objective is convex, so the best
-/// iterate converges to the optimum.
+/// Solves the acquisition program exactly.
 ///
-/// Returns the (continuous) optimal acquisition amounts `d_i ≥ 0` with
-/// `Σ c_i d_i = B`.
-pub fn solve_projected(problem: &AcquisitionProblem, opts: &SolverOptions) -> Vec<f64> {
-    let n = problem.n();
-    if problem.budget == 0.0 {
-        return vec![0.0; n];
-    }
-
-    // Start from the even-cost allocation (Uniform baseline): feasible and
-    // unbiased.
-    let cost_sum: f64 = problem.costs.iter().sum();
-    let mut d: Vec<f64> = problem
-        .costs
+/// Returns the continuous optimum `d ≥ 0` with `Σ c_i d_i = B` and the
+/// budget multiplier `θ ≥ 0`: every funded slice's marginal objective
+/// change per unit cost is `−θ`, every unfunded slice's is no steeper,
+/// and `−θ` is the optimum's derivative with respect to `B`.
+///
+/// When every curve is flat (every current loss underflows, as with the
+/// tuner's zero-benefit stand-in for drift-quarantined slices), no
+/// allocation moves the objective: the budget is split evenly, every
+/// slice getting `B / Σ c_i` examples, with `θ = 0`.
+pub fn solve(problem: &AcquisitionProblem) -> (Vec<f64>, f64) {
+    let losses = problem.current_losses();
+    let avg = losses.iter().sum::<f64>() / losses.len() as f64;
+    // The smallest multiplier that funds nothing: the steepest per-cost
+    // descent at the current sizes.
+    let theta_max = problem
+        .subgradient(&vec![0.0; problem.n()])
         .iter()
-        .map(|_| problem.budget / cost_sum)
-        .collect();
-    // `budget/cost_sum` per slice costs exactly `budget` in total.
+        .zip(&problem.costs)
+        .map(|(g, c)| -g / c)
+        .fold(0.0, f64::max);
+    if losses.iter().all(|&l| l <= f64::MIN_POSITIVE) || !theta_max.is_normal() {
+        let per = problem.budget / problem.costs.iter().sum::<f64>();
+        return (vec![per; problem.n()], 0.0);
+    }
 
-    let mut best = d.clone();
-    let mut best_obj = problem.objective(&d);
-    let mut last_check = best_obj;
-
-    // Step scale: gradients are tiny (losses ~1, sizes ~100s), so normalize
-    // by the gradient norm and the budget magnitude.
-    let base_step = problem.budget / n as f64 * opts.step_scale;
-
-    for t in 0..opts.max_iters {
-        let g = problem.subgradient(&d);
-        let gnorm = g.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if gnorm < 1e-18 {
-            break;
-        }
-        let step = base_step / ((t + 1) as f64).sqrt() / gnorm;
-        let y: Vec<f64> = d.iter().zip(&g).map(|(di, gi)| di - step * gi).collect();
-        d = project_weighted_simplex(&y, &problem.costs, problem.budget);
-
-        let obj = problem.objective(&d);
-        if obj < best_obj {
-            best_obj = obj;
-            best.copy_from_slice(&d);
-        }
-        if t % 50 == 49 {
-            if (last_check - best_obj).abs() < opts.tol * (1.0 + best_obj.abs()) {
-                break;
+    let boost = 1.0 + problem.lambda / avg;
+    let terms: Vec<SliceTerm> = problem
+        .curves
+        .iter()
+        .zip(&problem.sizes)
+        .zip(&problem.costs)
+        .map(|((curve, &size), &cost)| {
+            let exp = 1.0 / (curve.a + 1.0);
+            let below = (curve.a * curve.b / cost).powf(exp);
+            SliceTerm {
+                size,
+                cost,
+                exp,
+                below,
+                above: below * boost.powf(exp),
+                kink: (curve.b / avg).powf(1.0 / curve.a),
             }
-            last_check = best_obj;
-        }
-    }
-    best
-}
+        })
+        .collect();
+    let spend = |theta: f64| -> f64 { terms.iter().map(|t| t.cost * t.acquisition(theta)).sum() };
 
-/// Closed-form KKT water-filling solver for the pure-loss case (`λ = 0`).
-///
-/// Stationarity of `Σ b_i (s_i + d_i)^(-a_i) + θ (Σ c_i d_i − B)` over
-/// `d_i ≥ 0` gives
-///
-/// ```text
-/// s_i + d_i = (a_i b_i / (θ c_i))^(1 / (a_i + 1))    if positive part > s_i
-/// d_i = 0                                            otherwise
-/// ```
-///
-/// and `θ > 0` is found by bisection on the monotone budget residual. Used
-/// as an independent cross-check of [`solve_projected`].
-///
-/// # Panics
-/// Panics if `problem.lambda != 0` (the closed form only covers λ = 0).
-pub fn solve_kkt(problem: &AcquisitionProblem) -> Vec<f64> {
-    assert_eq!(problem.lambda, 0.0, "solve_kkt only handles lambda = 0");
-    let n = problem.n();
-    if problem.budget == 0.0 {
-        return vec![0.0; n];
-    }
-
-    let alloc = |theta: f64| -> Vec<f64> {
-        problem
-            .curves
-            .iter()
-            .zip(&problem.sizes)
-            .zip(&problem.costs)
-            .map(|((c, &s), &cost)| {
-                let target = (c.a * c.b / (theta * cost)).powf(1.0 / (c.a + 1.0));
-                (target - s).max(0.0)
-            })
-            .collect()
-    };
-    let spend = |theta: f64| -> f64 { problem.total_cost(&alloc(theta)) };
-
-    // θ → 0⁺ spends → ∞; θ → ∞ spends → 0. Bracket and bisect.
-    let mut lo = 1e-18;
-    let mut hi = 1.0;
+    // Bracket: spend(hi) ≤ B ≤ spend(lo). θ spans decades, so the
+    // bisection is geometric.
+    let mut hi = theta_max;
     while spend(hi) > problem.budget {
         hi *= 2.0;
-        assert!(hi < 1e30, "failed to bracket theta");
     }
-    while spend(lo) < problem.budget {
+    let mut lo = hi;
+    while spend(lo) < problem.budget && lo > f64::MIN_POSITIVE {
         lo *= 0.5;
-        assert!(lo > 1e-300, "failed to bracket theta from below");
     }
-    for _ in 0..200 {
-        let mid = (lo * hi).sqrt(); // geometric bisection: θ spans decades
-        if spend(mid) > problem.budget {
+    loop {
+        let mid = lo * (hi / lo).sqrt();
+        if mid <= lo || mid >= hi {
+            break;
+        }
+        if spend(mid) >= problem.budget {
             lo = mid;
         } else {
             hi = mid;
         }
     }
-    let theta = (lo * hi).sqrt();
-    let mut d = alloc(theta);
-    // Polish the tiny bisection residual onto the budget hyperplane.
-    d = project_weighted_simplex(&d, &problem.costs, problem.budget);
-    d
+
+    // `lo` over-spends by the bisection's last bit; the projection takes
+    // it back with a non-negative shift, so unfunded slices stay at 0.
+    let d: Vec<f64> = terms.iter().map(|t| t.acquisition(lo)).collect();
+    (
+        project_weighted_simplex(&d, &problem.costs, problem.budget),
+        lo,
+    )
 }
 
 #[cfg(test)]
@@ -162,36 +149,12 @@ mod tests {
     }
 
     #[test]
-    fn projected_solution_is_feasible() {
-        let p = problem(1.0);
-        let d = solve_projected(&p, &SolverOptions::default());
-        assert!(p.is_feasible(&d, 1e-6), "{d:?}");
-    }
-
-    #[test]
-    fn projected_matches_kkt_at_lambda_zero() {
+    fn equalizes_marginal_utility_per_cost() {
+        // Every slice receiving data has the same marginal loss reduction
+        // per unit cost (= θ); starved slices have a smaller one.
         let p = problem(0.0);
-        let pg = solve_projected(&p, &SolverOptions::default());
-        let kkt = solve_kkt(&p);
-        assert!(p.is_feasible(&kkt, 1e-6));
-        let obj_pg = p.objective(&pg);
-        let obj_kkt = p.objective(&kkt);
-        assert!(
-            (obj_pg - obj_kkt).abs() < 1e-4 * obj_kkt,
-            "projected {obj_pg} vs kkt {obj_kkt}"
-        );
-        for (a, b) in pg.iter().zip(&kkt) {
-            assert!((a - b).abs() < 2.0, "allocations close: {a} vs {b}");
-        }
-    }
-
-    #[test]
-    fn kkt_equalizes_marginal_utility_per_cost() {
-        // The KKT optimality condition: every slice receiving data has the
-        // same marginal loss reduction per unit cost (= θ); starved slices
-        // have a *smaller* marginal value than θ.
-        let p = problem(0.0);
-        let d = solve_kkt(&p);
+        let (d, theta) = solve(&p);
+        assert!(p.is_feasible(&d, 1e-9), "{d:?}");
         let marginal: Vec<f64> = p
             .curves
             .iter()
@@ -200,49 +163,44 @@ mod tests {
             .zip(&p.costs)
             .map(|(((c, &s), &di), &cost)| -c.slope(s + di) / cost)
             .collect();
-        let active: Vec<f64> = marginal
-            .iter()
-            .zip(&d)
-            .filter(|(_, &di)| di > 1e-6)
-            .map(|(&m, _)| m)
-            .collect();
-        assert!(active.len() >= 2, "expected several funded slices: {d:?}");
-        let theta = active[0];
-        for &m in &active {
-            assert!(
-                (m - theta).abs() < 1e-6 * theta,
-                "marginals differ: {marginal:?}"
-            );
-        }
+        assert!(
+            d.iter().filter(|&&x| x > 0.0).count() >= 2,
+            "expected several funded slices: {d:?}"
+        );
         for (&m, &di) in marginal.iter().zip(&d) {
-            if di <= 1e-6 {
-                assert!(m <= theta + 1e-9, "starved slice must have lower value");
+            if di > 0.0 {
+                assert!((m - theta).abs() < 1e-9 * theta, "{marginal:?} vs {theta}");
+            } else {
+                assert!(
+                    m <= theta * (1.0 + 1e-9),
+                    "starved slice must have lower value"
+                );
             }
         }
     }
 
     #[test]
-    fn solution_beats_uniform_and_proportional() {
-        let p = problem(1.0);
-        let d = solve_projected(&p, &SolverOptions::default());
-        let uniform = {
+    fn beats_uniform() {
+        for lambda in [0.0, 1.0, 10.0] {
+            let p = problem(lambda);
+            let (d, _) = solve(&p);
             let per = p.budget / p.costs.iter().sum::<f64>();
-            vec![per; 3]
-        };
-        assert!(p.objective(&d) <= p.objective(&uniform) + 1e-9);
+            assert!(
+                p.objective(&d) <= p.objective(&[per; 3]) + 1e-12,
+                "λ={lambda}"
+            );
+        }
     }
 
     #[test]
     fn lambda_shifts_budget_toward_high_loss_slices() {
-        // Slice 0 has the highest current loss (5·100^-0.5 = 0.5 vs
-        // 3·200^-0.1 ≈ 1.77 — recompute: slice 1 actually has the highest).
         let p0 = problem(0.0);
-        let p10 = AcquisitionProblem {
+        let p50 = AcquisitionProblem {
             lambda: 50.0,
             ..p0.clone()
         };
-        let d0 = solve_projected(&p0, &SolverOptions::default());
-        let d10 = solve_projected(&p10, &SolverOptions::default());
+        let (d0, _) = solve(&p0);
+        let (d50, _) = solve(&p50);
         let losses = p0.current_losses();
         let worst = losses
             .iter()
@@ -251,8 +209,8 @@ mod tests {
             .unwrap()
             .0;
         assert!(
-            d10[worst] >= d0[worst] - 1e-6,
-            "λ must not reduce the worst slice's share: {d0:?} -> {d10:?}"
+            d50[worst] >= d0[worst] - 1e-6,
+            "λ must not reduce the worst slice's share: {d0:?} -> {d50:?}"
         );
         // And the post-acquisition spread (max loss / avg) must not grow.
         let spread = |d: &[f64], p: &AcquisitionProblem| {
@@ -260,24 +218,22 @@ mod tests {
             let avg = l.iter().sum::<f64>() / l.len() as f64;
             l.iter().cloned().fold(f64::MIN, f64::max) / avg
         };
-        assert!(spread(&d10, &p10) <= spread(&d0, &p0) + 1e-6);
+        assert!(spread(&d50, &p50) <= spread(&d0, &p0) + 1e-6);
     }
 
     #[test]
     fn zero_budget_returns_zero() {
-        let mut p = problem(1.0);
-        p.budget = 0.0;
-        assert!(solve_projected(&p, &SolverOptions::default())
-            .iter()
-            .all(|&x| x == 0.0));
-        p.lambda = 0.0;
-        assert!(solve_kkt(&p).iter().all(|&x| x == 0.0));
+        for lambda in [0.0, 1.0] {
+            let mut p = problem(lambda);
+            p.budget = 0.0;
+            assert_eq!(solve(&p).0, vec![0.0; 3]);
+        }
     }
 
     #[test]
     fn flat_curve_gets_nothing_at_lambda_zero() {
         // One nearly-flat curve vs one steep curve of equal size: the flat
-        // slice's marginal benefit is negligible, so KKT starves it.
+        // slice's marginal benefit is negligible, so it is starved.
         let p = AcquisitionProblem::new(
             vec![PowerLaw::new(1.0, 0.001), PowerLaw::new(3.0, 0.8)],
             vec![100.0, 100.0],
@@ -285,23 +241,24 @@ mod tests {
             300.0,
             0.0,
         );
-        let d = solve_kkt(&p);
-        assert!(d[0] < 5.0, "flat slice got {d:?}");
-        assert!(d[1] > 295.0 - 5.0);
+        let (d, _) = solve(&p);
+        assert_eq!(d[0], 0.0, "{d:?}");
+        assert!((d[1] - 300.0).abs() < 1e-9, "{d:?}");
     }
 
     #[test]
     fn identical_slices_get_equal_shares() {
-        let p = AcquisitionProblem::new(
-            vec![PowerLaw::new(2.0, 0.4); 4],
-            vec![100.0; 4],
-            vec![1.0; 4],
-            400.0,
-            0.0,
-        );
-        let d = solve_kkt(&p);
-        for &x in &d {
-            assert!((x - 100.0).abs() < 1e-6, "{d:?}");
+        for lambda in [0.0, 1.0] {
+            let p = AcquisitionProblem::new(
+                vec![PowerLaw::new(2.0, 0.4); 4],
+                vec![100.0; 4],
+                vec![1.0; 4],
+                400.0,
+                lambda,
+            );
+            for &x in &solve(&p).0 {
+                assert!((x - 100.0).abs() < 1e-9, "λ={lambda}: {x}");
+            }
         }
     }
 
@@ -316,7 +273,25 @@ mod tests {
             300.0,
             1.0,
         );
-        let d = solve_projected(&p, &SolverOptions::default());
+        let (d, _) = solve(&p);
         assert!(d[0] > 0.9 * 300.0, "{d:?}");
+    }
+
+    #[test]
+    fn expensive_lossy_slice_is_pinned_at_the_average_loss() {
+        // Slice 0 is lossy but 20× as expensive. Below the average loss
+        // its data is not worth the price; above it, the λ-boosted slope
+        // is. So it is bought exactly up to `A` (size 256) and the rest
+        // of the budget goes to slice 1.
+        let p = AcquisitionProblem::new(
+            vec![PowerLaw::new(4.0, 0.5), PowerLaw::new(1.0, 0.5)],
+            vec![100.0, 100.0],
+            vec![20.0, 1.0],
+            3560.0,
+            1.0,
+        );
+        let (d, _) = solve(&p);
+        assert!((d[0] - 156.0).abs() < 1e-9, "{d:?}");
+        assert!((d[1] - 440.0).abs() < 1e-9, "{d:?}");
     }
 }

@@ -3,12 +3,18 @@
 use proptest::prelude::*;
 use st_curve::PowerLaw;
 use st_optim::{
-    change_ratio, project_weighted_simplex, round_to_budget, solve_kkt, solve_projected,
-    AcquisitionProblem, SolverOptions,
+    budget_sensitivity, change_ratio, project_weighted_simplex, round_to_budget, solve,
+    solve_overlap, AcquisitionProblem, OverlapProblem,
 };
 
-fn arb_problem(lambda: f64) -> impl Strategy<Value = AcquisitionProblem> {
-    (2usize..6).prop_flat_map(move |n| {
+/// The fairness weights the solver properties are checked at.
+const LAMBDAS: [f64; 4] = [0.0, 0.1, 1.0, 10.0];
+
+fn arb_sized(
+    slices: std::ops::Range<usize>,
+    lambda: f64,
+) -> impl Strategy<Value = AcquisitionProblem> {
+    slices.prop_flat_map(move |n| {
         (
             prop::collection::vec((0.3f64..5.0, 0.05f64..1.0), n..=n),
             prop::collection::vec(20.0f64..400.0, n..=n),
@@ -20,6 +26,44 @@ fn arb_problem(lambda: f64) -> impl Strategy<Value = AcquisitionProblem> {
                 AcquisitionProblem::new(curves, sizes, costs, budget, lambda)
             })
     })
+}
+
+fn arb_problem(lambda: f64) -> impl Strategy<Value = AcquisitionProblem> {
+    arb_sized(2..6, lambda)
+}
+
+/// A random problem at a random one of [`LAMBDAS`].
+fn arb_any_lambda(slices: std::ops::Range<usize>) -> impl Strategy<Value = AcquisitionProblem> {
+    (0usize..LAMBDAS.len()).prop_flat_map(move |i| arb_sized(slices.clone(), LAMBDAS[i]))
+}
+
+/// The one-sided slopes of slice `i`'s objective term at acquisition
+/// `d`, with the penalty's kink (loss = `A`) widened by `tol` relative.
+fn one_sided_slopes(p: &AcquisitionProblem, i: usize, d: f64, tol: f64) -> (f64, f64) {
+    let a = p.avg_loss();
+    let x = p.sizes[i] + d;
+    let (loss, slope) = (p.curves[i].eval(x), p.curves[i].slope(x));
+    let boosted = slope * (1.0 + p.lambda / a);
+    let left = if loss >= a * (1.0 - tol) {
+        boosted
+    } else {
+        slope
+    };
+    let right = if loss > a * (1.0 + tol) {
+        boosted
+    } else {
+        slope
+    };
+    (left, right)
+}
+
+/// The optimal objective at budget `b`.
+fn optimum_at(p: &AcquisitionProblem, b: f64) -> f64 {
+    let q = AcquisitionProblem {
+        budget: b,
+        ..p.clone()
+    };
+    p.objective(&solve(&q).0)
 }
 
 proptest! {
@@ -51,33 +95,20 @@ proptest! {
     }
 
     #[test]
-    fn projected_solver_feasible_and_no_worse_than_uniform(p in arb_problem(1.0)) {
-        let d = solve_projected(&p, &SolverOptions::default());
-        prop_assert!(p.is_feasible(&d, 1e-5), "{d:?}");
+    fn solve_is_feasible_and_no_worse_than_uniform(p in arb_problem(1.0)) {
+        let (d, _) = solve(&p);
+        prop_assert!(p.is_feasible(&d, 1e-9), "{d:?}");
         let per = p.budget / p.costs.iter().sum::<f64>();
         let uniform = vec![per; p.n()];
-        prop_assert!(p.objective(&d) <= p.objective(&uniform) + 1e-7);
-    }
-
-    #[test]
-    fn kkt_and_projected_agree_at_lambda_zero(p in arb_problem(0.0)) {
-        let kkt = solve_kkt(&p);
-        let pg = solve_projected(&p, &SolverOptions::default());
-        prop_assert!(p.is_feasible(&kkt, 1e-5));
-        let (ok, op) = (p.objective(&kkt), p.objective(&pg));
-        // Both convex solvers must land on the same optimum value.
-        prop_assert!((ok - op).abs() <= 5e-3 * ok.max(1e-9), "kkt {ok} vs pg {op}");
-        // And the KKT solution is never beaten (it is closed-form optimal).
-        prop_assert!(ok <= op + 5e-3 * ok.max(1e-9));
+        prop_assert!(p.objective(&d) <= p.objective(&uniform) + 1e-12);
     }
 
     #[test]
     fn more_budget_never_hurts(p in arb_problem(0.0)) {
-        let small = solve_kkt(&p);
-        let mut bigger = p.clone();
-        bigger.budget *= 2.0;
-        let large = solve_kkt(&bigger);
-        prop_assert!(bigger.objective(&large) <= p.objective(&small) + 1e-9);
+        for lambda in [0.0, 1.0] {
+            let p = AcquisitionProblem { lambda, ..p.clone() };
+            prop_assert!(optimum_at(&p, 2.0 * p.budget) <= optimum_at(&p, p.budget) + 1e-12);
+        }
     }
 
     #[test]
@@ -132,32 +163,107 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn barrier_solver_feasible_and_agrees_with_projected(p in arb_problem(1.0)) {
-        let bar = st_optim::solve_barrier(&p, &st_optim::BarrierOptions::default());
-        prop_assert!(p.is_feasible(&bar, 1e-5), "{bar:?}");
-        let proj = solve_projected(&p, &SolverOptions::default());
-        let (fb, fp) = (p.objective(&bar), p.objective(&proj));
-        // Independent solvers: neither may be meaningfully better.
-        prop_assert!((fb - fp).abs() <= 1e-2 * fb.abs().max(1.0), "barrier {fb} vs proj {fp}");
+    fn solve_meets_the_kkt_conditions(base in arb_problem(0.0)) {
+        let tol = 1e-9;
+        for lambda in LAMBDAS {
+            let p = AcquisitionProblem { lambda, ..base.clone() };
+            let (d, theta) = solve(&p);
+            prop_assert!(p.is_feasible(&d, tol), "λ={lambda}: {d:?}");
+            prop_assert!(d.iter().all(|&x| x >= 0.0), "λ={lambda}: {d:?}");
+            prop_assert!(theta > 0.0, "λ={lambda}: θ={theta}");
+            for (i, &di) in d.iter().enumerate() {
+                let price = -theta * p.costs[i];
+                if di > 0.0 {
+                    let (left, right) = one_sided_slopes(&p, i, di, tol);
+                    prop_assert!(
+                        left <= price * (1.0 - tol) && right >= price * (1.0 + tol),
+                        "λ={lambda} funded slice {i}: slopes [{left}, {right}] vs −θc {price}"
+                    );
+                } else {
+                    let (_, right) = one_sided_slopes(&p, i, 0.0, tol);
+                    prop_assert!(
+                        right >= price * (1.0 + tol),
+                        "λ={lambda} unfunded slice {i}: right slope {right} vs −θc {price}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
-    fn barrier_matches_kkt_closed_form_at_lambda_zero(p in arb_problem(0.0)) {
-        let bar = st_optim::solve_barrier(&p, &st_optim::BarrierOptions::default());
-        let kkt = solve_kkt(&p);
-        let (fb, fk) = (p.objective(&bar), p.objective(&kkt));
-        prop_assert!(fb <= fk + 5e-3 * fk.max(1e-9), "barrier {fb} worse than kkt {fk}");
-        prop_assert!(fk <= fb + 5e-3 * fb.max(1e-9), "kkt {fk} worse than barrier {fb}");
+    fn solve_is_never_beaten_by_a_grid_over_the_budget_simplex(p in arb_any_lambda(2..4)) {
+        // Every split of the budget's spend into shares of 1/steps.
+        let steps = if p.n() == 2 { 4000 } else { 200 };
+        let splits: Vec<Vec<usize>> = if p.n() == 2 {
+            (0..=steps).map(|i| vec![i, steps - i]).collect()
+        } else {
+            (0..=steps)
+                .flat_map(|i| (0..=steps - i).map(move |j| vec![i, j, steps - i - j]))
+                .collect()
+        };
+        let (d, _) = solve(&p);
+        let f = p.objective(&d);
+        for split in splits {
+            let point: Vec<f64> = split
+                .iter()
+                .zip(&p.costs)
+                .map(|(&share, c)| p.budget * share as f64 / steps as f64 / c)
+                .collect();
+            let g = p.objective(&point);
+            prop_assert!(f <= g + 1e-9 * g.abs(), "grid point {point:?} ({g}) beats {d:?} ({f})");
+        }
     }
 
     #[test]
-    fn sensitivity_marginal_value_is_nonpositive(p in arb_problem(1.0)) {
-        let rep = st_optim::budget_sensitivity(&p, &st_optim::BarrierOptions::default());
-        prop_assert!(rep.marginal_value <= 1e-9, "extra budget cannot hurt: {}", rep.marginal_value);
-        prop_assert_eq!(rep.allocation.len(), p.n());
+    fn degenerate_inputs_stay_finite_and_feasible(p in arb_any_lambda(2..6)) {
+        let check = |q: &AcquisitionProblem| -> Vec<f64> {
+            let (d, theta) = solve(q);
+            prop_assert!(theta.is_finite() && theta >= 0.0, "θ={theta}");
+            prop_assert!(d.iter().all(|x| x.is_finite()), "{d:?}");
+            prop_assert!(q.is_feasible(&d, 1e-9), "{d:?}");
+            d
+        };
+        let with = |f: &dyn Fn(&mut AcquisitionProblem)| {
+            let mut q = p.clone();
+            f(&mut q);
+            q
+        };
+        prop_assert!(check(&with(&|q| q.budget = 0.0)).iter().all(|&x| x == 0.0));
+        let one = AcquisitionProblem::new(
+            vec![p.curves[0]],
+            vec![p.sizes[0]],
+            vec![p.costs[0]],
+            p.budget,
+            p.lambda,
+        );
+        check(&one);
+        check(&with(&|q| q.sizes[0] = 0.0));
+
+        // The tuner's zero-benefit stand-in for a drift-quarantined slice.
+        let stand_in = |c: &PowerLaw| PowerLaw::new(f64::MIN_POSITIVE, c.a);
+        let all_flat = with(&|q| q.curves = q.curves.iter().map(stand_in).collect());
+        let per = p.budget / p.costs.iter().sum::<f64>();
+        prop_assert_eq!(check(&all_flat), vec![per; p.n()]);
+        let one_flat = with(&|q| q.curves[0] = stand_in(&q.curves[0]));
+        prop_assert_eq!(check(&one_flat)[0], 0.0);
+    }
+
+    #[test]
+    fn sensitivity_is_the_budget_multiplier(p in arb_any_lambda(2..6)) {
+        let rep = budget_sensitivity(&p);
+        let (d, theta) = solve(&p);
+        prop_assert_eq!(rep.marginal_value, -theta);
+        prop_assert_eq!(&rep.allocation, &d);
+        let h = 1e-4 * p.budget;
+        let fd = (optimum_at(&p, p.budget + h) - optimum_at(&p, p.budget - h)) / (2.0 * h);
+        prop_assert!(
+            (fd - rep.marginal_value).abs() <= 1e-3 * rep.marginal_value.abs(),
+            "finite difference {fd} vs marginal value {}",
+            rep.marginal_value
+        );
     }
 }
 
@@ -165,12 +271,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn overlap_identity_matches_partition_solver(p in arb_problem(1.0)) {
-        let ov = st_optim::OverlapProblem::from_partition(&p);
-        let d_ov = st_optim::solve_overlap(&ov, &SolverOptions::default());
-        let d_p = solve_projected(&p, &SolverOptions::default());
-        let (fo, fp) = (p.objective(&d_ov), p.objective(&d_p));
-        prop_assert!((fo - fp).abs() <= 1e-4 * fp.abs().max(1.0), "{fo} vs {fp}");
+    fn sensitivity_marginal_value_is_nonpositive(p in arb_problem(1.0)) {
+        let rep = budget_sensitivity(&p);
+        prop_assert!(rep.marginal_value <= 0.0, "extra budget cannot hurt: {}", rep.marginal_value);
+        prop_assert_eq!(rep.allocation.len(), p.n());
+    }
+
+    #[test]
+    fn overlap_identity_matches_partition_solver(p in arb_any_lambda(2..6)) {
+        // The projected loop on identity membership: feasible, never
+        // better than the exact optimum, and close to it.
+        let d_ov = solve_overlap(&OverlapProblem::from_partition(&p));
+        prop_assert!(p.is_feasible(&d_ov, 1e-6), "{d_ov:?}");
+        let (fo, fe) = (p.objective(&d_ov), p.objective(&solve(&p).0));
+        prop_assert!(fo >= fe - 1e-9 * fe.abs(), "projected {fo} beats exact {fe}");
+        prop_assert!(fo <= fe + 5e-3 * fe.abs(), "projected {fo} vs exact {fe}");
     }
 
     #[test]
@@ -188,7 +303,7 @@ proptest! {
         }
         let mut atom_costs = p.costs.clone();
         atom_costs.push(0.8 + share as f64 * 0.6);
-        let ov = st_optim::OverlapProblem::new(
+        let ov = OverlapProblem::new(
             p.curves.clone(),
             p.sizes.clone(),
             membership,
@@ -196,7 +311,7 @@ proptest! {
             p.budget,
             p.lambda,
         );
-        let d = st_optim::solve_overlap(&ov, &SolverOptions::default());
+        let d = solve_overlap(&ov);
         prop_assert!(ov.is_feasible(&d, 1e-5), "{d:?}");
         let per = ov.budget / atom_costs.iter().sum::<f64>();
         let uniform = vec![per; m];

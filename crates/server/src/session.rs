@@ -360,7 +360,10 @@ impl Session {
     /// The allocation the tuner would spend the remaining budget on — a
     /// pure function of the checkpoint, computed without training.
     /// Slices whose fit failed get the engine's fallback curve
-    /// ([`resolve_fallbacks`]: the log-mean of the successful fits).
+    /// ([`resolve_fallbacks`]: the log-mean of the successful fits). A
+    /// complete session, or one whose checkpoint meets the engine's stop
+    /// condition (the cheapest slice is unaffordable or the round cap is
+    /// reached), spends nothing more: its allocation is all zeros.
     pub fn allocation(&self) -> Result<(Vec<f64>, f64), String> {
         let cp = self
             .load_checkpoint()?
@@ -371,15 +374,15 @@ impl Session {
                 .map(|fit| fit.map(|(b, a)| PowerLaw::new(f64::from_bits(b), f64::from_bits(a))))
                 .collect(),
         );
-        let sizes = self.sizes_after(&cp)?;
         let costs = self.family.costs();
         let remaining = f64::from_bits(cp.remaining_bits).max(0.0);
-        if remaining <= 0.0 {
-            return Ok((vec![0.0; curves.len()], 0.0));
+        let min_cost = costs.iter().cloned().fold(f64::INFINITY, f64::min);
+        if self.complete || remaining < min_cost || cp.iterations >= self.spec.max_rounds {
+            return Ok((vec![0.0; curves.len()], remaining));
         }
+        let sizes = self.sizes_after(&cp)?;
         let problem = st_optim::AcquisitionProblem::new(curves, sizes, costs, remaining, 1.0);
-        let d = st_optim::solve_projected(&problem, &st_optim::SolverOptions::default());
-        Ok((d, remaining))
+        Ok((st_optim::solve(&problem).0, remaining))
     }
 
     /// The session's status document. `stale` marks a response served
@@ -512,6 +515,31 @@ mod tests {
         assert_eq!(d.len(), 4);
         assert!(remaining > 0.0);
         assert!(d.iter().all(|x| x.is_finite() && *x >= 0.0));
+    }
+
+    #[test]
+    fn allocation_is_zero_once_no_advance_will_spend() {
+        let dir = tmpdir("spent");
+        let run_to_completion = |id: u64, body: &str| {
+            let spec = SessionSpec::parse(body).expect("valid spec");
+            let mut s = Session::new(id, spec, &dir).expect("session");
+            while !s.complete {
+                s.advance(s.rounds + 1, 1, 1).expect("advance");
+            }
+            let (d, remaining) = s.allocation().expect("allocation");
+            let cp = s.load_checkpoint().expect("load").expect("present");
+            assert_eq!(remaining, f64::from_bits(cp.remaining_bits).max(0.0));
+            (d, remaining)
+        };
+        // The round cap stops the session with budget left.
+        let (d, remaining) =
+            run_to_completion(0, r#"{"family":"census","seed":11,"max_rounds":1}"#);
+        assert!(remaining >= 1.0, "{remaining}");
+        assert_eq!(d, vec![0.0; 4]);
+        // The budget runs down to rounding dust below every slice's cost.
+        let (d, remaining) = run_to_completion(1, r#"{"family":"faces","seed":5,"budget":300}"#);
+        assert!(remaining > 0.0 && remaining < 1.0, "{remaining}");
+        assert_eq!(d, vec![0.0; 8]);
     }
 
     #[test]

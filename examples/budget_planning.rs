@@ -12,7 +12,7 @@
 use slice_tuner::{PoolSource, SliceTuner, TunerConfig};
 use st_data::{families, SlicedDataset};
 use st_models::ModelSpec;
-use st_optim::{budget_curve, budget_sensitivity, AcquisitionProblem, BarrierOptions};
+use st_optim::{budget_curve, budget_sensitivity, AcquisitionProblem};
 
 fn main() {
     // UTKFace analog: 8 face slices with real Table 1 costs.
@@ -40,7 +40,7 @@ fn main() {
     let problem = AcquisitionProblem::new(curves, sizes, tuner.dataset().costs(), 3000.0, 1.0);
 
     // Where would the next unit of budget go at B = 3000?
-    let report = budget_sensitivity(&problem, &BarrierOptions::default());
+    let report = budget_sensitivity(&problem);
     println!("\nat B = 3000:");
     println!(
         "  marginal objective value: {:.6} per budget unit",
@@ -60,7 +60,7 @@ fn main() {
 
     // How fast do returns flatten?
     let budgets = [500.0, 1000.0, 2000.0, 4000.0, 8000.0, 16000.0];
-    let sweep = budget_curve(&problem, &budgets, &BarrierOptions::default());
+    let sweep = budget_curve(&problem, &budgets);
     println!("\nobjective vs budget (diminishing returns):");
     let mut prev: Option<(f64, f64)> = None;
     for (b, f) in sweep {

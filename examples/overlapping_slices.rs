@@ -13,7 +13,7 @@
 //! examples of each cell to buy.
 
 use st_curve::PowerLaw;
-use st_optim::{solve_overlap, OverlapProblem, SolverOptions};
+use st_optim::{solve_overlap, OverlapProblem};
 
 fn main() {
     // Monitored (overlapping) slices and their fitted learning curves.
@@ -62,7 +62,7 @@ fn main() {
         println!("  {name:<16} loss {:.3}  (n = {s})", c.eval(s));
     }
 
-    let d = solve_overlap(&problem, &SolverOptions::default());
+    let d = solve_overlap(&problem);
     println!("\nbudget {budget} allocated per atom:");
     for ((name, &x), &c) in atoms.iter().zip(&d).zip(&atom_costs) {
         println!(
