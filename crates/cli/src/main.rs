@@ -11,8 +11,8 @@ mod args;
 
 use args::Args;
 use slice_tuner::{PoolSource, SliceTuner, Strategy, TSchedule, TunerConfig};
-use st_data::{families, DatasetFamily, SlicedDataset, SlicingConfig};
-use st_models::ModelSpec;
+use st_data::{families, SlicedDataset, SlicingConfig};
+use st_server::session::{family_by_name, spec_for};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -141,19 +141,6 @@ fn select_kernel(name: &str, allow_nondeterministic: bool) -> Result<(), String>
     })
 }
 
-fn family_by_name(name: &str) -> Result<DatasetFamily, String> {
-    match name {
-        "fashion" => Ok(families::fashion()),
-        "mixed" => Ok(families::mixed_selected()),
-        "faces" => Ok(families::faces()),
-        "census" => Ok(families::census()),
-        "driftbench" => Ok(families::driftbench()),
-        other => Err(format!(
-            "unknown family '{other}' (try: fashion, mixed, faces, census, driftbench)"
-        )),
-    }
-}
-
 fn strategy_by_name(name: &str) -> Result<Strategy, String> {
     match name {
         "uniform" => Ok(Strategy::Uniform),
@@ -165,14 +152,6 @@ fn strategy_by_name(name: &str) -> Result<Strategy, String> {
         "aggressive" => Ok(Strategy::Iterative(TSchedule::aggressive())),
         "bandit" => Ok(Strategy::RottingBandit(Default::default())),
         other => Err(format!("unknown strategy '{other}'")),
-    }
-}
-
-fn spec_for(family: &DatasetFamily) -> ModelSpec {
-    if family.num_classes == 2 {
-        ModelSpec::softmax()
-    } else {
-        ModelSpec::basic()
     }
 }
 

@@ -8,7 +8,7 @@
 //! re-measuring an unchanged slice would reproduce its cached measurements
 //! exactly. [`IncrementalState`] is therefore a pure memo: it carries the
 //! previous round's estimates, a per-slice dirty set that
-//! [`SliceTuner::run_iterative`](crate::SliceTuner) refreshes after each
+//! [`SliceTuner::apply_round`](crate::SliceTuner::apply_round) refreshes after each
 //! acquisition, and the drift layer's per-slice seed bumps.
 //!
 //! Results that depend on this history must never be inserted into the

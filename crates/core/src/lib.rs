@@ -86,7 +86,7 @@ pub use trials::{
     ensure_deterministic_kernel, plan_thread_budget, run_trials_parallel, try_run_trials_parallel,
     ThreadBudget, TrialError,
 };
-pub use tuner::{resolve_fallbacks, RunResult, SliceTuner, TunerConfig, TuningWarning};
+pub use tuner::{IterativeRun, RoundPlan, RunResult, SliceTuner, TunerConfig, TuningWarning};
 
 // Re-exported so downstream callers (the CLI's `--mode` flag, integration
 // tests) can pick an estimation schedule without a direct st_curve edge.

@@ -3,6 +3,9 @@
 
 use crate::acquire::AcquisitionSource;
 use crate::cache::{CurveCache, CurveKey};
+use crate::checkpoint::{self, CheckpointError, RoundCheckpoint};
+use crate::drift::DriftDetector;
+use crate::incremental::IncrementalState;
 use crate::metrics::EvalReport;
 use crate::strategy::{uniform_allocation, water_filling_allocation, Strategy, TSchedule};
 use st_curve::{CurveEstimator, EstimationMode, MeasureRequest, PowerLaw, SliceLossMeasurement};
@@ -298,7 +301,7 @@ impl TunerConfig {
 pub enum TuningWarning {
     /// An estimation measurement exhausted its retries. The affected
     /// slice's curve fell back to its last good fit (incremental mode) or
-    /// to the cross-slice fallback of [`resolve_fallbacks`] — allocation
+    /// to the log-mean of the other slices' fits — allocation
     /// continued without this round's evidence for that slice.
     EstimationQuarantined {
         /// The targeted slice (`None` = a joint amortized measurement).
@@ -382,6 +385,47 @@ pub struct RunResult {
     ///
     /// [`AggregateResult::bits_identical_to`]: crate::runner::AggregateResult::bits_identical_to
     pub warnings: Vec<TuningWarning>,
+}
+
+/// Algorithm 1 between rounds: exactly the state a [`RoundCheckpoint`]
+/// records. [`SliceTuner::begin_iterative`] builds it;
+/// [`SliceTuner::plan_round`] and [`SliceTuner::apply_round`] step it.
+pub struct IterativeRun {
+    schedule: TSchedule,
+    budget: f64,
+    remaining: f64,
+    total_spent: f64,
+    /// The imbalance-ratio change limit `T`.
+    t: f64,
+    iterations: usize,
+    /// Incremental mode's dirty set and memoized estimates.
+    inc: Option<IncrementalState>,
+    /// Drift detection and bounded staleness; `None` skips every hook.
+    det: Option<DriftDetector>,
+    pre_pass: Vec<usize>,
+    rounds: Vec<Vec<usize>>,
+}
+
+impl IterativeRun {
+    /// Completed acquisition rounds.
+    pub fn iterations(&self) -> usize {
+        self.iterations
+    }
+}
+
+/// One planned round of Algorithm 1, before anything is bought.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundPlan {
+    /// The curves the allocation was solved on: failed fits replaced by
+    /// the fallback, drift-quarantined slices flattened.
+    pub curves: Vec<PowerLaw>,
+    /// The §5.1 optimum for the remaining budget.
+    pub raw: Vec<f64>,
+    /// `raw` scaled so the imbalance ratio moves by at most `T`.
+    pub capped: Vec<f64>,
+    /// `capped` rounded to whole examples within the remaining budget:
+    /// what [`SliceTuner::apply_round`] acquires.
+    pub counts: Vec<usize>,
 }
 
 /// The Slice Tuner engine bound to a working dataset and a source.
@@ -586,7 +630,7 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
     pub fn estimate_curves_incremental(
         &self,
         stream: u64,
-        state: &mut crate::incremental::IncrementalState,
+        state: &mut IncrementalState,
     ) -> Vec<st_curve::SliceEstimate> {
         let n = self.ds.num_slices();
         assert_eq!(state.dirty.len(), n, "state sized for a different dataset");
@@ -941,7 +985,11 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
                 let d = self.one_shot_allocation(&curves, budget);
                 (1, self.acquire_rounded(&d, budget))
             }
-            Strategy::Iterative(schedule) => self.run_iterative(schedule, budget)?,
+            Strategy::Iterative(schedule) => {
+                let mut run = self.begin_iterative(schedule, budget)?;
+                self.run_rounds(&mut run, self.config.halt_after_rounds)?;
+                (run.iterations.max(1), run.total_spent)
+            }
             Strategy::RottingBandit(params) => self.run_bandit(params, budget),
         };
 
@@ -975,77 +1023,39 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         })
     }
 
-    /// Algorithm 1: the iterative loop with imbalance-ratio change limits.
+    /// Starts Algorithm 1 (steps 1–6): resumes from the checkpoint when
+    /// [`TunerConfig::resume`] finds one, else runs the minimum-size
+    /// pre-pass. Writes nothing. A resume **replays** the recorded counts
+    /// through the live source, which consumes the identical RNG stream
+    /// and rebuilds the identical dataset bits; estimation is not replayed
+    /// (measurements are pure functions of their seed-pinned requests).
     ///
-    /// When [`TunerConfig::checkpoint`] is set, the loop's round state is
-    /// serialized after the pre-pass and after every completed round; with
-    /// [`TunerConfig::resume`] a saved state is **replayed** — the recorded
-    /// integer acquisitions are re-issued against the live source, which
-    /// consumes the identical RNG stream and rebuilds the identical dataset
-    /// bits — and the loop continues exactly where the saved run stopped.
-    /// Estimation is *not* replayed: measurements are pure functions of
-    /// their seed-pinned requests, so the resumed rounds re-derive them.
-    fn run_iterative(
+    /// # Errors
+    /// Unreadable, foreign or newer checkpoint files.
+    pub fn begin_iterative(
         &mut self,
         schedule: TSchedule,
         budget: f64,
-    ) -> Result<(usize, f64), crate::checkpoint::CheckpointError> {
-        use crate::checkpoint as cp;
+    ) -> Result<IterativeRun, CheckpointError> {
+        self.refresh_costs();
         let n = self.ds.num_slices();
-        let path = self.config.checkpoint.clone();
-
-        let mut remaining = budget;
-        let mut total_spent = 0.0;
-        let mut t = 1.0;
-        let mut iterations = 0usize;
-        // Incremental mode: track which slices each acquisition touches so
-        // the next estimation re-measures only those (all-dirty initially).
-        let mut inc = self
-            .config
-            .incremental
-            .then(|| crate::incremental::IncrementalState::new(n));
-        // Drift detection and bounded staleness (see [`crate::drift`]).
-        // `None` on stationary configs — every hook below is skipped, so
-        // the loop's behavior (and bits) match the detector-free tuner.
-        let mut det = crate::drift::DriftDetector::from_config(&self.config, n);
-        let mut pre_pass_log: Vec<usize> = Vec::new();
-        let mut rounds_log: Vec<Vec<usize>> = Vec::new();
-
-        let saved = match (&path, self.config.resume) {
-            (Some(p), true) => cp::load(p)?,
+        let mut run = IterativeRun {
+            schedule,
+            budget,
+            remaining: budget,
+            total_spent: 0.0,
+            t: 1.0,
+            iterations: 0,
+            inc: self.config.incremental.then(|| IncrementalState::new(n)),
+            det: DriftDetector::from_config(&self.config, n),
+            pre_pass: Vec::new(),
+            rounds: Vec::new(),
+        };
+        let saved = match (&self.config.checkpoint, self.config.resume) {
+            (Some(p), true) => checkpoint::load(p)?,
             _ => None,
         };
-        if let Some(saved) = saved {
-            saved.check_compatible(self.config.seed, budget, n)?;
-            // Replay: re-issuing the recorded acquisition counts drives the
-            // source through the identical acquire sequence (same RNG
-            // draws, same absorbed rows), so dataset and source end up
-            // bit-identical to the moment the saved run wrote this file.
-            if !saved.pre_pass.is_empty() {
-                self.source.note_round(0);
-                let _ = self.acquire_counts(&saved.pre_pass);
-            }
-            for (i, counts) in saved.rounds.iter().enumerate() {
-                self.refresh_costs();
-                // Replayed draws must land on the same round numbers the
-                // original run acquired them at, or a drift plan would
-                // poison a different prefix of the rebuilt dataset.
-                self.source.note_round(i as u64 + 1);
-                let _ = self.acquire_counts(counts);
-            }
-            remaining = f64::from_bits(saved.remaining_bits);
-            total_spent = f64::from_bits(saved.total_spent_bits);
-            t = f64::from_bits(saved.t_bits);
-            iterations = saved.iterations as usize;
-            if let (Some(state), Some(snap)) = (inc.as_mut(), saved.inc.as_ref()) {
-                state.restore(snap);
-            }
-            if let (Some(det), Some(snap)) = (det.as_mut(), saved.drift.as_ref()) {
-                det.restore(snap);
-            }
-            pre_pass_log = saved.pre_pass;
-            rounds_log = saved.rounds;
-        } else {
+        let Some(saved) = saved else {
             // Steps 3–6: ensure the minimum slice size L.
             let l = self.config.min_slice_size;
             let deficit: Vec<f64> = self
@@ -1056,202 +1066,237 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
                 .collect();
             if deficit.iter().any(|&d| d > 0.0) {
                 self.source.note_round(0);
-                let (spent, counts) = self.acquire_logged(&deficit, remaining);
-                remaining -= spent;
-                total_spent += spent;
-                pre_pass_log = counts;
+                let counts = st_optim::round_to_budget(&deficit, &self.ds.costs(), budget);
+                let spent = self.acquire_counts(&counts);
+                run.remaining -= spent;
+                run.total_spent += spent;
+                run.pre_pass = counts;
             }
+            return Ok(run);
+        };
+        saved.check_compatible(self.config.seed, budget, n)?;
+        if !saved.pre_pass.is_empty() {
+            self.source.note_round(0);
+            self.acquire_counts(&saved.pre_pass);
         }
-
-        // Written after the pre-pass (or a replay, where it rewrites the
-        // same state) so a crash inside round 1 can already resume.
-        if let Some(p) = &path {
-            cp::save(
-                p,
-                &cp::RoundCheckpoint {
-                    seed: self.config.seed,
-                    budget_bits: budget.to_bits(),
-                    num_slices: n as u64,
-                    pre_pass: pre_pass_log.clone(),
-                    rounds: rounds_log.clone(),
-                    remaining_bits: remaining.to_bits(),
-                    total_spent_bits: total_spent.to_bits(),
-                    t_bits: t.to_bits(),
-                    iterations: iterations as u64,
-                    inc: inc.as_ref().map(|s| s.snapshot()),
-                    drift: det.as_ref().map(|d| d.snapshot()),
-                },
-            )?;
-        }
-
-        // `ir` is always the live dataset's ratio at round start, so a
-        // resumed run recomputes it from the replayed dataset bit-exactly.
-        let mut ir = self.ds.imbalance_ratio();
-
-        // Step 8: while there is budget to spend. The affordability check
-        // re-reads costs every round because `C(s)` may have escalated since
-        // the last batch (Section 2.1: costs grow as data becomes scarcer,
-        // but are constant within a batch).
-        loop {
-            // The crash simulation: stop after k completed rounds, leaving
-            // the checkpoint for those rounds on disk (tests resume it).
-            if let Some(k) = self.config.halt_after_rounds {
-                if iterations >= k {
-                    break;
-                }
-            }
+        for (i, counts) in saved.rounds.iter().enumerate() {
             self.refresh_costs();
-            let min_cost = self
-                .ds
-                .costs()
-                .iter()
-                .cloned()
-                .fold(f64::INFINITY, f64::min);
-            if remaining < min_cost || iterations >= self.config.max_iterations {
-                break;
+            // Replayed draws must land on the same round numbers the
+            // original run acquired them at, or a drift plan would poison
+            // a different prefix of the rebuilt dataset.
+            self.source.note_round(i as u64 + 1);
+            self.acquire_counts(counts);
+        }
+        run.remaining = f64::from_bits(saved.remaining_bits);
+        run.total_spent = f64::from_bits(saved.total_spent_bits);
+        run.t = f64::from_bits(saved.t_bits);
+        run.iterations = saved.iterations as usize;
+        if let (Some(state), Some(snap)) = (run.inc.as_mut(), saved.inc.as_ref()) {
+            state.restore(snap);
+        }
+        if let (Some(det), Some(snap)) = (run.det.as_mut(), saved.drift.as_ref()) {
+            det.restore(snap);
+        }
+        run.pre_pass = saved.pre_pass;
+        run.rounds = saved.rounds;
+        Ok(run)
+    }
+
+    /// Algorithm 1's stop rule (step 8): the remaining budget cannot buy
+    /// one example of the cheapest slice, or the round cap is reached.
+    /// Costs are re-read first, because `C(s)` may have escalated since
+    /// the last batch (Section 2.1: costs grow as data becomes scarcer,
+    /// but are constant within a batch).
+    fn is_finished(&mut self, run: &IterativeRun) -> bool {
+        self.refresh_costs();
+        let min_cost = self.ds.costs().into_iter().fold(f64::INFINITY, f64::min);
+        run.remaining < min_cost || run.iterations >= self.config.max_iterations
+    }
+
+    /// Plans the next round (steps 8–15), or `None` once the stop rule
+    /// holds: estimates the curves, feeds the drift detector, solves §5.1,
+    /// caps the imbalance-ratio change at `T`, and rounds. Buys nothing,
+    /// but steps the estimation state (memos, dirty set, drift evidence,
+    /// warnings) as the round does.
+    pub fn plan_round(&mut self, run: &mut IterativeRun) -> Option<RoundPlan> {
+        if self.is_finished(run) {
+            return None;
+        }
+        let n = self.ds.num_slices();
+        let round = run.iterations as u64 + 1;
+        // Step 9's curves. `measured` records which slices this round
+        // actually re-measured (the rest splice in memoized estimates), so
+        // the drift detector only scores fresh evidence.
+        let (detailed, measured) = match run.inc.as_mut() {
+            None => (self.estimate_curves_detailed(round), vec![true; n]),
+            Some(state) => {
+                let measured = if self.config.mode == EstimationMode::Amortized
+                    || self.config.incremental_refit_all
+                    || !state.has_estimates()
+                {
+                    vec![true; n]
+                } else {
+                    state.dirty().to_vec()
+                };
+                (self.estimate_curves_incremental(round, state), measured)
             }
-            // Step 9: One-shot proposes spending the entire remaining budget.
-            // `measured` records which slices this round actually
-            // re-measured (the rest splice in memoized estimates), so the
-            // drift detector only scores fresh evidence.
-            let round = iterations as u64 + 1;
-            let (detailed, measured) = match inc.as_mut() {
-                None => (self.estimate_curves_detailed(round), vec![true; n]),
-                Some(state) => {
-                    let measured = if self.config.mode == EstimationMode::Amortized
-                        || self.config.incremental_refit_all
-                        || !state.has_estimates()
-                    {
-                        vec![true; n]
-                    } else {
-                        state.dirty().to_vec()
-                    };
-                    (self.estimate_curves_incremental(round, state), measured)
+        };
+        let mut curves = resolve_fallbacks(detailed.iter().map(|e| e.fit.clone()).collect());
+
+        if let Some(det) = run.det.as_mut() {
+            for flag in det.observe_round(&measured, &detailed) {
+                let resets = det.begin_recovery(flag.slice);
+                self.warnings.lock().push(TuningWarning::DriftDetected {
+                    slice: flag.slice,
+                    round,
+                    score: flag.score,
+                });
+                if resets > self.config.max_drift_resets {
+                    // Recovery ladder rung 3: the slice keeps drifting
+                    // through its recovery budget — stop buying its
+                    // poisoned data and say so through the quarantine
+                    // warning channel.
+                    det.quarantine(flag.slice);
+                    self.warnings
+                        .lock()
+                        .push(TuningWarning::EstimationQuarantined {
+                            slice: Some(flag.slice),
+                            round,
+                            attempts: resets,
+                            cause: "persistent drift: recovery budget exhausted".to_string(),
+                        });
+                } else if let Some(state) = run.inc.as_mut() {
+                    // Rungs 1–2: invalidate the memoized estimate and bump
+                    // the slice's measurement seed so next round refits
+                    // from fresh post-drift draws.
+                    state.force_dirty(flag.slice);
+                    state.seed_bumps[flag.slice] = resets as u64;
                 }
-            };
-            let curves = resolve_fallbacks(detailed.iter().map(|e| e.fit.clone()).collect());
-
-            if let Some(det) = det.as_mut() {
-                for flag in det.observe_round(&measured, &detailed) {
-                    let resets = det.begin_recovery(flag.slice);
-                    self.warnings.lock().push(TuningWarning::DriftDetected {
-                        slice: flag.slice,
-                        round,
-                        score: flag.score,
-                    });
-                    if resets > self.config.max_drift_resets {
-                        // Recovery ladder rung 3: the slice keeps drifting
-                        // through its recovery budget — stop buying its
-                        // poisoned data (allocation zeroing below) and say
-                        // so through the quarantine warning channel.
-                        det.quarantine(flag.slice);
-                        self.warnings
-                            .lock()
-                            .push(TuningWarning::EstimationQuarantined {
-                                slice: Some(flag.slice),
-                                round,
-                                attempts: resets,
-                                cause: "persistent drift: recovery budget exhausted".to_string(),
-                            });
-                    } else if let Some(state) = inc.as_mut() {
-                        // Rungs 1–2: invalidate the memoized estimate and
-                        // bump the slice's measurement seed so next round
-                        // refits from fresh post-drift draws.
-                        state.force_dirty(flag.slice);
-                        state.seed_bumps[flag.slice] = resets as u64;
-                    }
-                }
-            }
-
-            // A drift-quarantined slice's curve is replaced by a flat
-            // zero-benefit stand-in before allocation, so the solver routes
-            // its share to the clean slices instead of stranding it (zeroing
-            // the allocation after the fact would leave budget unspent).
-            let alloc_curves: Vec<PowerLaw> = match det.as_ref() {
-                None => curves.clone(),
-                Some(det) => curves
-                    .iter()
-                    .enumerate()
-                    .map(|(s, c)| {
-                        if det.is_quarantined(s) {
-                            PowerLaw::new(f64::MIN_POSITIVE, c.a)
-                        } else {
-                            *c
-                        }
-                    })
-                    .collect(),
-            };
-            let mut d = self.one_shot_allocation(&alloc_curves, remaining);
-            if let Some(det) = det.as_ref() {
-                for (s, x) in d.iter_mut().enumerate() {
-                    if det.is_quarantined(s) {
-                        *x = 0.0;
-                    }
-                }
-            }
-
-            // Steps 10–15: cap the imbalance-ratio change at T.
-            let sizes: Vec<f64> = self.ds.train_sizes().iter().map(|&s| s as f64).collect();
-            let proposed: Vec<f64> = sizes.iter().zip(&d).map(|(s, x)| s + x).collect();
-            let after_ir = imbalance_of(&proposed);
-            if (after_ir - ir).abs() > t {
-                let target = ir + t * (after_ir - ir).signum();
-                let ratio = st_optim::change_ratio(&sizes, &d, target);
-                for x in &mut d {
-                    *x *= ratio;
-                }
-            }
-
-            // Step 16: collect the data.
-            let before = self.ds.train_sizes();
-            self.source.note_round(round);
-            let (spent, counts) = self.acquire_logged(&d, remaining);
-            if spent <= 0.0 {
-                break; // nothing affordable remained
-            }
-            if let Some(state) = inc.as_mut() {
-                state.mark_dirty(&before, &self.ds.train_sizes());
-            }
-            if let Some(det) = det.as_mut() {
-                // Bounded staleness: clean slices whose neighbors' growth
-                // crossed the bound are re-measured next round even though
-                // their own data never changed (pinned seed, no bump — a
-                // plain memo invalidation).
-                for s in det.note_growth(&before, &self.ds.train_sizes()) {
-                    if let Some(state) = inc.as_mut() {
-                        state.force_dirty(s);
-                    }
-                }
-            }
-            remaining -= spent;
-            total_spent += spent;
-            iterations += 1;
-            rounds_log.push(counts);
-
-            // Steps 19–20.
-            t = schedule.increase(t);
-            ir = self.ds.imbalance_ratio();
-
-            if let Some(p) = &path {
-                cp::save(
-                    p,
-                    &cp::RoundCheckpoint {
-                        seed: self.config.seed,
-                        budget_bits: budget.to_bits(),
-                        num_slices: n as u64,
-                        pre_pass: pre_pass_log.clone(),
-                        rounds: rounds_log.clone(),
-                        remaining_bits: remaining.to_bits(),
-                        total_spent_bits: total_spent.to_bits(),
-                        t_bits: t.to_bits(),
-                        iterations: iterations as u64,
-                        inc: inc.as_ref().map(|s| s.snapshot()),
-                        drift: det.as_ref().map(|d| d.snapshot()),
-                    },
-                )?;
             }
         }
-        Ok((iterations.max(1), total_spent))
+
+        // A drift-quarantined slice's curve is replaced by a flat
+        // zero-benefit stand-in before allocation, so the solver routes its
+        // share to the clean slices instead of stranding it (zeroing the
+        // allocation after the fact would leave budget unspent).
+        let quarantined = |s: usize| run.det.as_ref().is_some_and(|d| d.is_quarantined(s));
+        for (s, c) in curves.iter_mut().enumerate() {
+            if quarantined(s) {
+                *c = PowerLaw::new(f64::MIN_POSITIVE, c.a);
+            }
+        }
+        let mut raw = self.one_shot_allocation(&curves, run.remaining);
+        for (s, x) in raw.iter_mut().enumerate() {
+            if quarantined(s) {
+                *x = 0.0;
+            }
+        }
+
+        // Steps 10–15: cap the imbalance-ratio change at T, measured from
+        // the live dataset's ratio (a resumed run recomputes it from the
+        // replayed dataset bit-exactly).
+        let ir = self.ds.imbalance_ratio();
+        let sizes: Vec<f64> = self.ds.train_sizes().iter().map(|&s| s as f64).collect();
+        let proposed: Vec<f64> = sizes.iter().zip(&raw).map(|(s, x)| s + x).collect();
+        let after_ir = imbalance_of(&proposed);
+        let mut capped = raw.clone();
+        if (after_ir - ir).abs() > run.t {
+            let target = ir + run.t * (after_ir - ir).signum();
+            let ratio = st_optim::change_ratio(&sizes, &raw, target);
+            for x in &mut capped {
+                *x *= ratio;
+            }
+        }
+        let counts = st_optim::round_to_budget(&capped, &self.ds.costs(), run.remaining);
+        Some(RoundPlan {
+            curves,
+            raw,
+            capped,
+            counts,
+        })
+    }
+
+    /// Executes a [`plan_round`](Self::plan_round) plan (steps 16–20):
+    /// acquires its counts, marks the slices it grew dirty, steps the
+    /// staleness counters, the budget, the round count and `T`. Returns
+    /// false when nothing was bought, which ends Algorithm 1.
+    pub fn apply_round(&mut self, run: &mut IterativeRun, plan: &RoundPlan) -> bool {
+        let before = self.ds.train_sizes();
+        self.source.note_round(run.iterations as u64 + 1);
+        let spent = self.acquire_counts(&plan.counts);
+        if spent <= 0.0 {
+            return false;
+        }
+        let after = self.ds.train_sizes();
+        if let Some(state) = run.inc.as_mut() {
+            state.mark_dirty(&before, &after);
+        }
+        if let Some(det) = run.det.as_mut() {
+            // Bounded staleness: clean slices whose neighbors' growth
+            // crossed the bound are re-measured next round even though
+            // their own data never changed (pinned seed, no bump — a plain
+            // memo invalidation).
+            for s in det.note_growth(&before, &after) {
+                if let Some(state) = run.inc.as_mut() {
+                    state.force_dirty(s);
+                }
+            }
+        }
+        run.remaining -= spent;
+        run.total_spent += spent;
+        run.iterations += 1;
+        run.rounds.push(plan.counts.clone());
+        run.t = run.schedule.increase(run.t);
+        true
+    }
+
+    /// Writes `run` to [`TunerConfig::checkpoint`] (a no-op without one):
+    /// the state [`begin_iterative`](Self::begin_iterative) resumes from.
+    fn save_checkpoint(&self, run: &IterativeRun) -> Result<(), CheckpointError> {
+        let Some(path) = &self.config.checkpoint else {
+            return Ok(());
+        };
+        checkpoint::save(
+            path,
+            &RoundCheckpoint {
+                seed: self.config.seed,
+                budget_bits: run.budget.to_bits(),
+                num_slices: self.ds.num_slices() as u64,
+                pre_pass: run.pre_pass.clone(),
+                rounds: run.rounds.clone(),
+                remaining_bits: run.remaining.to_bits(),
+                total_spent_bits: run.total_spent.to_bits(),
+                t_bits: run.t.to_bits(),
+                iterations: run.iterations as u64,
+                inc: run.inc.as_ref().map(|s| s.snapshot()),
+                drift: run.det.as_ref().map(|d| d.snapshot()),
+            },
+        )
+    }
+
+    /// Saves `run` (so a crash inside the next round can resume), then
+    /// steps it round by round, saving after each, until Algorithm 1 stops
+    /// or `until` rounds have completed. Returns whether the run is over:
+    /// the stop rule holds, or a round bought nothing.
+    ///
+    /// # Errors
+    /// The checkpoint file cannot be written.
+    pub fn run_rounds(
+        &mut self,
+        run: &mut IterativeRun,
+        until: Option<usize>,
+    ) -> Result<bool, CheckpointError> {
+        self.save_checkpoint(run)?;
+        while until.is_none_or(|k| run.iterations < k) {
+            let Some(plan) = self.plan_round(run) else {
+                return Ok(true);
+            };
+            if !self.apply_round(run, &plan) {
+                return Ok(true);
+            }
+            self.save_checkpoint(run)?;
+        }
+        Ok(self.is_finished(run))
     }
 
     /// The ε-greedy rotting-bandit baseline: each round spends one batch on
@@ -1312,17 +1357,8 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
     /// from the source, absorbs the data, and returns the cost actually
     /// charged (sources may under-deliver).
     fn acquire_rounded(&mut self, d: &[f64], budget: f64) -> f64 {
-        self.acquire_logged(d, budget).0
-    }
-
-    /// [`acquire_rounded`](Self::acquire_rounded) also returning the
-    /// rounded integer counts — the exact replay unit the checkpoint
-    /// records.
-    fn acquire_logged(&mut self, d: &[f64], budget: f64) -> (f64, Vec<usize>) {
-        let costs = self.ds.costs();
-        let counts = st_optim::round_to_budget(d, &costs, budget);
-        let spent = self.acquire_counts(&counts);
-        (spent, counts)
+        let counts = st_optim::round_to_budget(d, &self.ds.costs(), budget);
+        self.acquire_counts(&counts)
     }
 
     /// Acquires exact per-slice counts: the checkpoint replay primitive,
@@ -1397,10 +1433,8 @@ fn shape_key(slice_lens: Vec<usize>) -> impl Fn(&MeasureRequest) -> u64 {
 }
 
 /// Replaces failed fits with the log-mean of the successful ones (or a mild
-/// default when nothing fits): the curves the engine allocates on. The
-/// error type is free so callers holding stored fits (a checkpoint's error
-/// codes) resolve them exactly as the engine does.
-pub fn resolve_fallbacks<E>(fits: Vec<Result<PowerLaw, E>>) -> Vec<PowerLaw> {
+/// default when nothing fits): the curves the engine allocates on.
+fn resolve_fallbacks<E>(fits: Vec<Result<PowerLaw, E>>) -> Vec<PowerLaw> {
     let ok: Vec<PowerLaw> = fits
         .iter()
         .filter_map(|f| f.as_ref().ok())

@@ -8,7 +8,7 @@ use rand::Rng;
 use st_linalg::Matrix;
 use std::fmt;
 use std::ops::Range;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 /// Train and validation examples for one slice.
 #[derive(Debug, Clone, Default)]
@@ -255,15 +255,6 @@ pub struct SubsetRows {
     pub per_slice: Vec<usize>,
 }
 
-/// True when `ST_NO_MATRIX_CACHE=1`: [`SlicedDataset::matrices`] rebuilds
-/// the dense snapshot on every call instead of reusing the cached one.
-/// Rebuilds are bit-identical to cache hits by construction; CI runs the
-/// proptest suites under this to guard the contract. Read once per process.
-pub fn matrix_cache_disabled() -> bool {
-    static DISABLED: OnceLock<bool> = OnceLock::new();
-    *DISABLED.get_or_init(|| std::env::var("ST_NO_MATRIX_CACHE").as_deref() == Ok("1"))
-}
-
 /// A recoverable [`SlicedDataset::try_absorb`] rejection: an example named
 /// a slice the dataset does not have. Nothing was absorbed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -488,7 +479,7 @@ impl SlicedDataset {
                 "acquired example for unknown slice {idx}"
             );
         }
-        if self.incremental_snapshot && self.feature_dim > 0 && !matrix_cache_disabled() {
+        if self.incremental_snapshot && self.feature_dim > 0 {
             self.absorb_append(acquired);
         } else {
             for e in acquired {
@@ -680,21 +671,15 @@ impl SlicedDataset {
     /// `slices`) without changing a list's length or its endpoint
     /// examples must call [`Self::invalidate_matrices`] before the next
     /// read, or it will be served the cached snapshot of the old data.
-    ///
-    /// `ST_NO_MATRIX_CACHE=1` disables all reuse ([`matrix_cache_disabled`]);
-    /// rebuilds are bit-identical, so this only trades speed for a
-    /// stronger CI shakeout.
     pub fn matrices(&self) -> Arc<DatasetMatrices> {
         let (sig_train, sig_val) = self.matrices_sigs();
         let mut reuse_val = None;
-        if !matrix_cache_disabled() {
-            if let Some(cached) = self.matrices.lock().expect("matrix cache lock").as_ref() {
-                if cached.sig_train == sig_train && cached.sig_val == sig_val {
-                    return Arc::clone(cached);
-                }
-                if cached.sig_val == sig_val {
-                    reuse_val = Some((Arc::clone(&cached.val_x), Arc::clone(&cached.val_y)));
-                }
+        if let Some(cached) = self.matrices.lock().expect("matrix cache lock").as_ref() {
+            if cached.sig_train == sig_train && cached.sig_val == sig_val {
+                return Arc::clone(cached);
+            }
+            if cached.sig_val == sig_val {
+                reuse_val = Some((Arc::clone(&cached.val_x), Arc::clone(&cached.val_y)));
             }
         }
         let built = Arc::new(self.build_with(sig_train, sig_val, reuse_val));
@@ -1033,23 +1018,19 @@ mod tests {
         let mut ds = SlicedDataset::generate(&fam, &[8, 8, 8], 4, 9);
         let a = ds.matrices();
         let b = ds.matrices();
-        if !matrix_cache_disabled() {
-            assert!(Arc::ptr_eq(&a, &b), "unchanged data must hit the cache");
-        }
+        assert!(Arc::ptr_eq(&a, &b), "unchanged data must hit the cache");
         // Acquisition moves the signature: the snapshot is rebuilt …
         ds.absorb(fam.sample_slice_seeded(SliceId(1), 3, 9, 42));
         let c = ds.matrices();
         assert!(!Arc::ptr_eq(&a, &c), "absorb must invalidate the snapshot");
         assert_eq!(c.train_x.rows(), 27);
         assert_eq!(c.slice_rows[1], 8..19);
-        if !matrix_cache_disabled() {
-            // Acquisition touches only training data: the validation
-            // matrices are carried over by Arc, not re-stacked.
-            assert!(
-                Arc::ptr_eq(&a.val_x, &c.val_x) && Arc::ptr_eq(&a.val_y, &c.val_y),
-                "absorb must not rebuild the validation matrices"
-            );
-        }
+        // Acquisition touches only training data: the validation
+        // matrices are carried over by Arc, not re-stacked.
+        assert!(
+            Arc::ptr_eq(&a.val_x, &c.val_x) && Arc::ptr_eq(&a.val_y, &c.val_y),
+            "absorb must not rebuild the validation matrices"
+        );
         // … and matches a from-scratch build bit for bit.
         let fresh = ds.build_matrices();
         assert_eq!(c.train_x.as_slice(), fresh.train_x.as_slice());
@@ -1129,12 +1110,10 @@ mod tests {
         let mut ds = SlicedDataset::generate(&family(), &[4, 4, 4], 2, 5);
         let before = ds.matrices();
         ds.absorb(Vec::new());
-        if !matrix_cache_disabled() {
-            assert!(
-                Arc::ptr_eq(&before, &ds.matrices()),
-                "absorbing nothing must preserve snapshot identity"
-            );
-        }
+        assert!(
+            Arc::ptr_eq(&before, &ds.matrices()),
+            "absorbing nothing must preserve snapshot identity"
+        );
         assert_eq!(ds.train_sizes(), vec![4, 4, 4]);
     }
 
@@ -1177,12 +1156,6 @@ mod tests {
         let expected_new: Vec<_> = acquired.clone();
         ds.absorb(acquired);
         let after = ds.matrices();
-        if matrix_cache_disabled() {
-            // With reuse disabled the append path is skipped; the rebuilt
-            // snapshot is canonical.
-            assert!(after.is_slice_major());
-            return;
-        }
         // Appended layout: old rows untouched, new rows at the bottom.
         assert!(!after.is_slice_major());
         assert!(after.slice_rows.is_empty());

@@ -36,9 +36,7 @@ pub mod slicing;
 pub mod splits;
 
 pub use augment::AugmentConfig;
-pub use dataset::{
-    matrix_cache_disabled, AbsorbError, DatasetMatrices, SliceData, SlicedDataset, SubsetRows,
-};
+pub use dataset::{AbsorbError, DatasetMatrices, SliceData, SlicedDataset, SubsetRows};
 pub use drift::{DriftEvent, DriftKind, DriftPlan};
 pub use example::{Example, SliceId};
 pub use generator::{DatasetFamily, GaussianSliceModel, LabelCluster, SliceSpec};

@@ -157,9 +157,7 @@ proptest! {
     /// be bit-identical to a from-scratch `build_matrices()` at every
     /// point of a mutate/read sequence — before any acquisition, after an
     /// acquisition step invalidates the (train half of the) cache, and
-    /// after an explicit invalidation. Under `ST_NO_MATRIX_CACHE=1` the
-    /// same assertions run with reuse disabled, guarding the
-    /// rebuild-equals-hit half of the contract.
+    /// after an explicit invalidation.
     #[test]
     fn cached_matrices_bit_identical_to_fresh_gather(
         fam in arb_family(),
@@ -190,8 +188,7 @@ proptest! {
         // Acquisition invalidates: the rebuilt snapshot must track it.
         ds.absorb(fam.sample_slice_seeded(st_data::SliceId(seed as usize % n), grow, seed, 7));
         check(&ds);
-        // A second read is a cache hit (or a rebuild under
-        // ST_NO_MATRIX_CACHE=1) — same bits either way.
+        // A second read is a cache hit — the same bits as a rebuild.
         check(&ds);
         ds.invalidate_matrices();
         check(&ds);

@@ -3168,15 +3168,6 @@ pub fn simd_force_names() -> &'static str {
     "avx2 | scalar"
 }
 
-/// True when `ST_PREPACK=1`: the model stack routes even its single-use
-/// forward products through the prepacked API (pack-on-call), so one CI
-/// run exercises every prepacked code path across the whole suite.
-/// Bit-identical by the prepacked contract; read once per process.
-pub fn prepack_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var("ST_PREPACK").as_deref() == Ok("1"))
-}
-
 static ACTIVE_KERNEL: OnceLock<KernelKind> = OnceLock::new();
 
 fn kind_from_env() -> KernelKind {

@@ -29,9 +29,9 @@ pub mod vector;
 
 pub use fault::{fault_grammar, FaultPlan};
 pub use kernel::{
-    kernel, kernel_kind, kernel_names, kernel_threads, prepack_forced, set_kernel,
-    set_kernel_threads, simd_force_names, BlockedKernel, FastKernel, GemmBackend, KernelKind,
-    NaiveKernel, PackedA, PackedB, ShardedKernel, SimdKernel, MAX_PANEL_WIDTH,
+    kernel, kernel_kind, kernel_names, kernel_threads, set_kernel, set_kernel_threads,
+    simd_force_names, BlockedKernel, FastKernel, GemmBackend, KernelKind, NaiveKernel, PackedA,
+    PackedB, ShardedKernel, SimdKernel, MAX_PANEL_WIDTH,
 };
 pub use matrix::{
     matmul_batched_nt_into, matmul_batched_prepacked_bias_into,

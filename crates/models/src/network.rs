@@ -47,13 +47,6 @@ impl Layer {
     /// [`forward`](Self::forward) into a reusable output matrix (same
     /// ops, identical bits, no allocation in steady state).
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        if st_linalg::prepack_forced() {
-            // ST_PREPACK=1: route even single-use forwards through the
-            // prepacked API (pack-on-call) so CI exercises it everywhere.
-            let pack = self.pack_weights();
-            self.forward_prepacked_into(&pack, x, out);
-            return;
-        }
         x.matmul_into(&self.w, out);
         out.add_bias_rows(&self.b);
     }

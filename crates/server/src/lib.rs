@@ -10,6 +10,12 @@
 //!   ([`session::Session::advance`]), the session is marked degraded, and
 //!   the next request transparently resumes bit-identically — recovery
 //!   *is* the normal code path.
+//! * **One Algorithm 1.** Advances step the engine's
+//!   [`slice_tuner::SliceTuner::plan_round`] /
+//!   [`apply_round`](slice_tuner::SliceTuner::apply_round); `complete`
+//!   turns true on the advance that ends the run. `/allocation` returns
+//!   the plan the next advance executes (raw, capped, and counts) at the
+//!   cost of one estimation, and answers `409` before the first advance.
 //! * **Deadlines.** Every request read enforces a total wall-clock
 //!   deadline (`408` past it), and jobs that waited in the queue longer
 //!   than the deadline are shed with `503 Retry-After`.
@@ -51,7 +57,7 @@
 //! | POST | `/sessions/<id>/advance` | advance one round (idempotent) |
 //! | GET | `/sessions/<id>` | session status |
 //! | GET | `/sessions/<id>/curves` | the curve zoo |
-//! | GET | `/sessions/<id>/allocation` | allocation of the remaining budget |
+//! | GET | `/sessions/<id>/allocation` | the plan the next advance executes |
 //! | POST | `/shutdown` | graceful drain |
 
 pub mod client;

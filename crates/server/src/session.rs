@@ -15,16 +15,16 @@
 //! injection point at the top (attempt 0 only, mirroring `trial_panic`).
 
 use serde::json::Value;
-use slice_tuner::checkpoint::{self, RoundCheckpoint};
-use slice_tuner::{resolve_fallbacks, PoolSource, SliceTuner, Strategy, TSchedule, TunerConfig};
-use st_curve::{EstimationMode, PowerLaw};
+use slice_tuner::checkpoint::{self, CheckpointError, RoundCheckpoint};
+use slice_tuner::{IterativeRun, PoolSource, RoundPlan, SliceTuner, TSchedule, TunerConfig};
+use st_curve::EstimationMode;
 use st_data::{families, io, DatasetFamily, SlicedDataset};
 use st_linalg::fault;
 use st_models::ModelSpec;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Resolves a family name the same way the CLI does.
+/// Resolves a family name (shared with the CLI).
 pub fn family_by_name(name: &str) -> Result<DatasetFamily, String> {
     match name {
         "fashion" => Ok(families::fashion()),
@@ -38,7 +38,9 @@ pub fn family_by_name(name: &str) -> Result<DatasetFamily, String> {
     }
 }
 
-fn spec_for(family: &DatasetFamily) -> ModelSpec {
+/// The shared model for a family: softmax for binary labels, else the
+/// basic MLP (shared with the CLI).
+pub fn spec_for(family: &DatasetFamily) -> ModelSpec {
     if family.num_classes == 2 {
         ModelSpec::softmax()
     } else {
@@ -133,12 +135,16 @@ impl SessionSpec {
                 sizes.len()
             ));
         }
+        let validation = get_u64("validation", 60)? as usize;
+        if validation == 0 {
+            return Err("field 'validation' must be at least 1 (losses are measured on it)".into());
+        }
         let spec = SessionSpec {
             family,
             seed: get_u64("seed", 7)?,
             budget: get_u64("budget", 400)?,
             sizes,
-            validation: get_u64("validation", 60)? as usize,
+            validation,
             epochs: (get_u64("epochs", 8)? as usize).clamp(1, 200),
             repeats: (get_u64("repeats", 1)? as usize).clamp(1, 8),
             max_rounds: get_u64("max_rounds", 8)?.clamp(1, 64),
@@ -168,8 +174,9 @@ pub struct Session {
     pub csv_path: String,
     /// Completed acquisition rounds, mirrored from the checkpoint.
     pub rounds: u64,
-    /// True once an advance stopped making progress (budget or schedule
-    /// exhausted) — further advances are served from the checkpoint.
+    /// True once an advance ended the run: Algorithm 1's stop rule holds
+    /// (budget or round cap spent) or a round bought nothing. Further
+    /// advances are served from the checkpoint.
     pub complete: bool,
     /// True if any advance attempt panicked. Sticky: a degraded session
     /// keeps serving (crash-only), the flag is diagnostic.
@@ -243,28 +250,42 @@ impl Session {
         Ok(ds)
     }
 
-    fn config(&self, halt_after: u64, repeats: usize, threads: usize) -> TunerConfig {
+    /// Rebuilds the session's engine from its durable inputs, resumes
+    /// Algorithm 1 from the checkpoint, and hands both to `step`.
+    fn with_run<T>(
+        &self,
+        repeats: usize,
+        threads: usize,
+        step: impl FnOnce(
+            &mut SliceTuner<'_, PoolSource>,
+            &mut IterativeRun,
+        ) -> Result<T, CheckpointError>,
+    ) -> Result<T, String> {
         let mut cfg = TunerConfig::new(spec_for(&self.family))
             .with_seed(self.spec.seed)
             .with_mode(EstimationMode::Exhaustive)
             .with_incremental()
             .with_checkpoint(&self.checkpoint_path)
-            .with_resume()
-            .with_halt_after_rounds(halt_after as usize);
+            .with_resume();
         cfg.train.epochs = self.spec.epochs;
         cfg.fractions = vec![0.4, 0.7, 1.0];
         cfg.repeats = repeats;
         cfg.threads = threads.max(1);
         cfg.max_iterations = self.spec.max_rounds as usize;
-        cfg
+        let mut pool = PoolSource::new(self.family.clone(), self.spec.seed);
+        let mut tuner = SliceTuner::new(self.build_dataset()?, &mut pool, cfg);
+        tuner
+            .begin_iterative(TSchedule::moderate(), self.spec.budget as f64)
+            .and_then(|mut run| step(&mut tuner, &mut run))
+            .map_err(|e| e.to_string())
     }
 
     /// Advances the session to `target` rounds (resuming from the
     /// checkpoint), isolating panics. `repeats` may be shrunk by the
     /// degradation ladder; `threads` comes from the supervisor's thread
-    /// budget. Returns whether the run actually reached `target` (it may
-    /// legitimately stop earlier when the budget or schedule is spent —
-    /// the session is then complete).
+    /// budget. The run may legitimately stop before `target` when the
+    /// budget or round cap is spent; the advance that ends the run marks
+    /// the session complete.
     pub fn advance(
         &mut self,
         target: u64,
@@ -280,66 +301,22 @@ impl Session {
                     self.id, target
                 );
             }
-            let ds = self.build_dataset().map_err(AdvanceError::Engine)?;
-            let mut pool = PoolSource::new(self.family.clone(), self.spec.seed);
-            let cfg = self.config(target, repeats, threads);
-            let mut tuner = SliceTuner::new(ds, &mut pool, cfg);
-            tuner
-                .try_run(
-                    Strategy::Iterative(TSchedule::moderate()),
-                    self.spec.budget as f64,
-                )
-                .map(|_| ())
-                .map_err(|e| AdvanceError::Engine(e.to_string()))
+            self.with_run(repeats, threads, |tuner, run| {
+                let over = tuner.run_rounds(run, Some(target as usize))?;
+                Ok((run.iterations() as u64, over))
+            })
+            .map_err(AdvanceError::Engine)
         }));
-        let result = match outcome {
-            Ok(r) => r,
+        let (rounds, over) = match outcome {
+            Ok(r) => r?,
             Err(payload) => {
                 self.degraded = true;
                 return Err(AdvanceError::Panicked(payload_text(payload.as_ref())));
             }
         };
-        result?;
-        let before = self.rounds;
-        self.refresh_from_checkpoint()
-            .map_err(AdvanceError::Engine)?;
-        // No forward progress toward the target means the tuner's budget
-        // or schedule is exhausted: the session is complete as-is.
-        if self.rounds < target && self.rounds == before {
-            self.complete = true;
-        }
-        if self.rounds >= self.spec.max_rounds {
-            self.complete = true;
-        }
+        self.rounds = rounds;
+        self.complete |= over;
         Ok(())
-    }
-
-    /// Re-reads the cached round counter from the checkpoint.
-    pub fn refresh_from_checkpoint(&mut self) -> Result<(), String> {
-        if let Some(cp) = self.load_checkpoint()? {
-            self.rounds = cp.iterations;
-        }
-        Ok(())
-    }
-
-    /// Current per-slice training sizes implied by the checkpoint:
-    /// initial + uploaded + pre-pass + all recorded round acquisitions.
-    fn sizes_after(&self, cp: &RoundCheckpoint) -> Result<Vec<f64>, String> {
-        let ds = self.build_dataset()?;
-        let mut sizes: Vec<f64> = ds.train_sizes().iter().map(|&s| s as f64).collect();
-        for (i, &n) in cp.pre_pass.iter().enumerate() {
-            if let Some(s) = sizes.get_mut(i) {
-                *s += n as f64;
-            }
-        }
-        for round in &cp.rounds {
-            for (i, &n) in round.iter().enumerate() {
-                if let Some(s) = sizes.get_mut(i) {
-                    *s += n as f64;
-                }
-            }
-        }
-        Ok(sizes)
     }
 
     /// The curve zoo: per-slice power-law fits from the checkpoint's
@@ -357,32 +334,29 @@ impl Session {
         Ok(prev.iter().map(|e| e.fit.clone()).collect())
     }
 
-    /// The allocation the tuner would spend the remaining budget on — a
-    /// pure function of the checkpoint, computed without training.
-    /// Slices whose fit failed get the engine's fallback curve
-    /// ([`resolve_fallbacks`]: the log-mean of the successful fits). A
-    /// complete session, or one whose checkpoint meets the engine's stop
-    /// condition (the cheapest slice is unaffordable or the round cap is
-    /// reached), spends nothing more: its allocation is all zeros.
-    pub fn allocation(&self) -> Result<(Vec<f64>, f64), String> {
+    /// The plan the next advance executes — the engine's
+    /// [`SliceTuner::plan_round`] on the resumed state, at the cost of one
+    /// estimation — and the remaining budget. `None` once the session is
+    /// complete. Writes nothing.
+    pub fn next_round(&self) -> Result<(Option<RoundPlan>, f64), String> {
         let cp = self
             .load_checkpoint()?
             .ok_or("no rounds completed yet (advance first)")?;
-        let curves = resolve_fallbacks(
-            self.curves()?
-                .into_iter()
-                .map(|fit| fit.map(|(b, a)| PowerLaw::new(f64::from_bits(b), f64::from_bits(a))))
-                .collect(),
-        );
-        let costs = self.family.costs();
         let remaining = f64::from_bits(cp.remaining_bits).max(0.0);
-        let min_cost = costs.iter().cloned().fold(f64::INFINITY, f64::min);
-        if self.complete || remaining < min_cost || cp.iterations >= self.spec.max_rounds {
-            return Ok((vec![0.0; curves.len()], remaining));
+        if self.complete {
+            return Ok((None, remaining));
         }
-        let sizes = self.sizes_after(&cp)?;
-        let problem = st_optim::AcquisitionProblem::new(curves, sizes, costs, remaining, 1.0);
-        Ok((st_optim::solve(&problem).0, remaining))
+        let plan = self.with_run(self.spec.repeats, 1, |tuner, run| Ok(tuner.plan_round(run)))?;
+        Ok((plan, remaining))
+    }
+
+    /// The continuous allocation the next advance rounds and buys (after
+    /// the imbalance-ratio cap), and the remaining budget; all zeros once
+    /// no advance will spend.
+    pub fn allocation(&self) -> Result<(Vec<f64>, f64), String> {
+        let (plan, remaining) = self.next_round()?;
+        let capped = plan.map_or_else(|| vec![0.0; self.family.num_slices()], |p| p.capped);
+        Ok((capped, remaining))
     }
 
     /// The session's status document. `stale` marks a response served
@@ -450,17 +424,27 @@ impl Session {
         .to_json())
     }
 
-    /// The allocation as a JSON document.
+    /// The next round's plan as a JSON document: the solver's allocation,
+    /// the capped one, and the whole examples the next advance buys.
     pub fn allocation_json(&self) -> Result<String, String> {
-        let (d, remaining) = self.allocation()?;
-        let arr: Vec<Value> = d.iter().map(|x| Value::Str(format!("{x:.3}"))).collect();
+        let (plan, remaining) = self.next_round()?;
+        let n = self.family.num_slices();
+        let (raw, capped, counts) = match plan {
+            Some(p) => (p.raw, p.capped, p.counts),
+            None => (vec![0.0; n], vec![0.0; n], vec![0; n]),
+        };
+        let floats =
+            |v: &[f64]| Value::Arr(v.iter().map(|x| Value::Str(format!("{x:.3}"))).collect());
+        let counts = counts.iter().map(|&c| Value::from_u64(c as u64)).collect();
         Ok(Value::Obj(vec![
             ("id".to_string(), Value::from_u64(self.id)),
             (
                 "remaining".to_string(),
                 Value::Str(format!("{remaining:.3}")),
             ),
-            ("allocation".to_string(), Value::Arr(arr)),
+            ("raw".to_string(), floats(&raw)),
+            ("allocation".to_string(), floats(&capped)),
+            ("counts".to_string(), Value::Arr(counts)),
         ])
         .to_json())
     }
@@ -469,6 +453,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use st_curve::PowerLaw;
 
     fn tmpdir(tag: &str) -> String {
         let dir = std::env::temp_dir().join(format!("st_server_session_{tag}"));
@@ -497,9 +482,75 @@ mod tests {
         assert!(SessionSpec::parse(r#"{"family":"census","sizes":[1,2]}"#)
             .unwrap_err()
             .contains("slices"));
+        assert!(SessionSpec::parse(r#"{"family":"census","validation":0}"#)
+            .unwrap_err()
+            .contains("'validation' must be at least 1"));
         let spec = SessionSpec::parse(r#"{"family":"census"}"#).expect("defaults");
         assert_eq!(spec.sizes.len(), 4);
         assert_eq!(spec.budget, 400);
+    }
+
+    /// A census session with the server's default register body.
+    fn default_session(seed: u64, dir: &str) -> Session {
+        let body = format!(r#"{{"family":"census","seed":{seed}}}"#);
+        Session::new(seed, SessionSpec::parse(&body).expect("valid spec"), dir).expect("session")
+    }
+
+    #[test]
+    fn allocation_is_the_plan_the_next_advance_executes() {
+        let dir = tmpdir("next_round");
+        for seed in 0..8 {
+            let mut s = default_session(seed, &dir);
+            assert!(s.next_round().is_err(), "no plan before the first advance");
+            s.advance(1, 1, 1).expect("first advance");
+            loop {
+                let doc = std::fs::read(&s.checkpoint_path).expect("checkpoint");
+                let (plan, _) = s.next_round().expect("plan");
+                let (capped, _) = s.allocation().expect("allocation");
+                let after = std::fs::read(&s.checkpoint_path).expect("checkpoint");
+                assert_eq!(doc, after, "seed {seed}: planning must write nothing");
+                let Some(plan) = plan else {
+                    assert!(
+                        s.complete,
+                        "seed {seed}: only a complete session has no plan"
+                    );
+                    break;
+                };
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&capped), bits(&plan.capped), "seed {seed}");
+                let round = s.rounds + 1;
+                s.advance(round, 1, 1).expect("advance");
+                let cp = s.load_checkpoint().expect("load").expect("present");
+                assert_eq!(cp.iterations, round, "seed {seed}: the planned round ran");
+                assert_eq!(
+                    cp.rounds.last(),
+                    Some(&plan.counts),
+                    "seed {seed} round {round}: the advance bought another plan"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_advance_that_ends_the_run_reports_complete() {
+        let dir = tmpdir("complete");
+        let mut budget_ended = 0;
+        for seed in 0..8 {
+            let mut s = default_session(seed, &dir);
+            let mut advances = 0;
+            while !s.complete {
+                s.advance(s.rounds + 1, 1, 1).expect("advance");
+                advances += 1;
+            }
+            assert_eq!(
+                advances, s.rounds,
+                "seed {seed}: every advance bought a round, the last one said it was the last"
+            );
+            if s.rounds < s.spec.max_rounds {
+                budget_ended += 1;
+            }
+        }
+        assert!(budget_ended > 0, "some session must run out of budget");
     }
 
     #[test]

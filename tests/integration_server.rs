@@ -150,11 +150,16 @@ fn lifecycle_round_trip_over_http() {
     let (status, text) = raw_request(addr, "GET", "/sessions/0/allocation", "");
     assert_eq!(status, 200, "{text}");
     assert!(text.contains("\"allocation\""), "{text}");
+    assert!(text.contains("\"counts\""), "{text}");
 
     let (status, _) = raw_request(addr, "GET", "/sessions/9", "");
     assert_eq!(status, 404);
     let (status, _) = raw_request(addr, "POST", "/sessions", "{\"family\":\"nope\"}");
     assert_eq!(status, 400);
+    let body = "{\"family\":\"census\",\"validation\":0}";
+    let (status, text) = raw_request(addr, "POST", "/sessions", body);
+    assert_eq!(status, 400, "{text}");
+    assert!(text.contains("bad_register"), "{text}");
     let (status, text) = raw_request(addr, "GET", "/stats", "");
     assert_eq!(status, 200);
     assert!(text.contains("\"sessions\":1"), "{text}");
