@@ -215,9 +215,7 @@ pub fn quick() -> bool {
 }
 
 /// Deterministic dense test data for the kernel-layer microbenches
-/// (SplitMix64 stream in `[-1, 1)`), shared by the `kernels` and
-/// `pipeline` bins so their inputs — and therefore their bit
-/// cross-checks — stay in lockstep.
+/// (SplitMix64 stream in `[-1, 1)`).
 pub fn bench_fill(len: usize, seed: u64) -> Vec<f64> {
     let mut rng = st_linalg::SplitMix64::new(seed);
     (0..len).map(|_| rng.next_f64() * 2.0 - 1.0).collect()

@@ -56,6 +56,7 @@ fn main() -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    install_env_plans();
     let result = match parsed.command.as_deref() {
         Some("tune") => cmd_tune(&parsed),
         Some("curves") => cmd_curves(&parsed),
@@ -79,6 +80,27 @@ fn main() -> ExitCode {
     }
 }
 
+/// Reads `ST_FAULT` and `ST_DRIFT` once and installs the plans they
+/// compile to, before any command runs (`serve` and `call` included). The
+/// libraries never read the environment; an unknown spec warns and the
+/// rest of the value still applies.
+fn install_env_plans() {
+    if let Ok(spec) = std::env::var("ST_FAULT") {
+        let (plan, errors) = st_linalg::fault::parse_plan_lenient(&spec);
+        for e in errors {
+            eprintln!("warning: {e}");
+        }
+        st_linalg::fault::install(plan);
+    }
+    if let Ok(spec) = std::env::var("ST_DRIFT") {
+        let (plan, errors) = st_data::drift::parse_plan_lenient(&spec);
+        for e in errors {
+            eprintln!("warning: {e}");
+        }
+        st_data::drift::install(plan);
+    }
+}
+
 fn usage() {
     eprintln!(
         "usage:\n  slice-tuner-cli tune      --family <name> [--strategy moderate] [--budget 500]\n\
@@ -86,7 +108,8 @@ fn usage() {
          \x20                           [--retries 2] [--checkpoint path [--resume true]]\n\
          \x20                           [--halt-after K] [--mode amortized|exhaustive]\n\
          \x20                           [--drift-detection true [--drift-threshold 0.6]]\n\
-         \x20                           [--max-staleness N] [--max-drift-resets 3]\n\
+         \x20                           [--incremental true [--max-staleness N]]\n\
+         \x20                           [--max-drift-resets 3]\n\
          \x20 slice-tuner-cli curves    --family <name> [--size 300] [--seed 42]\n\
          \x20 slice-tuner-cli autoslice --family <name> [--examples 1200] [--max-depth 4]\n\
          \x20 slice-tuner-cli sensitivity --family <name> [--budget 500] [--size 300]\n\
@@ -155,7 +178,19 @@ fn strategy_by_name(name: &str) -> Result<Strategy, String> {
     }
 }
 
-fn cmd_tune(args: &Args) -> Result<(), String> {
+/// The `tune` command's validated inputs.
+struct TuneRun {
+    family: st_data::DatasetFamily,
+    strategy: Strategy,
+    budget: f64,
+    sizes: Vec<usize>,
+    validation: usize,
+    seed: u64,
+    config: TunerConfig,
+}
+
+/// Parses and range-checks `tune`'s flags into the run it describes.
+fn parse_tune(args: &Args) -> Result<TuneRun, String> {
     let known = [
         "family",
         "strategy",
@@ -170,6 +205,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
         "checkpoint",
         "resume",
         "halt-after",
+        "incremental",
         "drift-detection",
         "drift-threshold",
         "max-staleness",
@@ -202,6 +238,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
         ),
         None => None,
     };
+    let incremental: bool = args.get_or("incremental", false)?;
     let drift_detection: bool = args.get_or("drift-detection", false)?;
     let drift_threshold: f64 = args.get_or("drift-threshold", 0.6)?;
     let max_staleness: Option<usize> = match args.get("max-staleness") {
@@ -220,6 +257,11 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     if args.get("drift-threshold").is_some() && !drift_detection {
         return Err("--drift-threshold needs --drift-detection true".into());
     }
+    // Staleness forces re-measurement only through the incremental memo's
+    // dirty set; without it the bound would be accepted and do nothing.
+    if max_staleness.is_some() && !incremental {
+        return Err("--max-staleness needs --incremental true".into());
+    }
     if resume && args.get("checkpoint").is_none() {
         return Err("--resume needs --checkpoint <path> to resume from".into());
     }
@@ -234,8 +276,6 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
         ));
     }
 
-    let ds = SlicedDataset::generate(&family, &sizes, validation, seed);
-    let mut pool = PoolSource::new(family.clone(), seed);
     let mut config = TunerConfig::new(spec_for(&family))
         .with_seed(seed)
         .with_lambda(lambda)
@@ -250,6 +290,9 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     if let Some(rounds) = halt_after {
         config = config.with_halt_after_rounds(rounds);
     }
+    if incremental {
+        config = config.with_incremental();
+    }
     if drift_detection {
         config = config.with_drift_detection(drift_threshold);
     }
@@ -259,6 +302,29 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     config = config.with_max_drift_resets(max_drift_resets);
     config.allow_nondeterministic_kernel = args.get_or("allow-nondeterministic-kernel", false)?;
     config.train.epochs = args.get_or("epochs", config.train.epochs)?;
+    Ok(TuneRun {
+        family,
+        strategy,
+        budget,
+        sizes,
+        validation,
+        seed,
+        config,
+    })
+}
+
+fn cmd_tune(args: &Args) -> Result<(), String> {
+    let TuneRun {
+        family,
+        strategy,
+        budget,
+        sizes,
+        validation,
+        seed,
+        config,
+    } = parse_tune(args)?;
+    let ds = SlicedDataset::generate(&family, &sizes, validation, seed);
+    let mut pool = PoolSource::new(family.clone(), seed);
     let mut tuner = SliceTuner::new(ds, &mut pool, config);
     let result = tuner.try_run(strategy, budget).map_err(|e| e.to_string())?;
 
@@ -815,6 +881,31 @@ fn reject_unknown(args: &Args, known: &[&str]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_tune_flags(flags: &str) -> Result<TuneRun, String> {
+        let argv = format!("tune {flags}");
+        parse_tune(&Args::parse(argv.split_whitespace().map(String::from))?)
+    }
+
+    #[test]
+    fn tune_is_incremental_only_when_asked() {
+        let run = parse_tune_flags("").unwrap();
+        assert!(!run.config.incremental);
+        assert_eq!(run.config.max_staleness, usize::MAX);
+        let run = parse_tune_flags("--incremental true --max-staleness 0").unwrap();
+        assert!(run.config.incremental);
+        assert_eq!(run.config.max_staleness, 0);
+    }
+
+    #[test]
+    fn max_staleness_without_incremental_is_refused() {
+        for flags in ["--max-staleness 5", "--incremental false --max-staleness 5"] {
+            let err = parse_tune_flags(flags)
+                .err()
+                .expect("a staleness bound needs incremental mode");
+            assert!(err.contains("--incremental true"), "{err}");
+        }
+    }
 
     #[test]
     fn serve_limits_are_range_checked_at_parse_time() {

@@ -41,7 +41,7 @@ pub trait AcquisitionSource {
     /// Informs the source which acquisition round subsequent [`acquire`]
     /// calls belong to (0 = the tuner's pre-pass, `r ≥ 1` = the `r`-th
     /// iterative round). Sources with round-dependent behavior — e.g.
-    /// [`PoolSource`] under an `ST_DRIFT` plan — key their draws on it;
+    /// [`PoolSource`] under a drift plan — key their draws on it;
     /// the default is a no-op, so stationary sources are unaffected.
     ///
     /// [`acquire`]: Self::acquire

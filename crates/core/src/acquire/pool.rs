@@ -12,8 +12,8 @@ use st_data::{drift, DatasetFamily, DriftPlan, Example, SliceId};
 /// generate` uses (0 = initial train, 1 = validation), so acquired data is
 /// always fresh.
 ///
-/// Under a drift plan — installed with [`with_drift`](Self::with_drift) or
-/// globally via `ST_DRIFT` / [`st_data::drift::install`] — draws for a slice
+/// Under a drift plan — attached with [`with_drift`](Self::with_drift) or
+/// installed process-wide with [`st_data::drift::install`] — draws for a slice
 /// whose scheduled round has passed come from the drifted model instead.
 /// The seed/stream bookkeeping is identical either way, so a plan that
 /// never fires leaves the draw sequence bit-identical to a stationary pool.
@@ -28,7 +28,7 @@ pub struct PoolSource {
     /// Current acquisition round, set by the tuner via `note_round`
     /// (0 = pre-pass).
     round: u64,
-    /// Source-local drift plan; when `None` the global (env/installed)
+    /// Source-local drift plan; when `None` the process-wide installed
     /// plan still applies.
     plan: Option<DriftPlan>,
 }
@@ -48,7 +48,7 @@ impl PoolSource {
     }
 
     /// Attaches a source-local drift plan (takes precedence over the
-    /// global `ST_DRIFT`/installed plan for this source only).
+    /// process-wide installed plan for this source only).
     pub fn with_drift(mut self, plan: DriftPlan) -> Self {
         self.plan = Some(plan);
         self

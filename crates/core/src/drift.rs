@@ -1,7 +1,7 @@
 //! Automated drift detection and bounded-staleness recovery.
 //!
 //! The paper assumes every slice's distribution is fixed for the whole run;
-//! the acquisition pool under an `ST_DRIFT` plan (see [`st_data::drift`])
+//! the acquisition pool under a drift plan (see [`st_data::drift`])
 //! is not. A tuner that keeps trusting a stale learning curve after its
 //! slice shifted silently mis-allocates the remaining budget, so this
 //! module watches the evidence the estimation rounds already produce:

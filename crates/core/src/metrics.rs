@@ -52,8 +52,8 @@ impl EvalReport {
     }
 
     /// [`Self::evaluate`] built from per-call gathers of each slice's
-    /// validation examples — the PR-4 baseline the pipeline bench's
-    /// data-plane gate times against. Bit-identical to
+    /// validation examples — the reference the data-plane tests compare
+    /// the snapshot path against. Bit-identical to
     /// [`Self::evaluate`]: the gathered matrices hold the same bytes the
     /// snapshot caches.
     pub fn evaluate_per_call(model: &Mlp, ds: &SlicedDataset) -> Self {
@@ -89,9 +89,8 @@ impl EvalReport {
 
     /// Per-slice health flags: `true` where the slice's validation loss is
     /// finite. A `false` entry means that slice's evaluation degenerated
-    /// (empty validation set, or a numeric fault the guards let through in
-    /// unguarded mode) — reports surface these instead of averaging NaNs
-    /// away silently.
+    /// (for example an empty validation set) — reports surface these
+    /// instead of averaging NaNs away silently.
     pub fn slice_health(&self) -> Vec<bool> {
         self.per_slice_losses
             .iter()

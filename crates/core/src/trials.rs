@@ -134,9 +134,7 @@ fn payload_str(p: &(dyn std::any::Any + Send)) -> String {
 /// Runs one trial under panic isolation with deterministic retries: every
 /// attempt re-executes [`run_single_trial`], whose result is a pure
 /// function of `(inputs, t)` — so an attempt that survives is bit-identical
-/// no matter how many panics preceded it. With
-/// [`TunerConfig::unguarded`](crate::tuner::TunerConfig::unguarded) the
-/// call is direct (the bench's zero-isolation baseline).
+/// no matter how many panics preceded it.
 pub(crate) fn run_trial_caught(
     family: &DatasetFamily,
     initial_sizes: &[usize],
@@ -146,17 +144,6 @@ pub(crate) fn run_trial_caught(
     config: &TunerConfig,
     t: usize,
 ) -> Result<RunResult, TrialError> {
-    if config.unguarded {
-        return Ok(run_single_trial(
-            family,
-            initial_sizes,
-            validation_size,
-            budget,
-            strategy,
-            config,
-            t,
-        ));
-    }
     let mut attempt = 0usize;
     loop {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -288,8 +275,7 @@ pub fn try_run_trials_parallel(
     let next: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
     // Workers never unwind: run_trial_caught isolates trial panics (typed,
-    // retried), so the scope's own panic propagation is reached only with
-    // guards disabled — and then a panic is a deliberate baseline crash.
+    // retried), so the scope's own panic propagation is unreachable.
     crossbeam::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|_| loop {

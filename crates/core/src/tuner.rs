@@ -58,8 +58,8 @@ pub struct TunerConfig {
     /// one model at a time for every request, instead of riding the
     /// dataset's cached dense snapshot, row-id subsets, and lockstep group
     /// training. Bit-identical either way (the data plane contract); exists
-    /// as the reference for the `pipeline` bench's data-plane gate and the
-    /// bit-identity tests. Off by default.
+    /// as the reference the data-plane, chaos and drift tests compare the
+    /// dense plane against. Off by default.
     pub per_call_gather: bool,
     /// Incremental re-estimation across acquisition rounds: the working
     /// dataset switches to append-only snapshots, the iterative loop tracks
@@ -68,18 +68,13 @@ pub struct TunerConfig {
     /// last estimation, reusing the previous round's estimates for the
     /// rest. The estimator seed is pinned across rounds in this mode, so
     /// skipping a clean slice is a pure memo — re-measuring it would
-    /// reproduce the cached bits exactly. Defaults to `ST_INCREMENTAL=1`
-    /// in the environment, else off. Incremental estimations bypass
+    /// reproduce the cached bits exactly. Off by default (CLI
+    /// `--incremental true`). [`TunerConfig::max_staleness`] `= 0` keeps
+    /// every incremental semantic but re-measures every slice every round:
+    /// the refit-everything baseline. Incremental estimations bypass
     /// [`TunerConfig::cache`] (their results are history-dependent; see
     /// [`crate::cache`]).
     pub incremental: bool,
-    /// Keeps every incremental-mode semantic (pinned estimator seed,
-    /// accumulator-seeded fits, append-only snapshots) but re-measures
-    /// **every** slice every round instead of only the dirty ones. This is
-    /// the from-scratch cost baseline the `pipeline` bench's incremental
-    /// gate compares against: identical math, none of the skipping. Off by
-    /// default.
-    pub incremental_refit_all: bool,
     /// Panic-isolation retries for estimation measurements and trial
     /// workers (CLI `--retries`, default 2). Retries are **bit-identical**
     /// re-executions — every measurement is a pure function of its
@@ -102,12 +97,6 @@ pub struct TunerConfig {
     /// for the completed rounds is on disk; a resumed run continues from
     /// it exactly where the "crash" happened.
     pub halt_after_rounds: Option<usize>,
-    /// Disables the fault-tolerance layer's guards (the trainer's finite
-    /// scans, the estimator's and executor's `catch_unwind` isolation) —
-    /// the fault-free cost baseline the pipeline bench's `guards_overhead`
-    /// gate compares against. Guards only *read*, so guarded and unguarded
-    /// runs are bit-identical; this knob exists to price them.
-    pub unguarded: bool,
     /// Automated drift detection (see [`crate::drift`]): every iterative
     /// round, each re-measured slice's observed full-size loss is scored
     /// against the slice's previous fitted curve through a one-sided
@@ -138,13 +127,6 @@ pub struct TunerConfig {
     pub max_drift_resets: usize,
 }
 
-/// `ST_INCREMENTAL=1` opts every default-constructed [`TunerConfig`] into
-/// incremental re-estimation (the CI matrix's incremental leg).
-fn incremental_env_default() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var("ST_INCREMENTAL").is_ok_and(|v| v == "1"))
-}
-
 impl TunerConfig {
     /// Baseline configuration around a model spec.
     pub fn new(spec: ModelSpec) -> Self {
@@ -162,13 +144,11 @@ impl TunerConfig {
             cache: None,
             allow_nondeterministic_kernel: false,
             per_call_gather: false,
-            incremental: incremental_env_default(),
-            incremental_refit_all: false,
+            incremental: false,
             max_retries: 2,
             checkpoint: None,
             resume: false,
             halt_after_rounds: None,
-            unguarded: false,
             drift_detection: false,
             drift_threshold: 0.6,
             drift_slack: 0.1,
@@ -228,14 +208,6 @@ impl TunerConfig {
         self
     }
 
-    /// Disables dirty-slice skipping while keeping every other
-    /// incremental-mode semantic (see
-    /// [`TunerConfig::incremental_refit_all`]).
-    pub fn with_incremental_refit_all(mut self) -> Self {
-        self.incremental_refit_all = true;
-        self
-    }
-
     /// Sets the panic-isolation retry budget (see
     /// [`TunerConfig::max_retries`]).
     pub fn with_max_retries(mut self, retries: usize) -> Self {
@@ -261,13 +233,6 @@ impl TunerConfig {
     /// crash simulation (see [`TunerConfig::halt_after_rounds`]).
     pub fn with_halt_after_rounds(mut self, rounds: usize) -> Self {
         self.halt_after_rounds = Some(rounds);
-        self
-    }
-
-    /// Disables numeric guards and panic isolation — the bench's
-    /// fault-free cost baseline (see [`TunerConfig::unguarded`]).
-    pub fn without_guards(mut self) -> Self {
-        self.unguarded = true;
         self
     }
 
@@ -458,11 +423,6 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
             // of forcing a full snapshot re-stack each round.
             ds.enable_incremental_snapshot();
         }
-        if config.unguarded {
-            // The bench's fault-free baseline drops the trainer's finite
-            // scans along with the estimator's catch_unwind isolation.
-            config.train.guards = false;
-        }
         SliceTuner {
             ds,
             source,
@@ -574,7 +534,6 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
             seed: split_seed(self.config.seed, 0xC04E ^ stream),
             threads: self.config.threads,
             retries: self.config.max_retries,
-            guards: !self.config.unguarded,
         };
         match &self.config.cache {
             // An active fault plan makes results round-dependent (the plan
@@ -650,18 +609,12 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
             seed: split_seed(self.config.seed, 0xC04E ^ 1),
             threads: self.config.threads,
             retries: self.config.max_retries,
-            guards: !self.config.unguarded,
         };
         let estimates: Vec<st_curve::SliceEstimate> = match &state.prev {
             Some(prev) => {
-                let targets: Vec<bool> = if self.config.incremental_refit_all {
-                    vec![true; n]
-                } else {
-                    state.dirty.clone()
-                };
                 let (partial, errors) = self.run_estimator_with(
                     &estimator,
-                    Some(&targets),
+                    Some(&state.dirty),
                     Some(&state.seed_bumps),
                     stream,
                 );
@@ -760,7 +713,7 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
     /// stacked-weight product per validation matrix
     /// ([`st_models::MultiEval`]). Per request, every step is bit-identical
     /// to the per-call gather reference ([`TunerConfig::per_call_gather`]),
-    /// which the pipeline bench gates.
+    /// which the data-plane tests pin.
     fn run_estimator_with(
         &self,
         estimator: &CurveEstimator,
@@ -1130,14 +1083,12 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         let (detailed, measured) = match run.inc.as_mut() {
             None => (self.estimate_curves_detailed(round), vec![true; n]),
             Some(state) => {
-                let measured = if self.config.mode == EstimationMode::Amortized
-                    || self.config.incremental_refit_all
-                    || !state.has_estimates()
-                {
-                    vec![true; n]
-                } else {
-                    state.dirty().to_vec()
-                };
+                let measured =
+                    if self.config.mode == EstimationMode::Amortized || !state.has_estimates() {
+                        vec![true; n]
+                    } else {
+                        state.dirty().to_vec()
+                    };
                 (self.estimate_curves_incremental(round, state), measured)
             }
         };
@@ -1669,17 +1620,17 @@ mod tests {
         assert_eq!(all_fail[0], PowerLaw::new(1.0, 0.2));
     }
 
-    /// Runs an exhaustive-mode iterative trial with the given incremental
-    /// knobs and returns (result, trainings).
-    fn iterative_run(incremental: bool, refit_all: bool) -> (RunResult, usize) {
+    /// Runs an exhaustive-mode incremental iterative trial under the given
+    /// staleness bound and returns (result, trainings).
+    fn iterative_run(max_staleness: usize) -> (RunResult, usize) {
         let fam = census();
         let ds = SlicedDataset::generate(&fam, &[60, 25, 45, 30], 60, 21);
         let mut src = PoolSource::new(fam, 77);
         let mut cfg = quick_config()
             .with_seed(5)
-            .with_mode(EstimationMode::Exhaustive);
-        cfg.incremental = incremental;
-        cfg.incremental_refit_all = refit_all;
+            .with_mode(EstimationMode::Exhaustive)
+            .with_incremental()
+            .with_max_staleness(max_staleness);
         cfg.max_iterations = 3;
         let mut tuner = SliceTuner::new(ds, &mut src, cfg);
         let result = tuner.run(Strategy::Iterative(TSchedule::moderate()), 300.0);
@@ -1688,12 +1639,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_refit_all_bit_for_bit_before_any_reuse() {
+    fn incremental_matches_staleness_zero_bit_for_bit_before_any_reuse() {
         // On a run whose budget is spent in one round there is nothing to
-        // reuse yet, so dirty-tracking must reproduce the forced-full-refit
-        // run exactly — same acquisitions, same loss bits, same trainings.
-        let (skip, skip_trainings) = iterative_run(true, false);
-        let (full, full_trainings) = iterative_run(true, true);
+        // reuse yet, so dirty-tracking must reproduce the staleness-0 run
+        // (every slice re-measured every round) exactly — same
+        // acquisitions, same loss bits, same trainings.
+        let (skip, skip_trainings) = iterative_run(usize::MAX);
+        let (full, full_trainings) = iterative_run(0);
         assert_eq!(skip.acquired, full.acquired);
         assert_eq!(skip.iterations, full.iterations);
         for (a, b) in skip
@@ -1714,8 +1666,8 @@ mod tests {
     fn incremental_run_is_bit_reproducible() {
         // History-dependent does not mean nondeterministic: the same
         // incremental trial twice must produce identical bits.
-        let (a, ta) = iterative_run(true, false);
-        let (b, tb) = iterative_run(true, false);
+        let (a, ta) = iterative_run(usize::MAX);
+        let (b, tb) = iterative_run(usize::MAX);
         assert_eq!(a.acquired, b.acquired);
         assert_eq!(ta, tb);
         for (x, y) in a

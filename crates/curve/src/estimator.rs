@@ -174,11 +174,6 @@ pub struct CurveEstimator {
     /// reported as an [`EstimateError`] (a retry is a bit-identical
     /// re-execution; see [`EstimateError`]).
     pub retries: usize,
-    /// Panic isolation: wrap each measurement in `catch_unwind` and convert
-    /// failures into typed errors. Off, a panic aborts the estimation as it
-    /// did before the fault-tolerance layer existed — the bench baseline for
-    /// the `guards_overhead` gate.
-    pub guards: bool,
 }
 
 impl CurveEstimator {
@@ -192,7 +187,6 @@ impl CurveEstimator {
             seed,
             threads: 0,
             retries: 2,
-            guards: true,
         }
     }
 
@@ -205,7 +199,6 @@ impl CurveEstimator {
             seed,
             threads: 0,
             retries: 2,
-            guards: true,
         }
     }
 
@@ -265,8 +258,7 @@ impl CurveEstimator {
     /// a result count different from its group size; if `targets` has a
     /// length other than `num_slices` or is given under
     /// [`EstimationMode::Amortized`] (one joint training measures every
-    /// slice, so there is nothing to skip); or, when
-    /// [`guards`](Self::guards) is off, whenever a measurement panics.
+    /// slice, so there is nothing to skip).
     pub fn estimate(
         &self,
         num_slices: usize,
@@ -408,9 +400,6 @@ impl CurveEstimator {
     ) -> Vec<Measured> {
         let mut attempt = 0usize;
         let out = loop {
-            if !self.guards {
-                break measure(batch);
-            }
             match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| measure(batch))) {
                 Ok(out) => break out,
                 Err(p) if attempt >= self.retries => {

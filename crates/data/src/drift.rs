@@ -1,14 +1,18 @@
-//! Deterministic non-stationarity (`ST_DRIFT`) for the drift suite.
+//! Deterministic non-stationarity for the drift suite.
 //!
 //! The paper treats every slice distribution as fixed for the whole run; a
-//! production tuner serving live traffic cannot. This module compiles an
-//! env-driven *drift plan* into the acquisition pool: from a named round
-//! onward, examples drawn for a slice come from a shifted generative model.
-//! The plan is a pure function of the spec — no clocks, no RNG — so a
-//! drifting run replays bit-identically across runs, retries, and resumes.
+//! production tuner serving live traffic cannot. This module compiles a
+//! *drift plan* into the acquisition pool: from a named round onward,
+//! examples drawn for a slice come from a shifted generative model. The
+//! plan is a pure function of the spec — no clocks, no RNG — so a drifting
+//! run replays bit-identically across runs, retries, and resumes.
 //!
-//! Grammar (comma-separated specs, unknown ones warn and are skipped,
-//! mirroring the `ST_FAULT` convention):
+//! The library never reads the process environment: a plan is active only
+//! once a caller [`install`]s it (or hands one to a single pool).
+//! `slice-tuner-cli` reads `ST_DRIFT` at startup and installs what
+//! [`parse_plan_lenient`] compiles from it; tests install plans directly.
+//!
+//! Grammar (comma-separated specs):
 //!
 //! ```text
 //! ST_DRIFT=shift@slice1:round2:mag3.0,label@slice0:round1:mag0.2
@@ -26,18 +30,17 @@
 //! Events accumulate: two events for the same slice both apply once their
 //! rounds have passed, in spec order. Round numbers follow the tuner's
 //! acquisition rounds — round 0 is the pre-pass draw, round `r ≥ 1` is the
-//! `r`-th iterative acquisition round (the same convention `ST_FAULT`'s
-//! `nan_loss` uses for estimation streams).
+//! `r`-th iterative acquisition round (the same convention the fault
+//! plan's `nan_loss` uses for estimation streams).
 //!
-//! When `ST_DRIFT` is unset and no plan has been installed, every query is a
-//! relaxed atomic load and an early return — the harness costs nothing on
-//! the stationary hot path. Tests inject in-process via [`install`]; the
-//! override is process-global, so drift tests serialize around it.
+//! With no plan installed every query is a relaxed atomic load and an early
+//! return, so the harness costs nothing on the stationary hot path. The
+//! installed plan is process-global, so drift tests serialize around it.
 
 use crate::generator::GaussianSliceModel;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// The kind of distributional change one drift event applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,65 +217,43 @@ pub fn parse_plan(spec: &str) -> Result<DriftPlan, String> {
     Ok(plan)
 }
 
-/// The plan compiled from `ST_DRIFT` in the environment, once per process.
-/// Unknown specs warn (listing the grammar) and the rest of the value still
-/// applies — a typo must not silently disable the drift leg's real shifts.
-fn env_plan() -> Option<&'static DriftPlan> {
-    static PLAN: OnceLock<Option<DriftPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let spec = std::env::var("ST_DRIFT").ok()?;
-        let mut plan = DriftPlan::default();
-        for part in spec.split(',') {
-            if part.trim().is_empty() {
-                continue;
-            }
-            match parse_plan(part) {
-                Ok(p) => plan.events.extend(p.events),
-                Err(e) => eprintln!("warning: {e}"),
-            }
+/// Compiles a comma-separated spec the way a binary reading `ST_DRIFT`
+/// needs: each unknown spec becomes a message (naming the grammar) and the
+/// rest still applies, so a typo cannot silently disable a drift run's
+/// real shifts. The plan is `None` when no valid spec remains.
+pub fn parse_plan_lenient(spec: &str) -> (Option<DriftPlan>, Vec<String>) {
+    let mut plan = DriftPlan::default();
+    let mut errors = Vec::new();
+    for part in spec.split(',') {
+        match parse_plan(part) {
+            Ok(p) => plan.events.extend(p.events),
+            Err(e) => errors.push(e),
         }
-        (!plan.is_empty()).then_some(plan)
-    })
-    .as_ref()
+    }
+    ((!plan.is_empty()).then_some(plan), errors)
 }
 
-static OVERRIDE_SET: AtomicBool = AtomicBool::new(false);
+/// The installed plan. `INSTALLED` mirrors `PLAN.is_some()`, so the
+/// stationary path never takes the lock.
+static PLAN: Mutex<Option<DriftPlan>> = Mutex::new(None);
+static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-fn override_plan() -> &'static Mutex<Option<DriftPlan>> {
-    static OVERRIDE: OnceLock<Mutex<Option<DriftPlan>>> = OnceLock::new();
-    OVERRIDE.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs (or, with `None`, clears) an in-process drift plan, overriding
-/// the environment. Test-only by intent: the override is process-global, so
-/// drift tests in one binary must serialize around it.
+/// Installs (or, with `None`, clears) the process-wide drift plan.
 pub fn install(plan: Option<DriftPlan>) {
     let active = plan.is_some();
-    *override_plan().lock().expect("drift override poisoned") = plan;
-    OVERRIDE_SET.store(active, Ordering::SeqCst);
+    *PLAN.lock().expect("drift plan poisoned") = plan;
+    INSTALLED.store(active, Ordering::SeqCst);
 }
 
-/// True when any drift plan (env or installed) is active. This is the
-/// zero-cost gate the acquisition pool checks first.
+/// True when a drift plan is installed. This is the zero-cost gate the
+/// acquisition pool checks first.
 #[inline]
 pub fn active() -> bool {
-    OVERRIDE_SET.load(Ordering::Relaxed) || env_plan().is_some()
+    INSTALLED.load(Ordering::Relaxed)
 }
 
-/// Looks up the active plan and applies `f` to it.
-fn with_plan<T>(f: impl FnOnce(&DriftPlan) -> T) -> Option<T> {
-    if OVERRIDE_SET.load(Ordering::Relaxed) {
-        return override_plan()
-            .lock()
-            .expect("drift override poisoned")
-            .as_ref()
-            .map(f);
-    }
-    env_plan().map(f)
-}
-
-/// The model slice `slice` draws from at round `round` under the *active*
-/// plan (env or installed), or `None` when the slice is still stationary.
+/// The model slice `slice` draws from at round `round` under the installed
+/// plan, or `None` when the slice is still stationary.
 pub fn active_model(
     base: &GaussianSliceModel,
     slice: usize,
@@ -281,7 +262,10 @@ pub fn active_model(
     if !active() {
         return None;
     }
-    with_plan(|p| p.drifted_model(base, slice, round)).flatten()
+    PLAN.lock()
+        .expect("drift plan poisoned")
+        .as_ref()
+        .and_then(|p| p.drifted_model(base, slice, round))
 }
 
 #[cfg(test)]
@@ -289,8 +273,8 @@ mod tests {
     use super::*;
     use crate::generator::LabelCluster;
 
-    // The override is process-global; these tests run under one lock so
-    // they cannot observe each other's plans.
+    // The installed plan is process-global; these tests run under one lock
+    // so they cannot observe each other's plans.
     fn serial() -> std::sync::MutexGuard<'static, ()> {
         static LOCK: Mutex<()> = Mutex::new(());
         LOCK.lock().unwrap_or_else(|e| e.into_inner())
@@ -384,9 +368,19 @@ mod tests {
         assert_eq!(m.clusters[0].center, vec![1.0, 2.0]);
         assert!(active_model(&base_model(), 1, 0).is_none());
         install(None);
-        if std::env::var("ST_DRIFT").is_err() {
-            assert!(!active());
-            assert!(active_model(&base_model(), 0, 0).is_none());
-        }
+        assert!(!active());
+        assert!(active_model(&base_model(), 0, 0).is_none());
+    }
+
+    #[test]
+    fn lenient_parse_keeps_valid_specs_and_reports_the_rest() {
+        let (plan, errors) =
+            parse_plan_lenient("shift@slice1:round2:mag3, bogus@slice0:round1:mag1,");
+        assert_eq!(plan.expect("valid specs remain").events.len(), 1);
+        assert_eq!(errors.len(), 1);
+        assert!(errors[0].contains("bogus@slice0"), "{}", errors[0]);
+        let (plan, errors) = parse_plan_lenient("shift@1:2:3");
+        assert!(plan.is_none() && errors.len() == 1);
+        assert_eq!(parse_plan_lenient(""), (None, Vec::new()));
     }
 }

@@ -1,15 +1,19 @@
-//! Deterministic fault injection (`ST_FAULT`) for the chaos suite.
+//! Deterministic fault injection for the chaos suite.
 //!
 //! The tuning loop's fault-tolerance layer (panic isolation, retry,
 //! quarantine, fit fallbacks) is only trustworthy if every recovery path is
-//! exercised, so this module compiles an env-driven *fault plan* into the
-//! workspace's injection points: the trial worker, the trainer's minibatch
-//! loop, and the power-law fitter. The plan is a function of the spec alone
-//! — no clocks, no RNG — so an injected failure reproduces exactly across
-//! runs and retries.
+//! exercised, so this module compiles a *fault plan* into the workspace's
+//! injection points: the trial worker, the trainer's minibatch loop, and
+//! the power-law fitter. The plan is a function of the spec alone — no
+//! clocks, no RNG — so an injected failure reproduces exactly across runs
+//! and retries.
 //!
-//! Grammar (comma-separated specs, unknown ones warn and are skipped,
-//! mirroring the `ST_KERNEL` convention):
+//! The library never reads the process environment: a plan is active only
+//! once a caller [`install`]s it. `slice-tuner-cli` and the `service` bench
+//! read `ST_FAULT` at startup and install what [`parse_plan_lenient`]
+//! compiles from it; tests install plans directly.
+//!
+//! Grammar (comma-separated specs):
 //!
 //! ```text
 //! ST_FAULT=trial_panic@2,nan_loss@slice3:round1,fit_diverge@0.1
@@ -40,17 +44,13 @@
 //!   request resumes bit-identically from the checkpoint (exercises the
 //!   crash-only contract).
 //!
-//! When `ST_FAULT` is unset and no plan has been installed, every query is
-//! a relaxed atomic load and an early return — the harness costs nothing on
-//! the fault-free hot path (the pipeline bench's `guards_overhead` gate
-//! keeps that honest).
-//!
-//! Tests inject in-process via [`install`] instead of the environment: the
-//! env plan is cached once per process, so a test binary could only ever
-//! exercise one scenario through it.
+//! With no plan installed every query is a relaxed atomic load and an early
+//! return, so the harness costs nothing on the fault-free hot path. The
+//! installed plan is process-global, so chaos tests in one binary serialize
+//! around it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// A compiled fault plan: which injection points fire, and when.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -164,70 +164,54 @@ pub fn parse_plan(spec: &str) -> Result<FaultPlan, String> {
     Ok(plan)
 }
 
-/// The plan compiled from `ST_FAULT` in the environment, once per process.
-/// Unknown specs warn (listing the grammar) and the rest of the value still
-/// applies — a typo must not silently disable the chaos leg's real faults.
-fn env_plan() -> Option<&'static FaultPlan> {
-    static PLAN: OnceLock<Option<FaultPlan>> = OnceLock::new();
-    PLAN.get_or_init(|| {
-        let spec = std::env::var("ST_FAULT").ok()?;
-        let mut plan = FaultPlan::default();
-        for part in spec.split(',') {
-            if part.trim().is_empty() {
-                continue;
-            }
-            match parse_plan(part) {
-                Ok(p) => {
-                    plan.trial_panics.extend(p.trial_panics);
-                    plan.nan_losses.extend(p.nan_losses);
-                    if p.fit_diverge.is_some() {
-                        plan.fit_diverge = p.fit_diverge;
-                    }
-                    plan.conn_drops.extend(p.conn_drops);
-                    plan.slow_clients.extend(p.slow_clients);
-                    plan.session_panics.extend(p.session_panics);
+/// Compiles a comma-separated spec the way a binary reading `ST_FAULT`
+/// needs: each unknown spec becomes a message (naming the grammar) and the
+/// rest still applies, so a typo cannot silently disable a chaos run's
+/// real faults. The plan is `None` when no valid spec remains.
+pub fn parse_plan_lenient(spec: &str) -> (Option<FaultPlan>, Vec<String>) {
+    let mut plan = FaultPlan::default();
+    let mut errors = Vec::new();
+    for part in spec.split(',') {
+        match parse_plan(part) {
+            Ok(p) => {
+                plan.trial_panics.extend(p.trial_panics);
+                plan.nan_losses.extend(p.nan_losses);
+                if p.fit_diverge.is_some() {
+                    plan.fit_diverge = p.fit_diverge;
                 }
-                Err(e) => eprintln!("warning: {e}"),
+                plan.conn_drops.extend(p.conn_drops);
+                plan.slow_clients.extend(p.slow_clients);
+                plan.session_panics.extend(p.session_panics);
             }
+            Err(e) => errors.push(e),
         }
-        (!plan.is_empty()).then_some(plan)
-    })
-    .as_ref()
+    }
+    ((!plan.is_empty()).then_some(plan), errors)
 }
 
-static OVERRIDE_SET: AtomicBool = AtomicBool::new(false);
+/// The installed plan. `INSTALLED` mirrors `PLAN.is_some()`, so the
+/// fault-free path never takes the lock.
+static PLAN: Mutex<Option<FaultPlan>> = Mutex::new(None);
+static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-fn override_plan() -> &'static Mutex<Option<FaultPlan>> {
-    static OVERRIDE: OnceLock<Mutex<Option<FaultPlan>>> = OnceLock::new();
-    OVERRIDE.get_or_init(|| Mutex::new(None))
-}
-
-/// Installs (or, with `None`, clears) an in-process fault plan, overriding
-/// the environment. Test-only by intent: the override is process-global, so
-/// chaos tests in one binary must serialize around it.
+/// Installs (or, with `None`, clears) the process-wide fault plan.
 pub fn install(plan: Option<FaultPlan>) {
     let active = plan.is_some();
-    *override_plan().lock().expect("fault override poisoned") = plan;
-    OVERRIDE_SET.store(active, Ordering::SeqCst);
+    *PLAN.lock().expect("fault plan poisoned") = plan;
+    INSTALLED.store(active, Ordering::SeqCst);
 }
 
-/// True when any fault plan (env or installed) is active. This is the
-/// zero-cost gate every injection point checks first.
+/// True when a fault plan is installed. This is the zero-cost gate every
+/// injection point checks first.
 #[inline]
 pub fn active() -> bool {
-    OVERRIDE_SET.load(Ordering::Relaxed) || env_plan().is_some()
+    INSTALLED.load(Ordering::Relaxed)
 }
 
-/// Looks up the active plan and applies `f` to it.
+/// Looks up the installed plan and applies `f` to it. Callers check
+/// [`active`] first, so the fault-free path never takes the lock.
 fn with_plan<T>(f: impl FnOnce(&FaultPlan) -> T) -> Option<T> {
-    if OVERRIDE_SET.load(Ordering::Relaxed) {
-        return override_plan()
-            .lock()
-            .expect("fault override poisoned")
-            .as_ref()
-            .map(f);
-    }
-    env_plan().map(f)
+    PLAN.lock().expect("fault plan poisoned").as_ref().map(f)
 }
 
 /// Should trial `trial`'s worker panic on this `attempt`? Fires on attempt
@@ -340,7 +324,7 @@ pub fn session_panics(session: u64, round: u64, attempt: usize) -> bool {
 mod tests {
     use super::*;
 
-    // The override is process-global; these tests run under one lock so
+    // The installed plan is process-global; these tests run under one lock so
     // they cannot observe each other's plans (the same discipline the
     // workspace chaos suite uses).
     fn serial() -> std::sync::MutexGuard<'static, ()> {
@@ -451,11 +435,22 @@ mod tests {
     fn inactive_harness_answers_false_everywhere() {
         let _g = serial();
         install(None);
-        if std::env::var("ST_FAULT").is_err() {
-            assert!(!active());
-            assert!(!trial_panics(0, 0));
-            assert!(!nan_loss_armed());
-            assert!(!fit_diverges(0));
-        }
+        assert!(!active());
+        assert!(!trial_panics(0, 0));
+        assert!(!nan_loss_armed());
+        assert!(!fit_diverges(0));
+    }
+
+    #[test]
+    fn lenient_parse_keeps_valid_specs_and_reports_the_rest() {
+        let (plan, errors) = parse_plan_lenient("trial_panic@1, bogus@2,fit_diverge@0.5,");
+        let plan = plan.expect("valid specs remain");
+        assert_eq!(plan.trial_panics, vec![1]);
+        assert_eq!(plan.fit_diverge, Some(0.5));
+        assert_eq!(errors.len(), 1);
+        assert!(errors[0].contains("bogus@2"), "{}", errors[0]);
+        let (plan, errors) = parse_plan_lenient("bogus@2");
+        assert!(plan.is_none() && errors.len() == 1);
+        assert_eq!(parse_plan_lenient(""), (None, Vec::new()));
     }
 }

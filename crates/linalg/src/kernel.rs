@@ -3487,8 +3487,10 @@ mod tests {
     #[test]
     fn prepacked_matches_pack_on_call_bitwise() {
         // Every backend, every prepacked entry point, across degenerate,
-        // small-m (axpy fallback boundary), and general shapes: the
-        // prepacked product must equal its pack-on-call twin bit-for-bit.
+        // small-m (axpy fallback boundary), and general shapes, and the
+        // estimator's minibatch profile (16 rows against a 784x64 weight
+        // operand, k spanning many K blocks): the prepacked product must
+        // equal its pack-on-call twin bit-for-bit.
         let sharded = ShardedKernel::with_threads(3);
         let backends: [&dyn GemmBackend; 5] = [
             &NaiveKernel,
@@ -3497,7 +3499,14 @@ mod tests {
             &sharded,
             &FastKernel,
         ];
-        for &(m, k, n) in &[(1, 1, 1), (3, 9, 8), (7, 5, 3), (17, 13, 11), (33, 29, 37)] {
+        for &(m, k, n) in &[
+            (1, 1, 1),
+            (3, 9, 8),
+            (7, 5, 3),
+            (17, 13, 11),
+            (33, 29, 37),
+            (16, 784, 64),
+        ] {
             let a = fill(m * k, 71 + m as u64);
             let b = fill(k * n, 72 + n as u64);
             let bt = fill(n * k, 73 + k as u64);
@@ -3550,7 +3559,7 @@ mod tests {
         // The fused-bias contract: `gemm_prepacked_bias` must equal
         // `gemm_prepacked` followed by a separate bias pass, bit for bit,
         // on the same backend — including the k == 0 edge (bias only),
-        // narrow tails, and the raw fallback handles.
+        // narrow tails, the raw fallback handles, and a 784-deep forward.
         let sharded = ShardedKernel::with_threads(3);
         let backends: [&dyn GemmBackend; 5] = [
             &NaiveKernel,
@@ -3569,6 +3578,7 @@ mod tests {
             (0, 3, 5),
             (5, 4, 0),
             (2, 8, 30),
+            (64, 784, 64),
         ] {
             let a = fill(m * k, 91 + m as u64);
             let b = fill(k * n, 92 + n as u64);

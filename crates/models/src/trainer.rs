@@ -35,12 +35,6 @@ pub struct TrainConfig {
     pub dropout: f64,
     /// Seed for parameter init, minibatch shuffling, and dropout masks.
     pub seed: u64,
-    /// Numeric guards: scan the parameters for non-finite values once per
-    /// epoch and reject non-finite validation losses with a typed
-    /// [`TrainError`] instead of returning a poisoned model. The scan only
-    /// reads, so guarded and unguarded runs are bit-identical; the flag
-    /// exists so the pipeline bench can price the guard (`guards_overhead`).
-    pub guards: bool,
 }
 
 impl Default for TrainConfig {
@@ -54,7 +48,6 @@ impl Default for TrainConfig {
             schedule: LrSchedule::Exponential { gamma: 0.97 },
             dropout: 0.0,
             seed: 0,
-            guards: true,
         }
     }
 }
@@ -84,14 +77,6 @@ impl TrainConfig {
         assert!((0.0..1.0).contains(&p), "dropout must be in [0, 1)");
         TrainConfig {
             dropout: p,
-            ..self.clone()
-        }
-    }
-
-    /// Returns a copy with the numeric guards toggled (bench baseline).
-    pub fn with_guards(&self, guards: bool) -> Self {
-        TrainConfig {
-            guards,
             ..self.clone()
         }
     }
@@ -452,7 +437,7 @@ fn train_batched_core(
                 s.by.clear();
                 s.by.extend(s.map.iter().map(|&i| y[i]));
                 // Input-side numeric guard; see train_core.
-                if shared.guards && !s.bx.as_slice().iter().all(|v| v.is_finite()) {
+                if !s.bx.as_slice().iter().all(|v| v.is_finite()) {
                     return Err(TrainError::NonFiniteLoss { epoch });
                 }
                 opts[r].next_step();
@@ -460,7 +445,7 @@ fn train_batched_core(
             descent_step_batched(&mut nets, &mut scratches, lr, shared, &mut opts, &mut rngs);
             start = end;
         }
-        if shared.guards && !nets.iter().all(Mlp::params_finite) {
+        if !nets.iter().all(Mlp::params_finite) {
             return Err(TrainError::NonFiniteLoss { epoch });
         }
     }
@@ -734,9 +719,8 @@ fn train_core(
             // Numeric guard, input side: a non-finite feature would flow
             // through softmax into every parameter; reject it as a typed
             // error before the step runs. One read pass over a minibatch —
-            // cheap next to the step's three GEMMs (priced by the
-            // `guards_overhead` bench gate).
-            if config.guards && !scratch.bx.as_slice().iter().all(|v| v.is_finite()) {
+            // cheap next to the step's three GEMMs.
+            if !scratch.bx.as_slice().iter().all(|v| v.is_finite()) {
                 return Err(TrainError::NonFiniteLoss { epoch });
             }
             opt.next_step();
@@ -746,13 +730,13 @@ fn train_core(
         // Numeric guard: a single non-finite minibatch loss propagates into
         // the weights through the update, so one O(params) scan per epoch
         // catches it without touching the minibatch hot loop.
-        if config.guards && !net.params_finite() {
+        if !net.params_finite() {
             return Err(TrainError::NonFiniteLoss { epoch });
         }
 
         if let Some((vx, vy)) = validation {
             let val = crate::loss::log_loss(&net, vx, vy);
-            if config.guards && !vy.is_empty() && !val.is_finite() {
+            if !vy.is_empty() && !val.is_finite() {
                 return Err(TrainError::NonFiniteValidation { epoch });
             }
             // An epoch only counts as an improvement when it beats the best
@@ -1247,20 +1231,6 @@ mod tests {
             .cloned()
             .expect("string payload");
         assert!(msg.contains("non-finite minibatch loss"), "{msg}");
-    }
-
-    #[test]
-    fn unguarded_training_is_bit_identical_to_guarded() {
-        // The guard only reads; toggling it must not move a single bit
-        // (this is what makes the guards_overhead bench an apples-to-apples
-        // comparison).
-        let (x, y) = blobs(30, &[(-1.0, 1.0), (1.0, -1.0)], 19);
-        let rows: Vec<usize> = (0..x.rows()).collect();
-        let guarded = TrainConfig::default().with_seed(3);
-        let unguarded = guarded.with_guards(false);
-        let a = train_on_rows(&x, &y, &rows, 2, 2, &ModelSpec::small(), &guarded);
-        let b = train_on_rows(&x, &y, &rows, 2, 2, &ModelSpec::small(), &unguarded);
-        assert_eq!(a, b);
     }
 
     /// Fault plans are process-global: the tests installing one hold this

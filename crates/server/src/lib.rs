@@ -34,8 +34,9 @@
 //!
 //! ## Fault injection
 //!
-//! The `ST_FAULT` grammar (see [`st_linalg::fault`]) drives the whole
-//! stack: `conn_drop@<req>` drops the server→client response of the
+//! An installed fault plan ([`st_linalg::fault::install`]; the CLI
+//! installs the one `ST_FAULT` names) drives the whole stack:
+//! `conn_drop@<req>` drops the server→client response of the
 //! `<req>`-th accepted connection *after* the work is durably
 //! checkpointed (the client sees EOF, retries, and the idempotent
 //! advance serves the already-computed state); `slow_client@<req>:ms<M>`

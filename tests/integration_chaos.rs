@@ -1,4 +1,4 @@
-//! Integration: the ST_FAULT chaos suite.
+//! Integration: the fault-injection chaos suite.
 //!
 //! Every fault the harness can inject must leave the tuning run *standing*:
 //! transient worker panics are retried bit-identically, persistent NaN
@@ -118,43 +118,50 @@ fn trial_panic_with_retries_disabled_is_a_typed_error() {
 
 /// A persistent NaN loss exhausts its retries, quarantines the slice, and
 /// the run still completes — with a structured warning in the result.
+/// Incremental mode meets the fault in its first, all-slice estimation
+/// (round 1) and in a later partial one (round 2), where the quarantined
+/// slice keeps its previous round's estimate.
 #[test]
 fn persistent_nan_loss_quarantines_the_slice_and_completes() {
-    let _plan = PlanGuard::install("nan_loss@slice1:round1");
-    let cfg = quick_config().with_mode(EstimationMode::Exhaustive);
-    let agg = run_cell(&cfg, 1, None);
+    for (incremental, round) in [(false, 1), (true, 1), (true, 2)] {
+        let case = format!("incremental {incremental}, round {round}");
+        let _plan = PlanGuard::install(&format!("nan_loss@slice1:round{round}"));
+        let mut cfg = quick_config().with_mode(EstimationMode::Exhaustive);
+        cfg.incremental = incremental;
+        let agg = run_cell(&cfg, 1, None);
 
-    let trial = &agg.trials[0];
-    assert!(
-        trial.report.overall_loss.is_finite(),
-        "the run must complete with a usable report"
-    );
-    let quarantines: Vec<_> = trial
-        .warnings
-        .iter()
-        .filter(|w| {
-            matches!(
-                w,
-                TuningWarning::EstimationQuarantined {
-                    slice: Some(1),
-                    round: 1,
-                    ..
-                }
-            )
-        })
-        .collect();
-    assert!(
-        !quarantines.is_empty(),
-        "slice 1 / round 1 must surface a quarantine warning, got: {:?}",
-        trial.warnings
-    );
-    let TuningWarning::EstimationQuarantined { attempts, .. } = quarantines[0] else {
-        unreachable!("the filter above keeps only quarantine warnings");
-    };
-    assert!(
-        *attempts >= 2,
-        "retries must be exhausted before quarantine, got {attempts} attempt(s)"
-    );
+        let trial = &agg.trials[0];
+        assert!(
+            trial.report.overall_loss.is_finite(),
+            "{case}: the run must complete with a usable report"
+        );
+        let quarantines: Vec<_> = trial
+            .warnings
+            .iter()
+            .filter(|w| {
+                matches!(
+                    w,
+                    TuningWarning::EstimationQuarantined {
+                        slice: Some(1),
+                        round: r,
+                        ..
+                    } if *r == round
+                )
+            })
+            .collect();
+        assert!(
+            !quarantines.is_empty(),
+            "{case}: slice 1 must surface a quarantine warning, got: {:?}",
+            trial.warnings
+        );
+        let TuningWarning::EstimationQuarantined { attempts, .. } = quarantines[0] else {
+            unreachable!("the filter above keeps only quarantine warnings");
+        };
+        assert!(
+            *attempts >= 2,
+            "{case}: retries must be exhausted before quarantine, got {attempts} attempt(s)"
+        );
+    }
 }
 
 /// The same persistent NaN loss on the dense plane: slice 1's shape groups

@@ -90,24 +90,31 @@ fn kill_at_round_one_then_resume_is_bit_identical_sequential() {
     assert_bit_identical(&clean, &resumed);
 }
 
+/// Under the amortized schedule, with and without incremental mode (whose
+/// append-only snapshots and memo state the checkpoint must carry).
 #[test]
 fn kill_at_round_one_then_resume_is_bit_identical_jobs_four() {
-    let path = checkpoint_path("par");
-    let clean = run_cell(&quick_config(), 2, Some(4));
+    for incremental in [false, true] {
+        let config = || {
+            let mut cfg = quick_config();
+            cfg.incremental = incremental;
+            cfg
+        };
+        let path = checkpoint_path(&format!("par-incremental-{incremental}"));
+        let clean = run_cell(&config(), 2, Some(4));
 
-    let halted_cfg = quick_config()
-        .with_checkpoint(&path)
-        .with_halt_after_rounds(1);
-    let _ = run_cell(&halted_cfg, 2, Some(4));
+        let halted_cfg = config().with_checkpoint(&path).with_halt_after_rounds(1);
+        let _ = run_cell(&halted_cfg, 2, Some(4));
 
-    let resumed_cfg = quick_config().with_checkpoint(&path).with_resume();
-    let resumed = run_cell(&resumed_cfg, 2, Some(4));
-    assert_bit_identical(&clean, &resumed);
+        let resumed_cfg = config().with_checkpoint(&path).with_resume();
+        let resumed = run_cell(&resumed_cfg, 2, Some(4));
+        assert_bit_identical(&clean, &resumed);
 
-    // Cross-runner: the resumed parallel aggregate equals the sequential
-    // clean run too (resume composes with the executor's determinism).
-    let seq_clean = run_cell(&quick_config(), 2, None);
-    assert_bit_identical(&seq_clean, &resumed);
+        // Cross-runner: the resumed parallel aggregate equals the sequential
+        // clean run too (resume composes with the executor's determinism).
+        let seq_clean = run_cell(&config(), 2, None);
+        assert_bit_identical(&seq_clean, &resumed);
+    }
 }
 
 /// Incremental mode carries cross-round estimator state (previous

@@ -44,6 +44,7 @@ fn full_strategy_run_matches_per_call_gather() {
     let legacy = run(true);
     assert_eq!(dense.acquired, legacy.acquired);
     assert_eq!(dense.iterations, legacy.iterations);
+    assert_eq!(dense.trainings, legacy.trainings);
     assert_eq!(dense.spent.to_bits(), legacy.spent.to_bits());
     for (d, l) in dense
         .report
@@ -191,7 +192,7 @@ fn snapshot_tracks_acquisitions_within_a_run() {
     assert_eq!(after.train_y.len(), before_rows + grown);
     // And the snapshot still mirrors the example lists exactly — gathered
     // through the canonical row order, so the check also holds for the
-    // append layout incremental mode uses (ST_INCREMENTAL=1).
+    // append layout incremental mode uses (`TunerConfig::incremental`).
     let fresh = tuner.dataset().build_matrices();
     let order = after.canonical_row_order();
     assert_eq!(order.len(), fresh.train_x.rows());

@@ -8,8 +8,9 @@
 //! the target slice's held-out part, so skipping a clean slice reuses a
 //! result that is stale with respect to other slices' growth — the same
 //! staleness Algorithm 1 already accepts between rounds. There the
-//! guarantees are: strictly fewer trainings than the forced-full-refit
-//! baseline, and bit-reproducibility run to run.
+//! guarantees are: strictly fewer trainings than the staleness-0 baseline
+//! (every slice re-measured every round), and bit-reproducibility run to
+//! run.
 
 use slice_tuner::{PoolSource, RunResult, SliceTuner, Strategy, TSchedule, TunerConfig};
 use st_curve::EstimationMode;
@@ -80,10 +81,11 @@ fn incremental_trial_matches_from_scratch_bit_for_bit() {
 
 #[test]
 fn exhaustive_incremental_saves_trainings_and_is_reproducible() {
-    // Dirty-slice tracking must train strictly less than the refit-all
-    // baseline once any round leaves a slice clean...
+    // Dirty-slice tracking must train strictly less than the staleness-0
+    // baseline, which forces every slice dirty each round, once any round
+    // leaves a slice clean...
     let (inc, inc_trainings) = run_cell(exhaustive_config());
-    let (_full, full_trainings) = run_cell(exhaustive_config().with_incremental_refit_all());
+    let (_full, full_trainings) = run_cell(exhaustive_config().with_max_staleness(0));
     assert!(
         inc_trainings < full_trainings,
         "expected fewer trainings: {inc_trainings} vs {full_trainings}"

@@ -27,23 +27,27 @@ fn assert_bit_identical(a: &AggregateResult, b: &AggregateResult) {
 
 /// The headline determinism regression: a Table-6-style repeated-trial run
 /// (iterative Moderate schedule, census family) aggregates bit-identically
-/// with `--jobs 1` and `--jobs 8`.
+/// with `--jobs 1` and `--jobs 8`, with and without incremental mode.
 #[test]
 fn table6_style_run_is_bit_identical_across_jobs() {
     let fam = families::census();
-    let run = |jobs: usize| {
-        run_trials_parallel(
-            &fam,
-            &[50; 4],
-            60,
-            150.0,
-            Strategy::Iterative(TSchedule::moderate()),
-            &quick_config().with_seed(42),
-            4,
-            jobs,
-        )
-    };
-    assert_bit_identical(&run(1), &run(8));
+    for incremental in [false, true] {
+        let mut cfg = quick_config().with_seed(42);
+        cfg.incremental = incremental;
+        let run = |jobs: usize| {
+            run_trials_parallel(
+                &fam,
+                &[50; 4],
+                60,
+                150.0,
+                Strategy::Iterative(TSchedule::moderate()),
+                &cfg,
+                4,
+                jobs,
+            )
+        };
+        assert_bit_identical(&run(1), &run(8));
+    }
 }
 
 /// The parallel executor is a drop-in for the sequential runner.
