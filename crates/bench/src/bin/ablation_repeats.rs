@@ -13,9 +13,6 @@ use st_data::SlicedDataset;
 use st_linalg::RunningStats;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let setup = FamilySetup::fashion();
     let streams = 5u64; // independent re-estimates to measure spread
     println!(

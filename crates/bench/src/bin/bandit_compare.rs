@@ -10,9 +10,6 @@ use slice_tuner::{BanditParams, Strategy, TSchedule};
 use st_bench::{rule, run_cell, trials, FamilySetup};
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let setup = FamilySetup::census();
     let sizes = [40usize, 80, 120, 160];
     let budget = if st_bench::quick() { 200.0 } else { 500.0 };

@@ -26,9 +26,6 @@ const SHAPE: ImageShape = ImageShape {
 };
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let fam = image_fashion();
     let sizes = if st_bench::quick() {
         vec![30usize, 60, 120]

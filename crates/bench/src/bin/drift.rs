@@ -9,8 +9,8 @@
 //! budget is spent, and re-routes the remaining budget to the clean slice.
 //! The gate asserts the drift-aware run leaves the drifted slice's final
 //! loss >= 1.2x better than the stale baseline (and the overall loss no
-//! worse), and emits machine-readable `BENCH_drift.json` for the trend
-//! reporter.
+//! worse), and emits machine-readable `BENCH_drift.json`, which the CI
+//! drift gate greps for its fields and the CI archive step uploads.
 //!
 //! ```text
 //! cargo run --release -p st_bench --bin drift
@@ -36,7 +36,7 @@ use slice_tuner::{
     AcquisitionSource, EstimationMode, PoolSource, RunResult, SliceTuner, Strategy, TSchedule,
     TunerConfig, TuningWarning,
 };
-use st_bench::{init_bench_kernel, quick, rule};
+use st_bench::{quick, rule};
 use st_data::{families, SlicedDataset};
 use st_models::ModelSpec;
 use std::fmt::Write as _;
@@ -100,7 +100,7 @@ fn run(aware: bool) -> RunResult {
 }
 
 fn main() {
-    let kernel = init_bench_kernel();
+    let kernel = st_linalg::kernel_kind();
     println!(
         "drift gate: driftbench under {DRIFT_SPEC}, budget {BUDGET}, kernel {} {}",
         kernel.name(),

@@ -5,9 +5,6 @@ use slice_tuner::{Strategy, TSchedule};
 use st_bench::{rule, run_cell, trials, FamilySetup};
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let setup = FamilySetup::mixed();
     let sizes = setup.equal_sizes();
     let budgets: Vec<f64> = if st_bench::quick() {

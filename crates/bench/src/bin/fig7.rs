@@ -12,9 +12,6 @@ use st_data::{families, SliceId};
 use st_models::{ModelSpec, TrainConfig};
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let family = families::faces();
     // Paper protocol: all slices size 300, White_Male starts at 50 and
     // grows alone.

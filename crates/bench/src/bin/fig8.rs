@@ -9,9 +9,6 @@ use st_bench::FamilySetup;
 use st_data::SlicedDataset;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     println!("Figure 8: learning curves (two slices per dataset)\n");
     for setup in FamilySetup::all() {
         let ds = SlicedDataset::generate(

@@ -11,9 +11,6 @@ use st_curve::PowerLaw;
 use st_data::SlicedDataset;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let setup = FamilySetup::fashion();
     let sizes = if st_bench::quick() {
         vec![100usize, 400]

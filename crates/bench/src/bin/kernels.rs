@@ -1,8 +1,7 @@
 //! Microbenchmark of the pluggable compute-kernel layer: every backend on
 //! the dense shapes the trainers actually hit, with a bit-identity
 //! cross-check (or, for the reassociating `fast` backend, a relative-error
-//! check) on every timed shape, plus a batched small-shape group timing
-//! one `gemm_batched` call against its sequential per-product loop.
+//! check) on every timed shape.
 //!
 //! ```text
 //! cargo run --release -p st_bench --bin kernels
@@ -222,121 +221,6 @@ fn main() {
         println!();
     }
 
-    // ---- Batched small-shape group ---------------------------------------
-    //
-    // 32 independent 64×32×16 products — estimation-plane minibatch scale,
-    // where per-call pack/dispatch overhead rivals the arithmetic. Two
-    // variants: every product with its own `B` (the lockstep-training
-    // shape — batching can only reuse the pack *allocation*, so parity is
-    // the honest expectation), and all products sharing one `B` (the
-    // shared-weights shape — the packing backends hoist the single pack
-    // out of the loop). Bit-identity of each one-call form against the
-    // backend's own sequential loop is asserted before timing.
-    let (bm, bk, bn, bbatch) = (64, 32, 16, 32);
-    let bas: Vec<Vec<f64>> = (0..bbatch)
-        .map(|i| fill(bm * bk, 0xBA7 + i as u64))
-        .collect();
-    let bbs: Vec<Vec<f64>> = (0..bbatch)
-        .map(|i| fill(bk * bn, 0x7AB + i as u64))
-        .collect();
-    let ba_refs: Vec<&[f64]> = bas.iter().map(Vec::as_slice).collect();
-    let bb_refs: Vec<&[f64]> = bbs.iter().map(Vec::as_slice).collect();
-    println!("\nbatched group: {bbatch}x gemm {bm}x{bk}x{bn}, one call vs sequential loop (GF/s)");
-    println!(
-        "{:<10} {:>9} {:>9} {:>8} {:>11} {:>9} {:>8}",
-        "backend", "looped", "batched", "ratio", "loop(shB)", "bat(shB)", "ratio"
-    );
-    rule(70);
-    let bflops = 2.0 * (bbatch * bm * bk * bn) as f64;
-    // The whole group is a few hundred µs per call, so reading through
-    // scheduler noise takes more rounds than the big shapes need.
-    let brounds = if quick { 10 } else { 15 };
-    let mut batched_speedups: Vec<(&str, f64, f64)> = Vec::new();
-    for backend in backends {
-        // Reference: the sequential per-product loop, both variants.
-        let mut looped = vec![vec![0.0; bm * bn]; bbatch];
-        for (i, out) in looped.iter_mut().enumerate() {
-            backend.gemm(bm, bk, bn, ba_refs[i], bb_refs[i], out);
-        }
-        let mut looped_shared = vec![vec![0.0; bm * bn]; bbatch];
-        for (i, out) in looped_shared.iter_mut().enumerate() {
-            backend.gemm(bm, bk, bn, ba_refs[i], bb_refs[0], out);
-        }
-        let mut outs_buf = vec![vec![0.0; bm * bn]; bbatch];
-        {
-            let mut outs: Vec<&mut [f64]> = outs_buf.iter_mut().map(Vec::as_mut_slice).collect();
-            backend.gemm_batched(bm, bk, bn, &ba_refs, &bb_refs, &mut outs);
-        }
-        for (i, (want, got)) in looped.iter().zip(&outs_buf).enumerate() {
-            // `fast` included: its batched default *is* the loop, so even
-            // the reassociating backend owes bit-identity to itself here.
-            assert_bits_identical(
-                &format!("batched gemm product {i} [{}]", backend.name()),
-                want,
-                got,
-            );
-        }
-        {
-            let mut outs: Vec<&mut [f64]> = outs_buf.iter_mut().map(Vec::as_mut_slice).collect();
-            for out in outs.iter_mut() {
-                out.fill(0.0);
-            }
-            backend.gemm_batched(bm, bk, bn, &ba_refs, &bb_refs[..1], &mut outs);
-        }
-        for (i, (want, got)) in looped_shared.iter().zip(&outs_buf).enumerate() {
-            assert_bits_identical(
-                &format!("batched shared-B gemm product {i} [{}]", backend.name()),
-                want,
-                got,
-            );
-        }
-
-        // Interleaved rounds, like the gates: contender order rotates
-        // within each round, so clock drift and scheduler noise land on
-        // every contender instead of whichever happens to be timed last.
-        let mut outs: Vec<&mut [f64]> = outs_buf.iter_mut().map(Vec::as_mut_slice).collect();
-        let (mut t_loop, mut t_loop_shared, mut t_batch, mut t_batch_shared) =
-            (f64::INFINITY, f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        for _ in 0..brounds {
-            t_loop = t_loop.min(best_secs(reps, || {
-                for (i, out) in looped.iter_mut().enumerate() {
-                    out.fill(0.0);
-                    backend.gemm(bm, bk, bn, ba_refs[i], bb_refs[i], out);
-                }
-            }));
-            t_batch = t_batch.min(best_secs(reps, || {
-                for out in outs.iter_mut() {
-                    out.fill(0.0);
-                }
-                backend.gemm_batched(bm, bk, bn, &ba_refs, &bb_refs, &mut outs);
-            }));
-            t_loop_shared = t_loop_shared.min(best_secs(reps, || {
-                for (i, out) in looped_shared.iter_mut().enumerate() {
-                    out.fill(0.0);
-                    backend.gemm(bm, bk, bn, ba_refs[i], bb_refs[0], out);
-                }
-            }));
-            t_batch_shared = t_batch_shared.min(best_secs(reps, || {
-                for out in outs.iter_mut() {
-                    out.fill(0.0);
-                }
-                backend.gemm_batched(bm, bk, bn, &ba_refs, &bb_refs[..1], &mut outs);
-            }));
-        }
-        let (r, rs) = (t_loop / t_batch, t_loop_shared / t_batch_shared);
-        println!(
-            "{:<10} {:>9.2} {:>9.2} {:>7.2}x {:>11.2} {:>9.2} {:>7.2}x",
-            backend.name(),
-            bflops / t_loop / 1e9,
-            bflops / t_batch / 1e9,
-            r,
-            bflops / t_loop_shared / 1e9,
-            bflops / t_batch_shared / 1e9,
-            rs
-        );
-        batched_speedups.push((backend.name(), r, rs));
-    }
-
     // ---- Gates -----------------------------------------------------------
     println!("\ngates:");
     let gate_rounds = if quick { 3 } else { 5 };
@@ -438,7 +322,6 @@ fn main() {
     }
     println!("  sharded bit-identical to naive at 1/2/4 threads on 512x512 gemm + gemm_tn");
 
-    let mut shard_speedup = None;
     if cores >= 2 {
         // Interleaved rounds like gates 1–2, and a gate band below the
         // >1x target: on 2-"core" hosts whose vCPUs are hyperthread
@@ -459,7 +342,6 @@ fn main() {
             }));
         }
         let speedup = t_simd_big / t_shard_big;
-        shard_speedup = Some(speedup);
         let floor = if cores >= 4 { 1.2 } else { 0.9 };
         println!(
             "  sharded({cores}) vs simd on 512x512: {speedup:.2}x (target > 1x on \
@@ -476,56 +358,6 @@ fn main() {
              enforced; the fan-out shows up on multi-core machines)"
         );
     }
-
-    // Machine-readable gate readings for the trend reporter
-    // (`st_bench --bin trend`; schema in docs/profiling.md). `ST_KERNELS_JSON`
-    // overrides the path.
-    let path =
-        std::env::var("ST_KERNELS_JSON").unwrap_or_else(|_| "BENCH_kernels.json".to_string());
-    let mut json = String::new();
-    use std::fmt::Write as _;
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"kernels\",");
-    let _ = writeln!(json, "  \"schema_version\": 2,");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"cores\": {cores},");
-    let _ = writeln!(json, "  \"blocked_speedup\": {blocked_speedup:.4},");
-    let _ = writeln!(json, "  \"simd_speedup\": {simd_speedup:.4},");
-    match shard_speedup {
-        Some(s) => {
-            let _ = writeln!(json, "  \"sharded_speedup\": {s:.4},");
-        }
-        None => {
-            let _ = writeln!(json, "  \"sharded_speedup\": null,");
-        }
-    }
-    let _ = writeln!(json, "  \"batched_group\": {{");
-    let _ = writeln!(json, "    \"shape\": \"{bm}x{bk}x{bn}\",");
-    let _ = writeln!(json, "    \"batch\": {bbatch},");
-    let _ = writeln!(json, "    \"speedups\": {{");
-    for (i, (name, s, _)) in batched_speedups.iter().enumerate() {
-        let comma = if i + 1 < batched_speedups.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(json, "      \"{name}\": {s:.4}{comma}");
-    }
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(json, "    \"shared_b_speedups\": {{");
-    for (i, (name, _, s)) in batched_speedups.iter().enumerate() {
-        let comma = if i + 1 < batched_speedups.len() {
-            ","
-        } else {
-            ""
-        };
-        let _ = writeln!(json, "      \"{name}\": {s:.4}{comma}");
-    }
-    let _ = writeln!(json, "    }}");
-    let _ = writeln!(json, "  }}");
-    let _ = writeln!(json, "}}");
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("\nwrote {path}");
 
     println!("\nall gates passed; deterministic backends bit-identical on every timed shape");
 }

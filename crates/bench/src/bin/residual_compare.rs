@@ -17,9 +17,6 @@ use st_linalg::spearman;
 use st_models::{ModelSpec, ResidualEvalScratch, ResidualMlp, ResidualTrainConfig, TrainConfig};
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let setup = FamilySetup::fashion();
     let init = 400usize;
     let trials = st_bench::trials();

@@ -7,9 +7,6 @@ use st_models::{
 };
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     for (fam, spec) in [
         (families::fashion(), ModelSpec::basic()),
         (

@@ -16,7 +16,8 @@
 //! * **bounded p99** — a sanity bound on request latency (wall-clock
 //!   numbers are reported, the deterministic gates above are the teeth).
 //!
-//! Emits machine-readable `BENCH_service.json` for the trend reporter.
+//! Emits machine-readable `BENCH_service.json`, which the CI service gate
+//! greps for its verdicts and the CI archive step uploads.
 //!
 //! ```text
 //! cargo run --release -p st_bench --bin service
@@ -30,7 +31,7 @@
 //!   intentionally not retried — prefer ordinals past the session count);
 //! - `ST_SERVICE_JSON` — output path (default `BENCH_service.json`).
 
-use st_bench::{init_bench_kernel, quick, rule};
+use st_bench::{quick, rule};
 use st_linalg::fault;
 use st_server::{Client, ServerConfig, Session, SessionSpec};
 use std::fmt::Write as _;
@@ -87,7 +88,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let kernel = init_bench_kernel();
+    let kernel = st_linalg::kernel_kind();
     let n = sessions();
     let r = rounds();
 

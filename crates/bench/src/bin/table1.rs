@@ -10,9 +10,6 @@ use st_bench::rule;
 use st_data::{families, SliceId};
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let family = families::faces();
     let mut sim = CrowdSimulator::new(family.clone(), CrowdConfig::utkface(), 1);
     let per_slice = if st_bench::quick() { 100 } else { 500 };

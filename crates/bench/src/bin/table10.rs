@@ -7,9 +7,6 @@ use st_bench::{fmt_counts, rule, run_cell, trials, FamilySetup};
 use st_data::decaying_sizes;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let methods = [
         ("One-shot", Strategy::OneShot),
         ("Aggressive", Strategy::Iterative(TSchedule::aggressive())),

@@ -6,9 +6,6 @@ use slice_tuner::{Setting, Strategy, TSchedule};
 use st_bench::{rule, run_cell, trials, FamilySetup};
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let settings = [
         Setting::Basic,
         Setting::BadForUniform,

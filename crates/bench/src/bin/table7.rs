@@ -9,9 +9,6 @@ use st_bench::{rule, run_cell, trials, FamilySetup};
 use st_data::SlicedDataset;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let setup = FamilySetup::fashion();
     let init = 30usize;
     let budget = 500.0;

@@ -8,9 +8,6 @@ use st_curve::EstimationMode;
 use std::time::Instant;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let setup = FamilySetup::fashion();
     let trials = trials().min(3);
     let cells: Vec<(usize, f64)> = if st_bench::quick() {

@@ -7,9 +7,6 @@ use st_bench::{rule, run_cell, trials, FamilySetup};
 use st_models::ModelSpec;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let mut setup = FamilySetup::fashion();
     setup.spec = ModelSpec::deep();
     let init = 400usize;

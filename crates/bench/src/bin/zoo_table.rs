@@ -14,9 +14,6 @@ use st_data::SlicedDataset;
 use std::collections::HashMap;
 
 fn main() {
-    // Bench-wide kernel default: `sharded` on multi-core hosts, `simd`
-    // on single-core containers; `ST_KERNEL` overrides (see docs/kernels.md).
-    st_bench::init_bench_kernel();
     let mut wins: HashMap<&'static str, usize> = HashMap::new();
     let mut power_in_top2 = 0usize;
     let mut total = 0usize;

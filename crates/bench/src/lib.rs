@@ -126,32 +126,6 @@ impl FamilySetup {
     }
 }
 
-/// Fixes the bench-wide default compute kernel before the first dense
-/// operation: `sharded` on multi-core hosts (the full kernel roster's
-/// fastest deterministic backend there), `simd` on single-core containers
-/// where a worker fan-out only adds spawn overhead. An explicit
-/// `ST_KERNEL` — or any kernel already active in the process — always
-/// wins. Returns the kind actually in effect so binaries can report it.
-///
-/// Every experiment binary (tables, figures, comparison bins) calls this
-/// at the top of `main`; the `kernels` microbench and `jobs_scaling` do
-/// not, because they time or budget explicit backends themselves.
-pub fn init_bench_kernel() -> st_linalg::KernelKind {
-    if std::env::var_os("ST_KERNEL").is_none() {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let want = if cores >= 2 {
-            st_linalg::KernelKind::Sharded
-        } else {
-            st_linalg::KernelKind::Simd
-        };
-        // An Err only means a kernel was fixed earlier; keep it.
-        let _ = st_linalg::set_kernel(want);
-    }
-    st_linalg::kernel_kind()
-}
-
 /// Trials per experiment cell (`ST_TRIALS`, default 3; paper uses 10).
 pub fn trials() -> usize {
     std::env::var("ST_TRIALS")
@@ -293,16 +267,5 @@ mod tests {
     #[test]
     fn fmt_counts_aligns() {
         assert_eq!(fmt_counts(&[1.0, 20.0]), "    1    20");
-    }
-
-    #[test]
-    fn bench_kernel_default_is_deterministic_and_sticky() {
-        let first = init_bench_kernel();
-        // Whatever won (env override, earlier selection, or the
-        // core-count default), it must be the active process kernel, a
-        // bit-deterministic backend, and stable across calls.
-        assert_eq!(first, st_linalg::kernel_kind());
-        assert!(first.bit_deterministic());
-        assert_eq!(init_bench_kernel(), first);
     }
 }

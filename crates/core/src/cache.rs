@@ -17,8 +17,9 @@
 //! cache safely — a hit is bit-identical to recomputation, so cached runs
 //! stay exactly as deterministic as uncached ones.
 //!
-//! The cache is opt-in: hand one to [`TunerConfig::with_cache`]
-//! (`crate::TunerConfig::with_cache`) and share it (via [`Arc`]) across as
+//! The cache is opt-in: hand one to
+//! [`TunerConfig::with_cache`](crate::TunerConfig::with_cache) and share it
+//! (via [`Arc`]) across as
 //! many tuners, strategies, and threads as useful. Trials with distinct
 //! seeds have disjoint keys, so sharing one cache across a whole
 //! experiment is always sound.

@@ -3,7 +3,7 @@
 //! The paper reports means over 10 trials; trials are embarrassingly
 //! parallel (each builds its own dataset, source, and tuner from a seed
 //! derived with `split_seed`). This module fans the *same* unit of work the
-//! sequential runner uses ([`runner::run_single_trial`]) out over scoped
+//! sequential runner uses (`runner::run_single_trial`) out over scoped
 //! worker threads, collecting results into per-trial slots so aggregation
 //! order — and therefore every aggregated bit — is independent of thread
 //! count and scheduling.
@@ -396,15 +396,15 @@ mod tests {
     }
 
     /// The dense estimation plane must leave trial aggregates untouched:
-    /// lockstep-trained groups aggregate bit-identically to the per-call
-    /// gather reference in both estimation modes and at any `--jobs` and
+    /// its groups aggregate bit-identically to the per-call gather
+    /// reference in both estimation modes and at any `--jobs` and
     /// estimator thread count.
     #[test]
     fn dense_plane_aggregates_match_per_call_gather_at_any_jobs() {
         let fam = census();
         let run = |per_call: bool, mode: EstimationMode, jobs: usize, threads: usize| {
             let mut cfg = quick_config().with_mode(mode);
-            cfg.spec = ModelSpec::small(); // 24 wide: lockstep engages
+            cfg.spec = ModelSpec::small(); // hidden layers: per-model evaluation
             cfg.repeats = 2;
             cfg.per_call_gather = per_call;
             cfg.threads = threads;

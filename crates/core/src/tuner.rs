@@ -53,13 +53,13 @@ pub struct TunerConfig {
     /// reproducible bits for speed, and every determinism regression gate
     /// in the workspace assumes bit-identical kernels.
     pub allow_nondeterministic_kernel: bool,
-    /// Forces the estimator back onto the per-call gather path: clone the
-    /// subset examples, rebuild every slice's validation matrix, and train
-    /// one model at a time for every request, instead of riding the
-    /// dataset's cached dense snapshot, row-id subsets, and lockstep group
-    /// training. Bit-identical either way (the data plane contract); exists
-    /// as the reference the data-plane, chaos and drift tests compare the
-    /// dense plane against. Off by default.
+    /// Forces the estimator back onto the per-call gather path: clone each
+    /// request's subset examples, rebuild every slice's validation matrix,
+    /// and score each model on its own, instead of riding the dataset's
+    /// cached dense snapshot, row-id subsets, and stacked group
+    /// evaluation. Bit-identical either way (the data plane contract);
+    /// exists as the reference the data-plane, chaos and drift tests
+    /// compare the dense plane against. Off by default.
     pub per_call_gather: bool,
     /// Incremental re-estimation across acquisition rounds: the working
     /// dataset switches to append-only snapshots, the iterative loop tracks
@@ -570,10 +570,9 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
     /// influence, Section 5.2). That staleness has the same character as
     /// Algorithm 1's between-round staleness — curves are always acted on
     /// one acquisition behind the data — which is why incremental mode is
-    /// opt-in. Every exhaustive-mode fit goes through the partial
-    /// schedule's accumulator-seeded path (including the first, all-dirty
-    /// round), so fit bits never depend on *when* a slice was last
-    /// measured.
+    /// opt-in. Every fit is the plain [`st_curve::fit_power_law`] of the
+    /// slice's points, so a re-measured slice's estimate is bit-identical
+    /// to a from-scratch exhaustive estimation's on the same data.
     ///
     /// Under [`EstimationMode::Amortized`] one joint training measures
     /// every slice — nothing can be skipped — so this delegates to the
@@ -699,17 +698,14 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
     /// pre-drift ones. A zero bump leaves the request seed untouched — the
     /// no-drift path is bit-identical.
     ///
-    /// The round's requests are grouped by [`shape_key`], so every request
-    /// in a group trains on the same subset length and targets the same
-    /// slice. The hot path is matrix-native: the dataset's dense snapshot
-    /// ([`SlicedDataset::matrices`]) is fetched **once** per estimation —
-    /// per-slice validation matrices, label vectors, and the stacked
-    /// training matrix are built at most once per acquisition step —
-    /// subsets are sampled as row ids with their per-slice counts, each
-    /// group's models train in lockstep through the batched GEMM family
-    /// ([`st_models::train_on_rows_batched`]; a group of one, or one that
-    /// cannot run in lockstep, trains model by model through
-    /// [`st_models::train_on_rows`]), and the group is evaluated with one
+    /// The estimator hands over one group per `(target slice, fraction)`
+    /// cell — that subset size's repeats. The hot path is matrix-native:
+    /// the dataset's dense snapshot ([`SlicedDataset::matrices`]) is
+    /// fetched **once** per estimation — per-slice validation matrices,
+    /// label vectors, and the stacked training matrix are built at most
+    /// once per acquisition step — subsets are sampled as row ids with
+    /// their per-slice counts, each model trains alone through
+    /// [`st_models::train_on_rows`], and the group is evaluated with one
     /// stacked-weight product per validation matrix
     /// ([`st_models::MultiEval`]). Per request, every step is bit-identical
     /// to the per-call gather reference ([`TunerConfig::per_call_gather`]),
@@ -724,9 +720,8 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         Vec<Option<st_curve::SliceEstimate>>,
         Vec<st_curve::EstimateError>,
     ) {
-        let key = shape_key(self.ds.train_sizes());
         if self.config.per_call_gather {
-            return self.run_estimator_per_call(estimator, targets, &key, bumps, round);
+            return self.run_estimator_per_call(estimator, targets, bumps, round);
         }
         let n = self.ds.num_slices();
         let ds = &self.ds;
@@ -736,18 +731,17 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         let counter = &self.trainings;
 
         let measure = move |group: &[MeasureRequest]| -> Vec<Vec<SliceLossMeasurement>> {
-            // ST_FAULT nan_loss injection point: the shape key pins one
-            // target slice per group, so one scope arms the whole group's
-            // training for this (slice, round). A no-op unless a matching
-            // plan entry exists.
+            // ST_FAULT nan_loss injection point: a group has one target
+            // slice, so one scope arms the whole group's training for this
+            // (slice, round). A no-op unless a matching plan entry exists.
             let _nan_guard = st_linalg::fault::arm_nan_loss(group[0].target_slice, round);
-            // Per-request subset sampling with each request's own seed
-            // streams — grouping must not perturb a single RNG draw.
-            let seeds: Vec<u64> = group.iter().map(|req| bumped_seed(req, bumps)).collect();
-            let subsets: Vec<st_data::SubsetRows> = group
-                .iter()
-                .zip(&seeds)
-                .map(|(req, &seed)| match req.target_slice {
+            // Per-request subset sampling and training with each request's
+            // own seed streams — grouping must not perturb a single RNG draw.
+            let mut subsets: Vec<st_data::SubsetRows> = Vec::with_capacity(group.len());
+            let mut models: Vec<Mlp> = Vec::with_capacity(group.len());
+            for req in group {
+                let seed = bumped_seed(req, bumps);
+                let subset = match req.target_slice {
                     None => dense.joint_subset_rows(req.frac, &mut seeded_rng(split_seed(seed, 0))),
                     Some(s) => {
                         let len = dense.slice_len(s);
@@ -755,22 +749,18 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
                         let mut rng = seeded_rng(split_seed(seed, 1));
                         dense.exhaustive_subset_rows(SliceId(s), k, &mut rng)
                     }
-                })
-                .collect();
-            let configs: Vec<TrainConfig> = seeds
-                .iter()
-                .map(|&seed| train_cfg.with_seed(split_seed(seed, 2)))
-                .collect();
-            let row_sets: Vec<&[usize]> = subsets.iter().map(|s| s.rows.as_slice()).collect();
-            let models = st_models::train_on_rows_batched(
-                &dense.train_x,
-                &dense.train_y,
-                &row_sets,
-                ds.feature_dim,
-                ds.num_classes,
-                spec,
-                &configs,
-            );
+                };
+                models.push(st_models::train_on_rows(
+                    &dense.train_x,
+                    &dense.train_y,
+                    &subset.rows,
+                    ds.feature_dim,
+                    ds.num_classes,
+                    spec,
+                    &train_cfg.with_seed(split_seed(seed, 2)),
+                ));
+                subsets.push(subset);
+            }
             counter.fetch_add(group.len(), Ordering::Relaxed);
 
             // Stacked evaluation: every model in the group scores a slice's
@@ -793,13 +783,13 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
                 // Amortized: each training informs every slice's curve,
                 // slices ascending.
                 None => (0..n).for_each(|s| eval_slice(s, &mut out)),
-                // Exhaustive: the shape key pins one target per group.
+                // Exhaustive: a group has one target slice.
                 Some(s) => eval_slice(s, &mut out),
             }
             out
         };
 
-        estimator.estimate(n, targets, &key, &measure)
+        estimator.estimate(n, targets, &measure)
     }
 
     /// The PR-4 estimation data plane, kept as the bit-identity reference:
@@ -811,7 +801,6 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         &self,
         estimator: &CurveEstimator,
         targets: Option<&[bool]>,
-        key: &dyn Fn(&MeasureRequest) -> u64,
         bumps: Option<&[u64]>,
         round: u64,
     ) -> (
@@ -863,9 +852,7 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
             }
         };
 
-        estimator.estimate(n, targets, key, &|group| {
-            group.iter().map(&measure).collect()
-        })
+        estimator.estimate(n, targets, &|group| group.iter().map(&measure).collect())
     }
 
     /// One-shot's continuous allocation: the exact optimum of the convex
@@ -1349,40 +1336,6 @@ fn bumped_seed(req: &MeasureRequest, bumps: Option<&[u64]>) -> u64 {
     }
 }
 
-/// The estimator's RNG-free shape key over the per-slice training sizes:
-/// the exact `take` formulas of the subset samplers, so every request in a
-/// group trains on the same subset length (the lockstep precondition). An
-/// exhaustive request's target slice rides in the high bits, so a group
-/// scores one validation set and arms one fault scope.
-fn shape_key(slice_lens: Vec<usize>) -> impl Fn(&MeasureRequest) -> u64 {
-    let total_rows: usize = slice_lens.iter().sum();
-    move |req: &MeasureRequest| -> u64 {
-        match req.target_slice {
-            // Joint subsets: total predicted length, per slice
-            // `round(n·frac).clamp(1, n)` for non-empty slices (a zero
-            // fraction samples nothing at all).
-            None => {
-                if req.frac == 0.0 {
-                    return 0;
-                }
-                slice_lens
-                    .iter()
-                    .filter(|&&l| l > 0)
-                    .map(|&l| ((l as f64 * req.frac).round() as usize).clamp(1, l) as u64)
-                    .sum()
-            }
-            // Exhaustive subsets: every other slice rides whole, so the
-            // length is determined by (target, take).
-            Some(s) => {
-                let len = slice_lens[s];
-                let k = ((len as f64 * req.frac).round() as usize).clamp(1, len.max(1));
-                let take = (k.min(len) + total_rows - len) as u64;
-                ((s as u64 + 1) << 40) | take
-            }
-        }
-    }
-}
-
 /// Replaces failed fits with the log-mean of the successful ones (or a mild
 /// default when nothing fits): the curves the engine allocates on.
 fn resolve_fallbacks<E>(fits: Vec<Result<PowerLaw, E>>) -> Vec<PowerLaw> {
@@ -1433,11 +1386,11 @@ mod tests {
 
     #[test]
     fn dense_plane_matches_per_call_gather_at_any_thread_count() {
-        // The dense plane (cached matrices, row-id subsets, lockstep group
-        // training, stacked evaluation) must reproduce the per-call gather
-        // reference bit for bit, in both schedules, for the stacked-head
-        // softmax and the 24-wide `small` model (whose groups of two train
-        // in lockstep), at any estimator thread count.
+        // The dense plane (cached matrices, row-id subsets, stacked group
+        // evaluation) must reproduce the per-call gather reference bit for
+        // bit, in both schedules, for the stacked-head softmax and the
+        // hidden-layer `small` model (evaluated per model), at any
+        // estimator thread count.
         let fam = census();
         let run = |per_call: bool, spec: ModelSpec, mode: EstimationMode, threads: usize| {
             let ds = SlicedDataset::generate(&fam, &[60, 30, 45, 25], 40, 18);

@@ -1,13 +1,13 @@
 //! The subset-sampling learning-curve estimation loop (Sections 4.1–4.2).
 //!
 //! The estimator is decoupled from any concrete model or dataset: callers
-//! provide a *measurement function* that, given a group of same-shape
-//! subset requests, trains their models and reports the per-slice
-//! validation losses. This crate schedules the requests (exhaustively or
-//! amortized), groups them by a caller-supplied shape key, runs the groups
-//! in parallel, and fits averaged power-law curves.
+//! provide a *measurement function* that, given a group of subset requests,
+//! trains their models and reports the per-slice validation losses. This
+//! crate schedules the requests (exhaustively or amortized), groups the
+//! repeats of each subset size, runs the groups in parallel, and fits
+//! averaged power-law curves.
 
-use crate::fit::{fit_power_law, FitError, IncrementalFit};
+use crate::fit::{fit_power_law, FitError};
 use crate::model::PowerLaw;
 use crate::points::CurvePoint;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,66 +83,21 @@ impl std::fmt::Display for EstimateError {
 
 impl std::error::Error for EstimateError {}
 
-/// The measurement callback: train one same-shape group of requests
-/// together and return one measurement vector per request, **in the
-/// group's request order**.
+/// The measurement callback: measure one group of requests — the repeats
+/// of one `(target slice, fraction)` cell — and return one measurement
+/// vector per request, **in the group's request order**.
 ///
 /// Amortized requests should return a measurement for **every** slice (one
 /// training informs all curves); exhaustive requests need only return the
 /// target slice's measurement — any extras are ignored. Each request's
-/// measurements must not depend on which group it landed in: grouping is an
-/// execution strategy (lockstep training, stacked evaluation), not a
-/// different schedule, so a group of one measures what any larger group
-/// would for the same request.
+/// measurements must not depend on the rest of its group: grouping is an
+/// execution strategy (one fault scope, one stacked evaluation), not a
+/// different schedule.
 pub type TrainEvalBatchFn<'a> =
     dyn Fn(&[MeasureRequest]) -> Vec<Vec<SliceLossMeasurement>> + Sync + 'a;
 
 /// One request's outcome: its measurements, or why it kept failing.
 type Measured = Result<Vec<SliceLossMeasurement>, EstimateError>;
-
-/// One estimation round's requests grouped into same-shape training batches.
-///
-/// Batched training (`st_models::train_on_rows_batched`) runs models in
-/// lockstep only when every model sees the same subset length and a config
-/// identical up to the seed, so the plan groups requests by a caller-supplied
-/// *shape key*. The key must be RNG-free — derived from the request fields
-/// (fraction, target slice) plus static dataset counts only — so planning
-/// costs nothing and cannot perturb the seed stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BatchedTrainPlan {
-    groups: Vec<Vec<usize>>,
-}
-
-impl BatchedTrainPlan {
-    /// Builds the plan: request indices grouped by equal `key`, groups in
-    /// first-occurrence order, indices ascending within each group. Every
-    /// request lands in exactly one group.
-    pub fn build(requests: &[MeasureRequest], key: &dyn Fn(&MeasureRequest) -> u64) -> Self {
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, req) in requests.iter().enumerate() {
-            let k = key(req);
-            match order.iter().position(|&o| o == k) {
-                Some(g) => groups[g].push(i),
-                None => {
-                    order.push(k);
-                    groups.push(vec![i]);
-                }
-            }
-        }
-        BatchedTrainPlan { groups }
-    }
-
-    /// The request-index groups, in first-occurrence order.
-    pub fn groups(&self) -> &[Vec<usize>] {
-        &self.groups
-    }
-
-    /// Total number of requests covered.
-    pub fn num_requests(&self) -> usize {
-        self.groups.iter().map(Vec::len).sum()
-    }
-}
 
 /// Scheduling mode for curve estimation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -224,29 +179,24 @@ impl CurveEstimator {
     /// Estimates one power-law curve per slice — or, with `targets`, per
     /// flagged slice.
     ///
-    /// The request schedule is built with stream-counter seeds, grouped
-    /// into same-shape batches by the caller's shape `key`
-    /// ([`BatchedTrainPlan::build`]), and each group is handed to `measure`
-    /// whole. Groups run concurrently on the estimator's
-    /// [`threads`](Self::threads), longest first, with panic isolation and
-    /// retry per group; results are scattered back by request index before
-    /// they are grouped per `(slice, repeat)`, fitted independently, and
-    /// averaged in log space across repeats (`PowerLaw::log_mean`). A
-    /// measure function whose per-request results do not depend on grouping
-    /// therefore yields the same bits under any key and at any thread
-    /// count. A slice whose every repeat fails to fit reports the error in
-    /// its estimate.
+    /// The request schedule is built with stream-counter seeds, the repeats
+    /// of each `(target slice, fraction)` cell are grouped, and each group
+    /// is handed to `measure` whole. Groups run concurrently on the
+    /// estimator's [`threads`](Self::threads), longest first, with panic
+    /// isolation and retry per group; results are scattered back by
+    /// request index before they are grouped per `(slice, repeat)`, fitted
+    /// independently with [`fit_power_law`], and averaged in log space
+    /// across repeats (`PowerLaw::log_mean`), so the bits do not depend on
+    /// the thread count. A slice whose every repeat fails to fit reports
+    /// the error in its estimate.
     ///
     /// `targets = None` runs the full schedule: every slice comes back
-    /// `Some`, fitted with [`fit_power_law`]. `targets = Some(flags)` is
-    /// the dirty-slice path of incremental mode: only requests targeting a
-    /// flagged slice run, unflagged slices come back `None` (the tuner
-    /// reuses their previous round's estimates), and fits are seeded from
-    /// an [`IncrementalFit`] absorbing the round's points, which agrees
-    /// with the batch fit to refinement tolerance. The full schedule is
-    /// built before it is filtered, so every surviving request keeps its
-    /// full-schedule seed and a flagged slice's measurements reproduce the
-    /// from-scratch bits.
+    /// `Some`. `targets = Some(flags)` is the dirty-slice path of
+    /// incremental mode: only requests targeting a flagged slice run, and
+    /// unflagged slices come back `None` (the tuner reuses their previous
+    /// round's estimates). The full schedule is built before it is
+    /// filtered, so every surviving request keeps its full-schedule seed
+    /// and a flagged slice's estimate reproduces the from-scratch bits.
     ///
     /// Requests whose group kept failing after every retry come back as
     /// errors, one per request in request order, and contribute no points —
@@ -263,7 +213,6 @@ impl CurveEstimator {
         &self,
         num_slices: usize,
         targets: Option<&[bool]>,
-        key: &dyn Fn(&MeasureRequest) -> u64,
         measure: &TrainEvalBatchFn<'_>,
     ) -> (Vec<Option<SliceEstimate>>, Vec<EstimateError>) {
         assert!(
@@ -281,21 +230,16 @@ impl CurveEstimator {
             );
             requests.retain(|r| r.target_slice.is_some_and(|s| targets[s]));
         }
-        let plan = BatchedTrainPlan::build(&requests, key);
-        let results = self.dispatch(&requests, plan.groups, measure);
+        let results = self.dispatch(&requests, group_requests(&requests), measure);
         let (points, errors) = self.group_points(num_slices, &requests, results);
 
         let estimates = points
             .into_iter()
             .enumerate()
-            .map(|(s, per_rep)| match targets {
-                None => Some(fold_estimate(per_rep, &fit_power_law)),
-                Some(flags) if flags[s] => Some(fold_estimate(per_rep, &|pts| {
-                    let mut inc = IncrementalFit::new();
-                    inc.absorb_all(pts);
-                    inc.fit()
-                })),
-                Some(_) => None,
+            .map(|(s, per_rep)| {
+                targets
+                    .is_none_or(|flags| flags[s])
+                    .then(|| fold_estimate(per_rep))
             })
             .collect();
         (estimates, errors)
@@ -391,8 +335,7 @@ impl CurveEstimator {
     /// requests, so a retry re-executes the identical computation: a
     /// transient fault (an injected first-attempt panic) recovers
     /// bit-identically, and a persistent one fails every attempt and
-    /// becomes one [`EstimateError`] per member (lockstep models fail
-    /// together).
+    /// becomes one [`EstimateError`] per member (a group fails together).
     fn measure_group(
         &self,
         batch: &[MeasureRequest],
@@ -423,7 +366,7 @@ impl CurveEstimator {
         assert_eq!(
             out.len(),
             batch.len(),
-            "batched measure must return one result per request"
+            "measure must return one result per request"
         );
         out.into_iter().map(Ok).collect()
     }
@@ -471,18 +414,36 @@ impl CurveEstimator {
     }
 }
 
-/// Folds one slice's per-repeat points into a [`SliceEstimate`] with the
-/// given per-repeat fitter.
-fn fold_estimate(
-    per_rep: Vec<Vec<CurvePoint>>,
-    fit_fn: &dyn Fn(&[CurvePoint]) -> Result<PowerLaw, FitError>,
-) -> SliceEstimate {
-    let repeat_fits: Vec<PowerLaw> = per_rep.iter().filter_map(|pts| fit_fn(pts).ok()).collect();
+/// The round's requests grouped by `(target slice, fraction)` — the
+/// repeats of one subset size: groups in first-occurrence order, indices
+/// ascending within each group. Every request lands in exactly one group.
+fn group_requests(requests: &[MeasureRequest]) -> Vec<Vec<usize>> {
+    let mut keys: Vec<(Option<usize>, u64)> = Vec::new();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, req) in requests.iter().enumerate() {
+        let key = (req.target_slice, req.frac.to_bits());
+        match keys.iter().position(|&k| k == key) {
+            Some(g) => groups[g].push(i),
+            None => {
+                keys.push(key);
+                groups.push(vec![i]);
+            }
+        }
+    }
+    groups
+}
+
+/// Fits each repeat's points and folds them into a [`SliceEstimate`].
+fn fold_estimate(per_rep: Vec<Vec<CurvePoint>>) -> SliceEstimate {
+    let repeat_fits: Vec<PowerLaw> = per_rep
+        .iter()
+        .filter_map(|pts| fit_power_law(pts).ok())
+        .collect();
     let fit = if repeat_fits.is_empty() {
         // Surface the most informative error from the first repeat.
         Err(per_rep
             .first()
-            .map(|pts| fit_fn(pts).unwrap_err())
+            .map(|pts| fit_power_law(pts).unwrap_err())
             .unwrap_or(FitError::NotEnoughPoints))
     } else {
         Ok(PowerLaw::log_mean(&repeat_fits))
@@ -548,27 +509,15 @@ mod tests {
     /// below are written in.
     type PerRequest<'a> = dyn Fn(&MeasureRequest) -> Vec<SliceLossMeasurement> + Sync + 'a;
 
-    /// An RNG-free shape key in the tuner's style: target slice and
-    /// fraction, so a group gathers one cell's repeats.
-    fn shape_key(r: &MeasureRequest) -> u64 {
-        let s = r.target_slice.map_or(0, |s| s as u64 + 1);
-        s << 8 | (r.frac * 10.0).round() as u64
-    }
-
-    /// Every request its own group (request seeds are distinct).
-    fn own_group(r: &MeasureRequest) -> u64 {
-        r.seed
-    }
-
     /// Runs `est` through a per-request measure function looped over each
-    /// shape group.
+    /// group.
     fn run(
         est: &CurveEstimator,
         num_slices: usize,
         targets: Option<&[bool]>,
         measure: &PerRequest<'_>,
     ) -> (Vec<Option<SliceEstimate>>, Vec<EstimateError>) {
-        est.estimate(num_slices, targets, &shape_key, &|group| {
+        est.estimate(num_slices, targets, &|group| {
             group.iter().map(measure).collect()
         })
     }
@@ -741,14 +690,38 @@ mod tests {
         assert!(partial[1].is_none(), "unflagged slice is skipped");
         for s in [0, 2] {
             let p = partial[s].as_ref().unwrap();
-            // Seeds are assigned before filtering, so the flagged slices'
-            // measured points are bit-identical to the full schedule's.
-            assert_eq!(p.points, whole[s].points, "slice {s} points");
-            // Fits agree to refinement tolerance (the incremental seed
-            // differs from the batch init by streaming round-off only).
-            let (pf, ff) = (p.fit.as_ref().unwrap(), whole[s].fit.as_ref().unwrap());
-            assert!((pf.b - ff.b).abs() < 1e-6 * ff.b, "{} {}", pf.b, ff.b);
-            assert!((pf.a - ff.a).abs() < 1e-6, "{} {}", pf.a, ff.a);
+            // Seeds are assigned before filtering and every fit is the
+            // batch fit, so the flagged slices' points and curves are
+            // bit-identical to the full schedule's.
+            assert_same_bits(
+                std::slice::from_ref(p),
+                std::slice::from_ref(&whole[s]),
+                &format!("flagged slice {s}"),
+            );
+        }
+    }
+
+    #[test]
+    fn every_slice_targeted_equals_the_full_schedule_bit_for_bit() {
+        // Incremental mode's first round flags every slice: it must fit
+        // exactly what a from-scratch exhaustive estimation fits.
+        let curves = vec![
+            PowerLaw::new(2.0, 0.3),
+            PowerLaw::new(3.5, 0.31),
+            PowerLaw::new(1.2, 0.5),
+            PowerLaw::new(0.8, 0.12),
+        ];
+        let measure = synthetic_measure(vec![200, 400, 300, 90], curves, 0.3);
+        for seed in 0..8 {
+            let est = CurveEstimator::paper_default(seed).with_mode(EstimationMode::Exhaustive);
+            let whole = full(&est, 4, &measure);
+            let (targeted, errors) = run(&est, 4, Some(&[true; 4]), &measure);
+            assert!(errors.is_empty());
+            let targeted: Vec<SliceEstimate> = targeted.into_iter().flatten().collect();
+            assert_same_bits(&whole, &targeted, &format!("seed {seed}"));
+            for (w, t) in whole.iter().zip(&targeted) {
+                assert_eq!(w.repeat_fits, t.repeat_fits, "seed {seed} repeat fits");
+            }
         }
     }
 
@@ -774,62 +747,39 @@ mod tests {
     }
 
     #[test]
-    fn batched_plan_partitions_requests_in_first_occurrence_order() {
-        let est = CurveEstimator::fast(3).with_mode(EstimationMode::Exhaustive);
-        let requests = est.build_requests(2);
-        let plan = BatchedTrainPlan::build(&requests, &shape_key);
-        assert_eq!(plan.num_requests(), requests.len());
-        // Every index appears exactly once.
-        let mut seen = vec![false; requests.len()];
-        for g in plan.groups() {
-            assert!(!g.is_empty());
-            for w in g.windows(2) {
-                assert!(w[0] < w[1], "indices ascend within a group");
-            }
-            for &i in g {
-                assert!(!seen[i], "request {i} grouped twice");
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
-        // fast() = 5 fractions × 2 slices distinct keys; repeats collapse in.
-        assert_eq!(plan.groups().len(), 10);
-        assert!(plan.groups().iter().all(|g| g.len() == est.repeats));
-        // Groups appear in the order their key first occurs in the schedule.
-        let firsts: Vec<usize> = plan.groups().iter().map(|g| g[0]).collect();
-        assert!(firsts.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn grouping_does_not_change_estimates() {
-        // Grouping is an execution strategy: one-request groups and shape
-        // groups must fold to the same bits, full and partial.
-        let curves = vec![PowerLaw::new(2.0, 0.3), PowerLaw::new(3.5, 0.31)];
-        let measure = synthetic_measure(vec![200, 400], curves, 0.2);
-        let each = |group: &[MeasureRequest]| -> Vec<Vec<SliceLossMeasurement>> {
-            assert_eq!(group.len(), 1, "one request per group");
-            vec![measure(&group[0])]
-        };
+    fn requests_group_by_target_and_fraction_in_first_occurrence_order() {
         for mode in [EstimationMode::Amortized, EstimationMode::Exhaustive] {
-            let est = CurveEstimator::fast(9).with_mode(mode);
-            let singles: Vec<SliceEstimate> = est
-                .estimate(2, None, &own_group, &each)
-                .0
-                .into_iter()
-                .flatten()
-                .collect();
-            assert_same_bits(&full(&est, 2, &measure), &singles, &format!("{mode:?}"));
+            let est = CurveEstimator::fast(3).with_mode(mode);
+            let requests = est.build_requests(2);
+            let groups = group_requests(&requests);
+            // Every index appears exactly once.
+            let mut seen = vec![false; requests.len()];
+            for g in &groups {
+                assert!(!g.is_empty());
+                for w in g.windows(2) {
+                    assert!(w[0] < w[1], "indices ascend within a group");
+                }
+                let first = requests[g[0]];
+                for &i in g {
+                    assert!(!seen[i], "request {i} grouped twice");
+                    seen[i] = true;
+                    let r = requests[i];
+                    assert_eq!((r.target_slice, r.frac), (first.target_slice, first.frac));
+                }
+                // A group is one cell's repeats.
+                assert_eq!(g.len(), est.repeats);
+            }
+            assert!(seen.iter().all(|&s| s));
+            // fast() = 5 fractions, times 2 slices when exhaustive.
+            let cells = match mode {
+                EstimationMode::Amortized => 5,
+                EstimationMode::Exhaustive => 10,
+            };
+            assert_eq!(groups.len(), cells, "{mode:?}");
+            // Groups appear in the order their cell first occurs.
+            let firsts: Vec<usize> = groups.iter().map(|g| g[0]).collect();
+            assert!(firsts.windows(2).all(|w| w[0] < w[1]));
         }
-        let est = CurveEstimator::fast(9).with_mode(EstimationMode::Exhaustive);
-        let targets = [false, true];
-        let grouped = run(&est, 2, Some(&targets), &measure).0;
-        let singles = est.estimate(2, Some(&targets), &own_group, &each).0;
-        assert!(grouped[0].is_none() && singles[0].is_none());
-        assert_same_bits(
-            &[grouped[1].clone().unwrap()],
-            &[singles[1].clone().unwrap()],
-            "partial",
-        );
     }
 
     #[test]
@@ -860,7 +810,7 @@ mod tests {
             };
             let mut est = CurveEstimator::fast(4);
             est.threads = threads;
-            est.estimate(1, None, &shape_key, &measure);
+            est.estimate(1, None, &measure);
             let (_, peak, ran_on) = state.into_inner().unwrap();
             (peak, ran_on)
         };
@@ -889,7 +839,7 @@ mod tests {
         let errors_at = |threads: usize| {
             let mut est = est.clone();
             est.threads = threads;
-            est.estimate(2, None, &shape_key, &measure).1
+            est.estimate(2, None, &measure).1
         };
         let serial = errors_at(1);
         assert_eq!(
@@ -898,7 +848,7 @@ mod tests {
             "thread count must not change the errors"
         );
         // Request order is the schedule's (repeat-major, fractions
-        // ascending), not the plan's group order or the dispatch order.
+        // ascending), not the group order or the dispatch order.
         let want: Vec<(f64, usize)> = est
             .build_requests(2)
             .iter()
@@ -916,7 +866,7 @@ mod tests {
     #[should_panic(expected = "one result per request")]
     fn estimate_rejects_short_group_results() {
         let est = CurveEstimator::fast(1);
-        let _ = est.estimate(1, None, &|_| 0, &|_group| Vec::new());
+        let _ = est.estimate(1, None, &|_group| Vec::new());
     }
 
     #[test]

@@ -97,32 +97,6 @@ fn points_hash(pts: &[CurvePoint]) -> u64 {
     h
 }
 
-/// [`fit_power_law`] seeded from caller-supplied `(ln b, a)` instead of the
-/// batch log-space initialization.
-///
-/// The incremental estimation path keeps a [`LogLogAccumulator`] per slice
-/// and seeds the LM refinement from it, so appending a round's new points
-/// costs O(new) instead of a full re-initialization. The seed only moves the
-/// optimizer's starting point: with the same points, results agree with
-/// [`fit_power_law`] to refinement tolerance, not bit-for-bit.
-pub fn fit_power_law_seeded(
-    points: &[CurvePoint],
-    ln_b: f64,
-    a: f64,
-) -> Result<PowerLaw, FitError> {
-    let pts = clean(points)?;
-    inject_divergence(&pts)?;
-    Ok(lm_refine(&pts, ln_b, a.clamp(A_MIN, A_MAX)))
-}
-
-/// The batch log-space initialization on cleaned points, exposed so the
-/// incremental accumulator can be pinned against it: returns the `(ln b, a)`
-/// seed [`fit_power_law`] starts its refinement from.
-pub fn log_space_seed(points: &[CurvePoint]) -> Result<(f64, f64), FitError> {
-    let pts = clean(points)?;
-    log_space_init(&pts)
-}
-
 fn lm_refine(pts: &[CurvePoint], mut ln_b: f64, mut a: f64) -> PowerLaw {
     // --- Levenberg–Marquardt refinement in (ln b, a). ---
     // Residuals r_i = b x^{-a} - y, parameters p = (ln b, a):
@@ -285,132 +259,8 @@ fn log_space_init(pts: &[CurvePoint]) -> Result<(f64, f64), FitError> {
     Ok((ln_b, a))
 }
 
-/// Streaming weighted log-log regression accumulator.
-///
-/// The incremental counterpart of the batch initialization inside
-/// [`fit_power_law`]: a weighted Welford recurrence over `(ln n, ln loss)`
-/// (the idiom of `st_linalg::running::RunningStats`) that absorbs
-/// [`CurvePoint`]s one at a time and yields the same `(ln b, a)` seed — to
-/// floating-point tolerance — that [`log_space_seed`] computes from the full
-/// batch. Each acquisition round pushes only its new measurements instead of
-/// re-folding every point since round one.
-///
-/// Points are admitted under the same rules [`fit_power_law`]'s cleaning
-/// pass applies: `n ≥ 1`, positive weight, finite loss, losses clamped to
-/// the measurement floor.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LogLogAccumulator {
-    w: f64,
-    mx: f64,
-    my: f64,
-    sxx: f64,
-    sxy: f64,
-    /// Distinct subset sizes seen (bit patterns); the fit needs ≥ 2.
-    seen_n: Vec<u64>,
-    any_above_floor: bool,
-    count: usize,
-}
-
-impl LogLogAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Folds one point in. Returns `false` (and changes nothing) for points
-    /// the batch cleaning pass would discard.
-    pub fn push(&mut self, p: &CurvePoint) -> bool {
-        // NaN in any field fails the comparisons and is rejected too.
-        let usable = p.n >= 1.0 && p.weight > 0.0 && p.loss.is_finite();
-        if !usable {
-            return false;
-        }
-        let loss = p.loss.max(LOSS_FLOOR);
-        if loss > LOSS_FLOOR {
-            self.any_above_floor = true;
-        }
-        let x = p.n.ln();
-        let y = loss.ln();
-        self.w += p.weight;
-        let dx = x - self.mx;
-        let dy = y - self.my;
-        let r = p.weight / self.w;
-        self.mx += r * dx;
-        self.my += r * dy;
-        self.sxx += p.weight * dx * (x - self.mx);
-        self.sxy += p.weight * dx * (y - self.my);
-        if !self.seen_n.contains(&p.n.to_bits()) {
-            self.seen_n.push(p.n.to_bits());
-        }
-        self.count += 1;
-        true
-    }
-
-    /// Folds every point of `pts` in.
-    pub fn extend(&mut self, pts: &[CurvePoint]) {
-        for p in pts {
-            self.push(p);
-        }
-    }
-
-    /// Merges another accumulator, as if all of its points had been pushed
-    /// here (parallel aggregation).
-    pub fn merge(&mut self, other: &LogLogAccumulator) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let w1 = self.w;
-        let w2 = other.w;
-        let total = w1 + w2;
-        let dx = other.mx - self.mx;
-        let dy = other.my - self.my;
-        self.sxx += other.sxx + dx * dx * w1 * w2 / total;
-        self.sxy += other.sxy + dx * dy * w1 * w2 / total;
-        self.mx += dx * w2 / total;
-        self.my += dy * w2 / total;
-        self.w = total;
-        for &bits in &other.seen_n {
-            if !self.seen_n.contains(&bits) {
-                self.seen_n.push(bits);
-            }
-        }
-        self.any_above_floor |= other.any_above_floor;
-        self.count += other.count;
-    }
-
-    /// Number of admitted points.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// The `(ln b, a)` seed of the accumulated regression, under the same
-    /// error conditions as the batch initialization: fewer than two distinct
-    /// subset sizes (or no spread in `ln n`) is [`FitError::NotEnoughPoints`],
-    /// all losses at the floor is [`FitError::DegenerateLosses`].
-    pub fn seed(&self) -> Result<(f64, f64), FitError> {
-        if self.seen_n.len() < 2 {
-            return Err(FitError::NotEnoughPoints);
-        }
-        if !self.any_above_floor {
-            return Err(FitError::DegenerateLosses);
-        }
-        if self.sxx <= 0.0 {
-            return Err(FitError::NotEnoughPoints);
-        }
-        let slope = self.sxy / self.sxx;
-        let a = (-slope).clamp(A_MIN, A_MAX);
-        let ln_b = self.my + a * self.mx;
-        Ok((ln_b, a))
-    }
-}
-
 /// One-sided CUSUM over log-scale learning-curve residuals, the drift
-/// detector's accumulator (the change-detection counterpart of
-/// [`LogLogAccumulator`]).
+/// detector's accumulator.
 ///
 /// A stationary slice's measured losses scatter around its fitted curve, so
 /// the log residual `ln(measured) − ln(predicted)` is near zero and the
@@ -487,66 +337,6 @@ impl ResidualCusum {
             last: f64::from_bits(last),
             count: count as usize,
         }
-    }
-}
-
-/// An updatable power-law fit: absorb [`CurvePoint`]s as they are measured,
-/// then [`fit`](Self::fit) seeds the LM refinement from the running
-/// [`LogLogAccumulator`] instead of re-initializing from the full batch.
-///
-/// With the same points, the result agrees with [`fit_power_law`] to
-/// refinement tolerance (the seed differs by streaming round-off only); it
-/// is what the incremental estimation path uses, while from-scratch
-/// estimations keep the bit-exact batch path.
-#[derive(Debug, Clone, Default)]
-pub struct IncrementalFit {
-    acc: LogLogAccumulator,
-    points: Vec<CurvePoint>,
-}
-
-impl IncrementalFit {
-    /// An empty fit.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs one measurement. Returns `false` for points the cleaning
-    /// rules discard (those are not retained either).
-    pub fn absorb(&mut self, p: CurvePoint) -> bool {
-        let admitted = self.acc.push(&p);
-        if admitted {
-            self.points.push(p);
-        }
-        admitted
-    }
-
-    /// Absorbs every point of `pts`.
-    pub fn absorb_all(&mut self, pts: &[CurvePoint]) {
-        for &p in pts {
-            self.absorb(p);
-        }
-    }
-
-    /// The retained (admitted) points.
-    pub fn points(&self) -> &[CurvePoint] {
-        &self.points
-    }
-
-    /// Number of retained points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if nothing has been absorbed.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Fits `y = b·x^(-a)` to everything absorbed so far, seeding the LM
-    /// refinement from the running accumulator.
-    pub fn fit(&self) -> Result<PowerLaw, FitError> {
-        let (ln_b, a) = self.acc.seed()?;
-        fit_power_law_seeded(&self.points, ln_b, a)
     }
 }
 
@@ -756,122 +546,6 @@ mod tests {
                 .sum()
         };
         assert!(sse(&|n| floored.eval(n)) < sse(&|n| plain.eval(n)));
-    }
-
-    #[test]
-    fn accumulator_seed_matches_batch_init() {
-        let xs = [20., 40., 80., 120., 180., 240., 300.];
-        let pts: Vec<CurvePoint> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                let noise = 1.0 + 0.05 * ((i as f64 * 2.3).sin());
-                CurvePoint::size_weighted(x, 1.875 * x.powf(-0.446) * noise)
-            })
-            .collect();
-        let (ln_b, a) = log_space_seed(&pts).unwrap();
-        let mut acc = LogLogAccumulator::new();
-        for p in &pts {
-            assert!(acc.push(p));
-        }
-        let (inc_ln_b, inc_a) = acc.seed().unwrap();
-        assert!((inc_ln_b - ln_b).abs() < 1e-12, "{inc_ln_b} vs {ln_b}");
-        assert!((inc_a - a).abs() < 1e-12, "{inc_a} vs {a}");
-    }
-
-    #[test]
-    fn accumulator_rejects_what_clean_rejects() {
-        let mut acc = LogLogAccumulator::new();
-        assert!(!acc.push(&CurvePoint::weighted(0.5, 1.0, 1.0))); // n < 1
-        assert!(!acc.push(&CurvePoint::weighted(10.0, 1.0, 0.0))); // zero weight
-        assert!(!acc.push(&CurvePoint::weighted(10.0, f64::NAN, 1.0))); // NaN
-        assert_eq!(acc.count(), 0);
-        assert_eq!(acc.seed(), Err(FitError::NotEnoughPoints));
-    }
-
-    #[test]
-    fn accumulator_error_conditions_match_batch() {
-        // Single distinct size → NotEnoughPoints.
-        let mut acc = LogLogAccumulator::new();
-        acc.push(&CurvePoint::size_weighted(50.0, 1.0));
-        acc.push(&CurvePoint::size_weighted(50.0, 0.9));
-        assert_eq!(acc.seed(), Err(FitError::NotEnoughPoints));
-        // All losses at the floor → DegenerateLosses, like clean().
-        let mut acc = LogLogAccumulator::new();
-        acc.push(&CurvePoint::size_weighted(10.0, 0.0));
-        acc.push(&CurvePoint::size_weighted(100.0, 0.0));
-        assert_eq!(acc.seed(), Err(FitError::DegenerateLosses));
-    }
-
-    #[test]
-    fn accumulator_merge_equals_sequential() {
-        let first = sample_curve(2.0, 0.3, &[10., 50., 100.]);
-        let second = sample_curve(2.0, 0.3, &[200., 400.]);
-        let mut all = LogLogAccumulator::new();
-        all.extend(&first);
-        all.extend(&second);
-        let mut a = LogLogAccumulator::new();
-        a.extend(&first);
-        let mut b = LogLogAccumulator::new();
-        b.extend(&second);
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        let (s1, s2) = (a.seed().unwrap(), all.seed().unwrap());
-        assert!((s1.0 - s2.0).abs() < 1e-12);
-        assert!((s1.1 - s2.1).abs() < 1e-12);
-
-        let mut empty = LogLogAccumulator::new();
-        empty.merge(&all);
-        assert_eq!(empty.seed().unwrap(), all.seed().unwrap());
-    }
-
-    #[test]
-    fn incremental_fit_matches_batch_fit_to_tolerance() {
-        let xs = [20., 40., 80., 120., 180., 240., 300.];
-        let pts: Vec<CurvePoint> = xs
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| {
-                let noise = 1.0 + 0.04 * ((i as f64 * 1.7).cos());
-                CurvePoint::size_weighted(x, 2.4 * x.powf(-0.31) * noise)
-            })
-            .collect();
-        let batch = fit_power_law(&pts).unwrap();
-        let mut inc = IncrementalFit::new();
-        // Absorb one at a time, as successive rounds would.
-        for &p in &pts {
-            inc.absorb(p);
-        }
-        assert_eq!(inc.len(), pts.len());
-        let fit = inc.fit().unwrap();
-        // The seed differs from the batch init by streaming round-off, so
-        // the refined optimum agrees to LM convergence tolerance, not bits.
-        assert!(
-            (fit.b - batch.b).abs() < 1e-6 * batch.b,
-            "{} {}",
-            fit.b,
-            batch.b
-        );
-        assert!((fit.a - batch.a).abs() < 1e-6, "{} {}", fit.a, batch.a);
-    }
-
-    #[test]
-    fn incremental_fit_drops_rejected_points() {
-        let mut inc = IncrementalFit::new();
-        assert!(!inc.absorb(CurvePoint::weighted(0.0, 1.0, 1.0)));
-        assert!(inc.is_empty());
-        inc.absorb_all(&sample_curve(2.9, 0.21, &[10., 60., 200.]));
-        let fit = inc.fit().unwrap();
-        assert!((fit.a - 0.21).abs() < 1e-6);
-    }
-
-    #[test]
-    fn seeded_fit_converges_from_offset_seed() {
-        let pts = sample_curve(2.9, 0.21, &[10., 30., 60., 100., 200., 300.]);
-        let (ln_b, a) = log_space_seed(&pts).unwrap();
-        let fit = fit_power_law_seeded(&pts, ln_b + 0.05, a * 1.1).unwrap();
-        assert!((fit.b - 2.9).abs() < 1e-6, "b {}", fit.b);
-        assert!((fit.a - 0.21).abs() < 1e-6, "a {}", fit.a);
     }
 
     #[test]

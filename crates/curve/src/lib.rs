@@ -10,9 +10,7 @@
 //! This crate provides:
 //! - [`PowerLaw`] / [`PowerLawWithFloor`] — the parametric curve models;
 //! - [`fit_power_law`] — weighted NLLS via a log-space linear initialization
-//!   refined by Levenberg–Marquardt; [`IncrementalFit`] is its updatable
-//!   counterpart, absorbing new measurements one at a time into a running
-//!   log-log accumulator that seeds the same refinement;
+//!   refined by Levenberg–Marquardt;
 //! - [`CurveEstimator`] — the subset-sampling measurement loop with both the
 //!   exhaustive (Section 4.1) and the amortized (Section 4.2) schedules;
 //! - [`zoo`] — the Domhan et al. parametric model menu with AIC/BIC
@@ -30,13 +28,10 @@ pub mod zoo;
 
 pub use bands::{bootstrap_curve, CurveBands};
 pub use estimator::{
-    BatchedTrainPlan, CurveEstimator, EstimateError, EstimationMode, MeasureRequest, SliceEstimate,
+    CurveEstimator, EstimateError, EstimationMode, MeasureRequest, SliceEstimate,
     SliceLossMeasurement, TrainEvalBatchFn,
 };
-pub use fit::{
-    fit_power_law, fit_power_law_seeded, fit_power_law_with_floor, log_space_seed, FitError,
-    IncrementalFit, LogLogAccumulator, ResidualCusum,
-};
+pub use fit::{fit_power_law, fit_power_law_with_floor, FitError, ResidualCusum};
 pub use model::{PowerLaw, PowerLawWithFloor};
 pub use points::CurvePoint;
 pub use zoo::{fit_best, fit_family, fit_zoo, CurveFamily, FittedCurve};

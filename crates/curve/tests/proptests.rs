@@ -1,10 +1,7 @@
 //! Property-based tests for the curve fitter.
 
 use proptest::prelude::*;
-use st_curve::{
-    fit_power_law, fit_power_law_with_floor, log_space_seed, CurvePoint, IncrementalFit,
-    LogLogAccumulator, PowerLaw,
-};
+use st_curve::{fit_power_law, fit_power_law_with_floor, CurvePoint, PowerLaw};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -91,70 +88,6 @@ proptest! {
         let loss = c.eval(n);
         let back = c.examples_for_loss(loss).unwrap();
         prop_assert!((back - n).abs() < 1e-6 * n);
-    }
-
-    #[test]
-    fn accumulator_seed_matches_batch_init_on_random_streams(
-        raw in prop::collection::vec((5u32..5000, 1e-5f64..10.0, 0.5f64..50.0), 2..20),
-    ) {
-        // The running weighted log-log accumulator, absorbing one point at a
-        // time in stream order, must agree with the batch closed-form init
-        // on the same points to floating-point round-off.
-        let pts: Vec<CurvePoint> = raw
-            .iter()
-            .map(|&(n, loss, w)| CurvePoint::weighted(n as f64, loss, w))
-            .collect();
-        let mut acc = LogLogAccumulator::new();
-        for p in &pts {
-            acc.push(p);
-        }
-        let batch = log_space_seed(&pts);
-        match (acc.seed(), batch) {
-            (Ok((ln_b_i, a_i)), Ok((ln_b_b, a_b))) => {
-                prop_assert!(
-                    (ln_b_i - ln_b_b).abs() < 1e-9 * (1.0 + ln_b_b.abs()),
-                    "ln_b {ln_b_i} vs {ln_b_b}"
-                );
-                prop_assert!(
-                    (a_i - a_b).abs() < 1e-9 * (1.0 + a_b.abs()),
-                    "a {a_i} vs {a_b}"
-                );
-            }
-            // Degenerate streams (all one size, all at the loss floor) must
-            // be rejected identically.
-            (Err(ei), Err(eb)) => prop_assert_eq!(ei, eb),
-            (i, b) => prop_assert!(false, "seed {i:?} disagreed with batch {b:?}"),
-        }
-    }
-
-    #[test]
-    fn incremental_fit_matches_batch_fit_on_random_streams(
-        raw in prop::collection::vec((5u32..2000, 1e-4f64..5.0), 3..12),
-    ) {
-        // Absorbing the same stream one point at a time and fitting must
-        // agree with the one-shot batch fit to LM convergence tolerance.
-        let pts: Vec<CurvePoint> = raw
-            .iter()
-            .map(|&(n, loss)| CurvePoint::size_weighted(n as f64, loss))
-            .collect();
-        let mut inc = IncrementalFit::new();
-        for p in &pts {
-            inc.absorb(*p);
-        }
-        match (inc.fit(), fit_power_law(&pts)) {
-            (Ok(fi), Ok(fb)) => {
-                prop_assert!(
-                    (fi.a - fb.a).abs() < 1e-5 * (1.0 + fb.a.abs()),
-                    "a {} vs {}", fi.a, fb.a
-                );
-                prop_assert!(
-                    (fi.b - fb.b).abs() < 1e-5 * (1.0 + fb.b.abs()),
-                    "b {} vs {}", fi.b, fb.b
-                );
-            }
-            (Err(ei), Err(eb)) => prop_assert_eq!(ei, eb),
-            (i, b) => prop_assert!(false, "incremental {i:?} disagreed with batch {b:?}"),
-        }
     }
 }
 

@@ -663,8 +663,8 @@ impl SlicedDataset {
     /// A full cache hit returns the same [`Arc`] — callers grab it once
     /// per estimation and index it freely across threads.
     ///
-    /// **Staleness contract.** Change detection uses the cheap signatures
-    /// of [`Self::matrices_sigs`]: per-slice list lengths plus content
+    /// **Staleness contract.** Change detection uses cheap signatures:
+    /// per-slice list lengths plus content
     /// probes of each list's first and last example. Every mutation this
     /// workspace performs moves a signature, but `slices` is a public
     /// field — code that edits example *content* in place (through
@@ -696,8 +696,8 @@ impl SlicedDataset {
 
     /// Drops the cached snapshot so the next [`Self::matrices`] rebuilds
     /// both halves. Needed only after in-place *content* mutation that
-    /// keeps every list's length and endpoints (see
-    /// [`Self::matrices_sigs`]).
+    /// keeps every list's length and endpoints (the signatures
+    /// [`Self::matrices`] compares).
     pub fn invalidate_matrices(&self) {
         *self.matrices.lock().expect("matrix cache lock") = None;
     }

@@ -54,13 +54,6 @@ const TB: usize = 32;
 /// Panel width of the SIMD kernels: eight output columns per packed group
 /// (one 512-bit vector, or two 256-bit vectors).
 const SPW: usize = 8;
-/// Widest output-column panel any backend packs (the SIMD kernels' [`SPW`]).
-/// Batched-GEMM callers can consult this to predict whether a product's
-/// columns will fill a panel: products narrower than this under-fill every
-/// panel no matter how many are batched per call (batching preserves the
-/// per-product packing to stay bit-identical), so batching them saves only
-/// dispatch overhead — see `st_models::train_on_rows_batched`.
-pub const MAX_PANEL_WIDTH: usize = SPW;
 /// Panel-block byte budget of the SIMD kernels. Larger than
 /// [`PANEL_BLOCK_BYTES`]: the explicit micro-kernels stream `A` once per
 /// block, so on the bigger L2 of AVX-512-era cores a wider resident set
@@ -213,25 +206,6 @@ unsafe fn bias_ptr(bias: Option<&[f64]>, j0: usize) -> *const f64 {
         Some(b) => b.as_ptr().add(j0),
         None => std::ptr::null(),
     }
-}
-
-/// Selects product `i`'s operand from a batched operand list: a length-1
-/// list is broadcast (the shared operand every product reuses), any other
-/// length is indexed per product.
-fn batched_operand<'a, T: ?Sized>(xs: &[&'a T], i: usize) -> &'a T {
-    xs[if xs.len() == 1 { 0 } else { i }]
-}
-
-/// Validates a batched operand list length: `1` (shared/broadcast) or
-/// exactly `batch` (per-product).
-///
-/// # Panics
-/// Panics on any other length.
-fn check_batched_len(what: &str, len: usize, batch: usize) {
-    assert!(
-        len == 1 || len == batch,
-        "batched {what} operand count mismatch: {len} operands for batch {batch}"
-    );
 }
 
 /// The dense compute primitives every backend must provide.
@@ -455,7 +429,7 @@ pub trait GemmBackend: Send + Sync {
     /// **Bit identity.** The packed cores store each output element
     /// exactly once, so clamping at the write-back reads the same value a
     /// separate ReLU pass would read; the clamp itself is the separate
-    /// pass's `< 0` comparison (see [`relu_rows`] — `-0.0` and `NaN`
+    /// pass's `< 0` comparison (see `relu_rows` — `-0.0` and `NaN`
     /// survive untouched, a vector `max` would flip them). The fused call
     /// is therefore `to_bits`-identical to `gemm_prepacked_bias` followed
     /// by `relu_rows` on every deterministic backend (proptested).
@@ -500,160 +474,6 @@ pub trait GemmBackend: Send + Sync {
             PackLayout::Panels8 => {
                 SimdKernel::packed_gemm_bias_relu(m, k, n, a, &pb.data, bias, out)
             }
-        }
-    }
-
-    // ---- The batched product API --------------------------------------
-    //
-    // One call, many independent same-shape products. Operand lists are
-    // broadcast-or-per-product: a length-1 list is the shared operand
-    // every product reuses (the shared-A / shared-B cases), a
-    // length-`batch` list gives each product its own operand (the
-    // block-diagonal case). `outs.len()` fixes the batch. Every product
-    // keeps its own per-element ascending-`k` accumulation chains, so a
-    // batched call is bit-identical to the `batch` sequential single
-    // calls it replaces on every deterministic backend (proptested) —
-    // batching only changes which product's elements interleave and how
-    // often operands are re-packed, never any summation chain. The
-    // default implementations are exactly that sequential loop (what
-    // `naive`/`blocked`/`fast` use); the packing backends override the
-    // hot entries to hoist shared packs out of the loop, reuse one panel
-    // allocation across the whole batch, and (`sharded`) fan products —
-    // not rows — over the worker pool.
-
-    /// Batched [`gemm`](Self::gemm): `outs[i] += a⟨i⟩ · b⟨i⟩` for every
-    /// product `i`, where `⟨i⟩` broadcasts length-1 operand lists.
-    fn gemm_batched(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        b: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("B", b.len(), batch);
-        for (i, out) in outs.iter_mut().enumerate() {
-            self.gemm(m, k, n, batched_operand(a, i), batched_operand(b, i), out);
-        }
-    }
-
-    /// Batched [`gemm_nt`](Self::gemm_nt): `outs[i] += a⟨i⟩ · bt⟨i⟩ᵀ`.
-    fn gemm_batched_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        bt: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("Bᵀ", bt.len(), batch);
-        for (i, out) in outs.iter_mut().enumerate() {
-            self.gemm_nt(m, k, n, batched_operand(a, i), batched_operand(bt, i), out);
-        }
-    }
-
-    /// Batched [`gemm_tn`](Self::gemm_tn): `outs[i] += a⟨i⟩ᵀ · b⟨i⟩`
-    /// (each `outs[i]` is `k×n`).
-    fn gemm_batched_tn(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        b: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("B", b.len(), batch);
-        for (i, out) in outs.iter_mut().enumerate() {
-            self.gemm_tn(m, k, n, batched_operand(a, i), batched_operand(b, i), out);
-        }
-    }
-
-    /// Batched [`gemm_prepacked`](Self::gemm_prepacked): every product's
-    /// `B` is already packed (the estimator packs each model's weights
-    /// once per optimizer step), so the batch walk adds no pack work at
-    /// all — it amortizes the per-call dispatch and keeps a shared `a`
-    /// hot across products.
-    fn gemm_batched_prepacked(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        pbs: &[&PackedB],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("packed B", pbs.len(), batch);
-        for (i, out) in outs.iter_mut().enumerate() {
-            self.gemm_prepacked(m, k, n, batched_operand(a, i), batched_operand(pbs, i), out);
-        }
-    }
-
-    /// Batched [`gemm_prepacked_bias`](Self::gemm_prepacked_bias).
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_batched_prepacked_bias(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        pbs: &[&PackedB],
-        biases: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("packed B", pbs.len(), batch);
-        check_batched_len("bias", biases.len(), batch);
-        for (i, out) in outs.iter_mut().enumerate() {
-            self.gemm_prepacked_bias(
-                m,
-                k,
-                n,
-                batched_operand(a, i),
-                batched_operand(pbs, i),
-                batched_operand(biases, i),
-                out,
-            );
-        }
-    }
-
-    /// Batched [`gemm_prepacked_bias_relu`](Self::gemm_prepacked_bias_relu).
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_batched_prepacked_bias_relu(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        pbs: &[&PackedB],
-        biases: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("packed B", pbs.len(), batch);
-        check_batched_len("bias", biases.len(), batch);
-        for (i, out) in outs.iter_mut().enumerate() {
-            self.gemm_prepacked_bias_relu(
-                m,
-                k,
-                n,
-                batched_operand(a, i),
-                batched_operand(pbs, i),
-                batched_operand(biases, i),
-                out,
-            );
         }
     }
 
@@ -783,9 +603,9 @@ impl GemmBackend for NaiveKernel {
 
 /// The cache-blocked, register-tiled backend (the default).
 ///
-/// `gemm` tiles the output columns ([`NC`]) and the reduction dimension
-/// ([`KC`]) so a `KC × NC` panel of `B` stays cache-resident, processes
-/// [`MR`] rows of `A` per panel pass, and micro-tiles the reduction four
+/// `gemm` tiles the output columns (`NC`) and the reduction dimension
+/// (`KC`) so a `KC × NC` panel of `B` stays cache-resident, processes
+/// rows of `A` in pairs per panel pass, and micro-tiles the reduction four
 /// `k` steps at a time — each output element is loaded into a register
 /// once per 4 products instead of once per product. The adds inside a
 /// micro-tile are issued in ascending `k` order, so results are
@@ -1405,7 +1225,7 @@ fn simd_width_cap() -> u32 {
 /// the CPU offers one, selected at runtime.
 ///
 /// The vector lanes map to **distinct output columns** — eight at a time,
-/// packed like [`BlockedKernel`]'s panels but [`SPW`]-wide — and every
+/// packed like [`BlockedKernel`]'s panels but `SPW`-wide — and every
 /// output element keeps its own ascending-`k` multiply/add chain (no FMA
 /// contraction, no horizontal reductions). The scalar fallback mirrors the
 /// lane arithmetic exactly, so `simd` is bit-identical to [`NaiveKernel`]
@@ -2156,71 +1976,6 @@ impl GemmBackend for SimdKernel {
         Self::gemm_tn_cols(m, k, n, 0, k, a, b, out);
     }
 
-    fn gemm_batched(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        b: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("B", b.len(), batch);
-        if batch == 0 || m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        // One panel buffer serves the whole batch: packed once when `B`
-        // is shared, re-packed in place (allocation reused, no per-call
-        // `Vec`) when each product brings its own. The packed core is
-        // bit-identical to the small-`m` axpy fallback the single-call
-        // `gemm` would take, so routing every product through it keeps
-        // the sequential-loop bits while letting tiny products share the
-        // pack that a lone call could not amortize.
-        let mut packed = Vec::new();
-        if b.len() == 1 {
-            Self::pack_panels8_into(k, n, b[0], &mut packed);
-            for (i, out) in outs.iter_mut().enumerate() {
-                Self::packed_gemm(m, k, n, batched_operand(a, i), &packed, out);
-            }
-        } else {
-            for (i, out) in outs.iter_mut().enumerate() {
-                Self::pack_panels8_into(k, n, b[i], &mut packed);
-                Self::packed_gemm(m, k, n, batched_operand(a, i), &packed, out);
-            }
-        }
-    }
-
-    fn gemm_batched_nt(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        bt: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("Bᵀ", bt.len(), batch);
-        if batch == 0 || m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        let mut packed = Vec::new();
-        if bt.len() == 1 {
-            Self::pack_panels8_t_into(k, n, bt[0], &mut packed);
-            for (i, out) in outs.iter_mut().enumerate() {
-                Self::packed_gemm(m, k, n, batched_operand(a, i), &packed, out);
-            }
-        } else {
-            for (i, out) in outs.iter_mut().enumerate() {
-                Self::pack_panels8_t_into(k, n, bt[i], &mut packed);
-                Self::packed_gemm(m, k, n, batched_operand(a, i), &packed, out);
-            }
-        }
-    }
-
     fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
         debug_assert_eq!(b.len(), k * n);
         dst.layout = PackLayout::Panels8;
@@ -2318,7 +2073,7 @@ fn shard_ranges(total: usize, workers: usize) -> Vec<(usize, usize)> {
 /// Every output element is computed by exactly one worker with exactly the
 /// ascending-`k` chain of [`NaiveKernel`], so results are bit-identical at
 /// **any** thread count — sharding changes who computes an element, never
-/// how. Small products (under [`SHARD_MIN_WORK`] multiplies) run inline on
+/// how. Small products (under `SHARD_MIN_WORK` multiplies) run inline on
 /// the calling thread; the worker count comes from [`kernel_threads`]
 /// unless pinned per-instance via [`ShardedKernel::with_threads`].
 #[derive(Debug, Default, Clone, Copy)]
@@ -2607,183 +2362,6 @@ impl GemmBackend for ShardedKernel {
                 .expect("sharded gemm_prepacked_bias_relu worker panicked");
             }
         }
-    }
-
-    fn gemm_batched(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        b: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("B", b.len(), batch);
-        if batch == 0 || m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        // Fan whole *products* over the pool — each worker owns a
-        // contiguous run of items and runs their complete ascending-`k`
-        // chains, so any worker count produces the sequential-loop bits.
-        // Batches too small to pay the spawn cost take the simd batched
-        // walk inline (one reused pack buffer).
-        if self.threads() <= 1 || batch < 2 || batch * m * k * n < SHARD_MIN_WORK {
-            SimdKernel.gemm_batched(m, k, n, a, b, outs);
-            return;
-        }
-        let shared_pack = (b.len() == 1).then(|| SimdKernel::pack_panels8(k, n, b[0]));
-        let shared_pack = shared_pack.as_deref();
-        crossbeam::scope(|scope| {
-            let mut rest = outs;
-            for (s, e) in shard_ranges(batch, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut(e - s);
-                rest = tail;
-                scope.spawn(move |_| {
-                    let mut local = Vec::new();
-                    for (off, out) in chunk.iter_mut().enumerate() {
-                        let i = s + off;
-                        match shared_pack {
-                            Some(p) => {
-                                SimdKernel::packed_gemm(m, k, n, batched_operand(a, i), p, out)
-                            }
-                            None => {
-                                SimdKernel::pack_panels8_into(k, n, b[i], &mut local);
-                                SimdKernel::packed_gemm(
-                                    m,
-                                    k,
-                                    n,
-                                    batched_operand(a, i),
-                                    &local,
-                                    out,
-                                );
-                            }
-                        }
-                    }
-                });
-            }
-        })
-        .expect("sharded gemm_batched worker panicked");
-    }
-
-    fn gemm_batched_prepacked_bias(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        pbs: &[&PackedB],
-        biases: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("packed B", pbs.len(), batch);
-        check_batched_len("bias", biases.len(), batch);
-        let all_panels8 = pbs.iter().all(|pb| pb.layout == PackLayout::Panels8);
-        if !all_panels8
-            || self.threads() <= 1
-            || batch < 2
-            || k == 0
-            || batch * m * k * n < SHARD_MIN_WORK
-        {
-            // Foreign layouts and small batches: the per-product loop
-            // (which re-dispatches per handle) is the bit-identity
-            // baseline anyway.
-            for (i, out) in outs.iter_mut().enumerate() {
-                SimdKernel.gemm_prepacked_bias(
-                    m,
-                    k,
-                    n,
-                    batched_operand(a, i),
-                    batched_operand(pbs, i),
-                    batched_operand(biases, i),
-                    out,
-                );
-            }
-            return;
-        }
-        crossbeam::scope(|scope| {
-            let mut rest = outs;
-            for (s, e) in shard_ranges(batch, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut(e - s);
-                rest = tail;
-                scope.spawn(move |_| {
-                    for (off, out) in chunk.iter_mut().enumerate() {
-                        let i = s + off;
-                        SimdKernel::packed_gemm_bias(
-                            m,
-                            k,
-                            n,
-                            batched_operand(a, i),
-                            &batched_operand(pbs, i).data,
-                            batched_operand(biases, i),
-                            out,
-                        );
-                    }
-                });
-            }
-        })
-        .expect("sharded gemm_batched_prepacked_bias worker panicked");
-    }
-
-    fn gemm_batched_prepacked_bias_relu(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[&[f64]],
-        pbs: &[&PackedB],
-        biases: &[&[f64]],
-        outs: &mut [&mut [f64]],
-    ) {
-        let batch = outs.len();
-        check_batched_len("A", a.len(), batch);
-        check_batched_len("packed B", pbs.len(), batch);
-        check_batched_len("bias", biases.len(), batch);
-        let all_panels8 = pbs.iter().all(|pb| pb.layout == PackLayout::Panels8);
-        if !all_panels8
-            || self.threads() <= 1
-            || batch < 2
-            || k == 0
-            || batch * m * k * n < SHARD_MIN_WORK
-        {
-            for (i, out) in outs.iter_mut().enumerate() {
-                SimdKernel.gemm_prepacked_bias_relu(
-                    m,
-                    k,
-                    n,
-                    batched_operand(a, i),
-                    batched_operand(pbs, i),
-                    batched_operand(biases, i),
-                    out,
-                );
-            }
-            return;
-        }
-        crossbeam::scope(|scope| {
-            let mut rest = outs;
-            for (s, e) in shard_ranges(batch, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut(e - s);
-                rest = tail;
-                scope.spawn(move |_| {
-                    for (off, out) in chunk.iter_mut().enumerate() {
-                        let i = s + off;
-                        SimdKernel::packed_gemm_bias_relu(
-                            m,
-                            k,
-                            n,
-                            batched_operand(a, i),
-                            &batched_operand(pbs, i).data,
-                            batched_operand(biases, i),
-                            out,
-                        );
-                    }
-                });
-            }
-        })
-        .expect("sharded gemm_batched_prepacked_bias_relu worker panicked");
     }
 
     fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
@@ -3719,197 +3297,6 @@ mod tests {
         let mut got = vec![0.0; m * n];
         backend.gemm_prepacked_bias_relu(m, k, n, &a, &pb, &bias, &mut got);
         assert_bits_eq(&want, &got);
-    }
-
-    #[test]
-    fn batched_gemm_matches_sequential_bitwise() {
-        // All three operand modes (block-diagonal, shared-A, shared-B)
-        // must reproduce the N-sequential-`gemm` bits on every backend.
-        let sharded = ShardedKernel::with_threads(3);
-        let backends: [&dyn GemmBackend; 5] = [
-            &NaiveKernel,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-            &FastKernel,
-        ];
-        let batch = 5usize;
-        for &(m, k, n) in &[(1, 1, 1), (3, 9, 8), (7, 5, 3), (17, 13, 11), (2, 8, 30)] {
-            let avs: Vec<Vec<f64>> = (0..batch)
-                .map(|i| fill(m * k, 151 + (i * 7 + m) as u64))
-                .collect();
-            let bvs: Vec<Vec<f64>> = (0..batch)
-                .map(|i| fill(k * n, 152 + (i * 11 + n) as u64))
-                .collect();
-            for backend in backends {
-                for (shared_a, shared_b) in [(false, false), (true, false), (false, true)] {
-                    let a: Vec<&[f64]> = if shared_a {
-                        vec![avs[0].as_slice()]
-                    } else {
-                        avs.iter().map(|v| v.as_slice()).collect()
-                    };
-                    let b: Vec<&[f64]> = if shared_b {
-                        vec![bvs[0].as_slice()]
-                    } else {
-                        bvs.iter().map(|v| v.as_slice()).collect()
-                    };
-                    let mut want = vec![vec![0.0; m * n]; batch];
-                    for (i, w) in want.iter_mut().enumerate() {
-                        let ai = if shared_a { 0 } else { i };
-                        let bi = if shared_b { 0 } else { i };
-                        backend.gemm(m, k, n, &avs[ai], &bvs[bi], w);
-                    }
-                    let mut store = vec![vec![0.0; m * n]; batch];
-                    let mut outs: Vec<&mut [f64]> =
-                        store.iter_mut().map(|v| v.as_mut_slice()).collect();
-                    backend.gemm_batched(m, k, n, &a, &b, &mut outs);
-                    for (w, g) in want.iter().zip(&store) {
-                        assert_bits_eq(w, g);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batched_nt_tn_match_sequential_bitwise() {
-        let (m, k, n) = (9, 7, 6);
-        let batch = 4usize;
-        let avs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * k, 161 + i as u64)).collect();
-        let btvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(n * k, 162 + i as u64)).collect();
-        let bvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * n, 163 + i as u64)).collect();
-        let sharded = ShardedKernel::with_threads(2);
-        for backend in [
-            &NaiveKernel as &dyn GemmBackend,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-        ] {
-            let a: Vec<&[f64]> = avs.iter().map(|v| v.as_slice()).collect();
-            let bt: Vec<&[f64]> = btvs.iter().map(|v| v.as_slice()).collect();
-            let mut want = vec![vec![0.0; m * n]; batch];
-            for (i, w) in want.iter_mut().enumerate() {
-                backend.gemm_nt(m, k, n, &avs[i], &btvs[i], w);
-            }
-            let mut store = vec![vec![0.0; m * n]; batch];
-            let mut outs: Vec<&mut [f64]> = store.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_nt(m, k, n, &a, &bt, &mut outs);
-            for (w, g) in want.iter().zip(&store) {
-                assert_bits_eq(w, g);
-            }
-
-            let b: Vec<&[f64]> = bvs.iter().map(|v| v.as_slice()).collect();
-            let mut want_tn = vec![vec![0.0; k * n]; batch];
-            for (i, w) in want_tn.iter_mut().enumerate() {
-                backend.gemm_tn(m, k, n, &avs[i], &bvs[i], w);
-            }
-            let mut store_tn = vec![vec![0.0; k * n]; batch];
-            let mut outs_tn: Vec<&mut [f64]> =
-                store_tn.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_tn(m, k, n, &a, &b, &mut outs_tn);
-            for (w, g) in want_tn.iter().zip(&store_tn) {
-                assert_bits_eq(w, g);
-            }
-        }
-    }
-
-    #[test]
-    fn batched_prepacked_variants_match_sequential_bitwise() {
-        let (m, k, n) = (6, 11, 9);
-        let batch = 4usize;
-        let avs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * k, 171 + i as u64)).collect();
-        let bvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(k * n, 172 + i as u64)).collect();
-        let biasvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(n, 173 + i as u64)).collect();
-        let sharded = ShardedKernel::with_threads(2);
-        for backend in [
-            &NaiveKernel as &dyn GemmBackend,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-        ] {
-            let packs: Vec<PackedB> = bvs.iter().map(|b| backend.pack_b(k, n, b)).collect();
-            let a: Vec<&[f64]> = avs.iter().map(|v| v.as_slice()).collect();
-            let pbs: Vec<&PackedB> = packs.iter().collect();
-            let biases: Vec<&[f64]> = biasvs.iter().map(|v| v.as_slice()).collect();
-
-            let mut want = vec![vec![0.0; m * n]; batch];
-            for (i, w) in want.iter_mut().enumerate() {
-                backend.gemm_prepacked(m, k, n, &avs[i], &packs[i], w);
-            }
-            let mut store = vec![vec![0.0; m * n]; batch];
-            let mut outs: Vec<&mut [f64]> = store.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_prepacked(m, k, n, &a, &pbs, &mut outs);
-            for (w, g) in want.iter().zip(&store) {
-                assert_bits_eq(w, g);
-            }
-
-            let mut want_b = vec![vec![0.0; m * n]; batch];
-            for (i, w) in want_b.iter_mut().enumerate() {
-                backend.gemm_prepacked_bias(m, k, n, &avs[i], &packs[i], &biasvs[i], w);
-            }
-            let mut store_b = vec![vec![0.0; m * n]; batch];
-            let mut outs_b: Vec<&mut [f64]> =
-                store_b.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_prepacked_bias(m, k, n, &a, &pbs, &biases, &mut outs_b);
-            for (w, g) in want_b.iter().zip(&store_b) {
-                assert_bits_eq(w, g);
-            }
-
-            let mut want_r = vec![vec![0.0; m * n]; batch];
-            for (i, w) in want_r.iter_mut().enumerate() {
-                backend.gemm_prepacked_bias_relu(m, k, n, &avs[i], &packs[i], &biasvs[i], w);
-            }
-            let mut store_r = vec![vec![0.0; m * n]; batch];
-            let mut outs_r: Vec<&mut [f64]> =
-                store_r.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched_prepacked_bias_relu(m, k, n, &a, &pbs, &biases, &mut outs_r);
-            for (w, g) in want_r.iter().zip(&store_r) {
-                assert_bits_eq(w, g);
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_batched_fans_products_above_the_work_threshold() {
-        // 8 × 64^3 = 2 MiB of MACs > SHARD_MIN_WORK: exercises the
-        // product-level fan-out, shared-B hoisted pack included.
-        let (m, k, n) = (64, 64, 64);
-        let batch = 8usize;
-        let avs: Vec<Vec<f64>> = (0..batch).map(|i| fill(m * k, 181 + i as u64)).collect();
-        let bvs: Vec<Vec<f64>> = (0..batch).map(|i| fill(k * n, 182 + i as u64)).collect();
-        let backend = ShardedKernel::with_threads(3);
-        for shared_b in [false, true] {
-            let a: Vec<&[f64]> = avs.iter().map(|v| v.as_slice()).collect();
-            let b: Vec<&[f64]> = if shared_b {
-                vec![bvs[0].as_slice()]
-            } else {
-                bvs.iter().map(|v| v.as_slice()).collect()
-            };
-            let mut want = vec![vec![0.0; m * n]; batch];
-            for (i, w) in want.iter_mut().enumerate() {
-                let bi = if shared_b { 0 } else { i };
-                NaiveKernel.gemm(m, k, n, &avs[i], &bvs[bi], w);
-            }
-            let mut store = vec![vec![0.0; m * n]; batch];
-            let mut outs: Vec<&mut [f64]> = store.iter_mut().map(|v| v.as_mut_slice()).collect();
-            backend.gemm_batched(m, k, n, &a, &b, &mut outs);
-            for (w, g) in want.iter().zip(&store) {
-                assert_bits_eq(w, g);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "batched A operand count mismatch")]
-    fn batched_rejects_operand_count_mismatch() {
-        let a1 = fill(6, 191);
-        let a2 = fill(6, 192);
-        let b1 = fill(6, 193);
-        let mut o1 = vec![0.0; 4];
-        let mut o2 = vec![0.0; 4];
-        let mut o3 = vec![0.0; 4];
-        let mut outs: Vec<&mut [f64]> = vec![&mut o1, &mut o2, &mut o3];
-        SimdKernel.gemm_batched(2, 3, 2, &[&a1, &a2], &[&b1], &mut outs);
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //! rows interchangeably.
 //!
 //! Dense products dispatch through the pluggable compute-kernel layer in
-//! [`kernel`]: `ST_KERNEL=naive|blocked` (or [`set_kernel`]) selects the
-//! backend, and all backends are bit-identical by construction — see
-//! `docs/kernels.md`.
+//! [`kernel`](mod@kernel): `ST_KERNEL` (or [`set_kernel`]) selects the
+//! backend, and every deterministic backend is bit-identical by
+//! construction — see `docs/kernels.md`.
 
 pub mod fault;
 pub mod kernel;
@@ -31,12 +31,9 @@ pub use fault::{fault_grammar, FaultPlan};
 pub use kernel::{
     kernel, kernel_kind, kernel_names, kernel_threads, set_kernel, set_kernel_threads,
     simd_force_names, BlockedKernel, FastKernel, GemmBackend, KernelKind, NaiveKernel, PackedA,
-    PackedB, ShardedKernel, SimdKernel, MAX_PANEL_WIDTH,
+    PackedB, ShardedKernel, SimdKernel,
 };
-pub use matrix::{
-    matmul_batched_nt_into, matmul_batched_prepacked_bias_into,
-    matmul_batched_prepacked_bias_relu_into, matmul_batched_tn_into, Matrix,
-};
+pub use matrix::Matrix;
 pub use qr::{least_squares, QrFactorization};
 pub use resample::{bootstrap_ci, pearson, spearman, ConfidenceInterval, SplitMix64};
 pub use running::RunningStats;

@@ -1,7 +1,7 @@
 //! Row-major dense matrix.
 //!
 //! Every dense product dispatches to the process-wide compute kernel
-//! ([`crate::kernel`]), so swapping `ST_KERNEL=naive|blocked` changes the
+//! ([`crate::kernel`](mod@crate::kernel)), so swapping `ST_KERNEL` changes the
 //! execution schedule of all downstream math without changing a single
 //! output bit.
 
@@ -603,193 +603,6 @@ impl fmt::Debug for Matrix {
     }
 }
 
-/// Checks that a batched operand list holds either one entry (broadcast to
-/// every product) or exactly `batch` entries — the kernel-layer convention
-/// ([`crate::kernel::GemmBackend::gemm_batched`]) lifted to matrices.
-fn check_matrix_batched_len(what: &str, len: usize, batch: usize) {
-    assert!(
-        len == 1 || len == batch,
-        "batched {what} operand count mismatch: {len} operands for batch {batch}"
-    );
-}
-
-/// Resolves operand `i` of a batched list under the broadcast convention.
-#[inline]
-fn pick<'a, T: ?Sized>(xs: &[&'a T], i: usize) -> &'a T {
-    if xs.len() == 1 {
-        xs[0]
-    } else {
-        xs[i]
-    }
-}
-
-/// Batched [`Matrix::matmul_tn_into`]: computes `xs[i]ᵀ * rhs[i]` for every
-/// product through one kernel call. All products must share one shape (the
-/// batched-GEMM contract); operand lists may hold a single broadcast entry.
-/// Bit-identical to the per-product sequential calls on every deterministic
-/// backend.
-///
-/// # Panics
-/// Panics on a per-product shape mismatch, a non-uniform batch shape, or an
-/// operand list whose length is neither 1 nor `outs.len()`.
-pub fn matmul_batched_tn_into(xs: &[&Matrix], rhs: &[&Matrix], outs: &mut [&mut Matrix]) {
-    let batch = outs.len();
-    check_matrix_batched_len("A", xs.len(), batch);
-    check_matrix_batched_len("B", rhs.len(), batch);
-    if batch == 0 {
-        return;
-    }
-    let (rows, cols, rcols) = (xs[0].rows, xs[0].cols, rhs[0].cols);
-    for i in 0..batch {
-        let (a, b) = (pick(xs, i), pick(rhs, i));
-        assert_eq!(
-            a.rows, b.rows,
-            "matmul_tn shape mismatch: ({}x{})ᵀ * {}x{}",
-            a.rows, a.cols, b.rows, b.cols
-        );
-        assert!(
-            a.rows == rows && a.cols == cols && b.cols == rcols,
-            "batched matmul_tn requires one shared shape: product {i} is ({}x{})ᵀ * {}x{}, batch is ({rows}x{cols})ᵀ * {rows}x{rcols}",
-            a.rows, a.cols, b.rows, b.cols
-        );
-    }
-    for out in outs.iter_mut() {
-        out.reset_to_zeros(cols, rcols);
-    }
-    let a_list: Vec<&[f64]> = xs.iter().map(|m| m.data.as_slice()).collect();
-    let b_list: Vec<&[f64]> = rhs.iter().map(|m| m.data.as_slice()).collect();
-    let mut out_list: Vec<&mut [f64]> = outs.iter_mut().map(|m| m.data.as_mut_slice()).collect();
-    kernel().gemm_batched_tn(rows, cols, rcols, &a_list, &b_list, &mut out_list);
-}
-
-/// Batched [`Matrix::matmul_nt_into`]: computes `xs[i] * rhs[i]ᵀ` for every
-/// product through one kernel call. Same shape/broadcast contract as
-/// [`matmul_batched_tn_into`].
-///
-/// # Panics
-/// Panics on a per-product shape mismatch, a non-uniform batch shape, or an
-/// operand list whose length is neither 1 nor `outs.len()`.
-pub fn matmul_batched_nt_into(xs: &[&Matrix], rhs: &[&Matrix], outs: &mut [&mut Matrix]) {
-    let batch = outs.len();
-    check_matrix_batched_len("A", xs.len(), batch);
-    check_matrix_batched_len("Bᵀ", rhs.len(), batch);
-    if batch == 0 {
-        return;
-    }
-    let (rows, cols, rrows) = (xs[0].rows, xs[0].cols, rhs[0].rows);
-    for i in 0..batch {
-        let (a, b) = (pick(xs, i), pick(rhs, i));
-        assert_eq!(
-            a.cols, b.cols,
-            "matmul_nt shape mismatch: {}x{} * ({}x{})ᵀ",
-            a.rows, a.cols, b.rows, b.cols
-        );
-        assert!(
-            a.rows == rows && a.cols == cols && b.rows == rrows,
-            "batched matmul_nt requires one shared shape: product {i} is {}x{} * ({}x{})ᵀ, batch is {rows}x{cols} * ({rrows}x{cols})ᵀ",
-            a.rows, a.cols, b.rows, b.cols
-        );
-    }
-    for out in outs.iter_mut() {
-        out.reset_to_zeros(rows, rrows);
-    }
-    let a_list: Vec<&[f64]> = xs.iter().map(|m| m.data.as_slice()).collect();
-    let b_list: Vec<&[f64]> = rhs.iter().map(|m| m.data.as_slice()).collect();
-    let mut out_list: Vec<&mut [f64]> = outs.iter_mut().map(|m| m.data.as_mut_slice()).collect();
-    kernel().gemm_batched_nt(rows, cols, rrows, &a_list, &b_list, &mut out_list);
-}
-
-/// Batched [`Matrix::matmul_prepacked_bias_into`]: the affine forward
-/// `xs[i] · W_i + b_i` for every product through one kernel call against
-/// prepacked right-hand sides. Same shape/broadcast contract as
-/// [`matmul_batched_tn_into`].
-///
-/// # Panics
-/// Panics on a per-product shape mismatch, a non-uniform batch shape, or an
-/// operand list whose length is neither 1 nor `outs.len()`.
-pub fn matmul_batched_prepacked_bias_into(
-    xs: &[&Matrix],
-    packs: &[&PackedB],
-    biases: &[&[f64]],
-    outs: &mut [&mut Matrix],
-) {
-    let (rows, k, n) = check_batched_prepacked(xs, packs, biases, outs.len());
-    if outs.is_empty() {
-        return;
-    }
-    for out in outs.iter_mut() {
-        out.reset_to_zeros(rows, n);
-    }
-    let a_list: Vec<&[f64]> = xs.iter().map(|m| m.data.as_slice()).collect();
-    let mut out_list: Vec<&mut [f64]> = outs.iter_mut().map(|m| m.data.as_mut_slice()).collect();
-    kernel().gemm_batched_prepacked_bias(rows, k, n, &a_list, packs, biases, &mut out_list);
-}
-
-/// Batched [`Matrix::matmul_prepacked_bias_relu_into`]: the hidden-layer
-/// forward `relu(xs[i] · W_i + b_i)` for every product through one kernel
-/// call, with the `v < 0.0 → 0.0` clamp fused into the single packed
-/// write-back. Same shape/broadcast contract as [`matmul_batched_tn_into`].
-///
-/// # Panics
-/// Panics on a per-product shape mismatch, a non-uniform batch shape, or an
-/// operand list whose length is neither 1 nor `outs.len()`.
-pub fn matmul_batched_prepacked_bias_relu_into(
-    xs: &[&Matrix],
-    packs: &[&PackedB],
-    biases: &[&[f64]],
-    outs: &mut [&mut Matrix],
-) {
-    let (rows, k, n) = check_batched_prepacked(xs, packs, biases, outs.len());
-    if outs.is_empty() {
-        return;
-    }
-    for out in outs.iter_mut() {
-        out.reset_to_zeros(rows, n);
-    }
-    let a_list: Vec<&[f64]> = xs.iter().map(|m| m.data.as_slice()).collect();
-    let mut out_list: Vec<&mut [f64]> = outs.iter_mut().map(|m| m.data.as_mut_slice()).collect();
-    kernel().gemm_batched_prepacked_bias_relu(rows, k, n, &a_list, packs, biases, &mut out_list);
-}
-
-/// Shared validation for the batched prepacked-affine entry points; returns
-/// the batch's shared `(rows, k, n)` (zeros for an empty batch).
-fn check_batched_prepacked(
-    xs: &[&Matrix],
-    packs: &[&PackedB],
-    biases: &[&[f64]],
-    batch: usize,
-) -> (usize, usize, usize) {
-    check_matrix_batched_len("A", xs.len(), batch);
-    check_matrix_batched_len("packed B", packs.len(), batch);
-    check_matrix_batched_len("bias", biases.len(), batch);
-    if batch == 0 {
-        return (0, 0, 0);
-    }
-    let (rows, k, n) = (xs[0].rows, packs[0].k(), packs[0].n());
-    for i in 0..batch {
-        let (a, p, bias) = (pick(xs, i), pick(packs, i), pick(biases, i));
-        assert_eq!(
-            a.cols,
-            p.k(),
-            "matmul_prepacked shape mismatch: {}x{} * packed {}x{}",
-            a.rows,
-            a.cols,
-            p.k(),
-            p.n()
-        );
-        assert_eq!(bias.len(), p.n(), "bias length mismatch");
-        assert!(
-            a.rows == rows && p.k() == k && p.n() == n,
-            "batched matmul_prepacked requires one shared shape: product {i} is {}x{} * packed {}x{}, batch is {rows}x{k} * packed {k}x{n}",
-            a.rows,
-            a.cols,
-            p.k(),
-            p.n()
-        );
-    }
-    (rows, k, n)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1012,94 +825,6 @@ mod tests {
         b2.pack_as_rhs_into(&mut pb2);
         a.matmul_prepacked_into(&pb2, &mut out);
         assert_eq!(out, a.matmul(&b2));
-    }
-
-    #[test]
-    fn batched_matmuls_match_sequential_bitwise() {
-        let batch = 4;
-        let fill = |rows: usize, cols: usize, seed: u64| {
-            Matrix::from_fn(rows, cols, |r, c| {
-                let mut h = seed
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .wrapping_add((r * cols + c) as u64);
-                h ^= h >> 31;
-                (h % 1000) as f64 / 500.0 - 1.0
-            })
-        };
-        let xs: Vec<Matrix> = (0..batch).map(|i| fill(5, 7, 11 + i as u64)).collect();
-        let ws: Vec<Matrix> = (0..batch).map(|i| fill(7, 3, 31 + i as u64)).collect();
-        let biases: Vec<Vec<f64>> = (0..batch)
-            .map(|i| fill(1, 3, 61 + i as u64).as_slice().to_vec())
-            .collect();
-        let packs: Vec<PackedB> = ws.iter().map(|w| w.pack_as_rhs()).collect();
-
-        let x_refs: Vec<&Matrix> = xs.iter().collect();
-        let pack_refs: Vec<&PackedB> = packs.iter().collect();
-        let bias_refs: Vec<&[f64]> = biases.iter().map(|b| b.as_slice()).collect();
-
-        let assert_bits = |want: &[Matrix], got: &[Matrix]| {
-            for (w, g) in want.iter().zip(got) {
-                assert_eq!((w.rows(), w.cols()), (g.rows(), g.cols()));
-                for (a, b) in w.as_slice().iter().zip(g.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-        };
-        let run = |f: &dyn Fn(&mut [&mut Matrix])| {
-            let mut outs: Vec<Matrix> = (0..batch).map(|_| Matrix::zeros(0, 0)).collect();
-            let mut out_refs: Vec<&mut Matrix> = outs.iter_mut().collect();
-            f(&mut out_refs);
-            outs
-        };
-
-        // tn: xsᵀ[i] * ws-as-5x3 — reuse xs as both operands of matching shape.
-        let cs: Vec<Matrix> = (0..batch).map(|i| fill(5, 3, 91 + i as u64)).collect();
-        let c_refs: Vec<&Matrix> = cs.iter().collect();
-        let want: Vec<Matrix> = xs.iter().zip(&cs).map(|(a, c)| a.matmul_tn(c)).collect();
-        let got = run(&|outs| matmul_batched_tn_into(&x_refs, &c_refs, outs));
-        assert_bits(&want, &got);
-
-        // nt: xs[i] * (3x7)ᵀ.
-        let ds: Vec<Matrix> = (0..batch).map(|i| fill(3, 7, 121 + i as u64)).collect();
-        let d_refs: Vec<&Matrix> = ds.iter().collect();
-        let want: Vec<Matrix> = xs.iter().zip(&ds).map(|(a, d)| a.matmul_nt(d)).collect();
-        let got = run(&|outs| matmul_batched_nt_into(&x_refs, &d_refs, outs));
-        assert_bits(&want, &got);
-
-        // prepacked bias and bias+relu, including a broadcast (shared) A.
-        let mut want = Vec::new();
-        for i in 0..batch {
-            let mut o = Matrix::zeros(0, 0);
-            xs[i].matmul_prepacked_bias_into(&packs[i], &biases[i], &mut o);
-            want.push(o);
-        }
-        let got =
-            run(&|outs| matmul_batched_prepacked_bias_into(&x_refs, &pack_refs, &bias_refs, outs));
-        assert_bits(&want, &got);
-
-        let mut want_relu = Vec::new();
-        for i in 0..batch {
-            let mut o = Matrix::zeros(0, 0);
-            xs[0].matmul_prepacked_bias_relu_into(&packs[i], &biases[i], &mut o);
-            want_relu.push(o);
-        }
-        let shared_a: Vec<&Matrix> = vec![&xs[0]];
-        let got = run(&|outs| {
-            matmul_batched_prepacked_bias_relu_into(&shared_a, &pack_refs, &bias_refs, outs)
-        });
-        assert_bits(&want_relu, &got);
-    }
-
-    #[test]
-    #[should_panic(expected = "batched matmul_tn requires one shared shape")]
-    fn batched_matmul_rejects_mixed_shapes() {
-        let a0 = Matrix::zeros(4, 3);
-        let a1 = Matrix::zeros(5, 3);
-        let b = Matrix::zeros(4, 2);
-        let b1 = Matrix::zeros(5, 2);
-        let mut o0 = Matrix::zeros(0, 0);
-        let mut o1 = Matrix::zeros(0, 0);
-        matmul_batched_tn_into(&[&a0, &a1], &[&b, &b1], &mut [&mut o0, &mut o1]);
     }
 
     #[test]

@@ -376,8 +376,8 @@ impl ConvNet {
     /// **once** for reuse across many forward passes — the conv analog of
     /// [`crate::Mlp::packed`]. The view borrows the network immutably, so
     /// the packs cannot go stale while it lives; outputs are bit-identical
-    /// to [`Self::logits`] (identical ops through
-    /// [`Self::forward_core`], identical packed bytes).
+    /// to [`Self::logits`] (identical ops through the shared forward
+    /// core, identical packed bytes).
     pub fn packed(&self) -> PackedConvNet<'_> {
         let patch = self.conv.in_ch * self.conv.k * self.conv.k;
         let mut w_pack = PackedB::default();

@@ -94,7 +94,8 @@ pub fn accuracy(model: &Mlp, x: &Matrix, y: &[usize]) -> f64 {
     hits as f64 / y.len() as f64
 }
 
-/// A multi-model evaluation view for the batched estimation plane.
+/// A multi-model evaluation view: scores one estimation group (the
+/// repeats of one subset size, each trained alone) on the validation set.
 ///
 /// All models' weights are packed once for any number of validation
 /// batches. When every model is a single affine layer — the
@@ -107,7 +108,7 @@ pub fn accuracy(model: &Mlp, x: &Matrix, y: &[usize]) -> f64 {
 /// Per-model losses are bit-identical to [`log_loss_packed_scratch`]
 /// against each model's own packed view: an output element's ascending-k
 /// accumulation chain depends only on its A row and its B column, which
-/// column-stacking preserves (the batched-GEMM contract), and the per-row
+/// column-stacking preserves, and the per-row
 /// softmax/NLL reads exactly the model's own `c` logits.
 pub struct MultiEval<'a> {
     packed: Vec<PackedMlp<'a>>,

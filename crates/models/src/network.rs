@@ -73,8 +73,8 @@ impl Layer {
         x.matmul_prepacked_bias_into(pack, &self.b, out);
     }
 
-    /// Hidden-layer forward: [`forward_prepacked_into`]
-    /// (Self::forward_prepacked_into) with the ReLU clamp also fused into
+    /// Hidden-layer forward: [`forward_prepacked_into`](Self::forward_prepacked_into)
+    /// with the ReLU clamp also fused into
     /// the packed write-back ([`Matrix::matmul_prepacked_bias_relu_into`]).
     /// One pass over the output instead of three (gemm, bias, clamp);
     /// bit-identical to the affine forward followed by the scalar clamp.

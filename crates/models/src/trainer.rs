@@ -153,7 +153,7 @@ const MIN_RELATIVE_IMPROVEMENT: f64 = 1e-3;
 ///
 /// When `validation = Some((vx, vy))` and `patience = Some(p)`, training
 /// stops after `p` consecutive epochs without improving the validation loss
-/// by at least 0.1% relative ([`MIN_RELATIVE_IMPROVEMENT`])
+/// by at least 0.1% relative (`MIN_RELATIVE_IMPROVEMENT`)
 /// and returns the best model seen. Without patience the validation set is
 /// only used to report `best_val_loss`.
 ///
@@ -277,358 +277,6 @@ pub fn try_train_on_rows(
         None,
     )?
     .model)
-}
-
-/// Trains many same-shape subset models in lockstep through the batched
-/// GEMM plane: one [`st_linalg::matmul_batched_prepacked_bias_relu_into`]
-/// (and `_tn`/`_nt` sibling) call per layer per minibatch step drives every
-/// model's forward/backward product at once, instead of `R` sequential
-/// kernel calls that each under-fill the simd panels and repay packing
-/// overhead alone.
-///
-/// Model `r` is **bit-identical** to
-/// `train_on_rows(x, y, row_sets[r], .., &configs[r])`:
-/// - every model keeps its own RNG, optimizer state, shuffle order, and
-///   scratch, so its draw sequence (He init, per-epoch shuffle, per-layer
-///   dropout masks) is exactly the sequential one;
-/// - lockstep interleaving only requires that all models share one chunk
-///   structure, which equal subset lengths plus identical non-seed
-///   hyperparameters guarantee;
-/// - each batched kernel call is bit-identical per product to the
-///   sequential per-model call (the batched-GEMM contract, proptested).
-///
-/// Groups that cannot run in lockstep — fewer than two models, unequal
-/// subset lengths, configs differing beyond the seed, or an empty subset —
-/// fall back to the sequential per-model loop (still bit-identical, by
-/// definition). So do groups whose every layer is narrower than
-/// [`st_linalg::MAX_PANEL_WIDTH`] output columns: batching cannot widen a
-/// product's panels (each product keeps its own packing to stay
-/// bit-identical), so for all-narrow models lockstep saves only kernel
-/// dispatch while paying to interleave `R` models' scratch buffers through
-/// the cache every minibatch step — a measured net loss, the same
-/// small-shape economics behind the kernel layer's own `PACK_MIN_ROWS`
-/// cutoff.
-///
-/// Groups trained under an armed `ST_FAULT` `nan_loss` injection
-/// ([`st_linalg::fault::nan_loss_armed`]) fall back too: the per-model loop
-/// is where the injection point lives, so an armed group fails exactly as
-/// its members would one by one.
-///
-/// # Panics
-/// Panics on shape mismatches, out-of-range row ids or labels, or
-/// `row_sets.len() != configs.len()`.
-pub fn train_on_rows_batched(
-    x: &Matrix,
-    y: &[usize],
-    row_sets: &[&[usize]],
-    input_dim: usize,
-    num_classes: usize,
-    spec: &ModelSpec,
-    configs: &[TrainConfig],
-) -> Vec<Mlp> {
-    try_train_on_rows_batched(x, y, row_sets, input_dim, num_classes, spec, configs)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`train_on_rows_batched`] with the numeric guards surfaced as a typed
-/// error instead of a panic.
-///
-/// # Errors
-/// Returns the first [`TrainError`] any model of the group hits.
-pub fn try_train_on_rows_batched(
-    x: &Matrix,
-    y: &[usize],
-    row_sets: &[&[usize]],
-    input_dim: usize,
-    num_classes: usize,
-    spec: &ModelSpec,
-    configs: &[TrainConfig],
-) -> Result<Vec<Mlp>, TrainError> {
-    assert_eq!(
-        row_sets.len(),
-        configs.len(),
-        "row set / config count mismatch"
-    );
-    let some_layer_fills_a_panel = spec
-        .hidden
-        .iter()
-        .copied()
-        .chain([num_classes])
-        .any(|w| w >= st_linalg::MAX_PANEL_WIDTH);
-    let lockstep = row_sets.len() >= 2
-        && !row_sets[0].is_empty()
-        && row_sets.iter().all(|r| r.len() == row_sets[0].len())
-        && configs
-            .iter()
-            .all(|c| c.with_seed(0) == configs[0].with_seed(0))
-        && some_layer_fills_a_panel
-        && !st_linalg::fault::nan_loss_armed();
-    if !lockstep {
-        return row_sets
-            .iter()
-            .zip(configs)
-            .map(|(rows, cfg)| try_train_on_rows(x, y, rows, input_dim, num_classes, spec, cfg))
-            .collect();
-    }
-    train_batched_core(x, y, row_sets, input_dim, num_classes, spec, configs)
-}
-
-/// The lockstep minibatch loop behind [`train_on_rows_batched`]: the
-/// per-model mirror of [`train_core`] with each kernel-bound product fanned
-/// across the whole model group per call.
-fn train_batched_core(
-    x: &Matrix,
-    y: &[usize],
-    row_sets: &[&[usize]],
-    input_dim: usize,
-    num_classes: usize,
-    spec: &ModelSpec,
-    configs: &[TrainConfig],
-) -> Result<Vec<Mlp>, TrainError> {
-    assert_eq!(x.rows(), y.len(), "feature/label count mismatch");
-    for ids in row_sets {
-        assert!(
-            ids.iter().all(|&i| i < x.rows()),
-            "row id out of range: {} rows",
-            x.rows()
-        );
-        assert!(
-            ids.iter().all(|&i| y[i] < num_classes),
-            "label out of range"
-        );
-    }
-
-    let batch = row_sets.len();
-    let shared = &configs[0];
-    let mut rngs: Vec<StdRng> = configs.iter().map(|c| seeded_rng(c.seed)).collect();
-    let mut nets: Vec<Mlp> = rngs
-        .iter_mut()
-        .map(|rng| Mlp::new(input_dim, &spec.hidden, num_classes, rng))
-        .collect();
-    let lens: Vec<usize> = nets[0]
-        .layers
-        .iter()
-        .flat_map(|l| [l.w.rows() * l.w.cols(), l.b.len()])
-        .collect();
-    let mut opts: Vec<OptimizerState> = (0..batch)
-        .map(|_| OptimizerState::new(shared.optimizer, &lens))
-        .collect();
-    let n = row_sets[0].len();
-    let mut orders: Vec<Vec<usize>> = (0..batch).map(|_| (0..n).collect()).collect();
-    let mut scratches: Vec<TrainScratch> = (0..batch)
-        .map(|_| TrainScratch::for_net(&nets[0]))
-        .collect();
-
-    let bs = shared.batch_size.max(1);
-    for epoch in 0..shared.epochs {
-        let lr = shared.schedule.lr_at(shared.lr, epoch);
-        for (order, rng) in orders.iter_mut().zip(rngs.iter_mut()) {
-            order.shuffle(rng);
-        }
-        let mut start = 0;
-        while start < n {
-            let end = (start + bs).min(n);
-            for r in 0..batch {
-                let s = &mut scratches[r];
-                s.map.clear();
-                s.map
-                    .extend(orders[r][start..end].iter().map(|&i| row_sets[r][i]));
-                x.gather_rows_into(&s.map, &mut s.bx);
-                s.by.clear();
-                s.by.extend(s.map.iter().map(|&i| y[i]));
-                // Input-side numeric guard; see train_core.
-                if !s.bx.as_slice().iter().all(|v| v.is_finite()) {
-                    return Err(TrainError::NonFiniteLoss { epoch });
-                }
-                opts[r].next_step();
-            }
-            descent_step_batched(&mut nets, &mut scratches, lr, shared, &mut opts, &mut rngs);
-            start = end;
-        }
-        if !nets.iter().all(Mlp::params_finite) {
-            return Err(TrainError::NonFiniteLoss { epoch });
-        }
-    }
-    Ok(nets)
-}
-
-/// One lockstep optimizer step across the model group: the batched mirror
-/// of [`descent_step`]. Every kernel-bound product (`X·W + b` forwards,
-/// `Xᵀ·dZ` weight gradients, `dZ·Wᵀ` back-propagation) goes through one
-/// batched call per layer; everything per-model (softmax gradient, dropout
-/// masks, optimizer updates) runs in a per-model loop on the model's own
-/// state, preserving the sequential op and RNG order per model.
-fn descent_step_batched(
-    nets: &mut [Mlp],
-    scratches: &mut [TrainScratch],
-    lr: f64,
-    config: &TrainConfig,
-    opts: &mut [OptimizerState],
-    rngs: &mut [StdRng],
-) {
-    let m = scratches[0].bx.rows();
-    forward_train_batched(nets, config.dropout, rngs, scratches);
-
-    for s in scratches.iter_mut() {
-        std::mem::swap(&mut s.dz, &mut s.logits);
-        for r in 0..m {
-            let row = s.dz.row_mut(r);
-            softmax_in_place(row);
-            row[s.by[r]] -= 1.0;
-            for v in row.iter_mut() {
-                *v /= m as f64;
-            }
-        }
-    }
-
-    for li in (0..nets[0].layers.len()).rev() {
-        // Gradient products, batched: grad_w[r] = a_inᵀ[r] · dz[r] in one
-        // call, then per-model bias column sums (cheap, kernel-free).
-        {
-            let mut a_ins = Vec::with_capacity(scratches.len());
-            let mut dzs = Vec::with_capacity(scratches.len());
-            let mut grads = Vec::with_capacity(scratches.len());
-            for s in scratches.iter_mut() {
-                let TrainScratch {
-                    bx,
-                    acts,
-                    dz,
-                    grad_w,
-                    ..
-                } = s;
-                a_ins.push(if li == 0 { &*bx } else { &acts[li - 1] });
-                dzs.push(&*dz);
-                grads.push(grad_w);
-            }
-            st_linalg::matmul_batched_tn_into(&a_ins, &dzs, &mut grads);
-        }
-        for s in scratches.iter_mut() {
-            let TrainScratch { dz, grad_b, .. } = s;
-            dz.col_sums_into(grad_b);
-        }
-
-        // Propagate before mutating this layer's weights, batched:
-        // da[r] = dz[r] · W[r]ᵀ, then the per-model ReLU/dropout mask.
-        if li > 0 {
-            {
-                let mut dzs = Vec::with_capacity(scratches.len());
-                let mut das = Vec::with_capacity(scratches.len());
-                let mut ws = Vec::with_capacity(scratches.len());
-                for (s, net) in scratches.iter_mut().zip(nets.iter()) {
-                    let TrainScratch { dz, da, .. } = s;
-                    dzs.push(&*dz);
-                    das.push(da);
-                    ws.push(&net.layers[li].w);
-                }
-                st_linalg::matmul_batched_nt_into(&dzs, &ws, &mut das);
-            }
-            for s in scratches.iter_mut() {
-                let act = &s.acts[li - 1];
-                let mask = &s.masks[li - 1];
-                for (idx, (v, &a)) in
-                    s.da.as_mut_slice()
-                        .iter_mut()
-                        .zip(act.as_slice())
-                        .enumerate()
-                {
-                    if a <= 0.0 {
-                        *v = 0.0;
-                    } else if !mask.is_empty() {
-                        *v *= mask[idx];
-                    }
-                }
-                std::mem::swap(&mut s.dz, &mut s.da);
-            }
-        }
-
-        for ((net, s), opt) in nets.iter_mut().zip(scratches.iter()).zip(opts.iter_mut()) {
-            let layer = &mut net.layers[li];
-            opt.update(
-                2 * li,
-                layer.w.as_mut_slice(),
-                s.grad_w.as_slice(),
-                lr,
-                config.l2,
-            );
-            opt.update(2 * li + 1, &mut layer.b, &s.grad_b, lr, 0.0);
-        }
-        for s in scratches.iter_mut() {
-            s.packs_dirty[li] = true;
-        }
-    }
-}
-
-/// The lockstep mirror of [`forward_train`]: per layer, stale packs are
-/// refreshed per model, then one batched fused-bias(-ReLU) GEMM computes
-/// every model's activation, then dropout masks are drawn per model from
-/// the model's own RNG — the identical per-model draw order as the
-/// sequential forward.
-fn forward_train_batched(
-    nets: &[Mlp],
-    dropout: f64,
-    rngs: &mut [StdRng],
-    scratches: &mut [TrainScratch],
-) {
-    let last = nets[0].layers.len() - 1;
-    for i in 0..nets[0].layers.len() {
-        for (s, net) in scratches.iter_mut().zip(nets.iter()) {
-            if s.packs_dirty[i] {
-                net.layers[i].pack_weights_into(&mut s.packs[i]);
-                s.packs_dirty[i] = false;
-            }
-        }
-        let mut inputs = Vec::with_capacity(scratches.len());
-        let mut pack_refs = Vec::with_capacity(scratches.len());
-        let mut biases = Vec::with_capacity(scratches.len());
-        let mut outs = Vec::with_capacity(scratches.len());
-        let mut mask_refs = Vec::with_capacity(scratches.len());
-        for (s, net) in scratches.iter_mut().zip(nets.iter()) {
-            let TrainScratch {
-                bx,
-                acts,
-                logits,
-                masks,
-                packs,
-                ..
-            } = s;
-            let (done, rest) = acts.split_at_mut(i);
-            inputs.push(if i == 0 { &*bx } else { &done[i - 1] });
-            outs.push(if i == last { logits } else { &mut rest[0] });
-            if i != last {
-                mask_refs.push(&mut masks[i]);
-            }
-            pack_refs.push(&packs[i]);
-            biases.push(net.layers[i].b.as_slice());
-        }
-        if i == last {
-            st_linalg::matmul_batched_prepacked_bias_into(&inputs, &pack_refs, &biases, &mut outs);
-            break;
-        }
-        st_linalg::matmul_batched_prepacked_bias_relu_into(&inputs, &pack_refs, &biases, &mut outs);
-        if dropout > 0.0 {
-            let keep = 1.0 - dropout;
-            for ((z, mask), rng) in outs
-                .iter_mut()
-                .zip(mask_refs.iter_mut())
-                .zip(rngs.iter_mut())
-            {
-                mask.clear();
-                for v in z.as_mut_slice() {
-                    let factor = if rng.gen::<f64>() < keep {
-                        1.0 / keep
-                    } else {
-                        0.0
-                    };
-                    *v *= factor;
-                    mask.push(factor);
-                }
-            }
-        } else {
-            for mask in &mut mask_refs {
-                mask.clear();
-            }
-        }
-    }
 }
 
 /// The shared minibatch loop behind [`train_validated`] and
@@ -1117,71 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_training_is_bit_identical_to_sequential_per_model() {
-        let (x, y) = blobs(50, &[(-1.5, 0.5), (1.5, -0.5), (0.0, 2.0)], 41);
-        // Equal-length, distinct, scrambled subsets (the lockstep shape).
-        let sets: Vec<Vec<usize>> = (0..4)
-            .map(|r| {
-                (0..x.rows())
-                    .map(|i| (i * 7 + r * 13) % x.rows())
-                    .take(60)
-                    .collect()
-            })
-            .collect();
-        let set_refs: Vec<&[usize]> = sets.iter().map(Vec::as_slice).collect();
-        for (spec, base) in [
-            (ModelSpec::softmax(), TrainConfig::default()),
-            (ModelSpec::small(), TrainConfig::default()),
-            (
-                ModelSpec::small(),
-                TrainConfig::default().with_dropout(0.25),
-            ),
-        ] {
-            let configs: Vec<TrainConfig> =
-                (0..4).map(|r| base.with_seed(900 + r as u64)).collect();
-            let batched = train_on_rows_batched(&x, &y, &set_refs, 2, 3, &spec, &configs);
-            for (r, cfg) in configs.iter().enumerate() {
-                let seq = train_on_rows(&x, &y, &sets[r], 2, 3, &spec, cfg);
-                assert_eq!(batched[r], seq, "model {r} must match bits");
-            }
-        }
-    }
-
-    #[test]
-    fn batched_training_falls_back_off_lockstep() {
-        let (x, y) = blobs(20, &[(-2.0, 0.0), (2.0, 0.0)], 42);
-        // Unequal lengths: lockstep impossible, sequential fallback.
-        let a: Vec<usize> = (0..30).collect();
-        let b: Vec<usize> = (0..17).collect();
-        let cfgs = [
-            TrainConfig::default().with_seed(1),
-            TrainConfig::default().with_seed(2),
-        ];
-        let got = train_on_rows_batched(&x, &y, &[&a, &b], 2, 2, &ModelSpec::softmax(), &cfgs);
-        assert_eq!(
-            got[0],
-            train_on_rows(&x, &y, &a, 2, 2, &ModelSpec::softmax(), &cfgs[0])
-        );
-        assert_eq!(
-            got[1],
-            train_on_rows(&x, &y, &b, 2, 2, &ModelSpec::softmax(), &cfgs[1])
-        );
-        // A single model and an empty set also route through the fallback.
-        let solo = train_on_rows_batched(&x, &y, &[&a], 2, 2, &ModelSpec::softmax(), &cfgs[..1]);
-        assert_eq!(
-            solo[0],
-            train_on_rows(&x, &y, &a, 2, 2, &ModelSpec::softmax(), &cfgs[0])
-        );
-        let empty: &[usize] = &[];
-        let with_empty =
-            train_on_rows_batched(&x, &y, &[empty, &a], 2, 2, &ModelSpec::softmax(), &cfgs);
-        assert_eq!(
-            with_empty[0],
-            train_on_rows(&x, &y, empty, 2, 2, &ModelSpec::softmax(), &cfgs[0])
-        );
-    }
-
-    #[test]
     #[should_panic(expected = "label out of range")]
     fn train_on_rows_rejects_bad_sampled_labels() {
         let x = Matrix::zeros(3, 2);
@@ -1276,33 +859,6 @@ mod tests {
         )
         .is_ok());
         st_linalg::fault::install(None);
-    }
-
-    #[test]
-    fn injected_nan_loss_fails_lockstep_groups() {
-        // Two equal-length basic models are a lockstep group; an armed
-        // injection must fail it just as it fails each model trained alone.
-        let _serial = fault_plan_lock();
-        let (x, y) = blobs(20, &[(-2.0, 0.0), (2.0, 0.0)], 10);
-        let rows: Vec<usize> = (0..x.rows()).collect();
-        let configs = [
-            TrainConfig::default().with_seed(1),
-            TrainConfig::default().with_seed(2),
-        ];
-        let group = || {
-            try_train_on_rows_batched(&x, &y, &[&rows, &rows], 2, 2, &ModelSpec::basic(), &configs)
-        };
-        st_linalg::fault::install(Some(
-            st_linalg::fault::parse_plan("nan_loss@slice1:round2").unwrap(),
-        ));
-        let armed = {
-            let _armed = st_linalg::fault::arm_nan_loss(Some(1), 2);
-            group()
-        };
-        let disarmed = group();
-        st_linalg::fault::install(None);
-        assert_eq!(armed, Err(TrainError::NonFiniteLoss { epoch: 0 }));
-        assert!(disarmed.is_ok(), "scope dropped: the group trains clean");
     }
 
     #[test]

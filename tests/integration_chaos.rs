@@ -164,8 +164,8 @@ fn persistent_nan_loss_quarantines_the_slice_and_completes() {
     }
 }
 
-/// The same persistent NaN loss on the dense plane: slice 1's shape groups
-/// (two repeats of the 24-wide `small` model, a lockstep group) must fail
+/// The same persistent NaN loss on the dense plane: slice 1's groups (two
+/// repeats of the hidden-layer `small` model, one fault scope each) must fail
 /// exactly as the per-call reference's one-model measurements do — the
 /// same warnings (slice, round, attempts, cause) and the same result bits
 /// at any estimator thread count.

@@ -1,5 +1,5 @@
 //! Integration: the dense estimation plane (cached dense snapshots, row-id
-//! subsets, lockstep group training, stacked evaluation) must be
+//! subsets, per-group stacked evaluation) must be
 //! bit-identical to the per-call gather reference across the whole stack —
 //! single estimations, full and incremental strategy runs, and the parallel
 //! trial executor — and the snapshot cache must track acquisitions.
@@ -135,10 +135,10 @@ fn assert_runs_identical(a: &RunResult, b: &RunResult, case: &str) {
 }
 
 /// Incremental re-estimation under the exhaustive schedule runs partial
-/// rounds — only the dirty slices' requests, grouped by shape. With the
-/// 24-wide `small` model and two repeats those groups train in lockstep;
-/// the run must still match the per-call reference bit for bit at any
-/// estimator thread count.
+/// rounds — only the dirty slices' requests, grouped by (slice, fraction).
+/// With the hidden-layer `small` model and two repeats each group holds
+/// two models; the run must still match the per-call reference bit for
+/// bit at any estimator thread count.
 #[test]
 fn exhaustive_incremental_run_matches_per_call_gather() {
     let fam = families::census();

@@ -192,8 +192,8 @@ fn assert_runs_identical(a: &RunResult, b: &RunResult, case: &str) {
 }
 
 /// Drift recovery bumps the drifting slice's measurement seed, and the
-/// next round re-measures it through the dense plane's shape groups (two
-/// repeats of the 24-wide `small` model train in lockstep). The run must
+/// next round re-measures it through the dense plane's groups (two
+/// repeats of the hidden-layer `small` model per group). The run must
 /// match the per-call gather reference bit for bit — acquisitions, losses,
 /// warnings, and the checkpointed round state, whose incremental snapshot
 /// holds the bumped round's estimates — at any estimator thread count.
