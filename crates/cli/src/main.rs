@@ -24,38 +24,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // `--kernel` must be fixed before the first dense operation; it is a
-    // global flag valid on every compute command, as is the opt-in for
-    // non-deterministic backends.
-    let allow_nondeterministic = match parsed.get_or("allow-nondeterministic-kernel", false) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(name) = parsed.get("kernel") {
-        match select_kernel(name, allow_nondeterministic) {
-            Ok(()) => {}
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // The opt-in must also cover kernels selected via ST_KERNEL in the
-    // environment, not just the flag — every command computes under the
-    // process kernel, so the refusal happens here, once, for all of them.
-    let active = st_linalg::kernel_kind();
-    if !active.bit_deterministic() && !allow_nondeterministic {
-        eprintln!(
-            "error: kernel '{}' (ST_KERNEL) is not bit-deterministic; pass \
-             --allow-nondeterministic-kernel true to waive reproducibility, or pick one of: {}",
-            active.name(),
-            st_linalg::kernel_names()
-        );
-        return ExitCode::FAILURE;
-    }
     install_env_plans();
     let result = match parsed.command.as_deref() {
         Some("tune") => cmd_tune(&parsed),
@@ -122,46 +90,14 @@ fn usage() {
          \x20 slice-tuner-cli call      --url <host:port/path> [--method GET|POST] [--body '<json|csv>']\n\
          \x20 slice-tuner-cli families\n\
          families: fashion | mixed | faces | census | driftbench\n\
-         global: --kernel naive|blocked|simd|sharded|fast (compute backend; default blocked,\n\
-         \x20        also ST_KERNEL; 'fast' additionally needs --allow-nondeterministic-kernel\n\
-         \x20        true because it waives bit-reproducibility)\n\
-         \x20       ST_FAULT=<spec>[,<spec>...] injects deterministic faults for chaos testing;\n\
-         \x20        specs: trial_panic@<trial> | nan_loss@slice<S>:round<R> | fit_diverge@<p>\n\
-         \x20        | conn_drop@<req> | slow_client@<req>:ms<M> | session_panic@<s>:round<R>\n\
-         \x20        (see docs/robustness.md and docs/server.md)\n\
-         \x20       ST_DRIFT=<spec>[,<spec>...] makes acquisition pools non-stationary;\n\
-         \x20        specs: shift@slice<S>:round<R>:mag<M> | label@... | scale@...\n\
-         \x20        (see docs/drift.md)"
+         environment: ST_FAULT=<spec>[,<spec>...] injects deterministic faults for chaos testing;\n\
+         \x20             specs: trial_panic@<trial> | nan_loss@slice<S>:round<R> | fit_diverge@<p>\n\
+         \x20             | conn_drop@<req> | slow_client@<req>:ms<M> | session_panic@<s>:round<R>\n\
+         \x20             (see docs/robustness.md and docs/server.md)\n\
+         \x20            ST_DRIFT=<spec>[,<spec>...] makes acquisition pools non-stationary;\n\
+         \x20             specs: shift@slice<S>:round<R>:mag<M> | label@... | scale@...\n\
+         \x20             (see docs/drift.md)"
     );
-}
-
-/// Applies the global `--kernel` flag via `st_linalg::set_kernel`.
-///
-/// Unknown names list every valid backend; the non-deterministic `fast`
-/// backend additionally requires `--allow-nondeterministic-kernel true`,
-/// because it waives the bit-identity contract the trial runner (and every
-/// determinism regression gate) relies on.
-fn select_kernel(name: &str, allow_nondeterministic: bool) -> Result<(), String> {
-    let kind = st_linalg::KernelKind::from_name(name).ok_or_else(|| {
-        format!(
-            "unknown kernel '{name}' (valid kernels: {})",
-            st_linalg::kernel_names()
-        )
-    })?;
-    if !kind.bit_deterministic() && !allow_nondeterministic {
-        return Err(format!(
-            "kernel '{name}' is not bit-deterministic; pass \
-             --allow-nondeterministic-kernel true to waive reproducibility, \
-             or pick one of: {}",
-            st_linalg::kernel_names()
-        ));
-    }
-    st_linalg::set_kernel(kind).map_err(|active| {
-        format!(
-            "compute kernel already fixed to '{}' (ST_KERNEL in the environment?)",
-            active.name()
-        )
-    })
 }
 
 fn strategy_by_name(name: &str) -> Result<Strategy, String> {
@@ -210,8 +146,6 @@ fn parse_tune(args: &Args) -> Result<TuneRun, String> {
         "drift-threshold",
         "max-staleness",
         "max-drift-resets",
-        "kernel",
-        "allow-nondeterministic-kernel",
     ];
     reject_unknown(args, &known)?;
     let family = family_by_name(args.get("family").unwrap_or("census"))?;
@@ -300,7 +234,6 @@ fn parse_tune(args: &Args) -> Result<TuneRun, String> {
         config = config.with_max_staleness(bound);
     }
     config = config.with_max_drift_resets(max_drift_resets);
-    config.allow_nondeterministic_kernel = args.get_or("allow-nondeterministic-kernel", false)?;
     config.train.epochs = args.get_or("epochs", config.train.epochs)?;
     Ok(TuneRun {
         family,
@@ -458,8 +391,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             "queue-depth",
             "workers",
             "session-budget-ms",
-            "kernel",
-            "allow-nondeterministic-kernel",
         ],
     )?;
     let mut cfg = st_server::ServerConfig::new(args.get("dir").unwrap_or("st_sessions"));
@@ -493,18 +424,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_call(args: &Args) -> Result<(), String> {
-    reject_unknown(
-        args,
-        &[
-            "url",
-            "method",
-            "body",
-            "attempts",
-            "timeout-ms",
-            "kernel",
-            "allow-nondeterministic-kernel",
-        ],
-    )?;
+    reject_unknown(args, &["url", "method", "body", "attempts", "timeout-ms"])?;
     let url = args
         .get("url")
         .ok_or("--url <host:port/path> is required")?;
@@ -530,18 +450,7 @@ fn cmd_call(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_curves(args: &Args) -> Result<(), String> {
-    reject_unknown(
-        args,
-        &[
-            "family",
-            "size",
-            "seed",
-            "validation",
-            "bands",
-            "kernel",
-            "allow-nondeterministic-kernel",
-        ],
-    )?;
+    reject_unknown(args, &["family", "size", "seed", "validation", "bands"])?;
     let family = family_by_name(args.get("family").unwrap_or("census"))?;
     let size: usize = args.get_or("size", 300)?;
     let seed: u64 = args.get_or("seed", 42)?;
@@ -598,15 +507,7 @@ fn cmd_curves(args: &Args) -> Result<(), String> {
 fn cmd_autoslice(args: &Args) -> Result<(), String> {
     reject_unknown(
         args,
-        &[
-            "family",
-            "examples",
-            "max-depth",
-            "min-size",
-            "seed",
-            "kernel",
-            "allow-nondeterministic-kernel",
-        ],
+        &["family", "examples", "max-depth", "min-size", "seed"],
     )?;
     let family = family_by_name(args.get("family").unwrap_or("census"))?;
     let n: usize = args.get_or("examples", 1200)?;
@@ -645,16 +546,7 @@ fn cmd_autoslice(args: &Args) -> Result<(), String> {
 fn cmd_sensitivity(args: &Args) -> Result<(), String> {
     reject_unknown(
         args,
-        &[
-            "family",
-            "budget",
-            "size",
-            "lambda",
-            "seed",
-            "validation",
-            "kernel",
-            "allow-nondeterministic-kernel",
-        ],
+        &["family", "budget", "size", "lambda", "seed", "validation"],
     )?;
     let family = family_by_name(args.get("family").unwrap_or("census"))?;
     let budget: f64 = args.get_or("budget", 500.0)?;
@@ -723,8 +615,6 @@ fn cmd_experiment(args: &Args) -> Result<(), String> {
         "threads",
         "cache",
         "config",
-        "kernel",
-        "allow-nondeterministic-kernel",
     ];
     reject_unknown(args, &known)?;
 
@@ -770,7 +660,6 @@ fn cmd_experiment(args: &Args) -> Result<(), String> {
         .with_seed(seed)
         .with_lambda(lambda)
         .with_max_retries(retries);
-    config.allow_nondeterministic_kernel = args.get_or("allow-nondeterministic-kernel", false)?;
     let default_epochs = if base.epochs > 0 {
         base.epochs
     } else {

@@ -225,12 +225,6 @@ pub fn run_trials(
     trials: usize,
 ) -> AggregateResult {
     assert!(trials > 0, "need at least one trial");
-    if let Err(e) = crate::trials::ensure_deterministic_kernel(
-        st_linalg::kernel_kind(),
-        config.allow_nondeterministic_kernel,
-    ) {
-        panic!("{e}");
-    }
     let results: Vec<RunResult> = (0..trials)
         .map(|t| {
             // Same isolation/retry envelope as the parallel executor, so

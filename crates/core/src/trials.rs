@@ -27,71 +27,32 @@ use crate::strategy::Strategy;
 use crate::tuner::{RunResult, TunerConfig};
 use parking_lot::Mutex;
 use st_data::DatasetFamily;
-use st_linalg::KernelKind;
 
-/// How a fixed worker budget is split between the three parallel layers:
-/// trial fan-out, per-trial estimator batches, and the compute kernel's
-/// own row sharding. Produced by [`plan_thread_budget`].
+/// How a fixed worker budget is split between the two parallel layers:
+/// trial fan-out and per-trial estimator batches. Produced by
+/// [`plan_thread_budget`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ThreadBudget {
     /// Workers running whole trials concurrently.
     pub trial_workers: usize,
     /// Estimator threads inside each trial (curve-fit batches).
     pub estimator_threads: usize,
-    /// Worker threads the `sharded` kernel may spawn per dense product.
-    pub kernel_threads: usize,
 }
 
 /// Splits `total_workers` across the parallel layers so they never
 /// oversubscribe: at most `trials` workers run whole trials, and the
-/// surplus share goes **either** to the estimator batches (default) **or**
-/// to the sharded GEMM backend when that is the active kernel — giving
-/// the same share to both layers would multiply into
-/// `trial_workers × share²` runnable threads.
+/// surplus share goes to each trial's estimator batches.
+///
+/// The third argument is ignored: the kernel runs every product on the
+/// calling thread. It stays because the repository benchmark passes it
+/// (`perfbench/src/serve.rs:121`).
 ///
 /// Every layer is bit-deterministic at any thread count, so the split
 /// affects wall-clock only, never results.
-pub fn plan_thread_budget(
-    total_workers: usize,
-    trials: usize,
-    sharded_kernel: bool,
-) -> ThreadBudget {
-    let trial_workers = total_workers.min(trials).max(1);
-    let share = intra_trial_threads(total_workers, trials);
-    if sharded_kernel {
-        ThreadBudget {
-            trial_workers,
-            estimator_threads: 1,
-            kernel_threads: share,
-        }
-    } else {
-        ThreadBudget {
-            trial_workers,
-            estimator_threads: share,
-            kernel_threads: 1,
-        }
-    }
-}
-
-/// Refuses kernels that waive the bit-determinism contract unless the
-/// caller opted in: trial aggregates, the curve cache, and the `--jobs`
-/// regression gates all assume bit-identical kernels.
-///
-/// # Errors
-/// Returns a message naming the offending kernel when `kind` is
-/// non-deterministic and `allow` is false.
-pub fn ensure_deterministic_kernel(kind: KernelKind, allow: bool) -> Result<(), String> {
-    if kind.bit_deterministic() || allow {
-        Ok(())
-    } else {
-        Err(format!(
-            "the deterministic trial path refuses the '{}' kernel: it waives the \
-             bit-identity contract that trial aggregation and the curve cache rely on \
-             (pass --allow-nondeterministic-kernel / set \
-             TunerConfig::allow_nondeterministic_kernel to opt in, or pick one of: {})",
-            kind.name(),
-            st_linalg::kernel_names()
-        ))
+pub fn plan_thread_budget(total_workers: usize, trials: usize, _sharded: bool) -> ThreadBudget {
+    ThreadBudget {
+        trial_workers: total_workers.min(trials).max(1),
+        estimator_threads: intra_trial_threads(total_workers, trials),
     }
 }
 
@@ -234,10 +195,6 @@ pub fn try_run_trials_parallel(
     jobs: usize,
 ) -> Result<AggregateResult, TrialError> {
     assert!(trials > 0, "need at least one trial");
-    let kernel = st_linalg::kernel_kind();
-    if let Err(e) = ensure_deterministic_kernel(kernel, config.allow_nondeterministic_kernel) {
-        panic!("{e}");
-    }
     let total_workers = if jobs == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -247,19 +204,13 @@ pub fn try_run_trials_parallel(
     };
 
     // Workers beyond the trial count are not wasted: each trial's surplus
-    // share fans out *inside* the trial — through the estimator batches,
-    // or through the sharded GEMM backend when that kernel is active
-    // (both are bit-identical at any thread count, so this is free
+    // share fans out *inside* the trial through the estimator batches
+    // (bit-identical at any thread count, so this is free
     // determinism-wise). With exactly one worker the config passes
     // through untouched, so `jobs = 1` behaves exactly like the
     // sequential runner down to its thread usage.
-    let thread_plan = plan_thread_budget(total_workers, trials, kernel == KernelKind::Sharded);
+    let thread_plan = plan_thread_budget(total_workers, trials, false);
     let workers = thread_plan.trial_workers;
-    // Scope the kernel's share to this run: the budget is process-global,
-    // and leaking the per-trial share would pin every later dense product
-    // in the process to it.
-    let restore_kernel_threads = (kernel == KernelKind::Sharded)
-        .then(|| st_linalg::set_kernel_threads(thread_plan.kernel_threads));
     let limited;
     let config = if workers > 1 || total_workers > trials {
         limited = TunerConfig {
@@ -297,10 +248,6 @@ pub fn try_run_trials_parallel(
         }
     })
     .expect("trial worker panicked");
-
-    if let Some(previous) = restore_kernel_threads {
-        st_linalg::set_kernel_threads(previous);
-    }
 
     let mut results: Vec<RunResult> = Vec::with_capacity(trials);
     for slot in slots.into_inner() {
@@ -520,53 +467,21 @@ mod tests {
         assert_bit_identical(&one_seq, &one_par);
     }
 
-    /// The ISSUE's fast-kernel gate: the deterministic trial path must
-    /// refuse `fast` unless the caller explicitly opts in. (The check is
-    /// exercised directly because the process-wide kernel kind cannot be
-    /// switched inside a test; both runners call this with
-    /// `st_linalg::kernel_kind()`.)
-    #[test]
-    fn fast_kernel_is_refused_by_the_deterministic_trial_path() {
-        let err = ensure_deterministic_kernel(KernelKind::Fast, false)
-            .expect_err("fast must be refused without the opt-in");
-        assert!(err.contains("fast"), "{err}");
-        assert!(err.contains("allow-nondeterministic-kernel"), "{err}");
-        assert!(
-            ensure_deterministic_kernel(KernelKind::Fast, true).is_ok(),
-            "the opt-in waives the refusal"
-        );
-        for kind in KernelKind::ALL {
-            if kind.bit_deterministic() {
-                assert!(ensure_deterministic_kernel(kind, false).is_ok(), "{kind:?}");
-            }
-        }
-    }
-
     #[test]
     fn thread_budget_never_multiplies_layers() {
         for (workers, trials) in [(1, 1), (4, 8), (8, 4), (8, 1), (16, 3), (3, 7)] {
-            for sharded in [false, true] {
-                let b = plan_thread_budget(workers, trials, sharded);
-                assert!(b.trial_workers <= trials.max(1));
-                // Exactly one intra-trial layer receives the surplus.
-                assert!(
-                    b.estimator_threads == 1 || b.kernel_threads == 1,
-                    "{workers} workers / {trials} trials (sharded={sharded}): {b:?}"
-                );
-                // Peak runnable threads stay within the requested budget.
-                let peak = b.trial_workers * b.estimator_threads * b.kernel_threads;
-                assert!(
-                    peak <= workers.max(1),
-                    "{workers} workers / {trials} trials (sharded={sharded}): peak {peak}"
-                );
-            }
+            let b = plan_thread_budget(workers, trials, false);
+            assert!(b.trial_workers <= trials.max(1));
+            // Peak runnable threads stay within the requested budget.
+            let peak = b.trial_workers * b.estimator_threads;
+            assert!(
+                peak <= workers.max(1),
+                "{workers} workers / {trials} trials: peak {peak}"
+            );
         }
-        let sharded = plan_thread_budget(8, 2, true);
-        assert_eq!(sharded.kernel_threads, 4, "surplus goes to the kernel");
-        assert_eq!(sharded.estimator_threads, 1);
         let plain = plan_thread_budget(8, 2, false);
         assert_eq!(plain.estimator_threads, 4, "surplus goes to the estimator");
-        assert_eq!(plain.kernel_threads, 1);
+        assert_eq!(plan_thread_budget(8, 2, true), plain, "the flag is ignored");
     }
 
     #[test]

@@ -37,21 +37,18 @@ pub struct TunerConfig {
     pub seed: u64,
     /// Estimator worker threads, the calling thread included (0 = all
     /// cores). Measurement groups are spread over them, each group on one
-    /// thread, with bit-identical results at any count. [`SliceTuner::new`]
-    /// pins it to 1 under the `sharded` kernel, whose products already fan
-    /// out over the kernel's own threads.
+    /// thread, with bit-identical results at any count. The kernel runs
+    /// every product on the thread that calls it, so these are the only
+    /// threads a run uses.
     pub threads: usize,
     /// Optional shared memo table for curve estimations. Keys include the
     /// dataset's content fingerprint and the derived estimator seed, so a
     /// hit is bit-identical to recomputation; share one cache across every
     /// strategy/trial of an experiment (see [`crate::cache`]).
     pub cache: Option<std::sync::Arc<CurveCache>>,
-    /// Waives the bit-determinism contract for the compute kernel: the
-    /// trial runner refuses to run under a non-deterministic backend
-    /// (`ST_KERNEL=fast`) unless this is set (the CLI's
-    /// `--allow-nondeterministic-kernel`). Off by default — `fast` trades
-    /// reproducible bits for speed, and every determinism regression gate
-    /// in the workspace assumes bit-identical kernels.
+    /// Nothing reads this: every kernel is bit-deterministic. It stays
+    /// because the repository benchmark sets it
+    /// (`perfbench/src/tune.rs:78`).
     pub allow_nondeterministic_kernel: bool,
     /// Forces the estimator back onto the per-call gather path: clone each
     /// request's subset examples, rebuild every slice's validation matrix,
@@ -185,12 +182,6 @@ impl TunerConfig {
     /// Attaches a shared curve-estimation cache.
     pub fn with_cache(mut self, cache: std::sync::Arc<CurveCache>) -> Self {
         self.cache = Some(cache);
-        self
-    }
-
-    /// Opts this run into non-deterministic compute kernels (`fast`).
-    pub fn allowing_nondeterministic_kernel(mut self) -> Self {
-        self.allow_nondeterministic_kernel = true;
         self
     }
 
@@ -406,18 +397,9 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
     /// Binds the engine to a dataset snapshot and an acquisition source.
     ///
     /// Every tuner path — the CLI's direct commands, the sequential trial
-    /// runner, and each worker of the parallel executor — funnels through
-    /// here, so this is where the estimator fan-out is reconciled with the
-    /// compute kernel: under the `sharded` kernel each dense product
-    /// already fans out to `kernel_threads()` workers, and running the
-    /// estimator batches multi-threaded on top would oversubscribe
-    /// (`threads × kernel_threads` runnable threads). The kernel layer
-    /// keeps the whole budget in that case; estimator threading is
-    /// bit-invariant, so results are unchanged.
-    pub fn new(mut ds: SlicedDataset, source: &'a mut S, mut config: TunerConfig) -> Self {
-        if st_linalg::kernel_kind() == st_linalg::KernelKind::Sharded {
-            config.threads = 1;
-        }
+    /// runner, each worker of the parallel executor, and server sessions —
+    /// funnels through here and runs `config` as given.
+    pub fn new(mut ds: SlicedDataset, source: &'a mut S, config: TunerConfig) -> Self {
         if config.incremental {
             // Acquired rows append below the existing train matrix instead
             // of forcing a full snapshot re-stack each round.

@@ -1,37 +1,41 @@
-//! The pluggable compute-kernel layer.
+//! The compute-kernel layer.
 //!
 //! Every dense product in the workspace — batch forward/backward passes in
 //! `st-models`, the QR factorization behind the curve fitter, the trial
 //! executor's evaluation matmuls — bottoms out in the handful of primitives
 //! defined by [`GemmBackend`]. This module owns that trait, a transparent
-//! reference implementation ([`NaiveKernel`]), and a cache-blocked,
-//! register-tiled implementation ([`BlockedKernel`]) that is the default.
+//! reference implementation ([`NaiveKernel`]), two packed compute cores
+//! ([`BlockedKernel`], four output columns per panel, and [`SimdKernel`],
+//! eight per panel with explicit AVX2/AVX-512 micro-kernels), and the one
+//! production backend, [`kernel`].
 //!
 //! **Bit-identical accumulation.** Slice Tuner's determinism story (trial
 //! aggregates independent of `--jobs`, memoized curve estimations, pinned
-//! proptest seeds) requires that swapping kernels never changes a single
-//! output bit. Both kernels therefore accumulate every output element in
-//! strictly ascending `k` order — blocking only re-tiles the *interleaving*
-//! across output elements, never the per-element summation chain. The
-//! proptest suite in `crates/linalg/tests/proptests.rs` asserts exact
-//! (`to_bits`) equality across rectangular and degenerate shapes, and CI
-//! runs the whole workspace under both `ST_KERNEL` values.
+//! proptest seeds) requires that the choice of core never changes a single
+//! output bit. Every backend therefore accumulates each output element in
+//! strictly ascending `k` order — blocking and vector lanes only re-tile the
+//! *interleaving* across output elements, never the per-element summation
+//! chain. The unit tests below check every vector width the host supports,
+//! and the proptest suite in `crates/linalg/tests/proptests.rs` checks
+//! [`kernel`] and both cores, with exact (`to_bits`) equality against
+//! [`NaiveKernel`] on rectangular and degenerate shapes.
 //!
-//! **Selection.** The active kernel is process-global and fixed on first
-//! use: `ST_KERNEL=naive|blocked|simd|sharded|fast` in the environment, or
-//! [`set_kernel`] before any dense operation (the CLI's `--kernel` flag).
-//! A new backend plugs in by implementing [`GemmBackend`] and extending
-//! [`KernelKind`]; see `docs/kernels.md`.
+//! **One kernel, routed per product.** [`kernel`] picks a core on every
+//! call from the product's output width `n`: the 8-wide core when `n ≥ 8`
+//! and the CPU has AVX2 or AVX-512, the 4-wide core otherwise. On a 2- or
+//! 4-column product most of an 8-wide panel is padding, while 16- and
+//! 32-wide layers fill the vectors. The rule reads the shape and the CPU,
+//! never the environment, and both cores give the same bits. See
+//! `docs/kernels.md` for the measurements behind it.
 //!
 //! **Prepacked operands.** Workloads that multiply a stream of activation
 //! batches against one fixed weight matrix pack that operand **once**
 //! ([`PackedB`] / [`PackedA`]) and reuse it across
 //! `gemm_prepacked`/`gemm_nt_prepacked`/`gemm_tn_prepacked` calls — the
-//! packing backends skip their per-call pack, the naive reference falls
-//! back to pack-on-call, and all results stay bit-identical. Handles are
+//! packing cores skip their per-call pack, the naive reference falls back
+//! to pack-on-call, and all results stay bit-identical. Handles are
 //! snapshots: re-pack (buffer-reusing `*_into`) when the operand mutates.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Panel width of the packed GEMM micro-kernel: output columns are packed
@@ -62,25 +66,25 @@ const SIMD_PANEL_BLOCK_BYTES: usize = 512 * 1024;
 /// Sample-row tile of the `gemm_tn` block loops (shared by the blocked and
 /// SIMD backends).
 const IB: usize = 128;
-/// Scalar multiply count below which [`ShardedKernel`] runs on the calling
-/// thread: spawning workers costs tens of microseconds, which only pays
-/// off once the product itself is at least that expensive.
-const SHARD_MIN_WORK: usize = 1 << 20;
 
 /// Internal layout tag of a [`PackedB`] handle.
 ///
-/// The layout decides which packed compute core consumes the handle; all
-/// three cores keep every output element's ascending-`k` accumulation
-/// chain, so the layout affects throughput only, never bits.
+/// The layout decides which packed compute core consumes the handle; both
+/// cores keep every output element's ascending-`k` accumulation chain, so
+/// the layout affects throughput only, never bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PackLayout {
-    /// Verbatim row-major copy of `B` (`k×n`) — the pack-on-call fallback:
-    /// every prepacked call runs the backend's ordinary `gemm` on it.
+    /// Verbatim row-major copy of `B` (`k×n`) — the pack-on-call fallback
+    /// of [`NaiveKernel`]: every prepacked call runs the backend's
+    /// ordinary `gemm` on it.
     Raw,
-    /// [`PW`]-wide interleaved column panels ([`BlockedKernel`] layout).
+    /// [`PW`]-wide interleaved column panels, read by [`BlockedKernel`]'s
+    /// core. [`kernel`] packs these when `n < SPW` or the CPU has neither
+    /// AVX2 nor AVX-512.
     Panels4,
-    /// [`SPW`]-wide interleaved column panels ([`SimdKernel`] layout,
-    /// shared by the sharded backend's per-worker core).
+    /// [`SPW`]-wide interleaved column panels, read by [`SimdKernel`]'s
+    /// core. [`kernel`] packs these when `n ≥ SPW` on AVX2 and AVX-512
+    /// hosts.
     Panels8,
 }
 
@@ -102,7 +106,7 @@ enum PackLayout {
 /// **Bit identity.** Packing is pure data movement; the packed cores run
 /// the same ascending-`k` per-element chains as the pack-on-call paths, so
 /// a prepacked product is bit-identical to its pack-on-call twin on every
-/// deterministic backend (proptested).
+/// backend (proptested).
 #[derive(Debug, Clone)]
 pub struct PackedB {
     layout: PackLayout,
@@ -208,6 +212,144 @@ unsafe fn bias_ptr(bias: Option<&[f64]>, j0: usize) -> *const f64 {
     }
 }
 
+/// Packs `B` (`k×n` row-major) into `W`-wide interleaved column panels:
+/// panel `q` holds columns `W·q ..` with layout
+/// `panel[step·W + lane] = b[step][W·q + lane]`, so a micro-kernel reads
+/// one contiguous lane group per reduction step. The final panel may be
+/// narrower than `W`; every panel occupies `k·W` slots so panel addressing
+/// stays uniform. `packed` is cleared and zero-filled, its allocation
+/// reused.
+fn pack_panels_into<const W: usize>(k: usize, n: usize, b: &[f64], packed: &mut Vec<f64>) {
+    let panels = n.div_ceil(W);
+    packed.clear();
+    packed.resize(panels * k * W, 0.0);
+    for q in 0..panels {
+        let j0 = q * W;
+        let w = W.min(n - j0);
+        let dst = &mut packed[q * k * W..(q + 1) * k * W];
+        if w == W {
+            // Const-length group copies compile to straight vector moves
+            // instead of per-step memcpy calls.
+            for (step, group) in dst.chunks_exact_mut(W).enumerate() {
+                let src: &[f64; W] = b[step * n + j0..step * n + j0 + W]
+                    .try_into()
+                    .expect("group");
+                group.copy_from_slice(src);
+            }
+        } else {
+            for step in 0..k {
+                let src = &b[step * n + j0..step * n + j0 + w];
+                dst[step * W..step * W + w].copy_from_slice(src);
+            }
+        }
+    }
+}
+
+/// Packs `B` given its transposed storage `bt` (`n×k` row-major: row `j`
+/// of `bt` is column `j` of the logical `B`) into the layout of
+/// [`pack_panels_into`]. The rows of `bt` are read contiguously, so no
+/// transpose pass is needed.
+fn pack_panels_t_into<const W: usize>(k: usize, n: usize, bt: &[f64], packed: &mut Vec<f64>) {
+    let panels = n.div_ceil(W);
+    packed.clear();
+    packed.resize(panels * k * W, 0.0);
+    for q in 0..panels {
+        let j0 = q * W;
+        let w = W.min(n - j0);
+        let dst = &mut packed[q * k * W..(q + 1) * k * W];
+        for lane in 0..w {
+            let src = &bt[(j0 + lane) * k..(j0 + lane + 1) * k];
+            for (step, &x) in src.iter().enumerate() {
+                dst[step * W + lane] = x;
+            }
+        }
+    }
+}
+
+/// The `gemm_tn` (`out += aᵀ·b`) walk both packed cores share. Samples go
+/// in blocks of [`IB`] rows: each block of `a` is transposed (short
+/// strides, TLB-friendly), the matching rows of `b` are packed into
+/// `W`-wide panels, and `core(k, h, aᵀ, panels, out)` *accumulates* the
+/// block's `k×n` contribution. Blocks ascend in `i` and the core reduces
+/// each block in ascending `i`, so bits match the naive rank-1
+/// formulation.
+fn gemm_tn_blocks<const W: usize>(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    out: &mut [f64],
+    core: impl Fn(usize, usize, &[f64], &[f64], &mut [f64]),
+) {
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(b.len(), m * n);
+    debug_assert_eq!(out.len(), k * n);
+    if m == 0 || k == 0 || n == 0 {
+        return;
+    }
+    let mut at_block = vec![0.0; k * IB.min(m)];
+    let mut packed = Vec::new();
+    for ib in (0..m).step_by(IB) {
+        let h = IB.min(m - ib);
+        BlockedKernel.transpose(h, k, &a[ib * k..(ib + h) * k], &mut at_block[..k * h]);
+        pack_panels_into::<W>(h, n, &b[ib * n..(ib + h) * n], &mut packed);
+        core(k, h, &at_block[..k * h], &packed, out);
+    }
+}
+
+/// The shared body of the `gemm_prepacked*` entries: `out += a·B` for the
+/// `B` the handle holds, then the optional bias and ReLU epilogues. A
+/// panel handle feeds its packed core, which appends the epilogues to each
+/// element's chain at its single store. `Raw` handles, and `k == 0`
+/// products (nothing to reduce, but the bias still broadcasts), run
+/// `backend.gemm` and then the unfused passes in the same order — the
+/// same bits either way.
+///
+/// # Panics
+/// Panics when the handle's shape does not match `(k, n)` or
+/// `bias.len() != n`.
+#[allow(clippy::too_many_arguments)]
+fn prepacked<B: GemmBackend + ?Sized>(
+    backend: &B,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    pb: &PackedB,
+    bias: Option<&[f64]>,
+    relu: bool,
+    out: &mut [f64],
+) {
+    assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
+    if let Some(bias) = bias {
+        assert_eq!(bias.len(), n, "bias length mismatch");
+    }
+    debug_assert_eq!(a.len(), m * k);
+    debug_assert_eq!(out.len(), m * n);
+    if m == 0 || n == 0 {
+        return;
+    }
+    match pb.layout {
+        PackLayout::Panels4 if k > 0 => {
+            BlockedKernel::packed_gemm(m, k, n, a, &pb.data, bias, relu, out)
+        }
+        PackLayout::Panels8 if k > 0 => {
+            let width = SimdWidth::detected();
+            SimdKernel::packed_gemm(width, m, k, n, a, &pb.data, bias, relu, out)
+        }
+        _ => {
+            backend.gemm(m, k, n, a, &pb.data, out);
+            if let Some(bias) = bias {
+                bias_rows(n, bias, out);
+            }
+            if relu {
+                relu_rows(out);
+            }
+        }
+    }
+}
+
 /// The dense compute primitives every backend must provide.
 ///
 /// All matrices are row-major `f64` slices with explicit dimensions; `out`
@@ -247,14 +389,15 @@ pub trait GemmBackend: Send + Sync {
 
     // ---- The prepacked operand API ------------------------------------
     //
-    // Pack once, multiply many times. The default implementations are the
-    // pack-on-call fallback: the handle stores the operand verbatim and
-    // every prepacked call runs the backend's ordinary entry point — this
-    // is what `naive` (and the reassociating `fast` backend) use. The
-    // packing backends (`blocked`, `simd`, `sharded`) override the pack
-    // methods to emit their native panel layouts; `gemm_prepacked` then
-    // feeds the matching packed core directly, skipping the per-call pack.
-    // Every combination is bit-identical to the pack-on-call twin.
+    // Pack once, multiply many times. The default pack methods are the
+    // pack-on-call fallback `naive` uses: the handle stores the operand
+    // verbatim and every prepacked call runs the backend's ordinary entry
+    // point. `blocked` and `simd` override them to emit their native panel
+    // layouts, and the production kernel emits one or the other by the
+    // product's output width. The prepacked entries dispatch on the
+    // handle's layout, so a panel handle feeds its packed core directly,
+    // skipping the per-call pack. Every combination is bit-identical to
+    // the pack-on-call twin.
 
     /// Packs the `B` operand of [`gemm`](Self::gemm) (`b: k×n` row-major)
     /// into `dst`, reusing `dst`'s allocation.
@@ -324,7 +467,7 @@ pub trait GemmBackend: Send + Sync {
     /// [`gemm`](Self::gemm) with `B` prepacked: `out += a · B`.
     ///
     /// Bit-identical to `gemm(m, k, n, a, b, out)` for the `b` the handle
-    /// was packed from, on every deterministic backend.
+    /// was packed from, on every backend.
     ///
     /// # Panics
     /// Panics when the handle's shape does not match `(k, n)`.
@@ -337,17 +480,7 @@ pub trait GemmBackend: Send + Sync {
         pb: &PackedB,
         out: &mut [f64],
     ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        match pb.layout {
-            PackLayout::Raw => self.gemm(m, k, n, a, &pb.data, out),
-            PackLayout::Panels4 => BlockedKernel::packed_gemm(m, k, n, a, &pb.data, out),
-            PackLayout::Panels8 => SimdKernel::packed_gemm(m, k, n, a, &pb.data, out),
-        }
+        prepacked(self, m, k, n, a, pb, None, false, out);
     }
 
     /// [`gemm_nt`](Self::gemm_nt) with `Bᵀ` prepacked: `out += a · bᵀ`
@@ -380,10 +513,10 @@ pub trait GemmBackend: Send + Sync {
     /// write-back, which is precisely where a separate
     /// `add_bias_rows` pass would add it. The fused product is therefore
     /// `to_bits`-identical to `gemm_prepacked` followed by the separate
-    /// bias pass on every deterministic backend (proptested). Paths whose
-    /// cores store elements more than once (the `Raw` pack-on-call
-    /// fallback) run the product first and an unfused bias pass after —
-    /// same contract, no fusion.
+    /// bias pass on every backend (proptested). Paths whose cores store
+    /// elements more than once (the `Raw` pack-on-call fallback) run the
+    /// product first and an unfused bias pass after — same contract, no
+    /// fusion.
     ///
     /// # Panics
     /// Panics when the handle's shape does not match `(k, n)` or
@@ -399,27 +532,7 @@ pub trait GemmBackend: Send + Sync {
         bias: &[f64],
         out: &mut [f64],
     ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        assert_eq!(bias.len(), n, "bias length mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            // Zero-length reduction: the product contributes nothing, but
-            // the separate pass would still broadcast the bias.
-            bias_rows(n, bias, out);
-            return;
-        }
-        match pb.layout {
-            PackLayout::Raw => {
-                self.gemm(m, k, n, a, &pb.data, out);
-                bias_rows(n, bias, out);
-            }
-            PackLayout::Panels4 => BlockedKernel::packed_gemm_bias(m, k, n, a, &pb.data, bias, out),
-            PackLayout::Panels8 => SimdKernel::packed_gemm_bias(m, k, n, a, &pb.data, bias, out),
-        }
+        prepacked(self, m, k, n, a, pb, Some(bias), false, out);
     }
 
     /// [`gemm_prepacked_bias`](Self::gemm_prepacked_bias) with a **fused
@@ -432,9 +545,9 @@ pub trait GemmBackend: Send + Sync {
     /// pass's `< 0` comparison (see `relu_rows` — `-0.0` and `NaN`
     /// survive untouched, a vector `max` would flip them). The fused call
     /// is therefore `to_bits`-identical to `gemm_prepacked_bias` followed
-    /// by `relu_rows` on every deterministic backend (proptested).
-    /// Multi-store paths (`Raw` pack-on-call, `k == 0`) run the unfused
-    /// passes in that exact order instead.
+    /// by `relu_rows` on every backend (proptested). Multi-store paths
+    /// (`Raw` pack-on-call, `k == 0`) run the unfused passes in that exact
+    /// order instead.
     ///
     /// # Panics
     /// Panics when the handle's shape does not match `(k, n)` or
@@ -450,31 +563,7 @@ pub trait GemmBackend: Send + Sync {
         bias: &[f64],
         out: &mut [f64],
     ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        assert_eq!(bias.len(), n, "bias length mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            bias_rows(n, bias, out);
-            relu_rows(out);
-            return;
-        }
-        match pb.layout {
-            PackLayout::Raw => {
-                self.gemm(m, k, n, a, &pb.data, out);
-                bias_rows(n, bias, out);
-                relu_rows(out);
-            }
-            PackLayout::Panels4 => {
-                BlockedKernel::packed_gemm_bias_relu(m, k, n, a, &pb.data, bias, out)
-            }
-            PackLayout::Panels8 => {
-                SimdKernel::packed_gemm_bias_relu(m, k, n, a, &pb.data, bias, out)
-            }
-        }
+        prepacked(self, m, k, n, a, pb, Some(bias), true, out);
     }
 
     /// [`gemm_tn`](Self::gemm_tn) with `Aᵀ` prepacked: `out += Aᵀ · b`.
@@ -601,7 +690,9 @@ impl GemmBackend for NaiveKernel {
     }
 }
 
-/// The cache-blocked, register-tiled backend (the default).
+/// The 4-wide core: cache-blocked and register-tiled. [`kernel`] runs it
+/// for products narrower than eight columns, and for all products on
+/// CPUs without AVX2 or AVX-512.
 ///
 /// `gemm` tiles the output columns (`NC`) and the reduction dimension
 /// (`KC`) so a `KC × NC` panel of `B` stays cache-resident, processes
@@ -614,108 +705,23 @@ impl GemmBackend for NaiveKernel {
 pub struct BlockedKernel;
 
 impl BlockedKernel {
-    /// Packs `B` (`k×n` row-major) into `PW`-wide interleaved column
-    /// panels: panel `q` holds columns `PW·q ..` with layout
-    /// `panel[step·PW + lane] = b[step][PW·q + lane]`, so the micro-kernel
-    /// reads one contiguous lane group per reduction step. The final panel
-    /// may be narrower than `PW`; every panel occupies `k·PW` slots so
-    /// panel addressing stays uniform.
-    fn pack_panels(k: usize, n: usize, b: &[f64]) -> Vec<f64> {
-        let mut packed = Vec::new();
-        Self::pack_panels_into(k, n, b, &mut packed);
-        packed
-    }
-
-    /// [`Self::pack_panels`] into a reusable buffer (cleared, zero-filled,
-    /// allocation reused) — same fill order, identical contents.
-    fn pack_panels_into(k: usize, n: usize, b: &[f64], packed: &mut Vec<f64>) {
-        let panels = n.div_ceil(PW);
-        packed.clear();
-        packed.resize(panels * k * PW, 0.0);
-        for q in 0..panels {
-            let j0 = q * PW;
-            let w = PW.min(n - j0);
-            let dst = &mut packed[q * k * PW..(q + 1) * k * PW];
-            for step in 0..k {
-                let src = &b[step * n + j0..step * n + j0 + w];
-                dst[step * PW..step * PW + w].copy_from_slice(src);
-            }
-        }
-    }
-
-    /// Packs `Bᵀ` given `bt` (`n×k` row-major, i.e. row `j` of `bt` is
-    /// column `j` of the logical `B`). Same layout as [`Self::pack_panels`].
-    fn pack_panels_t(k: usize, n: usize, bt: &[f64]) -> Vec<f64> {
-        let mut packed = Vec::new();
-        Self::pack_panels_t_into(k, n, bt, &mut packed);
-        packed
-    }
-
-    /// [`Self::pack_panels_t`] into a reusable buffer.
-    fn pack_panels_t_into(k: usize, n: usize, bt: &[f64], packed: &mut Vec<f64>) {
-        let panels = n.div_ceil(PW);
-        packed.clear();
-        packed.resize(panels * k * PW, 0.0);
-        for q in 0..panels {
-            let j0 = q * PW;
-            let w = PW.min(n - j0);
-            let dst = &mut packed[q * k * PW..(q + 1) * k * PW];
-            for lane in 0..w {
-                let src = &bt[(j0 + lane) * k..(j0 + lane + 1) * k];
-                for (step, &x) in src.iter().enumerate() {
-                    dst[step * PW + lane] = x;
-                }
-            }
-        }
-    }
-
     /// The packed dot core: `out += a · B` with `B` pre-packed into
-    /// panels. Every output element is accumulated in one register across
-    /// the whole reduction (ascending `k`, bit-identical to naive) and
-    /// written exactly once; panels are walked in cache-sized blocks so
-    /// they stay in L2 while all rows of `A` stream over them.
-    /// Dispatches the packed core to the widest vector unit the CPU
-    /// offers. The AVX copy is the *same* Rust body compiled with 256-bit
-    /// lanes enabled — per-lane accumulation chains are untouched (and
-    /// Rust never contracts mul+add into FMA), so both copies are
-    /// bit-identical; only throughput changes.
-    fn packed_gemm(m: usize, k: usize, n: usize, a: &[f64], packed: &[f64], out: &mut [f64]) {
-        Self::packed_gemm_opt(m, k, n, a, packed, None, false, out);
-    }
-
-    /// [`Self::packed_gemm`] with the fused bias epilogue: `bias[j]` is
-    /// appended to each output element's accumulation chain at its single
-    /// write-back — the bits of a separate `add_bias_rows` pass.
-    fn packed_gemm_bias(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_opt(m, k, n, a, packed, Some(bias), false, out);
-    }
-
-    /// [`Self::packed_gemm_bias`] with the fused ReLU epilogue appended
-    /// after the bias: each element is clamped at zero (`< 0` compare,
-    /// [`relu_rows`] semantics) at its single write-back — the bits of a
-    /// separate ReLU pass.
-    fn packed_gemm_bias_relu(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_opt(m, k, n, a, packed, Some(bias), true, out);
-    }
-
+    /// [`PW`]-wide panels. Every output element is accumulated in one
+    /// register across the whole reduction (ascending `k`, bit-identical
+    /// to naive) and written exactly once; panels are walked in
+    /// cache-sized blocks so they stay in L2 while all rows of `A` stream
+    /// over them. When `bias` is set, `bias[j]` is appended to each
+    /// element's chain at that single write-back — the bits of a separate
+    /// `add_bias_rows` pass — and `relu` then clamps the element with the
+    /// [`relu_rows`] comparison, the bits of a separate ReLU pass.
+    ///
+    /// Dispatches to the widest vector unit the CPU offers. The AVX copy
+    /// is the *same* Rust body compiled with 256-bit lanes enabled —
+    /// per-lane accumulation chains are untouched (and Rust never
+    /// contracts mul+add into FMA), so both copies are bit-identical; only
+    /// throughput changes.
     #[allow(clippy::too_many_arguments)]
-    fn packed_gemm_opt(
+    fn packed_gemm(
         m: usize,
         k: usize,
         n: usize,
@@ -1067,8 +1073,9 @@ impl GemmBackend for BlockedKernel {
             Self::axpy_gemm(m, k, n, a, b, out);
             return;
         }
-        let packed = Self::pack_panels(k, n, b);
-        Self::packed_gemm(m, k, n, a, &packed, out);
+        let mut packed = Vec::new();
+        pack_panels_into::<PW>(k, n, b, &mut packed);
+        Self::packed_gemm(m, k, n, a, &packed, None, false, out);
     }
 
     fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
@@ -1078,31 +1085,15 @@ impl GemmBackend for BlockedKernel {
         if m == 0 || k == 0 || n == 0 {
             return;
         }
-        // Rows of `bt` are already the columns of the logical B, so the
-        // panel packer reads them contiguously — no transpose pass needed.
-        let packed = Self::pack_panels_t(k, n, bt);
-        Self::packed_gemm(m, k, n, a, &packed, out);
+        let mut packed = Vec::new();
+        pack_panels_t_into::<PW>(k, n, bt, &mut packed);
+        Self::packed_gemm(m, k, n, a, &packed, None, false, out);
     }
 
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), m * n);
-        debug_assert_eq!(out.len(), k * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        // Process the samples in row blocks: transpose each block of `a`
-        // (short strides, TLB-friendly), pack the matching `b` rows, and
-        // let the packed core *accumulate* the block's k×n contribution.
-        // Blocks ascend in `i` and the core reduces each block in
-        // ascending `i`, so bits match the naive rank-1 formulation.
-        let mut at_block = vec![0.0; k * IB.min(m)];
-        for ib in (0..m).step_by(IB) {
-            let h = IB.min(m - ib);
-            self.transpose(h, k, &a[ib * k..(ib + h) * k], &mut at_block[..k * h]);
-            let packed = Self::pack_panels(h, n, &b[ib * n..(ib + h) * n]);
-            Self::packed_gemm(k, h, n, &at_block[..k * h], &packed, out);
-        }
+        gemm_tn_blocks::<PW>(m, k, n, a, b, out, |rows, depth, at, packed, out| {
+            Self::packed_gemm(rows, depth, n, at, packed, None, false, out)
+        });
     }
 
     fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
@@ -1166,7 +1157,7 @@ impl GemmBackend for BlockedKernel {
         dst.layout = PackLayout::Panels4;
         dst.k = k;
         dst.n = n;
-        Self::pack_panels_into(k, n, b, &mut dst.data);
+        pack_panels_into::<PW>(k, n, b, &mut dst.data);
     }
 
     fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
@@ -1174,7 +1165,7 @@ impl GemmBackend for BlockedKernel {
         dst.layout = PackLayout::Panels4;
         dst.k = k;
         dst.n = n;
-        Self::pack_panels_t_into(k, n, bt, &mut dst.data);
+        pack_panels_t_into::<PW>(k, n, bt, &mut dst.data);
     }
 
     fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
@@ -1198,31 +1189,43 @@ impl GemmBackend for BlockedKernel {
     }
 }
 
-/// Vector-width cap for the [`SimdKernel`] dispatch (`ST_SIMD_FORCE`):
-/// `avx2` → 256, `scalar` → 0, anything else / unset → unlimited. Read
-/// once; used by CI to exercise every instantiation on one host.
-#[cfg(target_arch = "x86_64")]
-fn simd_width_cap() -> u32 {
-    static CAP: OnceLock<u32> = OnceLock::new();
-    *CAP.get_or_init(|| match std::env::var("ST_SIMD_FORCE").as_deref() {
-        Ok("avx2") => 256,
-        Ok("scalar") => 0,
-        Ok(other) => {
-            // A silent typo here would let CI green-light a path it never
-            // ran; warn like unknown ST_KERNEL values do, listing the
-            // accepted values from the same source the docs use.
-            eprintln!(
-                "warning: unknown ST_SIMD_FORCE '{other}', using full width (valid values: {})",
-                simd_force_names()
-            );
-            u32::MAX
-        }
-        Err(_) => u32::MAX,
-    })
+/// Vector width of the [`SimdKernel`] core's compute path, fixed once per
+/// process by CPU detection. Every width runs the same per-element
+/// ascending-`k` chains, so all three give the same bits; the unit tests
+/// check each width the host supports against [`NaiveKernel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+enum SimdWidth {
+    /// The scalar mirror of the lane arithmetic.
+    Scalar,
+    /// 256-bit AVX2 micro-kernels.
+    Avx2,
+    /// 512-bit AVX-512F micro-kernels.
+    Avx512,
 }
 
-/// The explicit-SIMD backend: AVX2 intrinsics with an AVX-512 path where
-/// the CPU offers one, selected at runtime.
+impl SimdWidth {
+    /// The widest path this CPU offers, detected on first use.
+    fn detected() -> SimdWidth {
+        static DETECTED: OnceLock<SimdWidth> = OnceLock::new();
+        *DETECTED.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                if std::arch::is_x86_feature_detected!("avx512f") {
+                    return SimdWidth::Avx512;
+                }
+                if std::arch::is_x86_feature_detected!("avx2") {
+                    return SimdWidth::Avx2;
+                }
+            }
+            SimdWidth::Scalar
+        })
+    }
+}
+
+/// The 8-wide core: AVX2 intrinsics with an AVX-512 path where the CPU
+/// offers one, selected at runtime. [`kernel`] runs it for products at
+/// least eight columns wide.
 ///
 /// The vector lanes map to **distinct output columns** — eight at a time,
 /// packed like [`BlockedKernel`]'s panels but `SPW`-wide — and every
@@ -1235,116 +1238,18 @@ fn simd_width_cap() -> u32 {
 pub struct SimdKernel;
 
 impl SimdKernel {
-    /// Packs `B` (`k×n` row-major) into [`SPW`]-wide interleaved column
-    /// panels: `panel[step·SPW + lane] = b[step][SPW·q + lane]`, the same
-    /// layout as [`BlockedKernel::pack_panels`] at double the width so one
-    /// reduction step feeds a full 512-bit vector (or two 256-bit ones).
-    fn pack_panels8(k: usize, n: usize, b: &[f64]) -> Vec<f64> {
-        let mut packed = Vec::new();
-        Self::pack_panels8_into(k, n, b, &mut packed);
-        packed
-    }
-
-    /// [`Self::pack_panels8`] into a reusable buffer (cleared,
-    /// zero-filled, allocation reused) — same fill order, identical
-    /// contents.
-    fn pack_panels8_into(k: usize, n: usize, b: &[f64], packed: &mut Vec<f64>) {
-        let panels = n.div_ceil(SPW);
-        packed.clear();
-        packed.resize(panels * k * SPW, 0.0);
-        for q in 0..panels {
-            let j0 = q * SPW;
-            let w = SPW.min(n - j0);
-            let dst = &mut packed[q * k * SPW..(q + 1) * k * SPW];
-            if w == SPW {
-                // Const-length group copies compile to straight vector
-                // moves instead of per-step memcpy calls.
-                for step in 0..k {
-                    let src: &[f64; SPW] = b[step * n + j0..step * n + j0 + SPW]
-                        .try_into()
-                        .expect("group");
-                    dst[step * SPW..(step + 1) * SPW].copy_from_slice(src);
-                }
-            } else {
-                for step in 0..k {
-                    let src = &b[step * n + j0..step * n + j0 + w];
-                    dst[step * SPW..step * SPW + w].copy_from_slice(src);
-                }
-            }
-        }
-    }
-
-    /// Packs `Bᵀ` given `bt` (`n×k` row-major); layout of
-    /// [`Self::pack_panels8`].
-    fn pack_panels8_t(k: usize, n: usize, bt: &[f64]) -> Vec<f64> {
-        let mut packed = Vec::new();
-        Self::pack_panels8_t_into(k, n, bt, &mut packed);
-        packed
-    }
-
-    /// [`Self::pack_panels8_t`] into a reusable buffer.
-    fn pack_panels8_t_into(k: usize, n: usize, bt: &[f64], packed: &mut Vec<f64>) {
-        let panels = n.div_ceil(SPW);
-        packed.clear();
-        packed.resize(panels * k * SPW, 0.0);
-        for q in 0..panels {
-            let j0 = q * SPW;
-            let w = SPW.min(n - j0);
-            let dst = &mut packed[q * k * SPW..(q + 1) * k * SPW];
-            for lane in 0..w {
-                let src = &bt[(j0 + lane) * k..(j0 + lane + 1) * k];
-                for (step, &x) in src.iter().enumerate() {
-                    dst[step * SPW + lane] = x;
-                }
-            }
-        }
-    }
-
-    /// `out += a · B` with `B` pre-packed into [`SPW`]-wide panels.
-    /// Dispatches to the widest vector unit detected; all three
-    /// instantiations accumulate each output element in ascending `k`
-    /// order in one register chain, so their bits agree.
-    ///
-    /// `ST_SIMD_FORCE=avx2|scalar` caps the dispatch below the detected
-    /// width (never above it) so the narrower instantiations can be
-    /// exercised — and their bit-identity CI-tested — on a wider host.
-    fn packed_gemm(m: usize, k: usize, n: usize, a: &[f64], packed: &[f64], out: &mut [f64]) {
-        Self::packed_gemm_opt(m, k, n, a, packed, None, false, out);
-    }
-
-    /// [`Self::packed_gemm`] with the fused bias epilogue: `bias[j]` is
-    /// appended to each output element's accumulation chain at its single
-    /// write-back — the bits of a separate `add_bias_rows` pass.
-    fn packed_gemm_bias(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_opt(m, k, n, a, packed, Some(bias), false, out);
-    }
-
-    /// [`Self::packed_gemm_bias`] with the fused ReLU epilogue appended
-    /// after the bias: each element is clamped at zero with the
-    /// [`relu_rows`] comparison (`< 0` blend, not a `max`) at its single
-    /// write-back — the bits of a separate ReLU pass.
-    fn packed_gemm_bias_relu(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_opt(m, k, n, a, packed, Some(bias), true, out);
-    }
-
+    /// `out += a · B` with `B` pre-packed into [`SPW`]-wide panels, on the
+    /// `width` path. The width is capped at the detected one, so a test
+    /// can run a narrower path on a wider host but nothing can run a path
+    /// the CPU lacks. All paths accumulate each output element in
+    /// ascending `k` order in one register chain, so their bits agree.
+    /// `bias` and `relu` are the fused epilogues of [`BlockedKernel`]'s
+    /// core, appended at each element's single write-back; the vector
+    /// ReLU is a `< 0` blend, not a `max`, so `-0.0` and `NaN` keep their
+    /// bits as in [`relu_rows`].
     #[allow(clippy::too_many_arguments)]
-    fn packed_gemm_opt(
+    fn packed_gemm(
+        width: SimdWidth,
         m: usize,
         k: usize,
         n: usize,
@@ -1354,21 +1259,19 @@ impl SimdKernel {
         relu: bool,
         out: &mut [f64],
     ) {
-        #[cfg(target_arch = "x86_64")]
-        {
-            let cap = simd_width_cap();
-            if cap >= 512 && std::arch::is_x86_feature_detected!("avx512f") {
-                // SAFETY: avx512f was just detected at runtime.
-                unsafe { Self::packed_gemm_avx512(m, k, n, a, packed, bias, relu, out) };
-                return;
-            }
-            if cap >= 256 && std::arch::is_x86_feature_detected!("avx2") {
-                // SAFETY: avx2 was just detected at runtime.
-                unsafe { Self::packed_gemm_avx2(m, k, n, a, packed, bias, relu, out) };
-                return;
-            }
+        match width.min(SimdWidth::detected()) {
+            // SAFETY: the width is capped at the one detected at runtime.
+            #[cfg(target_arch = "x86_64")]
+            SimdWidth::Avx512 => unsafe {
+                Self::packed_gemm_avx512(m, k, n, a, packed, bias, relu, out)
+            },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            SimdWidth::Avx2 => unsafe {
+                Self::packed_gemm_avx2(m, k, n, a, packed, bias, relu, out)
+            },
+            _ => Self::packed_gemm_scalar(m, k, n, a, packed, bias, relu, out),
         }
-        Self::packed_gemm_scalar(m, k, n, a, packed, bias, relu, out);
     }
 
     /// Scalar mirror of the vector paths: same panel walk, same per-element
@@ -1890,49 +1793,20 @@ impl SimdKernel {
         }
     }
 
-    /// `gemm_tn` restricted to `A` columns `c0..c1` (= output rows
-    /// `c0..c1`): the unit [`ShardedKernel`] fans out over worker threads.
-    /// `out` holds only the `c1 - c0` rows being computed.
-    ///
-    /// Per output element the reduction runs in ascending sample blocks
-    /// and ascending rows within each block — the naive ascending-`i`
-    /// chain — so any column split produces identical bits.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_tn_cols(
+    /// `gemm_tn` on the `width` path: the shared sample-block walk over
+    /// [`SPW`]-wide panels.
+    fn gemm_tn_at(
+        width: SimdWidth,
         m: usize,
         k: usize,
         n: usize,
-        c0: usize,
-        c1: usize,
         a: &[f64],
         b: &[f64],
         out: &mut [f64],
     ) {
-        let kw = c1 - c0;
-        debug_assert_eq!(out.len(), kw * n);
-        if m == 0 || kw == 0 || n == 0 {
-            return;
-        }
-        let mut at_block = vec![0.0; kw * IB.min(m)];
-        for ib in (0..m).step_by(IB) {
-            let h = IB.min(m - ib);
-            // at_block[(p - c0)·h + r] = a[ib + r][p]: the block of Aᵀ
-            // restricted to the requested columns. The full-width case
-            // takes the tiled transpose (TLB-friendly); a column slice
-            // falls back to the strided gather.
-            if kw == k {
-                BlockedKernel.transpose(h, k, &a[ib * k..(ib + h) * k], &mut at_block[..k * h]);
-            } else {
-                for r in 0..h {
-                    let row = &a[(ib + r) * k + c0..(ib + r) * k + c1];
-                    for (dp, &x) in row.iter().enumerate() {
-                        at_block[dp * h + r] = x;
-                    }
-                }
-            }
-            let packed = Self::pack_panels8(h, n, &b[ib * n..(ib + h) * n]);
-            Self::packed_gemm(kw, h, n, &at_block[..kw * h], &packed, out);
-        }
+        gemm_tn_blocks::<SPW>(m, k, n, a, b, out, |rows, depth, at, packed, out| {
+            Self::packed_gemm(width, rows, depth, n, at, packed, None, false, out)
+        });
     }
 }
 
@@ -1954,8 +1828,9 @@ impl GemmBackend for SimdKernel {
             BlockedKernel::axpy_gemm(m, k, n, a, b, out);
             return;
         }
-        let packed = Self::pack_panels8(k, n, b);
-        Self::packed_gemm(m, k, n, a, &packed, out);
+        let mut packed = Vec::new();
+        pack_panels_into::<SPW>(k, n, b, &mut packed);
+        Self::packed_gemm(SimdWidth::detected(), m, k, n, a, &packed, None, false, out);
     }
 
     fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
@@ -1965,15 +1840,13 @@ impl GemmBackend for SimdKernel {
         if m == 0 || k == 0 || n == 0 {
             return;
         }
-        let packed = Self::pack_panels8_t(k, n, bt);
-        Self::packed_gemm(m, k, n, a, &packed, out);
+        let mut packed = Vec::new();
+        pack_panels_t_into::<SPW>(k, n, bt, &mut packed);
+        Self::packed_gemm(SimdWidth::detected(), m, k, n, a, &packed, None, false, out);
     }
 
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), m * n);
-        debug_assert_eq!(out.len(), k * n);
-        Self::gemm_tn_cols(m, k, n, 0, k, a, b, out);
+        Self::gemm_tn_at(SimdWidth::detected(), m, k, n, a, b, out);
     }
 
     fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
@@ -1981,7 +1854,7 @@ impl GemmBackend for SimdKernel {
         dst.layout = PackLayout::Panels8;
         dst.k = k;
         dst.n = n;
-        Self::pack_panels8_into(k, n, b, &mut dst.data);
+        pack_panels_into::<SPW>(k, n, b, &mut dst.data);
     }
 
     fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
@@ -1989,7 +1862,7 @@ impl GemmBackend for SimdKernel {
         dst.layout = PackLayout::Panels8;
         dst.k = k;
         dst.n = n;
-        Self::pack_panels8_t_into(k, n, bt, &mut dst.data);
+        pack_panels_t_into::<SPW>(k, n, bt, &mut dst.data);
     }
 
     fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
@@ -2008,655 +1881,56 @@ impl GemmBackend for SimdKernel {
     }
 }
 
-/// Worker threads the sharded backend may use (see [`set_kernel_threads`]).
-/// `0` means "not set explicitly": resolve `ST_KERNEL_THREADS`, falling
-/// back to the detected core count.
-static KERNEL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Fixes the worker-thread budget of the [`ShardedKernel`] (0 resets to
-/// automatic: `ST_KERNEL_THREADS`, else all cores).
+/// The production backend [`kernel`] returns: each product's output width
+/// picks its core.
 ///
-/// Unlike the kernel *kind*, the thread budget may change at any time —
-/// sharding partitions output rows, so every thread count produces
-/// identical bits. The trial executor uses this to hand its surplus
-/// workers to the kernel instead of oversubscribing (see
-/// `slice_tuner::plan_thread_budget`).
-/// Returns the previous override (`0` = automatic) so scoped callers —
-/// like the trial executor — can restore it afterwards instead of leaking
-/// their share to the rest of the process.
-pub fn set_kernel_threads(threads: usize) -> usize {
-    KERNEL_THREADS.swap(threads, Ordering::Relaxed)
-}
-
-/// The active worker-thread budget of the [`ShardedKernel`].
-pub fn kernel_threads() -> usize {
-    let explicit = KERNEL_THREADS.load(Ordering::Relaxed);
-    if explicit > 0 {
-        return explicit;
-    }
-    static AUTO: OnceLock<usize> = OnceLock::new();
-    *AUTO.get_or_init(|| {
-        std::env::var("ST_KERNEL_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
-    })
-}
-
-/// Splits `total` items into at most `workers` contiguous, near-equal,
-/// non-empty ranges.
-fn shard_ranges(total: usize, workers: usize) -> Vec<(usize, usize)> {
-    let workers = workers.max(1).min(total.max(1));
-    let base = total / workers;
-    let rem = total % workers;
-    let mut ranges = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let len = base + usize::from(w < rem);
-        if len == 0 {
-            break;
-        }
-        ranges.push((start, start + len));
-        start += len;
-    }
-    ranges
-}
-
-/// The multi-core backend: partitions output rows across a scoped worker
-/// pool and runs the [`SimdKernel`] packed core on each shard.
-///
-/// Every output element is computed by exactly one worker with exactly the
-/// ascending-`k` chain of [`NaiveKernel`], so results are bit-identical at
-/// **any** thread count — sharding changes who computes an element, never
-/// how. Small products (under `SHARD_MIN_WORK` multiplies) run inline on
-/// the calling thread; the worker count comes from [`kernel_threads`]
-/// unless pinned per-instance via [`ShardedKernel::with_threads`].
+/// `gemm`, `gemm_nt` and `gemm_tn` run the 8-wide [`SimdKernel`] core when
+/// the output width `n` is at least [`SPW`] and the CPU has AVX2 or
+/// AVX-512, and the 4-wide [`BlockedKernel`] core otherwise. The pack
+/// methods emit the matching panel layout by the same rule, and the
+/// prepacked entries dispatch on the handle's layout. `matvec`,
+/// `matvec_t` and `transpose` run the blocked schedules. Both cores are
+/// bit-identical to [`NaiveKernel`], so the routing changes no output bit.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ShardedKernel {
-    threads: Option<usize>,
-}
+struct AutoKernel;
 
-impl ShardedKernel {
-    /// Backend following the process-wide thread budget
-    /// ([`kernel_threads`]).
-    pub const fn new() -> Self {
-        ShardedKernel { threads: None }
-    }
-
-    /// Backend pinned to exactly `threads` workers (used by the
-    /// equivalence tests; `0` falls back to the process budget).
-    pub fn with_threads(threads: usize) -> Self {
-        ShardedKernel {
-            threads: (threads > 0).then_some(threads),
-        }
-    }
-
-    fn threads(&self) -> usize {
-        self.threads.unwrap_or_else(kernel_threads)
-    }
-
-    /// True when the product is too small (or the budget too narrow) to
-    /// pay a fan-out; such calls run inline via [`SimdKernel`].
-    fn run_inline(&self, rows: usize, work: usize) -> bool {
-        self.threads() <= 1 || rows < 2 || work < SHARD_MIN_WORK
+impl AutoKernel {
+    /// Whether a product with `n` output columns runs the 8-wide core.
+    fn wide(n: usize) -> bool {
+        n >= SPW && SimdWidth::detected() > SimdWidth::Scalar
     }
 }
 
-impl GemmBackend for ShardedKernel {
+impl GemmBackend for AutoKernel {
     fn name(&self) -> &'static str {
-        "sharded"
+        "auto"
     }
 
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if self.run_inline(m, m * k * n) || m < PACK_MIN_ROWS {
+        if Self::wide(n) {
             SimdKernel.gemm(m, k, n, a, b, out);
-            return;
+        } else {
+            BlockedKernel.gemm(m, k, n, a, b, out);
         }
-        // Pack once, then fan output-row shards over the pool; each worker
-        // owns a disjoint slice of `out`.
-        let packed = SimdKernel::pack_panels8(k, n, b);
-        let packed = &packed;
-        crossbeam::scope(|scope| {
-            let mut rest = out;
-            for (s, e) in shard_ranges(m, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                rest = tail;
-                let a_rows = &a[s * k..e * k];
-                scope.spawn(move |_| SimdKernel::packed_gemm(e - s, k, n, a_rows, packed, chunk));
-            }
-        })
-        .expect("sharded gemm worker panicked");
     }
 
     fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(bt.len(), n * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if self.run_inline(m, m * k * n) {
+        if Self::wide(n) {
             SimdKernel.gemm_nt(m, k, n, a, bt, out);
-            return;
+        } else {
+            BlockedKernel.gemm_nt(m, k, n, a, bt, out);
         }
-        let packed = SimdKernel::pack_panels8_t(k, n, bt);
-        let packed = &packed;
-        crossbeam::scope(|scope| {
-            let mut rest = out;
-            for (s, e) in shard_ranges(m, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                rest = tail;
-                let a_rows = &a[s * k..e * k];
-                scope.spawn(move |_| SimdKernel::packed_gemm(e - s, k, n, a_rows, packed, chunk));
-            }
-        })
-        .expect("sharded gemm_nt worker panicked");
     }
 
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), m * n);
-        debug_assert_eq!(out.len(), k * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if self.run_inline(k, m * k * n) {
+        if Self::wide(n) {
             SimdKernel.gemm_tn(m, k, n, a, b, out);
-            return;
-        }
-        // Shard the *output* rows (= columns of A): each worker runs the
-        // full ascending-sample-block reduction for its row range, so the
-        // per-element chain is the sequential one regardless of the split.
-        // Workers re-pack the shared B blocks redundantly — O(m·n) per
-        // worker against the O(m·k·n/threads) product each performs.
-        crossbeam::scope(|scope| {
-            let mut rest = out;
-            for (s, e) in shard_ranges(k, self.threads()) {
-                let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                rest = tail;
-                scope.spawn(move |_| SimdKernel::gemm_tn_cols(m, k, n, s, e, a, b, chunk));
-            }
-        })
-        .expect("sharded gemm_tn worker panicked");
-    }
-
-    fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
-        // The per-worker core is the simd packed core, so the sharded
-        // backend shares its panel layout.
-        SimdKernel.pack_b_into(k, n, b, dst);
-    }
-
-    fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
-        SimdKernel.pack_b_t_into(k, n, bt, dst);
-    }
-
-    fn gemm_prepacked(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        out: &mut [f64],
-    ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        match pb.layout {
-            // Pack-on-call handle: the ordinary sharded gemm packs and
-            // fans out itself.
-            PackLayout::Raw => self.gemm(m, k, n, a, &pb.data, out),
-            // Foreign panel width (only reachable by mixing backends by
-            // hand — the process kernel is fixed): run the matching core
-            // inline; bits are identical either way.
-            PackLayout::Panels4 => BlockedKernel::packed_gemm(m, k, n, a, &pb.data, out),
-            PackLayout::Panels8 => {
-                if self.run_inline(m, m * k * n) {
-                    SimdKernel::packed_gemm(m, k, n, a, &pb.data, out);
-                    return;
-                }
-                // The pack already happened — fan the output-row shards
-                // straight over the pool.
-                let packed = &pb.data;
-                crossbeam::scope(|scope| {
-                    let mut rest = out;
-                    for (s, e) in shard_ranges(m, self.threads()) {
-                        let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                        rest = tail;
-                        let a_rows = &a[s * k..e * k];
-                        scope.spawn(move |_| {
-                            SimdKernel::packed_gemm(e - s, k, n, a_rows, packed, chunk)
-                        });
-                    }
-                })
-                .expect("sharded gemm_prepacked worker panicked");
-            }
-        }
-    }
-
-    fn gemm_prepacked_bias(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        assert_eq!(bias.len(), n, "bias length mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            bias_rows(n, bias, out);
-            return;
-        }
-        match pb.layout {
-            PackLayout::Raw => {
-                self.gemm(m, k, n, a, &pb.data, out);
-                bias_rows(n, bias, out);
-            }
-            PackLayout::Panels4 => BlockedKernel::packed_gemm_bias(m, k, n, a, &pb.data, bias, out),
-            PackLayout::Panels8 => {
-                if self.run_inline(m, m * k * n) {
-                    SimdKernel::packed_gemm_bias(m, k, n, a, &pb.data, bias, out);
-                    return;
-                }
-                // Row shards own disjoint output rows; each worker runs
-                // the fused core with the full bias slice (the epilogue is
-                // per-row, so the split is invisible to the bits).
-                let packed = &pb.data;
-                crossbeam::scope(|scope| {
-                    let mut rest = out;
-                    for (s, e) in shard_ranges(m, self.threads()) {
-                        let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                        rest = tail;
-                        let a_rows = &a[s * k..e * k];
-                        scope.spawn(move |_| {
-                            SimdKernel::packed_gemm_bias(e - s, k, n, a_rows, packed, bias, chunk)
-                        });
-                    }
-                })
-                .expect("sharded gemm_prepacked_bias worker panicked");
-            }
-        }
-    }
-
-    fn gemm_prepacked_bias_relu(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        assert_eq!((pb.k, pb.n), (k, n), "prepacked B shape mismatch");
-        assert_eq!(bias.len(), n, "bias length mismatch");
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || n == 0 {
-            return;
-        }
-        if k == 0 {
-            bias_rows(n, bias, out);
-            relu_rows(out);
-            return;
-        }
-        match pb.layout {
-            PackLayout::Raw => {
-                self.gemm(m, k, n, a, &pb.data, out);
-                bias_rows(n, bias, out);
-                relu_rows(out);
-            }
-            PackLayout::Panels4 => {
-                BlockedKernel::packed_gemm_bias_relu(m, k, n, a, &pb.data, bias, out)
-            }
-            PackLayout::Panels8 => {
-                if self.run_inline(m, m * k * n) {
-                    SimdKernel::packed_gemm_bias_relu(m, k, n, a, &pb.data, bias, out);
-                    return;
-                }
-                // Both epilogues are per-element and the row shards own
-                // disjoint output rows, so the fused clamp is invisible
-                // to the split exactly like the bias is.
-                let packed = &pb.data;
-                crossbeam::scope(|scope| {
-                    let mut rest = out;
-                    for (s, e) in shard_ranges(m, self.threads()) {
-                        let (chunk, tail) = rest.split_at_mut((e - s) * n);
-                        rest = tail;
-                        let a_rows = &a[s * k..e * k];
-                        scope.spawn(move |_| {
-                            SimdKernel::packed_gemm_bias_relu(
-                                e - s,
-                                k,
-                                n,
-                                a_rows,
-                                packed,
-                                bias,
-                                chunk,
-                            )
-                        });
-                    }
-                })
-                .expect("sharded gemm_prepacked_bias_relu worker panicked");
-            }
+        } else {
+            BlockedKernel.gemm_tn(m, k, n, a, b, out);
         }
     }
 
     fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        // Memory-bound; a fan-out buys nothing. Inline simd schedule.
-        SimdKernel.matvec(rows, cols, a, v, out);
-    }
-
-    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        SimdKernel.matvec_t(rows, cols, a, v, out);
-    }
-
-    fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
-        SimdKernel.transpose(rows, cols, a, out);
-    }
-}
-
-/// The opt-in reassociating backend: FMA contraction and reassociated
-/// reductions for callers that **waive the bit-determinism contract**.
-///
-/// `fast` is never selected by default, and the deterministic trial path
-/// refuses to run under it unless explicitly allowed
-/// (`--allow-nondeterministic-kernel`). Results are correct to normal
-/// floating-point accuracy — typically *more* accurate than the plain
-/// kernels thanks to fused rounding — but not reproducible bit-for-bit
-/// against the other backends.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FastKernel;
-
-impl FastKernel {
-    /// `out += a · B` on packed panels with FMA where available. Falls back
-    /// to the strict SIMD core on targets without FMA (the waiver permits
-    /// reassociation, it does not require it).
-    fn packed_gemm_fast(m: usize, k: usize, n: usize, a: &[f64], packed: &[f64], out: &mut [f64]) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: avx2 and fma were just detected at runtime.
-            unsafe { Self::packed_gemm_fma(m, k, n, a, packed, out) };
-            return;
-        }
-        SimdKernel::packed_gemm(m, k, n, a, packed, out);
-    }
-
-    /// FMA instantiation of the packed core: the same blocking driver as
-    /// [`SimdKernel::packed_gemm_avx2`] — the two must stay in lockstep
-    /// (same tiles, same [`SIMD_PANEL_BLOCK_BYTES`] L2 budget); only the
-    /// micro-kernels differ, with every multiply/add pair contracted to
-    /// one fused op.
-    ///
-    /// # Safety
-    /// The caller must ensure the CPU supports AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn packed_gemm_fma(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        out: &mut [f64],
-    ) {
-        let panels = n.div_ceil(SPW);
-        let panel_len = k * SPW;
-        let block = (SIMD_PANEL_BLOCK_BYTES / (panel_len * 8).max(1)).max(1);
-        for qb in (0..panels).step_by(block) {
-            let qe = (qb + block).min(panels);
-            let mut i = 0;
-            while i + 4 <= m {
-                for q in qb..qe {
-                    let j0 = q * SPW;
-                    let panel = &packed[q * panel_len..(q + 1) * panel_len];
-                    if n - j0 >= SPW {
-                        Self::mk4x8_fma(
-                            k,
-                            a.as_ptr().add(i * k),
-                            k,
-                            panel.as_ptr(),
-                            out.as_mut_ptr().add(i * n + j0),
-                            n,
-                        );
-                    } else {
-                        for r in i..i + 4 {
-                            let w = n - j0;
-                            SimdKernel::panel_row_scalar(
-                                w,
-                                &a[r * k..(r + 1) * k],
-                                panel,
-                                None,
-                                false,
-                                &mut out[r * n + j0..r * n + j0 + w],
-                            );
-                        }
-                    }
-                }
-                i += 4;
-            }
-            while i < m {
-                for q in qb..qe {
-                    let j0 = q * SPW;
-                    let panel = &packed[q * panel_len..(q + 1) * panel_len];
-                    if n - j0 >= SPW {
-                        Self::mk1x8_fma(
-                            k,
-                            a.as_ptr().add(i * k),
-                            panel.as_ptr(),
-                            out.as_mut_ptr().add(i * n + j0),
-                        );
-                    } else {
-                        let w = n - j0;
-                        SimdKernel::panel_row_scalar(
-                            w,
-                            &a[i * k..(i + 1) * k],
-                            panel,
-                            None,
-                            false,
-                            &mut out[i * n + j0..i * n + j0 + w],
-                        );
-                    }
-                }
-                i += 1;
-            }
-        }
-    }
-
-    /// 4-row × 8-column FMA micro-kernel (contracted twin of
-    /// [`SimdKernel::mk4x8_avx2`]).
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA; same layout contract as
-    /// [`SimdKernel::mk4x8_avx2`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn mk4x8_fma(
-        k: usize,
-        a: *const f64,
-        lda: usize,
-        panel: *const f64,
-        out: *mut f64,
-        ldo: usize,
-    ) {
-        use std::arch::x86_64::*;
-        let mut acc00 = _mm256_loadu_pd(out);
-        let mut acc01 = _mm256_loadu_pd(out.add(4));
-        let mut acc10 = _mm256_loadu_pd(out.add(ldo));
-        let mut acc11 = _mm256_loadu_pd(out.add(ldo + 4));
-        let mut acc20 = _mm256_loadu_pd(out.add(2 * ldo));
-        let mut acc21 = _mm256_loadu_pd(out.add(2 * ldo + 4));
-        let mut acc30 = _mm256_loadu_pd(out.add(3 * ldo));
-        let mut acc31 = _mm256_loadu_pd(out.add(3 * ldo + 4));
-        for p in 0..k {
-            let b0 = _mm256_loadu_pd(panel.add(p * SPW));
-            let b1 = _mm256_loadu_pd(panel.add(p * SPW + 4));
-            let a0 = _mm256_set1_pd(*a.add(p));
-            acc00 = _mm256_fmadd_pd(a0, b0, acc00);
-            acc01 = _mm256_fmadd_pd(a0, b1, acc01);
-            let a1 = _mm256_set1_pd(*a.add(lda + p));
-            acc10 = _mm256_fmadd_pd(a1, b0, acc10);
-            acc11 = _mm256_fmadd_pd(a1, b1, acc11);
-            let a2 = _mm256_set1_pd(*a.add(2 * lda + p));
-            acc20 = _mm256_fmadd_pd(a2, b0, acc20);
-            acc21 = _mm256_fmadd_pd(a2, b1, acc21);
-            let a3 = _mm256_set1_pd(*a.add(3 * lda + p));
-            acc30 = _mm256_fmadd_pd(a3, b0, acc30);
-            acc31 = _mm256_fmadd_pd(a3, b1, acc31);
-        }
-        _mm256_storeu_pd(out, acc00);
-        _mm256_storeu_pd(out.add(4), acc01);
-        _mm256_storeu_pd(out.add(ldo), acc10);
-        _mm256_storeu_pd(out.add(ldo + 4), acc11);
-        _mm256_storeu_pd(out.add(2 * ldo), acc20);
-        _mm256_storeu_pd(out.add(2 * ldo + 4), acc21);
-        _mm256_storeu_pd(out.add(3 * ldo), acc30);
-        _mm256_storeu_pd(out.add(3 * ldo + 4), acc31);
-    }
-
-    /// Single-row FMA micro-kernel.
-    ///
-    /// # Safety
-    /// Requires AVX2+FMA; same layout contract as
-    /// [`SimdKernel::mk1x8_avx2`].
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn mk1x8_fma(k: usize, a: *const f64, panel: *const f64, out: *mut f64) {
-        use std::arch::x86_64::*;
-        let mut acc0 = _mm256_loadu_pd(out);
-        let mut acc1 = _mm256_loadu_pd(out.add(4));
-        for p in 0..k {
-            let av = _mm256_set1_pd(*a.add(p));
-            acc0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(panel.add(p * SPW)), acc0);
-            acc1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(panel.add(p * SPW + 4)), acc1);
-        }
-        _mm256_storeu_pd(out, acc0);
-        _mm256_storeu_pd(out.add(4), acc1);
-    }
-
-    /// Reassociated row dot: four independent FMA lanes over `k`, reduced
-    /// horizontally at the end (the partial-sum tree the strict kernels
-    /// must not use).
-    ///
-    /// # Safety
-    /// The caller must ensure the CPU supports AVX2 and FMA.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn matvec_fma(rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        use std::arch::x86_64::*;
-        debug_assert_eq!(a.len(), rows * cols);
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = a.as_ptr().add(r * cols);
-            let mut acc0 = _mm256_setzero_pd();
-            let mut acc1 = _mm256_setzero_pd();
-            let mut p = 0;
-            while p + 8 <= cols {
-                acc0 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(row.add(p)),
-                    _mm256_loadu_pd(v.as_ptr().add(p)),
-                    acc0,
-                );
-                acc1 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(row.add(p + 4)),
-                    _mm256_loadu_pd(v.as_ptr().add(p + 4)),
-                    acc1,
-                );
-                p += 8;
-            }
-            let sum = _mm256_add_pd(acc0, acc1);
-            let mut lanes = [0.0; 4];
-            _mm256_storeu_pd(lanes.as_mut_ptr(), sum);
-            let mut acc = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-            while p < cols {
-                acc = (*row.add(p)).mul_add(v[p], acc);
-                p += 1;
-            }
-            *o = acc;
-        }
-    }
-}
-
-impl GemmBackend for FastKernel {
-    fn name(&self) -> &'static str {
-        "fast"
-    }
-
-    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if m < PACK_MIN_ROWS {
-            BlockedKernel::axpy_gemm(m, k, n, a, b, out);
-            return;
-        }
-        let packed = SimdKernel::pack_panels8(k, n, b);
-        Self::packed_gemm_fast(m, k, n, a, &packed, out);
-    }
-
-    fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(bt.len(), n * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        let packed = SimdKernel::pack_panels8_t(k, n, bt);
-        Self::packed_gemm_fast(m, k, n, a, &packed, out);
-    }
-
-    fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), m * n);
-        debug_assert_eq!(out.len(), k * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        let mut at_block = vec![0.0; k * IB.min(m)];
-        for ib in (0..m).step_by(IB) {
-            let h = IB.min(m - ib);
-            BlockedKernel.transpose(h, k, &a[ib * k..(ib + h) * k], &mut at_block[..k * h]);
-            let packed = SimdKernel::pack_panels8(h, n, &b[ib * n..(ib + h) * n]);
-            Self::packed_gemm_fast(k, h, n, &at_block[..k * h], &packed, out);
-        }
-    }
-
-    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(v.len(), cols);
-        debug_assert_eq!(out.len(), rows);
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
-        {
-            // SAFETY: avx2 and fma were just detected at runtime.
-            unsafe { Self::matvec_fma(rows, cols, a, v, out) };
-            return;
-        }
         BlockedKernel.matvec(rows, cols, a, v, out);
     }
 
@@ -2667,124 +1941,65 @@ impl GemmBackend for FastKernel {
     fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
         BlockedKernel.transpose(rows, cols, a, out);
     }
+
+    fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
+        if Self::wide(n) {
+            SimdKernel.pack_b_into(k, n, b, dst);
+        } else {
+            BlockedKernel.pack_b_into(k, n, b, dst);
+        }
+    }
+
+    fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
+        if Self::wide(n) {
+            SimdKernel.pack_b_t_into(k, n, bt, dst);
+        } else {
+            BlockedKernel.pack_b_t_into(k, n, bt, dst);
+        }
+    }
 }
 
-/// Which [`GemmBackend`] a process uses.
+/// The kind of [`kernel`]. Nothing in the workspace selects by kind any
+/// more; the type stays because the repository benchmark names it
+/// (`perfbench/src/main.rs:191,321` and `perfbench/src/serve.rs:120`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelKind {
-    /// The straight-line reference kernel.
-    Naive,
-    /// The cache-blocked kernel (default).
-    Blocked,
-    /// Explicit AVX2/AVX-512 intrinsics, bit-identical to naive.
-    Simd,
-    /// Multi-core row sharding over the SIMD core, bit-identical at any
-    /// thread count.
+    /// The width-routed production kernel, the only kind
+    /// [`kernel_kind`] returns.
+    Auto,
+    /// No backend: [`kernel_kind`] never returns it. Kept because
+    /// `perfbench/src/serve.rs:120` compares against it.
     Sharded,
-    /// Opt-in reassociating FMA kernel — **waives** the bit-determinism
-    /// contract; the deterministic trial path refuses it.
-    Fast,
 }
 
 impl KernelKind {
-    /// Every selectable backend, in the order help strings list them.
-    pub const ALL: [KernelKind; 5] = [
-        KernelKind::Naive,
-        KernelKind::Blocked,
-        KernelKind::Simd,
-        KernelKind::Sharded,
-        KernelKind::Fast,
-    ];
-
-    /// Parses a kernel name as accepted by `ST_KERNEL` and `--kernel`.
-    pub fn from_name(name: &str) -> Option<KernelKind> {
-        let name = name.trim().to_ascii_lowercase();
-        KernelKind::ALL.into_iter().find(|k| k.name() == name)
-    }
-
-    /// The canonical name.
+    /// The kind's name; `kernel().name()` for [`KernelKind::Auto`].
+    /// Kept because `perfbench/src/main.rs:191,321` prints it.
     pub fn name(self) -> &'static str {
         match self {
-            KernelKind::Naive => "naive",
-            KernelKind::Blocked => "blocked",
-            KernelKind::Simd => "simd",
+            KernelKind::Auto => kernel().name(),
             KernelKind::Sharded => "sharded",
-            KernelKind::Fast => "fast",
         }
     }
 
-    /// A static reference to the backend of this kind.
-    pub fn backend(self) -> &'static dyn GemmBackend {
-        static SHARDED: ShardedKernel = ShardedKernel::new();
-        match self {
-            KernelKind::Naive => &NaiveKernel,
-            KernelKind::Blocked => &BlockedKernel,
-            KernelKind::Simd => &SimdKernel,
-            KernelKind::Sharded => &SHARDED,
-            KernelKind::Fast => &FastKernel,
-        }
-    }
-
-    /// Whether this backend honors the bit-identity contract (every
-    /// output bit equal to [`NaiveKernel`]'s). Only [`KernelKind::Fast`]
-    /// waives it; determinism-sensitive paths (the trial runner) refuse
-    /// non-deterministic kinds unless the caller explicitly opts in.
+    /// Always `true`: every backend is bit-identical to [`NaiveKernel`].
+    /// Kept because `perfbench/src/main.rs:191` checks it.
     pub fn bit_deterministic(self) -> bool {
-        !matches!(self, KernelKind::Fast)
+        true
     }
 }
 
-/// The comma-separated list of valid kernel names, for error messages and
-/// usage strings (`"naive | blocked | simd | sharded | fast"`).
-pub fn kernel_names() -> String {
-    KernelKind::ALL.map(KernelKind::name).join(" | ")
-}
-
-/// The list of valid `ST_SIMD_FORCE` values, for the unknown-value warning
-/// and usage strings — the `kernel_names()` of the SIMD width cap.
-pub fn simd_force_names() -> &'static str {
-    "avx2 | scalar"
-}
-
-static ACTIVE_KERNEL: OnceLock<KernelKind> = OnceLock::new();
-
-fn kind_from_env() -> KernelKind {
-    match std::env::var("ST_KERNEL") {
-        Ok(v) => KernelKind::from_name(&v).unwrap_or_else(|| {
-            eprintln!(
-                "warning: unknown ST_KERNEL '{v}', using blocked (valid kernels: {})",
-                kernel_names()
-            );
-            KernelKind::Blocked
-        }),
-        Err(_) => KernelKind::Blocked,
-    }
-}
-
-/// The process-wide kernel kind, fixed on first use (`ST_KERNEL`, default
-/// blocked).
+/// The kind of [`kernel`], always [`KernelKind::Auto`]. Kept because
+/// `perfbench/src/main.rs:191,321` reads it.
 pub fn kernel_kind() -> KernelKind {
-    *ACTIVE_KERNEL.get_or_init(kind_from_env)
+    KernelKind::Auto
 }
 
-/// The active backend every [`crate::Matrix`] operation dispatches to.
+/// The backend every [`crate::Matrix`] operation dispatches to: one
+/// deterministic kernel that picks the 4- or 8-wide core for each product
+/// from its output width (see the module docs).
 pub fn kernel() -> &'static dyn GemmBackend {
-    kernel_kind().backend()
-}
-
-/// Fixes the process-wide kernel before first use (the CLI's `--kernel`).
-///
-/// # Errors
-/// Returns the already-active kind when a *different* kernel was selected
-/// earlier (by `ST_KERNEL`, a prior call, or first use); selecting the
-/// active kind again is a no-op `Ok`.
-pub fn set_kernel(kind: KernelKind) -> Result<(), KernelKind> {
-    let active = *ACTIVE_KERNEL.get_or_init(|| kind);
-    if active == kind {
-        Ok(())
-    } else {
-        Err(active)
-    }
+    &AutoKernel
 }
 
 #[cfg(test)]
@@ -2797,23 +2012,61 @@ mod tests {
     }
 
     fn assert_bits_eq(a: &[f64], b: &[f64]) {
-        assert_eq!(a.len(), b.len());
+        assert_bits_eq_at("", a, b);
+    }
+
+    fn assert_bits_eq_at(what: &str, a: &[f64], b: &[f64]) {
+        assert_eq!(a.len(), b.len(), "{what}");
         for (i, (x, y)) in a.iter().zip(b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "index {i}: {x} vs {y}");
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} index {i}: {x} vs {y}");
+        }
+    }
+
+    /// The fixed shape gallery: unit, odd, prime, blocking-boundary and
+    /// multi-block (`m > IB`) shapes.
+    const GALLERY: [(usize, usize, usize); 7] = [
+        (1, 1, 1),
+        (2, 3, 4),
+        (7, 5, 3),
+        (17, 13, 11),
+        (64, 64, 64),
+        (65, 67, 66),
+        (130, 70, 150),
+    ];
+
+    /// The gallery plus `count` seeded random shapes with sides below 40
+    /// (empty sides included).
+    fn gallery_and_random(seed: u64, count: usize) -> Vec<(usize, usize, usize)> {
+        let mut rng = crate::resample::SplitMix64::new(seed);
+        let mut side = move || (rng.next_f64() * 40.0) as usize;
+        let mut shapes = GALLERY.to_vec();
+        shapes.extend((0..count).map(|_| (side(), side(), side())));
+        shapes
+    }
+
+    /// Every width of the 8-wide core this host can run.
+    fn supported_widths() -> Vec<SimdWidth> {
+        [SimdWidth::Scalar, SimdWidth::Avx2, SimdWidth::Avx512]
+            .into_iter()
+            .filter(|&w| w <= SimdWidth::detected())
+            .collect()
+    }
+
+    /// The unfused epilogues, written out: `+ bias[j]` on every row, then
+    /// (when `relu`) the model stack's `< 0` clamp, which keeps `-0.0` and
+    /// `NaN`.
+    fn epilogue_reference(n: usize, bias: &[f64], relu: bool, out: &mut [f64]) {
+        for (i, v) in out.iter_mut().enumerate() {
+            *v += bias[i % n];
+            if relu && *v < 0.0 {
+                *v = 0.0;
+            }
         }
     }
 
     #[test]
     fn blocked_gemm_matches_naive_bitwise() {
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (2, 3, 4),
-            (7, 5, 3),
-            (17, 13, 11),
-            (64, 64, 64),
-            (65, 67, 66),
-            (130, 70, 150),
-        ] {
+        for &(m, k, n) in &GALLERY {
             let a = fill(m * k, 1 + m as u64);
             let b = fill(k * n, 2 + n as u64);
             let mut on = vec![0.0; m * n];
@@ -2914,48 +2167,8 @@ mod tests {
     }
 
     #[test]
-    fn kind_parsing_round_trips() {
-        for kind in KernelKind::ALL {
-            assert_eq!(KernelKind::from_name(kind.name()), Some(kind));
-            assert_eq!(kind.backend().name(), kind.name());
-        }
-        assert_eq!(
-            KernelKind::from_name(" Blocked "),
-            Some(KernelKind::Blocked)
-        );
-        assert_eq!(KernelKind::from_name("mkl"), None);
-        assert!(kernel_names().contains("sharded"));
-    }
-
-    #[test]
-    fn only_fast_waives_bit_determinism() {
-        for kind in KernelKind::ALL {
-            assert_eq!(kind.bit_deterministic(), kind != KernelKind::Fast);
-        }
-    }
-
-    #[test]
-    fn set_kernel_is_idempotent_and_sticky() {
-        let active = kernel_kind();
-        assert!(set_kernel(active).is_ok(), "re-selecting active is a no-op");
-        let other = match active {
-            KernelKind::Naive => KernelKind::Blocked,
-            _ => KernelKind::Naive,
-        };
-        assert_eq!(set_kernel(other), Err(active));
-    }
-
-    #[test]
     fn simd_gemm_matches_naive_bitwise() {
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (2, 3, 4),
-            (7, 5, 3),
-            (17, 13, 11),
-            (64, 64, 64),
-            (65, 67, 66),
-            (130, 70, 150),
-        ] {
+        for &(m, k, n) in &GALLERY {
             let a = fill(m * k, 21 + m as u64);
             let b = fill(k * n, 22 + n as u64);
             let mut on = vec![0.0; m * n];
@@ -2985,98 +2198,156 @@ mod tests {
     }
 
     #[test]
-    fn sharded_matches_naive_at_every_thread_count() {
-        let (m, k, n) = (33, 29, 37);
-        let a = fill(m * k, 41);
-        let b = fill(k * n, 42);
-        let bt = fill(n * k, 43);
-        let c = fill(m * n, 44);
-        let mut want_g = vec![0.0; m * n];
-        let mut want_nt = vec![0.0; m * n];
-        let mut want_tn = vec![0.0; k * n];
-        NaiveKernel.gemm(m, k, n, &a, &b, &mut want_g);
-        NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut want_nt);
-        NaiveKernel.gemm_tn(m, k, n, &a, &c, &mut want_tn);
-        for threads in [1, 2, 3, 8, 64] {
-            let kernel = ShardedKernel::with_threads(threads);
-            let mut g = vec![0.0; m * n];
-            let mut nt = vec![0.0; m * n];
-            let mut tn = vec![0.0; k * n];
-            kernel.gemm(m, k, n, &a, &b, &mut g);
-            kernel.gemm_nt(m, k, n, &a, &bt, &mut nt);
-            kernel.gemm_tn(m, k, n, &a, &c, &mut tn);
-            assert_bits_eq(&want_g, &g);
-            assert_bits_eq(&want_nt, &nt);
-            assert_bits_eq(&want_tn, &tn);
-        }
-    }
+    fn simd_core_matches_naive_at_every_supported_width() {
+        // Each width the host supports (AVX-512, AVX2, scalar) runs the
+        // 8-wide core directly: the plain, bias and bias+ReLU write-backs
+        // on `B` panels, the plain one on `Bᵀ` panels, and the `gemm_tn`
+        // walk, all against the naive reference.
+        let widths = supported_widths();
+        assert_eq!(widths[0], SimdWidth::Scalar);
+        for width in widths {
+            for (si, &(m, k, n)) in gallery_and_random(0x51D7, 40).iter().enumerate() {
+                let seed = 200 + 8 * si as u64;
+                let a = fill(m * k, seed);
+                let b = fill(k * n, seed + 1);
+                let bt = fill(n * k, seed + 2);
+                let c = fill(m * n, seed + 3);
+                let bias = fill(n, seed + 4);
+                let tag = format!("{width:?} {m}x{k}x{n}");
+                let mut panels = Vec::new();
+                let mut got = vec![0.0; m * n];
 
-    #[test]
-    fn sharded_fans_out_above_the_work_threshold() {
-        // 128^3 > SHARD_MIN_WORK, so this exercises the actual spawn path
-        // (with_threads(3) bypasses the process budget on 1-core hosts).
-        let (m, k, n) = (128, 128, 128);
-        let a = fill(m * k, 51);
-        let b = fill(k * n, 52);
-        let mut want = vec![0.0; m * n];
-        NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
-        let mut got = vec![0.0; m * n];
-        ShardedKernel::with_threads(3).gemm(m, k, n, &a, &b, &mut got);
-        assert_bits_eq(&want, &got);
-    }
+                let mut want = vec![0.0; m * n];
+                NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
+                pack_panels_into::<SPW>(k, n, &b, &mut panels);
+                SimdKernel::packed_gemm(width, m, k, n, &a, &panels, None, false, &mut got);
+                assert_bits_eq_at(&format!("{tag} plain"), &want, &got);
+                for relu in [false, true] {
+                    let mut want_epi = want.clone();
+                    epilogue_reference(n, &bias, relu, &mut want_epi);
+                    got.fill(0.0);
+                    let b = Some(bias.as_slice());
+                    SimdKernel::packed_gemm(width, m, k, n, &a, &panels, b, relu, &mut got);
+                    assert_bits_eq_at(&format!("{tag} bias relu={relu}"), &want_epi, &got);
+                }
 
-    #[test]
-    fn shard_ranges_cover_exactly_once() {
-        for (total, workers) in [(10, 3), (1, 8), (0, 4), (7, 7), (64, 5), (3, 1)] {
-            let ranges = shard_ranges(total, workers);
-            let mut next = 0;
-            for &(s, e) in &ranges {
-                assert_eq!(s, next, "contiguous");
-                assert!(e > s, "non-empty");
-                next = e;
+                want.fill(0.0);
+                NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut want);
+                pack_panels_t_into::<SPW>(k, n, &bt, &mut panels);
+                got.fill(0.0);
+                SimdKernel::packed_gemm(width, m, k, n, &a, &panels, None, false, &mut got);
+                assert_bits_eq_at(&format!("{tag} nt"), &want, &got);
+
+                let mut want_tn = vec![0.0; k * n];
+                NaiveKernel.gemm_tn(m, k, n, &a, &c, &mut want_tn);
+                let mut got_tn = vec![0.0; k * n];
+                SimdKernel::gemm_tn_at(width, m, k, n, &a, &c, &mut got_tn);
+                assert_bits_eq_at(&format!("{tag} tn"), &want_tn, &got_tn);
             }
-            assert_eq!(next, total, "covers all of {total} with {workers}");
-            assert!(ranges.len() <= workers.max(1));
         }
     }
 
     #[test]
-    fn fast_kernel_is_accurate_if_not_bit_identical() {
-        let (m, k, n) = (24, 31, 18);
-        let a = fill(m * k, 61);
-        let b = fill(k * n, 62);
-        let mut want = vec![0.0; m * n];
-        NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
-        let mut got = vec![0.0; m * n];
-        FastKernel.gemm(m, k, n, &a, &b, &mut got);
-        for (w, g) in want.iter().zip(&got) {
-            assert!((w - g).abs() <= 1e-9 * (1.0 + w.abs()), "{w} vs {g}");
+    fn kernel_packs_by_output_width() {
+        // The width rule: the 8-wide layout from n = 8 up on an AVX2 or
+        // AVX-512 host, the 4-wide layout below it and on hosts with
+        // neither.
+        #[cfg(target_arch = "x86_64")]
+        let vector = std::arch::is_x86_feature_detected!("avx2")
+            || std::arch::is_x86_feature_detected!("avx512f");
+        #[cfg(not(target_arch = "x86_64"))]
+        let vector = false;
+        let k = 5;
+        for n in 1..=40 {
+            let want = if vector && n >= 8 {
+                PackLayout::Panels8
+            } else {
+                PackLayout::Panels4
+            };
+            let b = fill(k * n, 300 + n as u64);
+            assert_eq!(kernel().pack_b(k, n, &b).layout, want, "pack_b, n = {n}");
+            assert_eq!(
+                kernel().pack_b_t(k, n, &b).layout,
+                want,
+                "pack_b_t, n = {n}"
+            );
         }
-        let mut mv_want = vec![0.0; m];
-        let mut mv_got = vec![0.0; m];
-        let v = fill(k, 63);
-        NaiveKernel.matvec(m, k, &a, &v, &mut mv_want);
-        FastKernel.matvec(m, k, &a, &v, &mut mv_got);
-        for (w, g) in mv_want.iter().zip(&mv_got) {
-            assert!((w - g).abs() <= 1e-9 * (1.0 + w.abs()), "{w} vs {g}");
+    }
+
+    #[test]
+    fn kernel_matches_naive_on_every_entry() {
+        // Both sides of the width rule and its edge (n = 7, 8, 9), the
+        // axpy cut (m = 4, 5), the trainers' batch of 32 and the 300-row
+        // evaluations, at the workloads' reduction depths.
+        let ker = kernel();
+        for n in [1, 2, 4, 7, 8, 9, 16, 32] {
+            for m in [1, 4, 5, 32, 300] {
+                for k in [1, 12, 32] {
+                    let seed = (n * 10_000 + m * 10 + k) as u64;
+                    let a = fill(m * k, seed);
+                    let b = fill(k * n, seed + 1);
+                    let bt = fill(n * k, seed + 2);
+                    let c = fill(m * n, seed + 3);
+                    let bias = fill(n, seed + 4);
+                    let tag = format!("{m}x{k}x{n}");
+                    let mut got = vec![0.0; m * n];
+
+                    let mut want = vec![0.0; m * n];
+                    NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
+                    ker.gemm(m, k, n, &a, &b, &mut got);
+                    assert_bits_eq_at(&format!("{tag} gemm"), &want, &got);
+                    let pb = ker.pack_b(k, n, &b);
+                    got.fill(0.0);
+                    ker.gemm_prepacked(m, k, n, &a, &pb, &mut got);
+                    assert_bits_eq_at(&format!("{tag} gemm_prepacked"), &want, &got);
+                    let mut want_epi = want.clone();
+                    epilogue_reference(n, &bias, false, &mut want_epi);
+                    got.fill(0.0);
+                    ker.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut got);
+                    assert_bits_eq_at(&format!("{tag} gemm_prepacked_bias"), &want_epi, &got);
+                    let mut want_epi = want.clone();
+                    epilogue_reference(n, &bias, true, &mut want_epi);
+                    got.fill(0.0);
+                    ker.gemm_prepacked_bias_relu(m, k, n, &a, &pb, &bias, &mut got);
+                    assert_bits_eq_at(&format!("{tag} bias_relu"), &want_epi, &got);
+
+                    want.fill(0.0);
+                    NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut want);
+                    got.fill(0.0);
+                    ker.gemm_nt(m, k, n, &a, &bt, &mut got);
+                    assert_bits_eq_at(&format!("{tag} gemm_nt"), &want, &got);
+                    got.fill(0.0);
+                    ker.gemm_nt_prepacked(m, k, n, &a, &ker.pack_b_t(k, n, &bt), &mut got);
+                    assert_bits_eq_at(&format!("{tag} gemm_nt_prepacked"), &want, &got);
+
+                    let mut want_tn = vec![0.0; k * n];
+                    NaiveKernel.gemm_tn(m, k, n, &a, &c, &mut want_tn);
+                    let mut got_tn = vec![0.0; k * n];
+                    ker.gemm_tn(m, k, n, &a, &c, &mut got_tn);
+                    assert_bits_eq_at(&format!("{tag} gemm_tn"), &want_tn, &got_tn);
+                    got_tn.fill(0.0);
+                    ker.gemm_tn_prepacked(m, k, n, &ker.pack_a(m, k, &a), &c, &mut got_tn);
+                    assert_bits_eq_at(&format!("{tag} gemm_tn_prepacked"), &want_tn, &got_tn);
+                }
+            }
         }
+    }
+
+    #[test]
+    fn kernel_kind_names_the_production_kernel() {
+        assert_eq!(kernel_kind(), KernelKind::Auto);
+        assert_eq!(kernel_kind().name(), kernel().name());
+        assert!(kernel_kind().bit_deterministic());
     }
 
     #[test]
     fn prepacked_matches_pack_on_call_bitwise() {
         // Every backend, every prepacked entry point, across degenerate,
-        // small-m (axpy fallback boundary), and general shapes, and the
-        // estimator's minibatch profile (16 rows against a 784x64 weight
-        // operand, k spanning many K blocks): the prepacked product must
-        // equal its pack-on-call twin bit-for-bit.
-        let sharded = ShardedKernel::with_threads(3);
-        let backends: [&dyn GemmBackend; 5] = [
-            &NaiveKernel,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-            &FastKernel,
-        ];
+        // small-m (axpy fallback boundary), and general shapes, and a deep
+        // minibatch profile (16 rows against a 784x64 operand, k spanning
+        // many K blocks): the prepacked product must equal its
+        // pack-on-call twin bit-for-bit.
+        let backends: [&dyn GemmBackend; 4] = [&NaiveKernel, &BlockedKernel, &SimdKernel, kernel()];
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 9, 8),
@@ -3090,8 +2361,6 @@ mod tests {
             let bt = fill(n * k, 73 + k as u64);
             let c = fill(m * n, 74 + m as u64);
             for backend in backends {
-                let name = backend.name();
-
                 let mut plain = vec![0.0; m * n];
                 backend.gemm(m, k, n, &a, &b, &mut plain);
                 let pb = backend.pack_b(k, n, &b);
@@ -3105,15 +2374,7 @@ mod tests {
                 let pbt = backend.pack_b_t(k, n, &bt);
                 let mut packed_nt = vec![0.0; m * n];
                 backend.gemm_nt_prepacked(m, k, n, &a, &pbt, &mut packed_nt);
-                // `fast` reassociates, so its nt twin is only guaranteed
-                // close; every deterministic backend must match bitwise.
-                if name != "fast" {
-                    assert_bits_eq(&plain_nt, &packed_nt);
-                } else {
-                    for (x, y) in plain_nt.iter().zip(&packed_nt) {
-                        assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
-                    }
-                }
+                assert_bits_eq(&plain_nt, &packed_nt);
 
                 let mut plain_tn = vec![0.0; k * n];
                 backend.gemm_tn(m, k, n, &a, &c, &mut plain_tn);
@@ -3121,13 +2382,7 @@ mod tests {
                 assert_eq!((pa.m(), pa.k()), (m, k));
                 let mut packed_tn = vec![0.0; k * n];
                 backend.gemm_tn_prepacked(m, k, n, &pa, &c, &mut packed_tn);
-                if name != "fast" {
-                    assert_bits_eq(&plain_tn, &packed_tn);
-                } else {
-                    for (x, y) in plain_tn.iter().zip(&packed_tn) {
-                        assert!((x - y).abs() <= 1e-9 * (1.0 + x.abs()), "{x} vs {y}");
-                    }
-                }
+                assert_bits_eq(&plain_tn, &packed_tn);
             }
         }
     }
@@ -3138,14 +2393,7 @@ mod tests {
         // `gemm_prepacked` followed by a separate bias pass, bit for bit,
         // on the same backend — including the k == 0 edge (bias only),
         // narrow tails, the raw fallback handles, and a 784-deep forward.
-        let sharded = ShardedKernel::with_threads(3);
-        let backends: [&dyn GemmBackend; 5] = [
-            &NaiveKernel,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-            &FastKernel,
-        ];
+        let backends: [&dyn GemmBackend; 4] = [&NaiveKernel, &BlockedKernel, &SimdKernel, kernel()];
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 9, 8),
@@ -3178,27 +2426,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_bias_fans_out_above_the_work_threshold() {
-        // 128^3 > SHARD_MIN_WORK: exercises the fused sharded spawn path.
-        let (m, k, n) = (128, 128, 128);
-        let a = fill(m * k, 94);
-        let b = fill(k * n, 95);
-        let bias = fill(n, 96);
-        let backend = ShardedKernel::with_threads(3);
-        let pb = backend.pack_b(k, n, &b);
-        let mut want = vec![0.0; m * n];
-        backend.gemm_prepacked(m, k, n, &a, &pb, &mut want);
-        for row in want.chunks_exact_mut(n) {
-            for (o, &bv) in row.iter_mut().zip(&bias) {
-                *o += bv;
-            }
-        }
-        let mut got = vec![0.0; m * n];
-        backend.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut got);
-        assert_bits_eq(&want, &got);
-    }
-
-    #[test]
     #[should_panic(expected = "bias length mismatch")]
     fn fused_bias_rejects_wrong_bias_length() {
         let pb = SimdKernel.pack_b(4, 4, &fill(16, 97));
@@ -3221,14 +2448,7 @@ mod tests {
         // followed by the model stack's scalar clamp, bit for bit, on the
         // same backend — the clamp happens at each element's single
         // write-back, never inside a summation chain.
-        let sharded = ShardedKernel::with_threads(3);
-        let backends: [&dyn GemmBackend; 5] = [
-            &NaiveKernel,
-            &BlockedKernel,
-            &SimdKernel,
-            &sharded,
-            &FastKernel,
-        ];
+        let backends: [&dyn GemmBackend; 4] = [&NaiveKernel, &BlockedKernel, &SimdKernel, kernel()];
         for &(m, k, n) in &[
             (1, 1, 1),
             (3, 9, 8),
@@ -3256,7 +2476,7 @@ mod tests {
     }
 
     #[test]
-    fn fused_relu_keeps_negative_zero_and_fans_out() {
+    fn fused_relu_keeps_negative_zero() {
         // The clamp is `< 0.0`, not `max`: -0.0 and NaN pass through
         // unchanged, exactly like the model stack's scalar epilogue.
         let mut v = [-0.0, f64::NAN, -3.0, 2.0, 0.0];
@@ -3272,7 +2492,7 @@ mod tests {
             &NaiveKernel as &dyn GemmBackend,
             &BlockedKernel,
             &SimdKernel,
-            &ShardedKernel::with_threads(2),
+            kernel(),
         ] {
             let pb = backend.pack_b(0, 4, &[]);
             let mut out = vec![0.0; 2 * 4];
@@ -3284,19 +2504,6 @@ mod tests {
                 assert_eq!(row[3].to_bits(), 0.25f64.to_bits());
             }
         }
-        // 128^3 > SHARD_MIN_WORK: exercises the fused-relu sharded spawn.
-        let (m, k, n) = (128, 128, 128);
-        let a = fill(m * k, 144);
-        let b = fill(k * n, 145);
-        let bias = fill(n, 146);
-        let backend = ShardedKernel::with_threads(3);
-        let pb = backend.pack_b(k, n, &b);
-        let mut want = vec![0.0; m * n];
-        backend.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut want);
-        relu_reference(&mut want);
-        let mut got = vec![0.0; m * n];
-        backend.gemm_prepacked_bias_relu(m, k, n, &a, &pb, &bias, &mut got);
-        assert_bits_eq(&want, &got);
     }
 
     #[test]
@@ -3305,11 +2512,7 @@ mod tests {
         // left-hand sides — each call must match its pack-on-call twin.
         let (k, n) = (23, 17);
         let b = fill(k * n, 81);
-        for backend in [
-            &BlockedKernel as &dyn GemmBackend,
-            &SimdKernel,
-            &ShardedKernel::with_threads(2),
-        ] {
+        for backend in [&BlockedKernel as &dyn GemmBackend, &SimdKernel, kernel()] {
             let pb = backend.pack_b(k, n, &b);
             for (round, &m) in [1usize, 6, 13].iter().enumerate() {
                 let a = fill(m * k, 82 + round as u64);
@@ -3320,21 +2523,6 @@ mod tests {
                 assert_bits_eq(&plain, &packed);
             }
         }
-    }
-
-    #[test]
-    fn sharded_prepacked_fans_out_above_the_work_threshold() {
-        // 128^3 > SHARD_MIN_WORK: exercises the prepacked spawn path.
-        let (m, k, n) = (128, 128, 128);
-        let a = fill(m * k, 83);
-        let b = fill(k * n, 84);
-        let mut want = vec![0.0; m * n];
-        NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
-        let backend = ShardedKernel::with_threads(3);
-        let pb = backend.pack_b(k, n, &b);
-        let mut got = vec![0.0; m * n];
-        backend.gemm_prepacked(m, k, n, &a, &pb, &mut got);
-        assert_bits_eq(&want, &got);
     }
 
     #[test]
@@ -3379,21 +2567,5 @@ mod tests {
         let pb = BlockedKernel.pack_b(4, 4, &fill(16, 1));
         let mut out = vec![0.0; 3 * 5];
         BlockedKernel.gemm_prepacked(3, 4, 5, &fill(12, 2), &pb, &mut out);
-    }
-
-    #[test]
-    fn simd_force_names_lists_both_values() {
-        assert_eq!(simd_force_names(), "avx2 | scalar");
-    }
-
-    #[test]
-    fn kernel_thread_budget_overrides_and_resets() {
-        // Not run in parallel with anything that reads the budget: the
-        // other kernel tests pin thread counts per-instance.
-        let before = kernel_threads();
-        set_kernel_threads(5);
-        assert_eq!(kernel_threads(), 5);
-        set_kernel_threads(0);
-        assert_eq!(kernel_threads(), before, "0 resets to automatic");
     }
 }

@@ -11,10 +11,11 @@
 //! vectors are plain `&[f64]` slices so callers can use `Vec<f64>` or matrix
 //! rows interchangeably.
 //!
-//! Dense products dispatch through the pluggable compute-kernel layer in
-//! [`kernel`](mod@kernel): `ST_KERNEL` (or [`set_kernel`]) selects the
-//! backend, and every deterministic backend is bit-identical by
-//! construction — see `docs/kernels.md`.
+//! Dense products dispatch through the compute-kernel layer in
+//! [`kernel`](mod@kernel): one production kernel ([`kernel()`]) picks the
+//! 4- or 8-wide packed core for each product from its output width, and
+//! both cores are bit-identical to [`NaiveKernel`] by construction — see
+//! `docs/kernels.md`.
 
 pub mod fault;
 pub mod kernel;
@@ -29,9 +30,8 @@ pub mod vector;
 
 pub use fault::{fault_grammar, FaultPlan};
 pub use kernel::{
-    kernel, kernel_kind, kernel_names, kernel_threads, set_kernel, set_kernel_threads,
-    simd_force_names, BlockedKernel, FastKernel, GemmBackend, KernelKind, NaiveKernel, PackedA,
-    PackedB, ShardedKernel, SimdKernel,
+    kernel, kernel_kind, BlockedKernel, GemmBackend, KernelKind, NaiveKernel, PackedA, PackedB,
+    SimdKernel,
 };
 pub use matrix::Matrix;
 pub use qr::{least_squares, QrFactorization};

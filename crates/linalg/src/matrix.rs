@@ -1,9 +1,9 @@
 //! Row-major dense matrix.
 //!
-//! Every dense product dispatches to the process-wide compute kernel
-//! ([`crate::kernel`](mod@crate::kernel)), so swapping `ST_KERNEL` changes the
-//! execution schedule of all downstream math without changing a single
-//! output bit.
+//! Every dense product dispatches to the production compute kernel
+//! ([`crate::kernel()`]), which picks the 4- or 8-wide packed core for each
+//! product from its output width without changing a single output bit
+//! (see [`crate::kernel`](mod@crate::kernel)).
 
 use crate::kernel::{kernel, PackedB};
 use std::fmt;
@@ -283,8 +283,8 @@ impl Matrix {
     /// [`matmul_prepacked_into`](Self::matmul_prepacked_into) with the
     /// bias broadcast fused into the packed cores' write-back instead of a
     /// second full sweep over `out` ([`add_bias_rows`](Self::add_bias_rows)).
-    /// Bit-identical to the two-step sequence on every deterministic
-    /// backend (the fused-bias contract, proptested).
+    /// Bit-identical to the two-step sequence on every backend (the
+    /// fused-bias contract, proptested).
     ///
     /// # Panics
     /// Panics if `self.cols() != pack.k()` or `bias.len() != pack.n()`.
@@ -315,7 +315,7 @@ impl Matrix {
     /// with the hidden-layer ReLU clamp also fused into the single packed
     /// write-back. The clamp is `v < 0.0 → 0.0` (keeps `-0.0` and NaN),
     /// bit-identical to the fused-bias call followed by a separate scalar
-    /// ReLU sweep on every deterministic backend.
+    /// ReLU sweep on every backend.
     ///
     /// # Panics
     /// Panics if `self.cols() != pack.k()` or `bias.len() != pack.n()`.

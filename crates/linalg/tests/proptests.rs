@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 use st_linalg::{
     cholesky_solve, dot, gaussian_solve, l2_norm, log_sum_exp, mean, quantile, sigmoid,
-    softmax_in_place, sub, variance, BlockedKernel, GemmBackend, Matrix, NaiveKernel,
-    ShardedKernel, SimdKernel,
+    softmax_in_place, sub, variance, BlockedKernel, GemmBackend, Matrix, NaiveKernel, SimdKernel,
 };
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -220,8 +219,8 @@ fn assert_bits_equal(op: &str, a: &[f64], b: &[f64]) {
 }
 
 /// Runs every backend op on one `(m, k, n)` shape and asserts bitwise
-/// equality of every deterministic backend — blocked, simd, and sharded
-/// at 1, 2, and N worker threads — against the naive reference.
+/// equality of the production kernel and both packed cores — blocked and
+/// simd — against the naive reference.
 fn check_kernel_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed);
     let b = kernel_data(k * n, seed.wrapping_add(1));
@@ -230,16 +229,7 @@ fn check_kernel_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let v = kernel_data(k, seed.wrapping_add(4));
     let w = kernel_data(m, seed.wrapping_add(5));
 
-    let sharded1 = ShardedKernel::with_threads(1);
-    let sharded2 = ShardedKernel::with_threads(2);
-    let sharded_n = ShardedKernel::with_threads(7);
-    let backends: [&dyn GemmBackend; 5] = [
-        &BlockedKernel,
-        &SimdKernel,
-        &sharded1,
-        &sharded2,
-        &sharded_n,
-    ];
+    let backends: [&dyn GemmBackend; 3] = [st_linalg::kernel(), &BlockedKernel, &SimdKernel];
 
     let mut x = vec![0.0; m * n];
     NaiveKernel.gemm(m, k, n, &a, &b, &mut x);
@@ -283,25 +273,19 @@ fn check_kernel_equivalence(m: usize, k: usize, n: usize, seed: u64) {
 }
 
 /// Asserts the prepacked entry points are `to_bits`-identical to their
-/// pack-on-call twins for every deterministic backend — naive (raw
-/// fallback handle), blocked, simd, and sharded at 1, 2, and N worker
-/// threads — on one `(m, k, n)` shape.
+/// pack-on-call twins for every backend — naive (raw fallback handle),
+/// the production kernel, blocked, and simd — on one `(m, k, n)` shape.
 fn check_prepacked_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed.wrapping_add(11));
     let b = kernel_data(k * n, seed.wrapping_add(12));
     let bt = kernel_data(n * k, seed.wrapping_add(13));
     let c = kernel_data(m * n, seed.wrapping_add(14));
 
-    let sharded1 = ShardedKernel::with_threads(1);
-    let sharded2 = ShardedKernel::with_threads(2);
-    let sharded_n = ShardedKernel::with_threads(7);
-    let backends: [&dyn GemmBackend; 6] = [
+    let backends: [&dyn GemmBackend; 4] = [
         &NaiveKernel,
+        st_linalg::kernel(),
         &BlockedKernel,
         &SimdKernel,
-        &sharded1,
-        &sharded2,
-        &sharded_n,
     ];
 
     for backend in backends {
@@ -332,24 +316,19 @@ fn check_prepacked_equivalence(m: usize, k: usize, n: usize, seed: u64) {
 
 /// Asserts the fused-bias epilogue (`gemm_prepacked_bias`) is
 /// `to_bits`-identical to `gemm_prepacked` followed by a separate
-/// element-wise bias pass, for every deterministic backend — naive (raw
-/// fallback handle), blocked, simd, and sharded at 1, 2, and N worker
-/// threads — on one `(m, k, n)` shape.
+/// element-wise bias pass, for every backend — naive (raw fallback
+/// handle), the production kernel, blocked, and simd — on one `(m, k, n)`
+/// shape.
 fn check_fused_bias_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed.wrapping_add(21));
     let b = kernel_data(k * n, seed.wrapping_add(22));
     let bias = kernel_data(n, seed.wrapping_add(23));
 
-    let sharded1 = ShardedKernel::with_threads(1);
-    let sharded2 = ShardedKernel::with_threads(2);
-    let sharded_n = ShardedKernel::with_threads(7);
-    let backends: [&dyn GemmBackend; 6] = [
+    let backends: [&dyn GemmBackend; 4] = [
         &NaiveKernel,
+        st_linalg::kernel(),
         &BlockedKernel,
         &SimdKernel,
-        &sharded1,
-        &sharded2,
-        &sharded_n,
     ];
 
     for backend in backends {
@@ -372,24 +351,18 @@ fn check_fused_bias_equivalence(m: usize, k: usize, n: usize, seed: u64) {
 
 /// Asserts the fused-ReLU epilogue (`gemm_prepacked_bias_relu`) is
 /// `to_bits`-identical to `gemm_prepacked_bias` followed by a separate
-/// clamp-at-zero pass, for every deterministic backend — naive (raw
-/// fallback handle), blocked, simd, and sharded at 1, 2, and N worker
-/// threads — on one `(m, k, n)` shape.
+/// clamp-at-zero pass, for every backend — naive (raw fallback handle),
+/// the production kernel, blocked, and simd — on one `(m, k, n)` shape.
 fn check_fused_relu_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed.wrapping_add(26));
     let b = kernel_data(k * n, seed.wrapping_add(27));
     let bias = kernel_data(n, seed.wrapping_add(28));
 
-    let sharded1 = ShardedKernel::with_threads(1);
-    let sharded2 = ShardedKernel::with_threads(2);
-    let sharded_n = ShardedKernel::with_threads(7);
-    let backends: [&dyn GemmBackend; 6] = [
+    let backends: [&dyn GemmBackend; 4] = [
         &NaiveKernel,
+        st_linalg::kernel(),
         &BlockedKernel,
         &SimdKernel,
-        &sharded1,
-        &sharded2,
-        &sharded_n,
     ];
 
     for backend in backends {
@@ -438,8 +411,9 @@ fn kernels_bit_identical_on_degenerate_and_prime_shapes() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Blocked vs naive bit-identity on random rectangular shapes,
-    /// including empty dimensions (the ranges start at 0).
+    /// Production kernel, blocked and simd vs naive bit-identity on random
+    /// rectangular shapes, including empty dimensions (the ranges start at
+    /// 0) and both sides of the kernel's 8-column width rule.
     #[test]
     fn kernels_bit_identical_on_random_shapes(
         m in 0usize..24,
@@ -452,7 +426,7 @@ proptest! {
 
     /// Prepacked gemm/gemm_nt/gemm_tn vs their pack-on-call twins on
     /// random rectangular shapes (empty dimensions included), across
-    /// every deterministic backend.
+    /// every backend.
     #[test]
     fn prepacked_bit_identical_on_random_shapes(
         m in 0usize..24,
@@ -466,7 +440,7 @@ proptest! {
     /// The fused-bias forward vs the unfused `gemm_prepacked` +
     /// bias-rows sequence on random rectangular shapes (empty dimensions
     /// included — a `k == 0` product must still broadcast the bias),
-    /// across every deterministic backend.
+    /// across every backend.
     #[test]
     fn fused_bias_bit_identical_on_random_shapes(
         m in 0usize..24,
@@ -479,7 +453,7 @@ proptest! {
 
     /// The fused-ReLU forward vs the fused-bias call plus a separate
     /// clamp-at-zero pass on random rectangular shapes (empty dimensions
-    /// included), across every deterministic backend.
+    /// included), across every backend.
     #[test]
     fn fused_relu_bit_identical_on_random_shapes(
         m in 0usize..24,
@@ -490,9 +464,8 @@ proptest! {
         check_fused_relu_equivalence(m, k, n, seed);
     }
 
-    /// The Matrix layer dispatches every product through the process-wide
-    /// kernel; whatever backend is active must agree with the reference
-    /// backend bit-for-bit.
+    /// The Matrix layer dispatches every product through the production
+    /// kernel, which must agree with the reference backend bit-for-bit.
     #[test]
     fn matrix_ops_match_reference_kernel(
         m in 1usize..16,

@@ -24,9 +24,12 @@
 //!   serve last-trusted curves without running → reject with
 //!   `Retry-After`.
 //! * **Backpressure.** Accepted connections enter a bounded queue
-//!   sharded over a worker pool sized by
-//!   [`slice_tuner::plan_thread_budget`]; past the high-water mark the
-//!   acceptor answers `429` with a backoff hint instead of queueing.
+//!   spread over a worker pool sized by
+//!   [`slice_tuner::plan_thread_budget`], which also sets each advance's
+//!   estimator threads; the compute kernel runs every product on the
+//!   thread that calls it, so the two layers are the only ones that fan
+//!   out. Past the high-water mark the acceptor answers `429` with a
+//!   backoff hint instead of queueing.
 //! * **Graceful shutdown.** `POST /shutdown` flips readiness first,
 //!   drains the pending queue, flushes checkpoints (they are always
 //!   flushed — atomic save per round), sweeps orphan temp files, and
@@ -310,8 +313,7 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
     } else {
         cfg.workers
     };
-    let sharded = st_linalg::kernel_kind() == st_linalg::KernelKind::Sharded;
-    let budget = plan_thread_budget(total_workers, cfg.max_sessions.max(1), sharded);
+    let budget = plan_thread_budget(total_workers, cfg.max_sessions.max(1), false);
 
     let shared = Arc::new(Shared {
         sessions: Mutex::new(HashMap::new()),

@@ -59,6 +59,14 @@ fn payload_text(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// The largest value a register body may give a `sizes` entry,
+/// `validation` or `budget`. Building a session's dataset allocates every
+/// requested example up front, so an unbounded count aborts the whole
+/// server on allocation failure, where no panic guard can catch it. Every
+/// family costs at least 1 per example, so the budget cap also bounds the
+/// rows a session acquires.
+const MAX_REGISTER_COUNT: u64 = 100_000;
+
 /// Immutable registration parameters, parsed once from the register body.
 /// Everything the rebuild needs lives here; nothing else may influence
 /// the tuning run, or resume would not be deterministic.
@@ -79,7 +87,8 @@ pub struct SessionSpec {
 
 impl SessionSpec {
     /// Parses a register body. Unknown fields are rejected so typos fail
-    /// loudly instead of silently falling back to defaults.
+    /// loudly instead of silently falling back to defaults, and so are
+    /// `sizes` entries, `validation` and `budget` above 100,000.
     pub fn parse(body: &str) -> Result<SessionSpec, String> {
         let value = serde::json::parse(body).map_err(|e| format!("bad JSON: {e}"))?;
         let obj = value
@@ -117,15 +126,30 @@ impl SessionSpec {
                     .ok_or_else(|| format!("field '{key}' must be a non-negative integer")),
             }
         };
+        let get_count = |key: &str, default: u64| -> Result<u64, String> {
+            let n = get_u64(key, default)?;
+            if n > MAX_REGISTER_COUNT {
+                return Err(format!(
+                    "field '{key}' must be at most {MAX_REGISTER_COUNT}, got {n}"
+                ));
+            }
+            Ok(n)
+        };
         let sizes = match value.get("sizes") {
             None => vec![40; fam.num_slices()],
             Some(v) => {
                 let arr = v
                     .as_arr()
                     .ok_or("field 'sizes' must be an array of integers")?;
-                let sizes: Option<Vec<usize>> =
-                    arr.iter().map(|x| x.as_u64().map(|n| n as usize)).collect();
-                sizes.ok_or("field 'sizes' must be an array of non-negative integers")?
+                let sizes: Option<Vec<u64>> = arr.iter().map(Value::as_u64).collect();
+                let sizes =
+                    sizes.ok_or("field 'sizes' must be an array of non-negative integers")?;
+                if let Some(&n) = sizes.iter().find(|&&n| n > MAX_REGISTER_COUNT) {
+                    return Err(format!(
+                        "field 'sizes' entries must be at most {MAX_REGISTER_COUNT}, got {n}"
+                    ));
+                }
+                sizes.into_iter().map(|n| n as usize).collect()
             }
         };
         if sizes.len() != fam.num_slices() {
@@ -135,14 +159,14 @@ impl SessionSpec {
                 sizes.len()
             ));
         }
-        let validation = get_u64("validation", 60)? as usize;
+        let validation = get_count("validation", 60)? as usize;
         if validation == 0 {
             return Err("field 'validation' must be at least 1 (losses are measured on it)".into());
         }
         let spec = SessionSpec {
             family,
             seed: get_u64("seed", 7)?,
-            budget: get_u64("budget", 400)?,
+            budget: get_count("budget", 400)?,
             sizes,
             validation,
             epochs: (get_u64("epochs", 8)? as usize).clamp(1, 200),
@@ -488,6 +512,31 @@ mod tests {
         let spec = SessionSpec::parse(r#"{"family":"census"}"#).expect("defaults");
         assert_eq!(spec.sizes.len(), 4);
         assert_eq!(spec.budget, 400);
+    }
+
+    #[test]
+    fn spec_parsing_bounds_counts() {
+        // A count the dataset build would allocate up front is refused
+        // above the cap, per field, and accepted at it.
+        let cap = MAX_REGISTER_COUNT;
+        let over = cap + 1;
+        for (field, body) in [
+            ("sizes", format!(r#""sizes":[40,{over},40,40]"#)),
+            ("validation", format!(r#""validation":{over}"#)),
+            ("budget", format!(r#""budget":{over}"#)),
+        ] {
+            let err =
+                SessionSpec::parse(&format!(r#"{{"family":"census",{body}}}"#)).expect_err(field);
+            assert!(err.contains(&format!("'{field}'")), "{err}");
+            assert!(err.contains(&format!("at most {cap}")), "{err}");
+        }
+        let spec = SessionSpec::parse(&format!(
+            r#"{{"family":"census","sizes":[40,{cap},40,40],"validation":{cap},"budget":{cap}}}"#
+        ))
+        .expect("values at the cap are accepted");
+        assert_eq!(spec.sizes[1], cap as usize);
+        assert_eq!(spec.validation, cap as usize);
+        assert_eq!(spec.budget, cap);
     }
 
     /// A census session with the server's default register body.
