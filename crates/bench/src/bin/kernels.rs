@@ -13,9 +13,13 @@
 //! its `gemm_tn` (weight gradient) twin and, past the input layer, its
 //! `gemm_nt` (input gradient) twin, since the trainers skip the input
 //! layer's — and the 300-row validation evaluations, including census's
-//! two-repeat stacked head (12→4). The `kernel()` column shows the width
-//! rule at work: it should track `blocked` below eight output columns and
-//! `simd` from eight up on AVX2 and AVX-512 hosts.
+//! two-repeat stacked head (12→4). A 12→3 product at the same batch, which
+//! no workload runs, stands in for the narrow core's widest case and is
+//! gated with them. The `kernel()` column shows the width rule at work:
+//! below four output columns it runs the narrow core, which no other
+//! column times, so it should beat every column there; from four to seven
+//! it should track `blocked`, and from eight up `simd` on AVX2 and AVX-512
+//! hosts.
 //!
 //! Gates enforced at the end (ST_QUICK=1 for a faster sweep, same checks):
 //!
@@ -24,7 +28,12 @@
 //!   path is live, measured as the best of several interleaved rounds;
 //!   on AVX2-only hosts the bar is parity, because `blocked`'s
 //!   auto-vectorized core already saturates the 256-bit mul/add ports
-//!   (see docs/kernels.md), and the AVX2 `simd` path is gated on ≥ 1×.
+//!   (see docs/kernels.md), and the AVX2 `simd` path is gated on ≥ 1×;
+//! * `kernel()` no more than 10% slower than `naive` on every workload
+//!   product in the tour (and the 12→3 stand-in), again the best of
+//!   interleaved rounds: the two give the same bits, so a production
+//!   kernel that loses to the oracle on a product the workloads run is a
+//!   perf bug.
 
 use st_bench::{assert_bits_identical, bench_fill as fill, best_secs, rule};
 use st_linalg::{kernel, BlockedKernel, GemmBackend, NaiveKernel, SimdKernel};
@@ -158,8 +167,9 @@ fn main() {
 
     println!("Compute-kernel microbench (best of {reps})");
     println!(
-        "production kernel: {} (4-wide blocked core below 8 output columns, 8-wide simd \
-         core from 8 up on AVX2/AVX-512 hosts)",
+        "production kernel: {} (narrow core below 4 output columns, 4-wide blocked core \
+         from 4 to 7, 8-wide simd core from 8 up on AVX2/AVX-512 hosts; 4-wide from 4 up \
+         without them)",
         kernel().name()
     );
     #[cfg(target_arch = "x86_64")]
@@ -170,10 +180,10 @@ fn main() {
     );
 
     // The shape tour (see the module docs): square matmuls, a 784-deep
-    // layer no workload runs, the solver/metric matvec, then the
+    // layer no workload runs and the solver/metric matvec, then the
     // workloads' batch-32 forwards with their gradient twins and the
-    // 300-row evaluations.
-    let shapes = [
+    // 300-row evaluations (gate 3 times the latter).
+    let generic = [
         Op::Gemm(64, 64, 64),
         Op::Gemm(128, 128, 128),
         Op::Gemm(256, 256, 256),
@@ -181,8 +191,12 @@ fn main() {
         Op::GemmTn(512, 784, 64),
         Op::GemmNt(512, 64, 784),
         Op::Matvec(2048, 512),
+    ];
+    let workload = [
         Op::Gemm(32, 12, 2),
         Op::GemmTn(32, 12, 2),
+        Op::Gemm(32, 12, 3),
+        Op::GemmTn(32, 12, 3),
         Op::Gemm(32, 16, 32),
         Op::GemmTn(32, 16, 32),
         Op::Gemm(32, 32, 16),
@@ -199,11 +213,11 @@ fn main() {
     ];
 
     println!(
-        "{:<22} {:>10} {:>10} {:>10} {:>10}   (ms, GF/s below)",
+        "{:<22} {:>10} {:>10} {:>10} {:>10}   (µs, GF/s below)",
         "op", "naive", "blocked", "simd", "kernel()"
     );
     rule(78);
-    for (si, op) in shapes.iter().enumerate() {
+    for (si, op) in generic.iter().chain(&workload).enumerate() {
         let seed = 0xC0FFEE + si as u64;
         // Correctness first: every backend must be bit-identical to naive.
         let mut reference = Vec::new();
@@ -218,7 +232,7 @@ fn main() {
         let times: Vec<f64> = backends.iter().map(|b| op.time(*b, seed, reps)).collect();
         print!("{:<22}", op.label());
         for t in &times {
-            print!(" {:>9.4}m", t * 1e3);
+            print!(" {:>9.2}µ", t * 1e6);
         }
         println!();
         print!("{:<22}", "");
@@ -303,6 +317,34 @@ fn main() {
             "  simd vs blocked on 256x256:  {simd_speedup:.2}x (no vector unit; bit gate only)"
         );
     }
+
+    // Gate 3: kernel() vs naive on every workload product, best of the
+    // interleaved rounds. 10% absorbs timer noise on microsecond calls.
+    let mut slowest = (0.0, String::new());
+    for op in &workload {
+        let (mut t_naive, mut t_kernel) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..gate_rounds {
+            t_naive = t_naive.min(op.time(&NaiveKernel, 0x6A7E3, reps));
+            t_kernel = t_kernel.min(op.time(kernel(), 0x6A7E3, reps));
+        }
+        let ratio = t_kernel / t_naive;
+        assert!(
+            ratio <= 1.10,
+            "kernel() must be no more than 10% slower than naive on the workload product {}, \
+             got {ratio:.2}x naive's time",
+            op.label()
+        );
+        if ratio > slowest.0 {
+            slowest = (ratio, op.label());
+        }
+    }
+    println!(
+        "  kernel() vs naive on the {} gated products: slowest {:.2}x naive's time ({}; \
+         gate <= 1.10x)",
+        workload.len(),
+        slowest.0,
+        slowest.1
+    );
 
     println!("\nall gates passed; every backend bit-identical to naive on every timed shape");
 }

@@ -6,8 +6,9 @@
 //! defined by [`GemmBackend`]. This module owns that trait, a transparent
 //! reference implementation ([`NaiveKernel`]), two packed compute cores
 //! ([`BlockedKernel`], four output columns per panel, and [`SimdKernel`],
-//! eight per panel with explicit AVX2/AVX-512 micro-kernels), and the one
-//! production backend, [`kernel`].
+//! eight per panel with explicit AVX2/AVX-512 micro-kernels), a private
+//! narrow core for products under four columns, and the one production
+//! backend, [`kernel`].
 //!
 //! **Bit-identical accumulation.** Slice Tuner's determinism story (trial
 //! aggregates independent of `--jobs`, memoized curve estimations, pinned
@@ -21,12 +22,15 @@
 //! [`NaiveKernel`] on rectangular and degenerate shapes.
 //!
 //! **One kernel, routed per product.** [`kernel`] picks a core on every
-//! call from the product's output width `n`: the 8-wide core when `n ≥ 8`
-//! and the CPU has AVX2 or AVX-512, the 4-wide core otherwise. On a 2- or
-//! 4-column product most of an 8-wide panel is padding, while 16- and
-//! 32-wide layers fill the vectors. The rule reads the shape and the CPU,
-//! never the environment, and both cores give the same bits. See
-//! `docs/kernels.md` for the measurements behind it.
+//! call from the product's output width `n`: the narrow core when `n < 4`,
+//! the 8-wide core when `n ≥ 8` and the CPU has AVX2 or AVX-512, and the
+//! 4-wide core otherwise. A 2-column product, such as census's softmax
+//! layer, would leave half of a 4-wide panel as padding, and the narrow
+//! core skips packing altogether. On a 4-column product most of an 8-wide
+//! panel is padding, while 16- and 32-wide layers fill the vectors. The
+//! rule reads the shape and the CPU, never the environment, and every core
+//! gives the same bits. See `docs/kernels.md` for the measurements behind
+//! it.
 //!
 //! **Prepacked operands.** Workloads that multiply a stream of activation
 //! batches against one fixed weight matrix pack that operand **once**
@@ -74,13 +78,14 @@ const IB: usize = 128;
 /// the layout affects throughput only, never bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PackLayout {
-    /// Verbatim row-major copy of `B` (`k×n`) — the pack-on-call fallback
-    /// of [`NaiveKernel`]: every prepacked call runs the backend's
-    /// ordinary `gemm` on it.
+    /// Verbatim row-major copy of `B` (`k×n`): every prepacked call runs
+    /// the backend's ordinary `gemm` on it. It is [`NaiveKernel`]'s
+    /// pack-on-call fallback, and what [`kernel`] packs when `n < PW`, so
+    /// those prepacked products run the narrow core with no per-call pack.
     Raw,
     /// [`PW`]-wide interleaved column panels, read by [`BlockedKernel`]'s
-    /// core. [`kernel`] packs these when `n < SPW` or the CPU has neither
-    /// AVX2 nor AVX-512.
+    /// core. [`kernel`] packs these when `PW ≤ n < SPW`, and from `PW` up
+    /// when the CPU has neither AVX2 nor AVX-512.
     Panels4,
     /// [`SPW`]-wide interleaved column panels, read by [`SimdKernel`]'s
     /// core. [`kernel`] packs these when `n ≥ SPW` on AVX2 and AVX-512
@@ -393,8 +398,8 @@ pub trait GemmBackend: Send + Sync {
     // pack-on-call fallback `naive` uses: the handle stores the operand
     // verbatim and every prepacked call runs the backend's ordinary entry
     // point. `blocked` and `simd` override them to emit their native panel
-    // layouts, and the production kernel emits one or the other by the
-    // product's output width. The prepacked entries dispatch on the
+    // layouts, and the production kernel emits `Raw` or one of the two by
+    // the product's output width. The prepacked entries dispatch on the
     // handle's layout, so a panel handle feeds its packed core directly,
     // skipping the per-call pack. Every combination is bit-identical to
     // the pack-on-call twin.
@@ -513,10 +518,10 @@ pub trait GemmBackend: Send + Sync {
     /// write-back, which is precisely where a separate
     /// `add_bias_rows` pass would add it. The fused product is therefore
     /// `to_bits`-identical to `gemm_prepacked` followed by the separate
-    /// bias pass on every backend (proptested). Paths whose cores store
-    /// elements more than once (the `Raw` pack-on-call fallback) run the
-    /// product first and an unfused bias pass after — same contract, no
-    /// fusion.
+    /// bias pass on every backend (proptested). `Raw` handles (naive's
+    /// pack-on-call fallback, and [`kernel`]'s products under four
+    /// columns) run the product first and an unfused bias pass after —
+    /// same contract, no fusion.
     ///
     /// # Panics
     /// Panics when the handle's shape does not match `(k, n)` or
@@ -545,9 +550,9 @@ pub trait GemmBackend: Send + Sync {
     /// pass's `< 0` comparison (see `relu_rows` — `-0.0` and `NaN`
     /// survive untouched, a vector `max` would flip them). The fused call
     /// is therefore `to_bits`-identical to `gemm_prepacked_bias` followed
-    /// by `relu_rows` on every backend (proptested). Multi-store paths
-    /// (`Raw` pack-on-call, `k == 0`) run the unfused passes in that exact
-    /// order instead.
+    /// by `relu_rows` on every backend (proptested). `Raw` handles and
+    /// `k == 0` products run the unfused passes in that exact order
+    /// instead.
     ///
     /// # Panics
     /// Panics when the handle's shape does not match `(k, n)` or
@@ -691,7 +696,7 @@ impl GemmBackend for NaiveKernel {
 }
 
 /// The 4-wide core: cache-blocked and register-tiled. [`kernel`] runs it
-/// for products narrower than eight columns, and for all products on
+/// for products four to seven columns wide, and from four columns up on
 /// CPUs without AVX2 or AVX-512.
 ///
 /// `gemm` tiles the output columns (`NC`) and the reduction dimension
@@ -1881,23 +1886,213 @@ impl GemmBackend for SimdKernel {
     }
 }
 
+/// Rows the narrow core's `gemm` and `gemm_nt` interleave: `NR·n`
+/// independent accumulation chains per reduction step, where one row alone
+/// would leave `n < 4` serial chains waiting on add latency.
+const NR: usize = 4;
+/// `k`-chunk of the narrow core's `gemm_tn`: the chunk's `n × NK`
+/// accumulators live in a stack buffer while every row of `A` streams
+/// through it.
+const NK: usize = 64;
+
+/// A narrow-core body monomorphized for one output width:
+/// `(m, k, a, b, out)`.
+type NarrowBody = fn(usize, usize, &[f64], &[f64], &mut [f64]);
+
+/// The core [`kernel`] runs for products with fewer than [`PW`] output
+/// columns, such as census's two-class softmax layer: direct loops over
+/// the unpacked operands, with no panel pack, transpose or heap buffer. On
+/// such a product a 4-wide panel is mostly padding, and the panel core's
+/// tail path runs one serial chain at a time. Each output element is still
+/// one chain over the ascending reduction index, started from `out`'s
+/// value and stored once, so the bits are [`NaiveKernel`]'s.
+struct NarrowCore;
+
+impl NarrowCore {
+    /// `out += a·b`, [`NR`] rows of `a` per pass.
+    fn gemm(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+        fn body<const N: usize>(m: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+            NarrowCore::rows::<N>(m, k, a, out, |p| std::array::from_fn(|j| b[p * N + j]));
+        }
+        Self::run(m, k, n, a, b, out, [body::<1>, body::<2>, body::<3>]);
+    }
+
+    /// `out += a·bᵀ` with `bt: n×k`: [`gemm`](Self::gemm)'s walk reading
+    /// `B`'s rows across the rows of `bt`.
+    fn gemm_nt(m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
+        fn body<const N: usize>(m: usize, k: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
+            NarrowCore::rows::<N>(m, k, a, out, |p| std::array::from_fn(|j| bt[j * k + p]));
+        }
+        Self::run(m, k, n, a, bt, out, [body::<1>, body::<2>, body::<3>]);
+    }
+
+    /// `out += aᵀ·b`. Runs the AVX-compiled copy of the same body where
+    /// the CPU has AVX: 256-bit lanes along `k`, per-element chains
+    /// untouched, about twice the speed on census's 32×12×2 gradient.
+    fn gemm_tn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+        fn body<const N: usize>(m: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx") {
+                // SAFETY: the `avx` target feature was just detected at
+                // runtime.
+                unsafe { NarrowCore::tn_avx::<N>(m, k, a, b, out) };
+                return;
+            }
+            NarrowCore::tn::<N>(m, k, a, b, out);
+        }
+        Self::run(m, k, n, a, b, out, [body::<1>, body::<2>, body::<3>]);
+    }
+
+    /// Runs `bodies[n - 1]`, the body for `n` columns, on a non-empty
+    /// product; an empty one leaves `out` as it is.
+    fn run(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        b: &[f64],
+        out: &mut [f64],
+        bodies: [NarrowBody; PW - 1],
+    ) {
+        if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        bodies[n - 1](m, k, a, b, out);
+    }
+
+    /// The `gemm` / `gemm_nt` walk: `out += a·B` with `b_row(p)` yielding
+    /// row `p` of the logical `B`, [`NR`] rows of `a` per tile.
+    #[inline(always)]
+    fn rows<const N: usize>(
+        m: usize,
+        k: usize,
+        a: &[f64],
+        out: &mut [f64],
+        b_row: impl Fn(usize) -> [f64; N],
+    ) {
+        let mut i = 0;
+        while i + NR <= m {
+            let a_rows: [&[f64]; NR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
+            Self::tile(k, a_rows, &mut out[i * N..(i + NR) * N], &b_row);
+            i += NR;
+        }
+        for i in i..m {
+            Self::tile(
+                k,
+                [&a[i * k..(i + 1) * k]],
+                &mut out[i * N..(i + 1) * N],
+                &b_row,
+            );
+        }
+    }
+
+    /// `R` rows × `N` columns of [`rows`](Self::rows), accumulated in
+    /// registers.
+    #[inline(always)]
+    fn tile<const N: usize, const R: usize>(
+        k: usize,
+        rows: [&[f64]; R],
+        out: &mut [f64],
+        b_row: &impl Fn(usize) -> [f64; N],
+    ) {
+        let mut acc = [[0.0; N]; R];
+        for (lanes, o) in acc.iter_mut().zip(out.chunks_exact(N)) {
+            lanes.copy_from_slice(o);
+        }
+        for p in 0..k {
+            let bp = b_row(p);
+            for (lanes, row) in acc.iter_mut().zip(&rows) {
+                let x = row[p];
+                for (o, &y) in lanes.iter_mut().zip(&bp) {
+                    *o += x * y;
+                }
+            }
+        }
+        for (lanes, o) in acc.iter().zip(out.chunks_exact_mut(N)) {
+            o.copy_from_slice(lanes);
+        }
+    }
+
+    /// AVX-compiled instantiation of [`tn`](Self::tn).
+    ///
+    /// # Safety
+    /// The caller must ensure the CPU supports AVX.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    unsafe fn tn_avx<const N: usize>(m: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+        Self::tn::<N>(m, k, a, b, out);
+    }
+
+    /// The `gemm_tn` walk. For each [`NK`]-chunk of `out`'s rows, the
+    /// chunk's `N` columns sit in a stack buffer; the rows of `a` and `b`
+    /// then stream through in ascending `i`, and each `(column, i)` step is
+    /// one axpy along the contiguous row of `a`, which vectorizes across
+    /// `k`.
+    #[inline(always)]
+    fn tn<const N: usize>(m: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(a.len(), m * k);
+        let mut acc = [[0.0; NK]; N];
+        for k0 in (0..k).step_by(NK) {
+            let kw = NK.min(k - k0);
+            let chunk = &mut out[k0 * N..(k0 + kw) * N];
+            for (p, o) in chunk.chunks_exact(N).enumerate() {
+                for (col, &v) in acc.iter_mut().zip(o) {
+                    col[p] = v;
+                }
+            }
+            for (a_row, b_row) in a.chunks_exact(k).zip(b.chunks_exact(N)) {
+                let seg = &a_row[k0..k0 + kw];
+                for (col, &y) in acc.iter_mut().zip(b_row) {
+                    for (o, &x) in col[..kw].iter_mut().zip(seg) {
+                        *o += x * y;
+                    }
+                }
+            }
+            for (p, o) in chunk.chunks_exact_mut(N).enumerate() {
+                for (v, col) in o.iter_mut().zip(&acc) {
+                    *v = col[p];
+                }
+            }
+        }
+    }
+}
+
+/// The core [`kernel`] runs a product on, chosen from its output width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Core {
+    /// [`NarrowCore`], for `n < PW`.
+    Narrow,
+    /// [`BlockedKernel`]'s 4-wide core.
+    Blocked,
+    /// [`SimdKernel`]'s 8-wide core.
+    Simd,
+}
+
 /// The production backend [`kernel`] returns: each product's output width
 /// picks its core.
 ///
-/// `gemm`, `gemm_nt` and `gemm_tn` run the 8-wide [`SimdKernel`] core when
-/// the output width `n` is at least [`SPW`] and the CPU has AVX2 or
-/// AVX-512, and the 4-wide [`BlockedKernel`] core otherwise. The pack
-/// methods emit the matching panel layout by the same rule, and the
-/// prepacked entries dispatch on the handle's layout. `matvec`,
-/// `matvec_t` and `transpose` run the blocked schedules. Both cores are
-/// bit-identical to [`NaiveKernel`], so the routing changes no output bit.
+/// `gemm`, `gemm_nt` and `gemm_tn` run the narrow core when the output
+/// width `n` is below [`PW`] (4), the 8-wide [`SimdKernel`] core when `n`
+/// is at least [`SPW`] and the CPU has AVX2 or AVX-512, and the 4-wide
+/// [`BlockedKernel`] core otherwise. The pack methods follow the same rule:
+/// the `Raw` layout below four columns (so the prepacked entries run the
+/// narrow core through `gemm`), and the matching panel layout above. The
+/// prepacked entries dispatch on the handle's layout. `matvec`, `matvec_t`
+/// and `transpose` run the blocked schedules. Every core is bit-identical
+/// to [`NaiveKernel`], so the routing changes no output bit.
 #[derive(Debug, Default, Clone, Copy)]
 struct AutoKernel;
 
 impl AutoKernel {
-    /// Whether a product with `n` output columns runs the 8-wide core.
-    fn wide(n: usize) -> bool {
-        n >= SPW && SimdWidth::detected() > SimdWidth::Scalar
+    /// The core a product with `n` output columns runs on.
+    fn core(n: usize) -> Core {
+        if n < PW {
+            Core::Narrow
+        } else if n >= SPW && SimdWidth::detected() > SimdWidth::Scalar {
+            Core::Simd
+        } else {
+            Core::Blocked
+        }
     }
 }
 
@@ -1907,26 +2102,26 @@ impl GemmBackend for AutoKernel {
     }
 
     fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        if Self::wide(n) {
-            SimdKernel.gemm(m, k, n, a, b, out);
-        } else {
-            BlockedKernel.gemm(m, k, n, a, b, out);
+        match Self::core(n) {
+            Core::Narrow => NarrowCore::gemm(m, k, n, a, b, out),
+            Core::Blocked => BlockedKernel.gemm(m, k, n, a, b, out),
+            Core::Simd => SimdKernel.gemm(m, k, n, a, b, out),
         }
     }
 
     fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
-        if Self::wide(n) {
-            SimdKernel.gemm_nt(m, k, n, a, bt, out);
-        } else {
-            BlockedKernel.gemm_nt(m, k, n, a, bt, out);
+        match Self::core(n) {
+            Core::Narrow => NarrowCore::gemm_nt(m, k, n, a, bt, out),
+            Core::Blocked => BlockedKernel.gemm_nt(m, k, n, a, bt, out),
+            Core::Simd => SimdKernel.gemm_nt(m, k, n, a, bt, out),
         }
     }
 
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        if Self::wide(n) {
-            SimdKernel.gemm_tn(m, k, n, a, b, out);
-        } else {
-            BlockedKernel.gemm_tn(m, k, n, a, b, out);
+        match Self::core(n) {
+            Core::Narrow => NarrowCore::gemm_tn(m, k, n, a, b, out),
+            Core::Blocked => BlockedKernel.gemm_tn(m, k, n, a, b, out),
+            Core::Simd => SimdKernel.gemm_tn(m, k, n, a, b, out),
         }
     }
 
@@ -1943,18 +2138,19 @@ impl GemmBackend for AutoKernel {
     }
 
     fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
-        if Self::wide(n) {
-            SimdKernel.pack_b_into(k, n, b, dst);
-        } else {
-            BlockedKernel.pack_b_into(k, n, b, dst);
+        // The narrow core reads `B` unpacked: `Raw`, as naive stores it.
+        match Self::core(n) {
+            Core::Narrow => NaiveKernel.pack_b_into(k, n, b, dst),
+            Core::Blocked => BlockedKernel.pack_b_into(k, n, b, dst),
+            Core::Simd => SimdKernel.pack_b_into(k, n, b, dst),
         }
     }
 
     fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
-        if Self::wide(n) {
-            SimdKernel.pack_b_t_into(k, n, bt, dst);
-        } else {
-            BlockedKernel.pack_b_t_into(k, n, bt, dst);
+        match Self::core(n) {
+            Core::Narrow => NaiveKernel.pack_b_t_into(k, n, bt, dst),
+            Core::Blocked => BlockedKernel.pack_b_t_into(k, n, bt, dst),
+            Core::Simd => SimdKernel.pack_b_t_into(k, n, bt, dst),
         }
     }
 }
@@ -1996,8 +2192,8 @@ pub fn kernel_kind() -> KernelKind {
 }
 
 /// The backend every [`crate::Matrix`] operation dispatches to: one
-/// deterministic kernel that picks the 4- or 8-wide core for each product
-/// from its output width (see the module docs).
+/// deterministic kernel that picks the narrow, 4-wide or 8-wide core for
+/// each product from its output width (see the module docs).
 pub fn kernel() -> &'static dyn GemmBackend {
     &AutoKernel
 }
@@ -2249,9 +2445,10 @@ mod tests {
 
     #[test]
     fn kernel_packs_by_output_width() {
-        // The width rule: the 8-wide layout from n = 8 up on an AVX2 or
-        // AVX-512 host, the 4-wide layout below it and on hosts with
-        // neither.
+        // The width rule: the raw layout (read by the narrow core) below
+        // four columns, the 8-wide layout from n = 8 up on an AVX2 or
+        // AVX-512 host, and the 4-wide layout in between and, from four
+        // up, on hosts with neither.
         #[cfg(target_arch = "x86_64")]
         let vector = std::arch::is_x86_feature_detected!("avx2")
             || std::arch::is_x86_feature_detected!("avx512f");
@@ -2259,7 +2456,9 @@ mod tests {
         let vector = false;
         let k = 5;
         for n in 1..=40 {
-            let want = if vector && n >= 8 {
+            let want = if n < 4 {
+                PackLayout::Raw
+            } else if vector && n >= 8 {
                 PackLayout::Panels8
             } else {
                 PackLayout::Panels4
@@ -2276,56 +2475,61 @@ mod tests {
 
     #[test]
     fn kernel_matches_naive_on_every_entry() {
-        // Both sides of the width rule and its edge (n = 7, 8, 9), the
-        // axpy cut (m = 4, 5), the trainers' batch of 32 and the 300-row
-        // evaluations, at the workloads' reduction depths.
+        // All three sides of the width rule and both edges (n = 3, 4 and
+        // 7, 8, 9), empty and odd row counts and the axpy cut (m = 0, 3,
+        // 4, 5), the trainers' batch of 32 and the 300-row evaluations, at
+        // the workloads' reduction depths, an empty one, and depths that
+        // cross the narrow `gemm_tn`'s `NK` chunk (65, 130). Every output
+        // starts non-zero: each entry accumulates into `out`.
         let ker = kernel();
-        for n in [1, 2, 4, 7, 8, 9, 16, 32] {
-            for m in [1, 4, 5, 32, 300] {
-                for k in [1, 12, 32] {
+        for n in [1, 2, 3, 4, 7, 8, 9, 16, 32] {
+            for m in [0, 1, 3, 4, 5, 32, 300] {
+                for k in [0, 1, 12, 32, 65, 130] {
                     let seed = (n * 10_000 + m * 10 + k) as u64;
                     let a = fill(m * k, seed);
                     let b = fill(k * n, seed + 1);
                     let bt = fill(n * k, seed + 2);
                     let c = fill(m * n, seed + 3);
                     let bias = fill(n, seed + 4);
+                    let start = fill(m * n, seed + 5);
+                    let start_tn = fill(k * n, seed + 6);
                     let tag = format!("{m}x{k}x{n}");
-                    let mut got = vec![0.0; m * n];
 
-                    let mut want = vec![0.0; m * n];
+                    let mut want = start.clone();
                     NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
+                    let mut got = start.clone();
                     ker.gemm(m, k, n, &a, &b, &mut got);
                     assert_bits_eq_at(&format!("{tag} gemm"), &want, &got);
                     let pb = ker.pack_b(k, n, &b);
-                    got.fill(0.0);
+                    got.copy_from_slice(&start);
                     ker.gemm_prepacked(m, k, n, &a, &pb, &mut got);
                     assert_bits_eq_at(&format!("{tag} gemm_prepacked"), &want, &got);
                     let mut want_epi = want.clone();
                     epilogue_reference(n, &bias, false, &mut want_epi);
-                    got.fill(0.0);
+                    got.copy_from_slice(&start);
                     ker.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut got);
                     assert_bits_eq_at(&format!("{tag} gemm_prepacked_bias"), &want_epi, &got);
                     let mut want_epi = want.clone();
                     epilogue_reference(n, &bias, true, &mut want_epi);
-                    got.fill(0.0);
+                    got.copy_from_slice(&start);
                     ker.gemm_prepacked_bias_relu(m, k, n, &a, &pb, &bias, &mut got);
                     assert_bits_eq_at(&format!("{tag} bias_relu"), &want_epi, &got);
 
-                    want.fill(0.0);
+                    want.copy_from_slice(&start);
                     NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut want);
-                    got.fill(0.0);
+                    got.copy_from_slice(&start);
                     ker.gemm_nt(m, k, n, &a, &bt, &mut got);
                     assert_bits_eq_at(&format!("{tag} gemm_nt"), &want, &got);
-                    got.fill(0.0);
+                    got.copy_from_slice(&start);
                     ker.gemm_nt_prepacked(m, k, n, &a, &ker.pack_b_t(k, n, &bt), &mut got);
                     assert_bits_eq_at(&format!("{tag} gemm_nt_prepacked"), &want, &got);
 
-                    let mut want_tn = vec![0.0; k * n];
+                    let mut want_tn = start_tn.clone();
                     NaiveKernel.gemm_tn(m, k, n, &a, &c, &mut want_tn);
-                    let mut got_tn = vec![0.0; k * n];
+                    let mut got_tn = start_tn.clone();
                     ker.gemm_tn(m, k, n, &a, &c, &mut got_tn);
                     assert_bits_eq_at(&format!("{tag} gemm_tn"), &want_tn, &got_tn);
-                    got_tn.fill(0.0);
+                    got_tn.copy_from_slice(&start_tn);
                     ker.gemm_tn_prepacked(m, k, n, &ker.pack_a(m, k, &a), &c, &mut got_tn);
                     assert_bits_eq_at(&format!("{tag} gemm_tn_prepacked"), &want_tn, &got_tn);
                 }
@@ -2503,7 +2707,27 @@ mod tests {
                 assert_eq!(row[2].to_bits(), 0.0f64.to_bits());
                 assert_eq!(row[3].to_bits(), 0.25f64.to_bits());
             }
+            // n = 2 with k > 0: `kernel()`'s raw handle, whose product runs
+            // the narrow core before the unfused bias and clamp passes.
+            // From `out = -0.0`: row 0 gives `-0.0 + 1·-0.0 + -0.0 = -0.0`
+            // (kept) and `-0.0 + 1·-1 + 0.5 = -0.5` (clamped to +0.0);
+            // row 1 multiplies by NaN (kept).
+            let pb = backend.pack_b(1, 2, &[-0.0, -1.0]);
+            let mut out = vec![-0.0; 2 * 2];
+            backend.gemm_prepacked_bias_relu(
+                2,
+                1,
+                2,
+                &[1.0, f64::NAN],
+                &pb,
+                &[-0.0, 0.5],
+                &mut out,
+            );
+            assert_eq!(out[0].to_bits(), (-0.0f64).to_bits());
+            assert_eq!(out[1].to_bits(), 0.0f64.to_bits());
+            assert!(out[2].is_nan() && out[3].is_nan());
         }
+        assert_eq!(kernel().pack_b(1, 2, &[-0.0, -1.0]).layout, PackLayout::Raw);
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //!
 //! Dense products dispatch through the compute-kernel layer in
 //! [`kernel`](mod@kernel): one production kernel ([`kernel()`]) picks the
-//! 4- or 8-wide packed core for each product from its output width, and
-//! both cores are bit-identical to [`NaiveKernel`] by construction — see
+//! narrow core (under four output columns), the 4-wide packed core or the
+//! 8-wide one for each product from its output width, and every core is
+//! bit-identical to [`NaiveKernel`] by construction — see
 //! `docs/kernels.md`.
 
 pub mod fault;

@@ -1,9 +1,9 @@
 //! Row-major dense matrix.
 //!
 //! Every dense product dispatches to the production compute kernel
-//! ([`crate::kernel()`]), which picks the 4- or 8-wide packed core for each
-//! product from its output width without changing a single output bit
-//! (see [`crate::kernel`](mod@crate::kernel)).
+//! ([`crate::kernel()`]), which picks the narrow, 4-wide or 8-wide core for
+//! each product from its output width without changing a single output
+//! bit (see [`crate::kernel`](mod@crate::kernel)).
 
 use crate::kernel::{kernel, PackedB};
 use std::fmt;

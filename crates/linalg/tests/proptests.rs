@@ -413,7 +413,8 @@ proptest! {
 
     /// Production kernel, blocked and simd vs naive bit-identity on random
     /// rectangular shapes, including empty dimensions (the ranges start at
-    /// 0) and both sides of the kernel's 8-column width rule.
+    /// 0) and all three sides of the kernel's width rule (under 4
+    /// columns, 4 to 7, and 8 up).
     #[test]
     fn kernels_bit_identical_on_random_shapes(
         m in 0usize..24,

@@ -337,7 +337,9 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
     }
     {
         let shared = Arc::clone(&shared);
-        threads.push(std::thread::spawn(move || accept_loop(&shared, listener)));
+        threads.push(std::thread::spawn(move || {
+            accept_loop(&shared, || listener.accept().map(|(stream, _)| stream))
+        }));
     }
 
     Ok(ServerHandle {
@@ -348,13 +350,18 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
     })
 }
 
-fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
+/// Accepts connections into the gate until drain begins. `accept` is the
+/// listener's non-blocking accept. Every accept error backs off 5 ms and
+/// retries: `WouldBlock` is the idle poll, and the others (`EMFILE` when
+/// the process is out of file descriptors, `ECONNABORTED` when a client
+/// gave up in the backlog) pass, so only `draining` ends the loop.
+fn accept_loop(shared: &Arc<Shared>, mut accept: impl FnMut() -> std::io::Result<TcpStream>) {
     loop {
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
+        match accept() {
+            Ok(stream) => {
                 let _ = stream.set_nonblocking(false);
                 let ordinal = shared.requests.fetch_add(1, Ordering::SeqCst) + 1;
                 let job = Job {
@@ -374,10 +381,7 @@ fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
                     let _ = write_response(&mut rejected.stream, &resp);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+            Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
 }
@@ -633,5 +637,45 @@ mod tests {
         assert!(gate.pop(&draining).is_some());
         assert!(gate.pop(&draining).is_some());
         assert!(gate.pop(&draining).is_none());
+    }
+
+    #[test]
+    fn accept_errors_back_off_and_the_next_stream_is_queued() {
+        // An aborted handshake and EMFILE (raw OS error 24, the process is
+        // out of descriptors) must not end the acceptor: the stream that
+        // follows is queued, and only draining stops the loop.
+        let shared = Arc::new(Shared {
+            cfg: ServerConfig::new("unused"),
+            sessions: Mutex::new(HashMap::new()),
+            next_id: AtomicU64::new(0),
+            requests: AtomicU64::new(0),
+            ready: AtomicBool::new(true),
+            draining: AtomicBool::new(false),
+            gate: Gate {
+                queue: Mutex::new(VecDeque::new()),
+                cv: Condvar::new(),
+            },
+            estimator_threads: 1,
+            drained_jobs: AtomicUsize::new(0),
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let _client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let mut script = VecDeque::from([
+            Err(std::io::Error::from(std::io::ErrorKind::ConnectionAborted)),
+            Err(std::io::Error::from_raw_os_error(24)),
+            listener.accept().map(|(stream, _)| stream),
+        ]);
+        accept_loop(&shared, || {
+            script.pop_front().unwrap_or_else(|| {
+                shared.draining.store(true, Ordering::SeqCst);
+                Err(std::io::ErrorKind::WouldBlock.into())
+            })
+        });
+        assert_eq!(
+            shared.gate.len(),
+            1,
+            "the stream after the errors is queued"
+        );
+        assert_eq!(shared.requests.load(Ordering::SeqCst), 1);
     }
 }
