@@ -42,8 +42,9 @@ pub fn softmax_in_place(logits: &mut [f64]) {
 /// final `exp(logits[index] - m) / sum` divides the identical operand pair
 /// the in-place version divides at `index`. Negative-log-likelihood
 /// epilogues only read the label's probability, so this is their exact
-/// drop-in — the batched estimation plane's stacked evaluation leans on it
-/// to skip the per-row segment copy and the unread divisions.
+/// drop-in — `st_models`' `MultiEval` scores several softmax models'
+/// stacked logits with it, skipping the per-row segment copy and the
+/// unread divisions.
 ///
 /// # Panics
 /// Panics if `index` is out of bounds.

@@ -119,13 +119,12 @@ impl Default for ConvTrainConfig {
 ///
 /// The dominant per-batch allocation used to be the im2col patch matrix —
 /// `(n · ch · cw) × (in_ch · k · k)` values rebuilt for every minibatch of
-/// every epoch. One scratch threaded through the loop keeps it (and every
-/// other intermediate) allocation-free in steady state without changing a
-/// single arithmetic operation. The scratch also keeps the prepacked
-/// convolution kernel bank and head weights alive across forwards;
-/// `packs_dirty` invalidates them exactly when the optimizer updates the
-/// weights (the [`PackedB`] snapshot contract), and re-packing reuses the
-/// handles' buffers.
+/// every epoch. One scratch threaded through the loop reuses it (and every
+/// other intermediate) across minibatches without changing a single
+/// arithmetic operation. The scratch also holds the packed convolution
+/// kernel bank and head weights; every step updates both, so each forward
+/// re-packs them into the same buffers (the [`PackedB`] snapshot
+/// contract).
 #[derive(Debug, Default)]
 struct ConvScratch {
     /// The im2col patch matrix, `(n · ch · cw) × (in_ch · k · k)`: one row
@@ -160,17 +159,6 @@ struct ConvScratch {
     w_pack: PackedB,
     /// Prepacked dense-head weights.
     head_pack: PackedB,
-    /// True when the weights changed since the packs were built.
-    packs_dirty: bool,
-}
-
-impl ConvScratch {
-    fn fresh() -> Self {
-        ConvScratch {
-            packs_dirty: true,
-            ..Default::default()
-        }
-    }
 }
 
 impl ConvNet {
@@ -256,19 +244,16 @@ impl ConvNet {
     /// The convolution itself is one batched GEMM over the im2col matrix:
     /// the output accumulator is seeded with the bias and then reduced in
     /// `(in_ch, ky, kx)` order, matching the nested-loop formulation
-    /// bit-for-bit. The kernel bank and head weights come from the
-    /// scratch's prepacked handles, re-packed only when `packs_dirty` says
-    /// an optimizer step invalidated them.
+    /// bit-for-bit. The kernel bank and head weights are re-packed into the
+    /// scratch's handles on every call: the only caller is [`Self::step`],
+    /// and every step updates both.
     fn forward_scratch(&self, x: &Matrix, s: &mut ConvScratch) {
         let k = self.conv.k;
         let patch = self.conv.in_ch * k * k;
-        if s.packs_dirty {
-            // `conv.w` rows are kernel banks = columns of the logical B,
-            // exactly the transposed-storage shape `pack_b_t` consumes.
-            st_linalg::kernel().pack_b_t_into(patch, self.conv.out_ch, &self.conv.w, &mut s.w_pack);
-            self.head.pack_weights_into(&mut s.head_pack);
-            s.packs_dirty = false;
-        }
+        // `conv.w` rows are kernel banks = columns of the logical B,
+        // exactly the transposed-storage shape `pack_b_t` consumes.
+        st_linalg::kernel().pack_b_t_into(patch, self.conv.out_ch, &self.conv.w, &mut s.w_pack);
+        self.head.pack_weights_into(&mut s.head_pack);
         let ConvScratch {
             cols,
             conv_out,
@@ -286,7 +271,7 @@ impl ConvNet {
     }
 
     /// The pack-agnostic forward body shared by the training path
-    /// ([`Self::forward_scratch`], packs cached in the train scratch) and
+    /// ([`Self::forward_scratch`], packs held in the train scratch) and
     /// the evaluation view ([`PackedConvNet`], packs owned by the view) —
     /// identical ops either way, so the two paths are bit-identical.
     #[allow(clippy::too_many_arguments)]
@@ -425,7 +410,7 @@ impl ConvNet {
         ];
         let mut opt = OptimizerState::new(config.optimizer, &lens);
         let mut order: Vec<usize> = (0..n).collect();
-        let mut scratch = ConvScratch::fresh();
+        let mut scratch = ConvScratch::default();
         let mut bx = Matrix::zeros(0, 0);
         let mut by: Vec<usize> = Vec::new();
 
@@ -520,8 +505,6 @@ impl ConvNet {
             0.0,
         );
         opt.update(3, &mut self.head.b, &s.grad_head_b, lr, 0.0);
-        // Every weight tensor just changed; invalidate the packs.
-        s.packs_dirty = true;
     }
 }
 

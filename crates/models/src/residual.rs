@@ -9,7 +9,7 @@
 //! per-slice loss structure is architecture-independent.
 
 use crate::classifier::Classifier;
-use crate::network::Layer;
+use crate::network::{relu_backward, Layer};
 use crate::optimizer::{OptimizerKind, OptimizerState};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -320,13 +320,8 @@ impl ResidualMlp {
             (input.matmul_tn(dout), dout.col_sums())
         };
         // Applies the ReLU mask of `act` (post-activation) to `d` in place.
-        let mask = |d: &mut Matrix, act: &Matrix| {
-            for (v, &a) in d.as_mut_slice().iter_mut().zip(act.as_slice()) {
-                if a <= 0.0 {
-                    *v = 0.0;
-                }
-            }
-        };
+        let mask =
+            |d: &mut Matrix, act: &Matrix| relu_backward(d.as_mut_slice(), act.as_slice(), &[]);
 
         // Head.
         let trunk_out = traces.last().map(|t| &t.output).unwrap_or(&stem_out);

@@ -7,7 +7,7 @@
 //! run is a deterministic function of `(data, spec, config)`.
 
 use crate::batch::{examples_to_matrix, labels_of};
-use crate::network::Mlp;
+use crate::network::{relu_backward, Mlp};
 use crate::optimizer::{LrSchedule, OptimizerKind, OptimizerState};
 use crate::spec::ModelSpec;
 use rand::rngs::StdRng;
@@ -427,12 +427,12 @@ fn train_core(
 
 /// Reusable buffers for the minibatch loop.
 ///
-/// The training loop runs hundreds of minibatches per epoch; gathering,
-/// forward activations, gradients, and dropout masks all used to allocate
-/// fresh `Vec`s/`Matrix`es per batch. Threading one scratch through the
-/// loop keeps the steady state allocation-free without changing a single
-/// arithmetic operation (all `_into` methods are bit-identical twins of
-/// their allocating versions).
+/// Gathered batches, activations, dropout factors, gradients and the
+/// operand packs of every product live here and are resized in place, so
+/// once the loop has seen its largest minibatch it makes no heap
+/// allocation (`tests/alloc_free.rs` counts). Each buffer is filled by an
+/// `_into` or prepacked twin of an allocating call with the same
+/// operations, so the training bits are those of the allocating loop.
 #[derive(Debug, Default)]
 struct TrainScratch {
     /// Gathered minibatch features.
@@ -457,15 +457,16 @@ struct TrainScratch {
     grad_w: Matrix,
     /// Per-layer bias gradient.
     grad_b: Vec<f64>,
-    /// Per-layer prepacked forward weights (`X·W` layout), kept alive
-    /// across minibatches. A pack is a snapshot of the weights, so it is
-    /// invalidated — [`Self::packs_dirty`] — exactly when the optimizer
-    /// updates that layer; re-packing reuses the buffer (a copy, not an
-    /// allocation). Forward/eval passes never mutate weights, so between
-    /// updates every minibatch reuses the same pack.
-    packs: Vec<PackedB>,
-    /// Which layers' packs are stale (weights updated since last pack).
-    packs_dirty: Vec<bool>,
+    /// The weights of the layer in hand, packed as the right operand of
+    /// `X·W` in the forward pass and of `dZ·Wᵀ` in the backward pass. A
+    /// pack is a snapshot and every step updates every layer, so each use
+    /// re-packs into this buffer (a copy, not an allocation).
+    w_pack: PackedB,
+    /// `Aᵀ`, the transposed input of the layer in hand: the left operand
+    /// of its weight gradient ([`weight_grad_into`]).
+    at: Matrix,
+    /// `dZ` packed as the right operand of the weight gradient.
+    dz_pack: PackedB,
 }
 
 impl TrainScratch {
@@ -474,8 +475,6 @@ impl TrainScratch {
         TrainScratch {
             acts: (0..hidden).map(|_| Matrix::zeros(0, 0)).collect(),
             masks: vec![Vec::new(); hidden],
-            packs: net.layers.iter().map(|_| PackedB::default()).collect(),
-            packs_dirty: vec![true; net.layers.len()],
             ..Default::default()
         }
     }
@@ -490,12 +489,7 @@ impl TrainScratch {
 fn forward_train(net: &Mlp, dropout: f64, rng: &mut StdRng, scratch: &mut TrainScratch) {
     let last = net.layers.len() - 1;
     for (i, layer) in net.layers.iter().enumerate() {
-        // Re-pack only layers whose weights the optimizer touched since
-        // the last forward (every layer after a step, none during eval).
-        if scratch.packs_dirty[i] {
-            layer.pack_weights_into(&mut scratch.packs[i]);
-            scratch.packs_dirty[i] = false;
-        }
+        layer.pack_weights_into(&mut scratch.w_pack);
         // Split so the input activation (or `bx`) can be read while this
         // layer's output is written.
         let (done, rest) = scratch.acts.split_at_mut(i);
@@ -506,14 +500,14 @@ fn forward_train(net: &Mlp, dropout: f64, rng: &mut StdRng, scratch: &mut TrainS
             &mut rest[0]
         };
         if i == last {
-            layer.forward_prepacked_into(&scratch.packs[i], input, z);
+            layer.forward_prepacked_into(&scratch.w_pack, input, z);
             break;
         }
         // Hidden layer: the ReLU clamp rides the packed cores' single
         // write-back ([`Layer::forward_prepacked_relu_into`]) — same
         // `< 0.0` clamp, same bits as the affine forward plus a separate
         // sweep, one pass over `z` instead of two.
-        layer.forward_prepacked_relu_into(&scratch.packs[i], input, z);
+        layer.forward_prepacked_relu_into(&scratch.w_pack, input, z);
         let mask = &mut scratch.masks[i];
         mask.clear();
         if dropout > 0.0 {
@@ -529,6 +523,37 @@ fn forward_train(net: &Mlp, dropout: f64, rng: &mut StdRng, scratch: &mut TrainS
             }
         }
     }
+}
+
+/// Output width below which [`st_linalg::kernel`] runs a product on its
+/// narrow core, which reads both operands in place and allocates nothing
+/// (`docs/kernels.md`). Census's two-class softmax gradient is one.
+const NARROW_COLS: usize = 4;
+
+/// The weight gradient `out = aᵀ·dz` with no heap allocation.
+///
+/// The pack-on-call `gemm_tn` allocates a transpose block and a panel
+/// buffer on every call once the output is [`NARROW_COLS`] wide, so a wide
+/// product transposes `a` into `at`, packs `dz` into `dz_pack` and runs
+/// `gemm(k, m, n, aᵀ, dz)` on the pack. That reduces every element over
+/// the samples in `gemm_tn`'s ascending order (the [`st_linalg::PackedA`]
+/// contract), so the bits are the same. A narrow product keeps `gemm_tn`,
+/// which allocates nothing there and would only gain a transpose.
+fn weight_grad_into(
+    a: &Matrix,
+    dz: &Matrix,
+    at: &mut Matrix,
+    dz_pack: &mut PackedB,
+    out: &mut Matrix,
+) {
+    if dz.cols() < NARROW_COLS {
+        a.matmul_tn_into(dz, out);
+        return;
+    }
+    at.reset_to_zeros(a.cols(), a.rows());
+    st_linalg::kernel().transpose(a.rows(), a.cols(), a.as_slice(), at.as_mut_slice());
+    dz.pack_as_rhs_into(dz_pack);
+    at.matmul_prepacked_into(dz_pack, out);
 }
 
 /// One optimizer step on the gathered minibatch (backprop + per-tensor
@@ -556,9 +581,9 @@ fn descent_step(
         }
     }
 
-    // Backward pass, output layer first. Both gradient products use the
-    // transpose-free GEMM shapes (`Xᵀ·dZ`, `dZ·Wᵀ`) so the whole batch
-    // goes through the compute kernel without materializing transposes.
+    // Backward pass, output layer first: per layer the weight gradient
+    // `Aᵀ·dZ` and, past the input layer, the input gradient `dZ·Wᵀ` against
+    // the packed `Wᵀ`, both through the scratch's packs.
     for li in (0..net.layers.len()).rev() {
         let a_in = if li == 0 {
             &scratch.bx
@@ -566,32 +591,29 @@ fn descent_step(
             &scratch.acts[li - 1]
         };
         // grad_w = a_inᵀ · dz ; grad_b = column sums of dz.
-        a_in.matmul_tn_into(&scratch.dz, &mut scratch.grad_w);
+        weight_grad_into(
+            a_in,
+            &scratch.dz,
+            &mut scratch.at,
+            &mut scratch.dz_pack,
+            &mut scratch.grad_w,
+        );
         scratch.dz.col_sums_into(&mut scratch.grad_b);
 
         // Propagate before mutating this layer's weights.
         if li > 0 {
+            net.layers[li].w.pack_as_rhs_t_into(&mut scratch.w_pack);
             scratch
                 .dz
-                .matmul_nt_into(&net.layers[li].w, &mut scratch.da);
+                .matmul_nt_prepacked_into(&scratch.w_pack, &mut scratch.da);
             // ReLU mask from the stored post-activation (dropped units have
             // zero activation, so the same test covers both), plus the
             // inverted-dropout scale factors.
-            let act = &scratch.acts[li - 1];
-            let mask = &scratch.masks[li - 1];
-            for (idx, (v, &a)) in scratch
-                .da
-                .as_mut_slice()
-                .iter_mut()
-                .zip(act.as_slice())
-                .enumerate()
-            {
-                if a <= 0.0 {
-                    *v = 0.0;
-                } else if !mask.is_empty() {
-                    *v *= mask[idx];
-                }
-            }
+            relu_backward(
+                scratch.da.as_mut_slice(),
+                scratch.acts[li - 1].as_slice(),
+                &scratch.masks[li - 1],
+            );
             std::mem::swap(&mut scratch.dz, &mut scratch.da);
         }
 
@@ -604,8 +626,6 @@ fn descent_step(
             config.l2,
         );
         opt.update(2 * li + 1, &mut layer.b, &scratch.grad_b, lr, 0.0);
-        // The weights just changed; the prepacked snapshot is stale.
-        scratch.packs_dirty[li] = true;
     }
 }
 
@@ -695,10 +715,10 @@ mod tests {
 
     #[test]
     fn packed_weight_reuse_is_bit_stable_across_optimizer_steps() {
-        // The pack-cache contract: forwards through the cached packs must
-        // be bit-identical to the plain (pack-on-call) forward — before
-        // any update, after a reuse without an update, and after an
-        // optimizer step forces a re-pack.
+        // The pack contract: forwards through the scratch's re-packed
+        // weights must be bit-identical to the plain (pack-on-call)
+        // forward — before any update, on a repeat, and after an optimizer
+        // step changed every layer.
         let (x, y) = blobs(12, &[(-1.0, 0.5), (1.0, -0.5)], 31);
         let config = TrainConfig::default();
         let mut rng = seeded_rng(config.seed);
@@ -715,17 +735,13 @@ mod tests {
             }
         };
 
-        // First forward packs every layer.
         forward_train(&net, 0.0, &mut rng, &mut scratch);
-        assert!(scratch.packs_dirty.iter().all(|&d| !d));
+        assert_logits_match(&net, &scratch);
+        forward_train(&net, 0.0, &mut rng, &mut scratch);
         assert_logits_match(&net, &scratch);
 
-        // Second forward without an update: packs are reused, bits equal.
-        forward_train(&net, 0.0, &mut rng, &mut scratch);
-        assert!(scratch.packs_dirty.iter().all(|&d| !d));
-        assert_logits_match(&net, &scratch);
-
-        // A real optimizer step invalidates every updated layer's pack …
+        // A real optimizer step updates every layer; the next forward must
+        // match the plain forward of the *updated* network.
         let lens: Vec<usize> = net
             .layers
             .iter()
@@ -733,13 +749,42 @@ mod tests {
             .collect();
         let mut opt = OptimizerState::new(config.optimizer, &lens);
         opt.next_step();
+        let before = net.clone();
         descent_step(&mut net, &mut scratch, 0.1, &config, &mut opt, &mut rng);
-        assert!(scratch.packs_dirty.iter().all(|&d| d), "update marks stale");
-
-        // … and the next forward re-packs the new weights: bits must
-        // match the plain forward of the *updated* network.
+        assert!(
+            net.layers.iter().zip(&before.layers).all(|(a, b)| a != b),
+            "a step updates every layer"
+        );
         forward_train(&net, 0.0, &mut rng, &mut scratch);
         assert_logits_match(&net, &scratch);
+    }
+
+    #[test]
+    fn weight_grad_into_matches_gemm_tn_bitwise() {
+        // Narrow and wide outputs, minibatch and tail sizes, and a batch
+        // past `gemm_tn`'s 128-row sample block; the scratch carries over
+        // between shapes as it does between layers.
+        let mut rng = seeded_rng(41);
+        let (mut at, mut dz_pack, mut out) =
+            (Matrix::zeros(0, 0), PackedB::default(), Matrix::zeros(0, 0));
+        for (m, k, n) in [
+            (32, 12, 2),
+            (32, 16, 4),
+            (7, 32, 16),
+            (32, 16, 32),
+            (200, 9, 8),
+            (1, 5, 3),
+            (32, 3, 33),
+        ] {
+            let a = Matrix::from_fn(m, k, |_, _| st_data::normal(&mut rng));
+            let dz = Matrix::from_fn(m, n, |_, _| st_data::normal(&mut rng));
+            weight_grad_into(&a, &dz, &mut at, &mut dz_pack, &mut out);
+            let want = a.matmul_tn(&dz);
+            assert_eq!((out.rows(), out.cols()), (k, n));
+            for (w, g) in want.as_slice().iter().zip(out.as_slice()) {
+                assert_eq!(w.to_bits(), g.to_bits(), "{m}x{k}x{n}: {w} vs {g}");
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,89 @@
+//! The MLP training step allocates nothing: `train_on_rows` on the faces
+//! family's 16→32→16→4 network makes exactly as many heap allocations when
+//! it trains for two epochs as for one, with dropout off and on. Every
+//! buffer the minibatch loop needs (gathered batch, activations, dropout
+//! factors, gradients, operand packs) reaches its size in the first epoch
+//! and is reused from then on.
+//!
+//! A counting global allocator tallies the allocations made on the calling
+//! thread, so other test threads cannot disturb the count.
+
+use st_linalg::{Matrix, SplitMix64};
+use st_models::{train_on_rows, ModelSpec, TrainConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<usize> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to the system allocator unchanged; the
+// thread-local counter has a const initializer and no destructor, so
+// touching it never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> usize {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn mlp_training_allocates_nothing_after_the_first_epoch() {
+    const FEATURES: usize = 16;
+    const CLASSES: usize = 4;
+    let mut rng = SplitMix64::new(7);
+    let n = 300;
+    let x = Matrix::from_fn(n, FEATURES, |_, _| rng.next_f64() * 4.0 - 2.0);
+    let y: Vec<usize> = (0..n).map(|i| (i * 7) % CLASSES).collect();
+    // A scrambled subset whose size leaves a short last minibatch (the
+    // default batch is 32).
+    let rows: Vec<usize> = (0..n).rev().step_by(2).chain(1..21).collect();
+    let spec = ModelSpec::basic();
+    assert_eq!(spec.hidden, [32, 16], "the faces network");
+    for base in [
+        TrainConfig::default().with_seed(3),
+        TrainConfig::default().with_dropout(0.2).with_seed(3),
+    ] {
+        let count = |epochs: usize| {
+            let cfg = TrainConfig {
+                epochs,
+                ..base.clone()
+            };
+            allocations(|| {
+                std::hint::black_box(train_on_rows(&x, &y, &rows, FEATURES, CLASSES, &spec, &cfg));
+            })
+        };
+        let (one, two) = (count(1), count(2));
+        assert_eq!(
+            one, two,
+            "dropout {}: {one} allocations at 1 epoch, {two} at 2",
+            base.dropout
+        );
+    }
+}
