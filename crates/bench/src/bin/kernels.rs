@@ -18,8 +18,11 @@
 //! gated with them. The `kernel()` column shows the width rule at work:
 //! below four output columns it runs the narrow core, which no other
 //! column times, so it should beat every column there; from four to seven
-//! it should track `blocked`, and from eight up `simd` on AVX2 and AVX-512
-//! hosts.
+//! its `gemm` and `gemm_nt` should track `blocked`, and from eight up
+//! `simd` on AVX2 and AVX-512 hosts. Its `gemm_tn` runs the narrow core's
+//! walk below eight columns and the 8-wide direct walk from eight up;
+//! `blocked` and `simd` run the same `gemm_tn`, so the three columns
+//! time the same walks.
 //!
 //! Gates enforced at the end (ST_QUICK=1 for a faster sweep, same checks):
 //!
@@ -33,10 +36,16 @@
 //!   product in the tour (and the 12→3 stand-in), again the best of
 //!   interleaved rounds: the two give the same bits, so a production
 //!   kernel that loses to the oracle on a product the workloads run is a
-//!   perf bug.
+//!   perf bug;
+//! * `kernel()`'s `gemm_tn` no slower than the route the MLP trainer took
+//!   to the same weight gradient before `gemm_tn` read its operands in
+//!   place — `kernel().transpose` of `A` into a reused buffer,
+//!   `pack_b_into` of `dZ` into a reused handle, then `gemm_prepacked` —
+//!   on faces' three weight gradients (32×16×32, 32×32×16, 32×16×4), best
+//!   of interleaved rounds, after a bit cross-check of the two routes.
 
 use st_bench::{assert_bits_identical, bench_fill as fill, best_secs, rule};
-use st_linalg::{kernel, BlockedKernel, GemmBackend, NaiveKernel, SimdKernel};
+use st_linalg::{kernel, BlockedKernel, GemmBackend, NaiveKernel, PackedB, SimdKernel};
 
 /// One timed operation on one shape across all backends.
 enum Op {
@@ -167,9 +176,10 @@ fn main() {
 
     println!("Compute-kernel microbench (best of {reps})");
     println!(
-        "production kernel: {} (narrow core below 4 output columns, 4-wide blocked core \
-         from 4 to 7, 8-wide simd core from 8 up on AVX2/AVX-512 hosts; 4-wide from 4 up \
-         without them)",
+        "production kernel: {} (gemm/gemm_nt: narrow core below 4 output columns, 4-wide \
+         blocked core from 4 to 7, 8-wide simd core from 8 up on AVX2/AVX-512 hosts, 4-wide \
+         from 4 up without them; gemm_tn: narrow walk below 8 columns, 8-wide direct walk \
+         from 8 up)",
         kernel().name()
     );
     #[cfg(target_arch = "x86_64")]
@@ -344,6 +354,69 @@ fn main() {
         workload.len(),
         slowest.0,
         slowest.1
+    );
+
+    // Gate 4: kernel()'s gemm_tn against the transpose-and-pack route to
+    // the same product, on faces' three weight gradients. Both routes
+    // reuse their buffers, as a training step does, and give the same
+    // bits, so the direct walk must not be the slower one.
+    let ker = kernel();
+    let mut slowest = (0.0, String::new());
+    for (m, k, n) in [(32, 16, 32), (32, 32, 16), (32, 16, 4)] {
+        let label = format!("gemm_tn {m}x{k}x{n}");
+        let a = fill(m * k, 0x7A11);
+        let dz = fill(m * n, 0x7A12);
+        let mut at = vec![0.0; k * m];
+        let mut pack = PackedB::default();
+        let (mut direct, mut packed) = (vec![0.0; k * n], vec![0.0; k * n]);
+        let run_direct = |out: &mut [f64]| {
+            out.fill(0.0);
+            ker.gemm_tn(m, k, n, &a, &dz, out);
+        };
+        let mut run_packed = |out: &mut [f64]| {
+            ker.transpose(m, k, &a, &mut at);
+            ker.pack_b_into(m, n, &dz, &mut pack);
+            out.fill(0.0);
+            ker.gemm_prepacked(k, m, n, &at, &pack, out);
+        };
+        run_direct(&mut direct);
+        run_packed(&mut packed);
+        assert_bits_identical(&format!("{label} [transpose + pack]"), &direct, &packed);
+        // One timed rep per turn, alternating: a host that drifts between
+        // speed states within milliseconds then slows both routes alike.
+        let calls = (4e6 / (2.0 * (m * k * n) as f64)).ceil() as usize;
+        let (mut t_direct, mut t_packed) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..gate_rounds * reps * 3 {
+            t_direct = t_direct.min(best_secs(1, || {
+                for _ in 0..calls {
+                    run_direct(&mut direct);
+                }
+            }));
+            t_packed = t_packed.min(best_secs(1, || {
+                for _ in 0..calls {
+                    run_packed(&mut packed);
+                }
+            }));
+        }
+        let ratio = t_direct / t_packed;
+        println!(
+            "    {label}: {:.2}µ direct, {:.2}µ transpose + pack + gemm_prepacked",
+            t_direct / calls as f64 * 1e6,
+            t_packed / calls as f64 * 1e6
+        );
+        assert!(
+            ratio <= 1.0,
+            "kernel()'s gemm_tn must be no slower than transpose + pack + gemm_prepacked on \
+             {label}, got {ratio:.2}x that route's time"
+        );
+        if ratio > slowest.0 {
+            slowest = (ratio, label);
+        }
+    }
+    println!(
+        "  kernel() gemm_tn vs transpose + pack + gemm_prepacked on faces' weight gradients: \
+         slowest {:.2}x the packed route's time ({}; gate <= 1.00x)",
+        slowest.0, slowest.1
     );
 
     println!("\nall gates passed; every backend bit-identical to naive on every timed shape");

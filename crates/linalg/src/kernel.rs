@@ -27,18 +27,20 @@
 //! 4-wide core otherwise. A 2-column product, such as census's softmax
 //! layer, would leave half of a 4-wide panel as padding, and the narrow
 //! core skips packing altogether. On a 4-column product most of an 8-wide
-//! panel is padding, while 16- and 32-wide layers fill the vectors. The
-//! rule reads the shape and the CPU, never the environment, and every core
-//! gives the same bits. See `docs/kernels.md` for the measurements behind
-//! it.
+//! panel is padding, while 16- and 32-wide layers fill the vectors.
+//! `gemm_tn` has one edge instead: the narrow core's walk below 8 columns
+//! and the 8-wide core's from 8 up, both reading `A` and `B` where they
+//! lie. The rule reads the shape and the CPU, never the environment, and
+//! every core gives the same bits. See `docs/kernels.md` for the
+//! measurements behind it.
 //!
 //! **Prepacked operands.** Workloads that multiply a stream of activation
 //! batches against one fixed weight matrix pack that operand **once**
-//! ([`PackedB`] / [`PackedA`]) and reuse it across
-//! `gemm_prepacked`/`gemm_nt_prepacked`/`gemm_tn_prepacked` calls — the
-//! packing cores skip their per-call pack, the naive reference falls back
-//! to pack-on-call, and all results stay bit-identical. Handles are
-//! snapshots: re-pack (buffer-reusing `*_into`) when the operand mutates.
+//! ([`PackedB`]) and reuse it across `gemm_prepacked`/`gemm_nt_prepacked`
+//! calls — the packing cores skip their per-call pack, the naive reference
+//! falls back to pack-on-call, and all results stay bit-identical. Handles
+//! are snapshots: re-pack (buffer-reusing `*_into`) when the operand
+//! mutates.
 
 use std::sync::OnceLock;
 
@@ -67,9 +69,6 @@ const SPW: usize = 8;
 /// block, so on the bigger L2 of AVX-512-era cores a wider resident set
 /// trades a little cache pressure for fewer passes over `A`.
 const SIMD_PANEL_BLOCK_BYTES: usize = 512 * 1024;
-/// Sample-row tile of the `gemm_tn` block loops (shared by the blocked and
-/// SIMD backends).
-const IB: usize = 128;
 
 /// Internal layout tag of a [`PackedB`] handle.
 ///
@@ -141,35 +140,6 @@ impl Default for PackedB {
             n: 0,
             data: Vec::new(),
         }
-    }
-}
-
-/// An `A` operand of the [`GemmBackend::gemm_tn`] shape (`out += Aᵀ·B`)
-/// with the transpose materialized **once** for reuse across
-/// [`GemmBackend::gemm_tn_prepacked`] calls.
-///
-/// `gemm_tn` pays a block transpose of `A` on every call; when `A` is the
-/// stable operand the handle hoists it. Same lifetime/invalidation and
-/// bit-identity contract as [`PackedB`] (the stored `Aᵀ` is an exact
-/// copy, and `gemm(k, m, n, Aᵀ, B)` reduces every output element in the
-/// same ascending-sample order as `gemm_tn(m, k, n, A, B)`).
-#[derive(Debug, Clone, Default)]
-pub struct PackedA {
-    m: usize,
-    k: usize,
-    /// `Aᵀ`, row-major `k×m`.
-    data: Vec<f64>,
-}
-
-impl PackedA {
-    /// Sample rows (`A` rows) the handle was packed for.
-    pub fn m(&self) -> usize {
-        self.m
-    }
-
-    /// Output rows (`A` columns) the handle was packed for.
-    pub fn k(&self) -> usize {
-        self.k
     }
 }
 
@@ -271,38 +241,6 @@ fn pack_panels_t_into<const W: usize>(k: usize, n: usize, bt: &[f64], packed: &m
     }
 }
 
-/// The `gemm_tn` (`out += aᵀ·b`) walk both packed cores share. Samples go
-/// in blocks of [`IB`] rows: each block of `a` is transposed (short
-/// strides, TLB-friendly), the matching rows of `b` are packed into
-/// `W`-wide panels, and `core(k, h, aᵀ, panels, out)` *accumulates* the
-/// block's `k×n` contribution. Blocks ascend in `i` and the core reduces
-/// each block in ascending `i`, so bits match the naive rank-1
-/// formulation.
-fn gemm_tn_blocks<const W: usize>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    b: &[f64],
-    out: &mut [f64],
-    core: impl Fn(usize, usize, &[f64], &[f64], &mut [f64]),
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), m * n);
-    debug_assert_eq!(out.len(), k * n);
-    if m == 0 || k == 0 || n == 0 {
-        return;
-    }
-    let mut at_block = vec![0.0; k * IB.min(m)];
-    let mut packed = Vec::new();
-    for ib in (0..m).step_by(IB) {
-        let h = IB.min(m - ib);
-        BlockedKernel.transpose(h, k, &a[ib * k..(ib + h) * k], &mut at_block[..k * h]);
-        pack_panels_into::<W>(h, n, &b[ib * n..(ib + h) * n], &mut packed);
-        core(k, h, &at_block[..k * h], &packed, out);
-    }
-}
-
 /// The shared body of the `gemm_prepacked*` entries: `out += a·B` for the
 /// `B` the handle holds, then the optional bias and ReLU epilogues. A
 /// panel handle feeds its packed core, which appends the epilogues to each
@@ -340,8 +278,8 @@ fn prepacked<B: GemmBackend + ?Sized>(
             BlockedKernel::packed_gemm(m, k, n, a, &pb.data, bias, relu, out)
         }
         PackLayout::Panels8 if k > 0 => {
-            let width = SimdWidth::detected();
-            SimdKernel::packed_gemm(width, m, k, n, a, &pb.data, bias, relu, out)
+            let ops = Operands::packed(k, a, &pb.data);
+            SimdKernel::walk(SimdWidth::detected(), m, k, n, ops, bias, relu, out)
         }
         _ => {
             backend.gemm(m, k, n, a, &pb.data, out);
@@ -380,7 +318,7 @@ pub trait GemmBackend: Send + Sync {
     /// `out += aᵀ · b` with `a: m×k`, `b: m×n`, `out: k×n`.
     ///
     /// This is the gradient shape `Xᵀ · dZ` without materializing the
-    /// transpose; both operands are streamed row-major.
+    /// transpose: the cores read both operands where they lie.
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]);
 
     /// `out[r] = dot(a.row(r), v)` with `a: rows×cols`.
@@ -435,19 +373,6 @@ pub trait GemmBackend: Send + Sync {
         }
     }
 
-    /// Packs the `A` operand of [`gemm_tn`](Self::gemm_tn) (`a: m×k`
-    /// row-major), materializing `Aᵀ` once, reusing `dst`'s allocation.
-    fn pack_a_into(&self, m: usize, k: usize, a: &[f64], dst: &mut PackedA) {
-        debug_assert_eq!(a.len(), m * k);
-        dst.m = m;
-        dst.k = k;
-        dst.data.clear();
-        dst.data.resize(m * k, 0.0);
-        if m > 0 && k > 0 {
-            self.transpose(m, k, a, &mut dst.data);
-        }
-    }
-
     /// Allocating convenience for [`pack_b_into`](Self::pack_b_into).
     fn pack_b(&self, k: usize, n: usize, b: &[f64]) -> PackedB {
         let mut dst = PackedB::default();
@@ -459,13 +384,6 @@ pub trait GemmBackend: Send + Sync {
     fn pack_b_t(&self, k: usize, n: usize, bt: &[f64]) -> PackedB {
         let mut dst = PackedB::default();
         self.pack_b_t_into(k, n, bt, &mut dst);
-        dst
-    }
-
-    /// Allocating convenience for [`pack_a_into`](Self::pack_a_into).
-    fn pack_a(&self, m: usize, k: usize, a: &[f64]) -> PackedA {
-        let mut dst = PackedA::default();
-        self.pack_a_into(m, k, a, &mut dst);
         dst
     }
 
@@ -570,32 +488,6 @@ pub trait GemmBackend: Send + Sync {
     ) {
         prepacked(self, m, k, n, a, pb, Some(bias), true, out);
     }
-
-    /// [`gemm_tn`](Self::gemm_tn) with `Aᵀ` prepacked: `out += Aᵀ · b`.
-    ///
-    /// Runs `gemm(k, m, n, Aᵀ, b)` on the materialized transpose — every
-    /// output element reduces over the samples in the same ascending order
-    /// as `gemm_tn`, so bits match the pack-on-call twin.
-    ///
-    /// # Panics
-    /// Panics when the handle's shape does not match `(m, k)`.
-    fn gemm_tn_prepacked(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        pa: &PackedA,
-        b: &[f64],
-        out: &mut [f64],
-    ) {
-        assert_eq!((pa.m, pa.k), (m, k), "prepacked A shape mismatch");
-        debug_assert_eq!(b.len(), m * n);
-        debug_assert_eq!(out.len(), k * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        self.gemm(k, m, n, &pa.data, b, out);
-    }
 }
 
 /// The straight-line reference backend: textbook `ikj` loops, no blocking,
@@ -695,9 +587,10 @@ impl GemmBackend for NaiveKernel {
     }
 }
 
-/// The 4-wide core: cache-blocked and register-tiled. [`kernel`] runs it
-/// for products four to seven columns wide, and from four columns up on
-/// CPUs without AVX2 or AVX-512.
+/// The 4-wide core: cache-blocked and register-tiled. [`kernel`] runs its
+/// `gemm` and `gemm_nt` for products four to seven columns wide, and from
+/// four columns up on CPUs without AVX2 or AVX-512; its `gemm_tn` is
+/// [`kernel`]'s.
 ///
 /// `gemm` tiles the output columns (`NC`) and the reduction dimension
 /// (`KC`) so a `KC × NC` panel of `B` stays cache-resident, processes
@@ -1096,9 +989,10 @@ impl GemmBackend for BlockedKernel {
     }
 
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        gemm_tn_blocks::<PW>(m, k, n, a, b, out, |rows, depth, at, packed, out| {
-            Self::packed_gemm(rows, depth, n, at, packed, None, false, out)
-        });
+        // The 4-wide core reads contiguous rows of `Aᵀ` and packed panels,
+        // so its `gemm_tn` would transpose `A` and pack `B` first; the
+        // production walks read both in place.
+        AutoKernel.gemm_tn(m, k, n, a, b, out);
     }
 
     fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
@@ -1238,115 +1132,207 @@ impl SimdWidth {
 /// contraction, no horizontal reductions). The scalar fallback mirrors the
 /// lane arithmetic exactly, so `simd` is bit-identical to [`NaiveKernel`]
 /// on every target; only throughput differs between the AVX2, AVX-512, and
-/// scalar instantiations.
+/// scalar instantiations. From 8 columns up, `gemm_tn` runs the same
+/// micro-kernels on `A` and `B` where they lie, with no transpose or pack;
+/// below 8 it is [`kernel`]'s narrow walk.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SimdKernel;
 
+/// Where the 8-wide core reads the operands of `out += L·R`, for an `L`
+/// of `rows × depth` and an `R` of `depth × n`: `L[r][p]` is
+/// `a[r·arow + p·astep]`, and step `p` of `R`'s column panel `q` (columns
+/// `SPW·q ..`) starts at `b[q·qstride + p·ldb]`. The walk and its
+/// micro-kernels read every product through this one addressing.
+#[derive(Debug, Clone, Copy)]
+struct Operands<'a> {
+    a: &'a [f64],
+    arow: usize,
+    astep: usize,
+    b: &'a [f64],
+    ldb: usize,
+    qstride: usize,
+}
+
+impl<'a> Operands<'a> {
+    /// Row-major `a` (`k` columns) against `B` packed into [`SPW`]-wide
+    /// panels ([`pack_panels_into`], [`pack_panels_t_into`]).
+    fn packed(k: usize, a: &'a [f64], panels: &'a [f64]) -> Self {
+        Operands {
+            a,
+            arow: k,
+            astep: 1,
+            b: panels,
+            ldb: SPW,
+            qstride: k * SPW,
+        }
+    }
+
+    /// `aᵀ·b` for `a: m×k` and `b: m×n`, neither copied: row `r` of `L` is
+    /// column `r` of `a`, and step `p` of `R` is row `p` of `b`.
+    fn tn(k: usize, n: usize, a: &'a [f64], b: &'a [f64]) -> Self {
+        Operands {
+            a,
+            arow: 1,
+            astep: k,
+            b,
+            ldb: n,
+            qstride: SPW,
+        }
+    }
+
+    /// Panics unless every element a `rows × depth` by `depth × n` walk
+    /// reads lies inside the operands: the last row's last step of `L`,
+    /// and the last step of `R`'s last panel (whose live lanes end the
+    /// farthest read; a full panel before it ends at least `qstride`
+    /// elements earlier). The micro-kernels read through raw pointers, so
+    /// this check is what keeps them in bounds; its arithmetic is checked,
+    /// so no dimensions can wrap past it.
+    fn assert_covers(&self, rows: usize, depth: usize, n: usize) {
+        if rows == 0 || depth == 0 || n == 0 {
+            return;
+        }
+        // One past the last element read: `tail + Σ index·stride`.
+        let end = |terms: [(usize, usize); 2], tail: usize| {
+            terms.iter().try_fold(tail, |acc, &(i, stride)| {
+                i.checked_mul(stride)?.checked_add(acc)
+            })
+        };
+        let last = (n - 1) / SPW;
+        assert!(
+            end([(rows - 1, self.arow), (depth - 1, self.astep)], 1)
+                .is_some_and(|e| e <= self.a.len()),
+            "left operand too short for a {rows}x{depth} walk"
+        );
+        assert!(
+            end(
+                [(last, self.qstride), (depth - 1, self.ldb)],
+                n - last * SPW
+            )
+            .is_some_and(|e| e <= self.b.len()),
+            "right operand too short for a {depth}x{n} walk"
+        );
+    }
+}
+
 impl SimdKernel {
-    /// `out += a · B` with `B` pre-packed into [`SPW`]-wide panels, on the
-    /// `width` path. The width is capped at the detected one, so a test
-    /// can run a narrower path on a wider host but nothing can run a path
-    /// the CPU lacks. All paths accumulate each output element in
-    /// ascending `k` order in one register chain, so their bits agree.
-    /// `bias` and `relu` are the fused epilogues of [`BlockedKernel`]'s
-    /// core, appended at each element's single write-back; the vector
-    /// ReLU is a `< 0` blend, not a `max`, so `-0.0` and `NaN` keep their
-    /// bits as in [`relu_rows`].
+    /// `out += L·R` for the `rows × depth` by `depth × n` operands `ops`
+    /// describes, on the `width` path. The width is capped at the detected
+    /// one, so a test can run a narrower path on a wider host but nothing
+    /// can run a path the CPU lacks. All paths accumulate each output
+    /// element in ascending `p` order in one register chain, so their bits
+    /// agree. `bias` and `relu` are the fused epilogues of
+    /// [`BlockedKernel`]'s core, appended at each element's single
+    /// write-back; the vector ReLU is a `< 0` blend, not a `max`, so `-0.0`
+    /// and `NaN` keep their bits as in [`relu_rows`].
     #[allow(clippy::too_many_arguments)]
-    fn packed_gemm(
+    fn walk(
         width: SimdWidth,
-        m: usize,
-        k: usize,
+        rows: usize,
+        depth: usize,
         n: usize,
-        a: &[f64],
-        packed: &[f64],
+        ops: Operands<'_>,
         bias: Option<&[f64]>,
         relu: bool,
         out: &mut [f64],
     ) {
+        ops.assert_covers(rows, depth, n);
+        assert!(
+            rows.checked_mul(n).is_some_and(|len| len <= out.len()),
+            "output too short"
+        );
+        assert!(bias.is_none_or(|b| b.len() >= n), "bias too short");
         match width.min(SimdWidth::detected()) {
-            // SAFETY: the width is capped at the one detected at runtime.
+            // SAFETY: the width is capped at the one detected at runtime,
+            // and the operands, `out` and `bias` cover every tile the walk
+            // visits (asserted above).
             #[cfg(target_arch = "x86_64")]
-            SimdWidth::Avx512 => unsafe {
-                Self::packed_gemm_avx512(m, k, n, a, packed, bias, relu, out)
-            },
+            SimdWidth::Avx512 => unsafe { Self::walk_avx512(rows, depth, n, ops, bias, relu, out) },
             // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
-            SimdWidth::Avx2 => unsafe {
-                Self::packed_gemm_avx2(m, k, n, a, packed, bias, relu, out)
-            },
-            _ => Self::packed_gemm_scalar(m, k, n, a, packed, bias, relu, out),
+            SimdWidth::Avx2 => unsafe { Self::walk_avx2(rows, depth, n, ops, bias, relu, out) },
+            _ => Self::walk_scalar(rows, depth, n, ops, bias, relu, out),
         }
     }
 
+    /// Panels per L2 block of a `depth`-step walk: the run of panels kept
+    /// hot while every row of `L` streams over them.
+    fn panel_block(depth: usize) -> usize {
+        (SIMD_PANEL_BLOCK_BYTES / (depth * SPW * 8).max(1)).max(1)
+    }
+
     /// Scalar mirror of the vector paths: same panel walk, same per-element
-    /// ascending-`k` chains, lane loops written out by hand.
-    #[allow(clippy::too_many_arguments)]
-    fn packed_gemm_scalar(
-        m: usize,
-        k: usize,
+    /// ascending-`p` chains, lane loops written out by hand.
+    fn walk_scalar(
+        rows: usize,
+        depth: usize,
         n: usize,
-        a: &[f64],
-        packed: &[f64],
+        ops: Operands<'_>,
         bias: Option<&[f64]>,
         relu: bool,
         out: &mut [f64],
     ) {
         let panels = n.div_ceil(SPW);
-        let panel_len = k * SPW;
-        let block = (SIMD_PANEL_BLOCK_BYTES / (panel_len * 8).max(1)).max(1);
+        let block = Self::panel_block(depth);
         for qb in (0..panels).step_by(block) {
             let qe = (qb + block).min(panels);
-            for i in 0..m {
-                let a_row = &a[i * k..(i + 1) * k];
+            for r in 0..rows {
                 for q in qb..qe {
-                    let j0 = q * SPW;
-                    let w = SPW.min(n - j0);
-                    let panel = &packed[q * panel_len..(q + 1) * panel_len];
-                    Self::panel_row_scalar(
-                        w,
-                        a_row,
-                        panel,
-                        bias.map(|b| &b[j0..j0 + w]),
-                        relu,
-                        &mut out[i * n + j0..i * n + j0 + w],
-                    );
+                    Self::panel_row_scalar(depth, n, &ops, r, q, bias, relu, out);
                 }
             }
         }
     }
 
-    /// One output row × one panel, scalar: the shared tail/fallback body.
-    /// `w` live lanes, each accumulated across the whole reduction in
-    /// ascending `k` order and stored once; `bias` (already sliced to this
-    /// panel's columns) is appended just before the store, and `relu`
-    /// clamps each lane with the [`relu_rows`] comparison right after.
+    /// Row `r` of `L` × panel `q` of `R`, scalar: the shared tail/fallback
+    /// body. Each live lane (eight, or `n`'s remainder in a tail panel)
+    /// accumulates across the whole reduction in ascending `p` order and
+    /// is stored once; `bias` is appended just before the store, and
+    /// `relu` clamps each lane with the [`relu_rows`] comparison right
+    /// after.
+    #[allow(clippy::too_many_arguments)]
     #[inline(always)]
     fn panel_row_scalar(
-        w: usize,
-        a_row: &[f64],
-        panel: &[f64],
+        depth: usize,
+        n: usize,
+        ops: &Operands<'_>,
+        r: usize,
+        q: usize,
         bias: Option<&[f64]>,
         relu: bool,
-        out_seg: &mut [f64],
+        out: &mut [f64],
     ) {
+        let j0 = q * SPW;
+        let w = SPW.min(n - j0);
+        let out_seg = &mut out[r * n + j0..r * n + j0 + w];
         let mut acc = [0.0; SPW];
         acc[..w].copy_from_slice(out_seg);
-        for (p, &x) in a_row.iter().enumerate() {
-            let g = &panel[p * SPW..p * SPW + SPW];
-            for l in 0..w {
-                acc[l] += x * g[l];
+        let (a, b) = (&ops.a[r * ops.arow..], &ops.b[q * ops.qstride..]);
+        if ops.astep == 1 && ops.ldb == SPW {
+            // A packed product: contiguous steps the compiler can walk
+            // without per-step bounds checks, about twice as fast.
+            for (&x, g) in a[..depth].iter().zip(b.chunks_exact(SPW)) {
+                for l in 0..w {
+                    acc[l] += x * g[l];
+                }
+            }
+        } else {
+            for p in 0..depth {
+                let x = a[p * ops.astep];
+                let g = &b[p * ops.ldb..][..w];
+                for l in 0..w {
+                    acc[l] += x * g[l];
+                }
             }
         }
         if let Some(b) = bias {
-            for l in 0..w {
-                acc[l] += b[l];
+            for (o, &bv) in acc[..w].iter_mut().zip(&b[j0..]) {
+                *o += bv;
             }
         }
         if relu {
-            for l in 0..w {
-                if acc[l] < 0.0 {
-                    acc[l] = 0.0;
+            for o in &mut acc[..w] {
+                if *o < 0.0 {
+                    *o = 0.0;
                 }
             }
         }
@@ -1361,107 +1347,75 @@ impl SimdKernel {
     /// The caller must ensure the CPU supports AVX2.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn packed_gemm_avx2(
-        m: usize,
-        k: usize,
+    unsafe fn walk_avx2(
+        rows: usize,
+        depth: usize,
         n: usize,
-        a: &[f64],
-        packed: &[f64],
+        ops: Operands<'_>,
         bias: Option<&[f64]>,
         relu: bool,
         out: &mut [f64],
     ) {
         let panels = n.div_ceil(SPW);
-        let panel_len = k * SPW;
-        let block = (SIMD_PANEL_BLOCK_BYTES / (panel_len * 8).max(1)).max(1);
+        let full = n / SPW;
+        let block = Self::panel_block(depth);
         for qb in (0..panels).step_by(block) {
             let qe = (qb + block).min(panels);
             let mut i = 0;
-            while i + 4 <= m {
+            while i + 4 <= rows {
                 for q in qb..qe {
-                    let j0 = q * SPW;
-                    let panel = &packed[q * panel_len..(q + 1) * panel_len];
-                    if n - j0 >= SPW {
-                        Self::mk4x8_avx2(
-                            k,
-                            a.as_ptr().add(i * k),
-                            k,
-                            panel.as_ptr(),
-                            bias_ptr(bias, j0),
-                            relu,
-                            out.as_mut_ptr().add(i * n + j0),
-                            n,
-                        );
+                    if q < full {
+                        Self::mk4x8_avx2(depth, n, &ops, i, q, bias, relu, out);
                     } else {
                         for r in i..i + 4 {
-                            let w = n - j0;
-                            Self::panel_row_scalar(
-                                w,
-                                &a[r * k..(r + 1) * k],
-                                panel,
-                                bias.map(|b| &b[j0..j0 + w]),
-                                relu,
-                                &mut out[r * n + j0..r * n + j0 + w],
-                            );
+                            Self::panel_row_scalar(depth, n, &ops, r, q, bias, relu, out);
                         }
                     }
                 }
                 i += 4;
             }
-            while i < m {
+            for r in i..rows {
                 for q in qb..qe {
-                    let j0 = q * SPW;
-                    let panel = &packed[q * panel_len..(q + 1) * panel_len];
-                    if n - j0 >= SPW {
-                        Self::mk1x8_avx2(
-                            k,
-                            a.as_ptr().add(i * k),
-                            panel.as_ptr(),
-                            bias_ptr(bias, j0),
-                            relu,
-                            out.as_mut_ptr().add(i * n + j0),
-                        );
+                    if q < full {
+                        Self::mk1x8_avx2(depth, n, &ops, r, q, bias, relu, out);
                     } else {
-                        let w = n - j0;
-                        Self::panel_row_scalar(
-                            w,
-                            &a[i * k..(i + 1) * k],
-                            panel,
-                            bias.map(|b| &b[j0..j0 + w]),
-                            relu,
-                            &mut out[i * n + j0..i * n + j0 + w],
-                        );
+                        Self::panel_row_scalar(depth, n, &ops, r, q, bias, relu, out);
                     }
                 }
-                i += 1;
             }
         }
     }
 
-    /// 4-row × 8-column AVX2 micro-kernel over one full panel: eight
-    /// independent accumulator vectors (one per row × half-panel), each
-    /// lane one output element, loads/stores exactly once.
+    /// 4-row × 8-column AVX2 micro-kernel: rows `i..i + 4` of `L` over the
+    /// full panel `q`, eight independent accumulator vectors (one per row
+    /// × half-panel), each lane one output element, loads/stores exactly
+    /// once.
     ///
     /// # Safety
-    /// Requires AVX2; `a` must have 4 rows of stride `lda` and length `k`,
-    /// `panel` `k×SPW` packed values, `out` 4 rows of stride `ldo` with 8
-    /// valid columns, and `bias` either null or pointing at 8 valid bias
-    /// values for this panel's columns.
+    /// Requires AVX2; `ops` must describe `depth` reduction steps, rows
+    /// `i..i + 4` must be rows of `L`, panel `q` must be full
+    /// (`SPW·(q + 1) ≤ n`), `out` must hold `L`'s rows × `n` columns, and
+    /// `bias`, when set, `n` values.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     #[allow(clippy::too_many_arguments)]
     unsafe fn mk4x8_avx2(
-        k: usize,
-        a: *const f64,
-        lda: usize,
-        panel: *const f64,
-        bias: *const f64,
+        depth: usize,
+        n: usize,
+        ops: &Operands<'_>,
+        i: usize,
+        q: usize,
+        bias: Option<&[f64]>,
         relu: bool,
-        out: *mut f64,
-        ldo: usize,
+        out: &mut [f64],
     ) {
         use std::arch::x86_64::*;
+        let (astep, arow, ldb) = (ops.astep, ops.arow, ops.ldb);
+        let a = ops.a.as_ptr().add(i * arow);
+        let panel = ops.b.as_ptr().add(q * ops.qstride);
+        let bias = bias_ptr(bias, q * SPW);
+        let ldo = n;
+        let out = out.as_mut_ptr().add(i * ldo + q * SPW);
         let mut acc00 = _mm256_loadu_pd(out);
         let mut acc01 = _mm256_loadu_pd(out.add(4));
         let mut acc10 = _mm256_loadu_pd(out.add(ldo));
@@ -1470,19 +1424,20 @@ impl SimdKernel {
         let mut acc21 = _mm256_loadu_pd(out.add(2 * ldo + 4));
         let mut acc30 = _mm256_loadu_pd(out.add(3 * ldo));
         let mut acc31 = _mm256_loadu_pd(out.add(3 * ldo + 4));
-        for p in 0..k {
-            let b0 = _mm256_loadu_pd(panel.add(p * SPW));
-            let b1 = _mm256_loadu_pd(panel.add(p * SPW + 4));
-            let a0 = _mm256_set1_pd(*a.add(p));
+        for p in 0..depth {
+            let b0 = _mm256_loadu_pd(panel.add(p * ldb));
+            let b1 = _mm256_loadu_pd(panel.add(p * ldb + 4));
+            let ap = a.add(p * astep);
+            let a0 = _mm256_set1_pd(*ap);
             acc00 = _mm256_add_pd(acc00, _mm256_mul_pd(a0, b0));
             acc01 = _mm256_add_pd(acc01, _mm256_mul_pd(a0, b1));
-            let a1 = _mm256_set1_pd(*a.add(lda + p));
+            let a1 = _mm256_set1_pd(*ap.add(arow));
             acc10 = _mm256_add_pd(acc10, _mm256_mul_pd(a1, b0));
             acc11 = _mm256_add_pd(acc11, _mm256_mul_pd(a1, b1));
-            let a2 = _mm256_set1_pd(*a.add(2 * lda + p));
+            let a2 = _mm256_set1_pd(*ap.add(2 * arow));
             acc20 = _mm256_add_pd(acc20, _mm256_mul_pd(a2, b0));
             acc21 = _mm256_add_pd(acc21, _mm256_mul_pd(a2, b1));
-            let a3 = _mm256_set1_pd(*a.add(3 * lda + p));
+            let a3 = _mm256_set1_pd(*ap.add(3 * arow));
             acc30 = _mm256_add_pd(acc30, _mm256_mul_pd(a3, b0));
             acc31 = _mm256_add_pd(acc31, _mm256_mul_pd(a3, b1));
         }
@@ -1524,28 +1479,36 @@ impl SimdKernel {
         _mm256_storeu_pd(out.add(3 * ldo + 4), acc31);
     }
 
-    /// Single-row AVX2 micro-kernel over one full panel.
+    /// Single-row AVX2 micro-kernel: row `i` of `L` over the full panel
+    /// `q`.
     ///
     /// # Safety
-    /// Requires AVX2; `a` length `k`, `panel` `k×SPW`, `out` 8 valid
-    /// columns, `bias` null or 8 valid values for this panel's columns.
+    /// As [`Self::mk4x8_avx2`], for the one row `i`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
     unsafe fn mk1x8_avx2(
-        k: usize,
-        a: *const f64,
-        panel: *const f64,
-        bias: *const f64,
+        depth: usize,
+        n: usize,
+        ops: &Operands<'_>,
+        i: usize,
+        q: usize,
+        bias: Option<&[f64]>,
         relu: bool,
-        out: *mut f64,
+        out: &mut [f64],
     ) {
         use std::arch::x86_64::*;
+        let (astep, ldb) = (ops.astep, ops.ldb);
+        let a = ops.a.as_ptr().add(i * ops.arow);
+        let panel = ops.b.as_ptr().add(q * ops.qstride);
+        let bias = bias_ptr(bias, q * SPW);
+        let out = out.as_mut_ptr().add(i * n + q * SPW);
         let mut acc0 = _mm256_loadu_pd(out);
         let mut acc1 = _mm256_loadu_pd(out.add(4));
-        for p in 0..k {
-            let av = _mm256_set1_pd(*a.add(p));
-            let b0 = _mm256_loadu_pd(panel.add(p * SPW));
-            let b1 = _mm256_loadu_pd(panel.add(p * SPW + 4));
+        for p in 0..depth {
+            let av = _mm256_set1_pd(*a.add(p * astep));
+            let b0 = _mm256_loadu_pd(panel.add(p * ldb));
+            let b1 = _mm256_loadu_pd(panel.add(p * ldb + 4));
             acc0 = _mm256_add_pd(acc0, _mm256_mul_pd(av, b0));
             acc1 = _mm256_add_pd(acc1, _mm256_mul_pd(av, b1));
         }
@@ -1570,165 +1533,102 @@ impl SimdKernel {
     /// The caller must ensure the CPU supports AVX-512F.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn packed_gemm_avx512(
-        m: usize,
-        k: usize,
+    unsafe fn walk_avx512(
+        rows: usize,
+        depth: usize,
         n: usize,
-        a: &[f64],
-        packed: &[f64],
+        ops: Operands<'_>,
         bias: Option<&[f64]>,
         relu: bool,
         out: &mut [f64],
     ) {
         let panels = n.div_ceil(SPW);
-        let panel_len = k * SPW;
+        let full = n / SPW;
         // Round the L2 block down to a multiple of three panels so a full
         // block decomposes into the main (8×24) tiles only; narrower
-        // tiles amortize the `A` broadcasts over less arithmetic and are
+        // tiles amortize the `L` broadcasts over less arithmetic and are
         // kept for the edges.
-        let block = {
-            let fit = (SIMD_PANEL_BLOCK_BYTES / (panel_len * 8).max(1)).max(3);
-            (fit / 3) * 3
-        };
+        let block = (Self::panel_block(depth).max(3) / 3) * 3;
         for qb in (0..panels).step_by(block) {
             let qe = (qb + block).min(panels);
+            // The block's full panels end at `fe`; a tail panel, if any,
+            // is the last panel of the last block.
+            let fe = qe.min(full);
             let mut i = 0;
-            while i + 8 <= m {
+            while i + 8 <= rows {
                 // Panel triples first (8 rows × 3 panels = 24 zmm
-                // accumulators, each broadcast of `A` feeding three
-                // vectors), then a pair and singles for the edges.
+                // accumulators, each broadcast of `L` feeding three
+                // vectors), then a pair, a single and the tail.
                 let mut q = qb;
-                while q + 3 <= qe && (q + 3) * SPW <= n {
-                    Self::mk_avx512::<8, 3>(
-                        k,
-                        a.as_ptr().add(i * k),
-                        1,
-                        k,
-                        packed.as_ptr().add(q * panel_len),
-                        panel_len,
-                        bias_ptr(bias, q * SPW),
-                        relu,
-                        out.as_mut_ptr().add(i * n + q * SPW),
-                        n,
-                    );
+                while q + 3 <= fe {
+                    Self::mk_avx512::<8, 3>(depth, n, &ops, i, q, bias, relu, out);
                     q += 3;
                 }
-                if q + 2 <= qe && (q + 2) * SPW <= n {
-                    Self::mk_avx512::<8, 2>(
-                        k,
-                        a.as_ptr().add(i * k),
-                        1,
-                        k,
-                        packed.as_ptr().add(q * panel_len),
-                        panel_len,
-                        bias_ptr(bias, q * SPW),
-                        relu,
-                        out.as_mut_ptr().add(i * n + q * SPW),
-                        n,
-                    );
+                if q + 2 <= fe {
+                    Self::mk_avx512::<8, 2>(depth, n, &ops, i, q, bias, relu, out);
                     q += 2;
                 }
-                while q < qe {
-                    let j0 = q * SPW;
-                    let panel = &packed[q * panel_len..(q + 1) * panel_len];
-                    if n - j0 >= SPW {
-                        Self::mk_avx512::<8, 1>(
-                            k,
-                            a.as_ptr().add(i * k),
-                            1,
-                            k,
-                            panel.as_ptr(),
-                            panel_len,
-                            bias_ptr(bias, j0),
-                            relu,
-                            out.as_mut_ptr().add(i * n + j0),
-                            n,
-                        );
-                    } else {
-                        for r in i..i + 8 {
-                            let w = n - j0;
-                            Self::panel_row_scalar(
-                                w,
-                                &a[r * k..(r + 1) * k],
-                                panel,
-                                bias.map(|b| &b[j0..j0 + w]),
-                                relu,
-                                &mut out[r * n + j0..r * n + j0 + w],
-                            );
-                        }
-                    }
+                if q < fe {
+                    Self::mk_avx512::<8, 1>(depth, n, &ops, i, q, bias, relu, out);
                     q += 1;
+                }
+                if q < qe {
+                    for r in i..i + 8 {
+                        Self::panel_row_scalar(depth, n, &ops, r, q, bias, relu, out);
+                    }
                 }
                 i += 8;
             }
-            while i < m {
+            for r in i..rows {
                 for q in qb..qe {
-                    let j0 = q * SPW;
-                    let panel = &packed[q * panel_len..(q + 1) * panel_len];
-                    if n - j0 >= SPW {
-                        Self::mk_avx512::<1, 1>(
-                            k,
-                            a.as_ptr().add(i * k),
-                            1,
-                            k,
-                            panel.as_ptr(),
-                            panel_len,
-                            bias_ptr(bias, j0),
-                            relu,
-                            out.as_mut_ptr().add(i * n + j0),
-                            n,
-                        );
+                    if q < full {
+                        Self::mk_avx512::<1, 1>(depth, n, &ops, r, q, bias, relu, out);
                     } else {
-                        let w = n - j0;
-                        Self::panel_row_scalar(
-                            w,
-                            &a[i * k..(i + 1) * k],
-                            panel,
-                            bias.map(|b| &b[j0..j0 + w]),
-                            relu,
-                            &mut out[i * n + j0..i * n + j0 + w],
-                        );
+                        Self::panel_row_scalar(depth, n, &ops, r, q, bias, relu, out);
                     }
                 }
-                i += 1;
             }
         }
     }
 
-    /// The const-generic AVX-512 micro-kernel: `R` rows × `P` adjacent
-    /// full panels (`R·P` zmm accumulators, one per 8-wide output group).
-    /// Each broadcast of `A` feeds `P` vectors, so load-port µops per
-    /// output update shrink as the tile widens; the main tile is 8×3
-    /// (24 accumulators + 3 panel registers + 1 broadcast). Every
-    /// accumulator is one output group's ascending-
-    /// `k` chain, loaded and stored exactly once, so any `(R, P)` choice
+    /// The const-generic AVX-512 micro-kernel: rows `i..i + R` of `L` ×
+    /// the `P` full panels from `q` (`R·P` zmm accumulators, one per
+    /// 8-wide output group). Each broadcast of `L` feeds `P` vectors, so
+    /// load-port µops per output update shrink as the tile widens; the
+    /// main tile is 8×3 (24 accumulators + 3 panel registers + 1
+    /// broadcast). Every accumulator is one output group's ascending-`p`
+    /// chain, loaded and stored exactly once, so any `(R, P)` choice
     /// produces identical bits.
     ///
     /// # Safety
-    /// Requires AVX-512F; `a` holds `R` rows of length `k` addressed as
-    /// `a[p·astep + r·arow]` (`astep = 1, arow = lda` for plain row-major,
-    /// `astep = R, arow = 1` for the k-major packed octet), `panels` `P`
-    /// consecutive `k×SPW` packed panels (`panel_len` apart), `out` `R`
-    /// rows of stride `ldo` with `8·P` valid columns, and `bias` null or
-    /// `8·P` valid bias values starting at the first panel's first column.
+    /// Requires AVX-512F; `ops` must describe `depth` reduction steps, rows
+    /// `i..i + R` must be rows of `L`, panels `q..q + P` must be full
+    /// (`SPW·(q + P) ≤ n`), `out` must hold `L`'s rows × `n` columns, and
+    /// `bias`, when set, `n` values. `L[r][p]` is read at
+    /// `a[r·arow + p·astep]` (`arow = k, astep = 1` for row-major `A`;
+    /// `arow = 1, astep = k` for the columns of `gemm_tn`'s `A`) and panel
+    /// `q + c`'s step `p` at `b[(q + c)·qstride + p·ldb]`.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
     #[allow(clippy::needless_range_loop)]
     unsafe fn mk_avx512<const R: usize, const P: usize>(
-        k: usize,
-        a: *const f64,
-        astep: usize,
-        arow: usize,
-        panels: *const f64,
-        panel_len: usize,
-        bias: *const f64,
+        depth: usize,
+        n: usize,
+        ops: &Operands<'_>,
+        i: usize,
+        q: usize,
+        bias: Option<&[f64]>,
         relu: bool,
-        out: *mut f64,
-        ldo: usize,
+        out: &mut [f64],
     ) {
         use std::arch::x86_64::*;
+        let (astep, arow, ldb, qstride) = (ops.astep, ops.arow, ops.ldb, ops.qstride);
+        let a = ops.a.as_ptr().add(i * arow);
+        let panels = ops.b.as_ptr().add(q * qstride);
+        let bias = bias_ptr(bias, q * SPW);
+        let ldo = n;
+        let out = out.as_mut_ptr().add(i * ldo + q * SPW);
         let mut acc = [[_mm512_setzero_pd(); P]; R];
         for r in 0..R {
             for c in 0..P {
@@ -1736,14 +1636,14 @@ impl SimdKernel {
             }
         }
         // Two reduction steps per iteration (halved loop overhead); per
-        // output element the adds still land in ascending `k` order, so
+        // output element the adds still land in ascending `p` order, so
         // the unroll is invisible to the bit-identity contract.
         let mut p = 0;
-        while p + 2 <= k {
+        while p + 2 <= depth {
             for step in [p, p + 1] {
                 let mut b = [_mm512_setzero_pd(); P];
                 for c in 0..P {
-                    b[c] = _mm512_loadu_pd(panels.add(c * panel_len + step * SPW));
+                    b[c] = _mm512_loadu_pd(panels.add(c * qstride + step * ldb));
                 }
                 for r in 0..R {
                     let av = _mm512_set1_pd(*a.add(step * astep + r * arow));
@@ -1754,10 +1654,10 @@ impl SimdKernel {
             }
             p += 2;
         }
-        if p < k {
+        if p < depth {
             let mut b = [_mm512_setzero_pd(); P];
             for c in 0..P {
-                b[c] = _mm512_loadu_pd(panels.add(c * panel_len + p * SPW));
+                b[c] = _mm512_loadu_pd(panels.add(c * qstride + p * ldb));
             }
             for r in 0..R {
                 let av = _mm512_set1_pd(*a.add(p * astep + r * arow));
@@ -1798,8 +1698,11 @@ impl SimdKernel {
         }
     }
 
-    /// `gemm_tn` on the `width` path: the shared sample-block walk over
-    /// [`SPW`]-wide panels.
+    /// `out += aᵀ·b` (`a: m×k`, `b: m×n`, `out: k×n`) on the `width`
+    /// path: the walk over the columns of `a` and the rows of `b` where
+    /// they lie. Each output element is one chain over the samples in
+    /// ascending order, started from `out` and stored once, so nothing is
+    /// transposed, packed or allocated and the bits are [`NaiveKernel`]'s.
     fn gemm_tn_at(
         width: SimdWidth,
         m: usize,
@@ -1809,9 +1712,13 @@ impl SimdKernel {
         b: &[f64],
         out: &mut [f64],
     ) {
-        gemm_tn_blocks::<SPW>(m, k, n, a, b, out, |rows, depth, at, packed, out| {
-            Self::packed_gemm(width, rows, depth, n, at, packed, None, false, out)
-        });
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), m * n);
+        debug_assert_eq!(out.len(), k * n);
+        if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        Self::walk(width, k, m, n, Operands::tn(k, n, a, b), None, false, out);
     }
 }
 
@@ -1835,7 +1742,8 @@ impl GemmBackend for SimdKernel {
         }
         let mut packed = Vec::new();
         pack_panels_into::<SPW>(k, n, b, &mut packed);
-        Self::packed_gemm(SimdWidth::detected(), m, k, n, a, &packed, None, false, out);
+        let ops = Operands::packed(k, a, &packed);
+        Self::walk(SimdWidth::detected(), m, k, n, ops, None, false, out);
     }
 
     fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
@@ -1847,11 +1755,14 @@ impl GemmBackend for SimdKernel {
         }
         let mut packed = Vec::new();
         pack_panels_t_into::<SPW>(k, n, bt, &mut packed);
-        Self::packed_gemm(SimdWidth::detected(), m, k, n, a, &packed, None, false, out);
+        let ops = Operands::packed(k, a, &packed);
+        Self::walk(SimdWidth::detected(), m, k, n, ops, None, false, out);
     }
 
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        Self::gemm_tn_at(SimdWidth::detected(), m, k, n, a, b, out);
+        // [`kernel`]'s: below 8 columns a panel is mostly padding, and
+        // the narrow walk reads the same operands in place.
+        AutoKernel.gemm_tn(m, k, n, a, b, out);
     }
 
     fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
@@ -1895,17 +1806,24 @@ const NR: usize = 4;
 /// through it.
 const NK: usize = 64;
 
+/// The narrow `gemm_tn`'s stack accumulators, one [`NK`]-row column per
+/// output column, aligned to a cache line so the vector loads and stores
+/// of each column never straddle two lines, wherever the stack sits.
+#[repr(align(64))]
+struct TnLanes<const N: usize>([[f64; NK]; N]);
+
 /// A narrow-core body monomorphized for one output width:
 /// `(m, k, a, b, out)`.
 type NarrowBody = fn(usize, usize, &[f64], &[f64], &mut [f64]);
 
-/// The core [`kernel`] runs for products with fewer than [`PW`] output
-/// columns, such as census's two-class softmax layer: direct loops over
-/// the unpacked operands, with no panel pack, transpose or heap buffer. On
-/// such a product a 4-wide panel is mostly padding, and the panel core's
-/// tail path runs one serial chain at a time. Each output element is still
-/// one chain over the ascending reduction index, started from `out`'s
-/// value and stored once, so the bits are [`NaiveKernel`]'s.
+/// The core [`kernel`] runs `gemm` and `gemm_nt` on for products with
+/// fewer than [`PW`] output columns, such as census's two-class softmax
+/// layer, and `gemm_tn` on for fewer than [`SPW`]: direct loops over the
+/// unpacked operands, with no panel pack, transpose or heap buffer. On
+/// such a product a panel is mostly padding, and the panel cores' tail
+/// paths run one serial chain at a time. Each output element is still one
+/// chain over the ascending reduction index, started from `out`'s value
+/// and stored once, so the bits are [`NaiveKernel`]'s.
 struct NarrowCore;
 
 impl NarrowCore {
@@ -1926,9 +1844,10 @@ impl NarrowCore {
         Self::run(m, k, n, a, bt, out, [body::<1>, body::<2>, body::<3>]);
     }
 
-    /// `out += aᵀ·b`. Runs the AVX-compiled copy of the same body where
-    /// the CPU has AVX: 256-bit lanes along `k`, per-element chains
-    /// untouched, about twice the speed on census's 32×12×2 gradient.
+    /// `out += aᵀ·b` for `n` up to 7. Runs the AVX-compiled copy of the
+    /// same body where the CPU has AVX: 256-bit lanes along `k`,
+    /// per-element chains untouched, about twice the speed on census's
+    /// 32×12×2 gradient.
     fn gemm_tn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         fn body<const N: usize>(m: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
             #[cfg(target_arch = "x86_64")]
@@ -1940,19 +1859,22 @@ impl NarrowCore {
             }
             NarrowCore::tn::<N>(m, k, a, b, out);
         }
-        Self::run(m, k, n, a, b, out, [body::<1>, body::<2>, body::<3>]);
+        let bodies: [NarrowBody; SPW - 1] = [
+            body::<1>, body::<2>, body::<3>, body::<4>, body::<5>, body::<6>, body::<7>,
+        ];
+        Self::run(m, k, n, a, b, out, bodies);
     }
 
     /// Runs `bodies[n - 1]`, the body for `n` columns, on a non-empty
     /// product; an empty one leaves `out` as it is.
-    fn run(
+    fn run<const B: usize>(
         m: usize,
         k: usize,
         n: usize,
         a: &[f64],
         b: &[f64],
         out: &mut [f64],
-        bodies: [NarrowBody; PW - 1],
+        bodies: [NarrowBody; B],
     ) {
         if m == 0 || k == 0 || n == 0 {
             return;
@@ -2031,7 +1953,8 @@ impl NarrowCore {
     #[inline(always)]
     fn tn<const N: usize>(m: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         debug_assert_eq!(a.len(), m * k);
-        let mut acc = [[0.0; NK]; N];
+        let mut lanes = TnLanes([[0.0; NK]; N]);
+        let acc = &mut lanes.0;
         for k0 in (0..k).step_by(NK) {
             let kw = NK.min(k - k0);
             let chunk = &mut out[k0 * N..(k0 + kw) * N];
@@ -2049,7 +1972,7 @@ impl NarrowCore {
                 }
             }
             for (p, o) in chunk.chunks_exact_mut(N).enumerate() {
-                for (v, col) in o.iter_mut().zip(&acc) {
+                for (v, col) in o.iter_mut().zip(acc.iter()) {
                     *v = col[p];
                 }
             }
@@ -2071,20 +1994,24 @@ enum Core {
 /// The production backend [`kernel`] returns: each product's output width
 /// picks its core.
 ///
-/// `gemm`, `gemm_nt` and `gemm_tn` run the narrow core when the output
-/// width `n` is below [`PW`] (4), the 8-wide [`SimdKernel`] core when `n`
-/// is at least [`SPW`] and the CPU has AVX2 or AVX-512, and the 4-wide
-/// [`BlockedKernel`] core otherwise. The pack methods follow the same rule:
-/// the `Raw` layout below four columns (so the prepacked entries run the
-/// narrow core through `gemm`), and the matching panel layout above. The
-/// prepacked entries dispatch on the handle's layout. `matvec`, `matvec_t`
-/// and `transpose` run the blocked schedules. Every core is bit-identical
-/// to [`NaiveKernel`], so the routing changes no output bit.
+/// `gemm` and `gemm_nt` run the narrow core when the output width `n` is
+/// below [`PW`] (4), the 8-wide [`SimdKernel`] core when `n` is at least
+/// [`SPW`] and the CPU has AVX2 or AVX-512, and the 4-wide
+/// [`BlockedKernel`] core otherwise. `gemm_tn` runs the narrow core's walk
+/// below [`SPW`] and the 8-wide core's direct walk from [`SPW`] up (its
+/// scalar mirror without AVX2): both read `A` and `B` where they lie, so
+/// no panel width has a pack to amortize. The pack methods follow the
+/// `gemm` rule: the `Raw` layout below four columns (so the prepacked
+/// entries run the narrow core through `gemm`), and the matching panel
+/// layout above. The prepacked entries dispatch on the handle's layout.
+/// `matvec`, `matvec_t` and `transpose` run the blocked schedules. Every
+/// core is bit-identical to [`NaiveKernel`], so the routing changes no
+/// output bit.
 #[derive(Debug, Default, Clone, Copy)]
 struct AutoKernel;
 
 impl AutoKernel {
-    /// The core a product with `n` output columns runs on.
+    /// The core a `gemm` or `gemm_nt` with `n` output columns runs on.
     fn core(n: usize) -> Core {
         if n < PW {
             Core::Narrow
@@ -2118,10 +2045,10 @@ impl GemmBackend for AutoKernel {
     }
 
     fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        match Self::core(n) {
-            Core::Narrow => NarrowCore::gemm_tn(m, k, n, a, b, out),
-            Core::Blocked => BlockedKernel.gemm_tn(m, k, n, a, b, out),
-            Core::Simd => SimdKernel.gemm_tn(m, k, n, a, b, out),
+        if n < SPW {
+            NarrowCore::gemm_tn(m, k, n, a, b, out);
+        } else {
+            SimdKernel::gemm_tn_at(SimdWidth::detected(), m, k, n, a, b, out);
         }
     }
 
@@ -2416,14 +2343,15 @@ mod tests {
                 let mut want = vec![0.0; m * n];
                 NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
                 pack_panels_into::<SPW>(k, n, &b, &mut panels);
-                SimdKernel::packed_gemm(width, m, k, n, &a, &panels, None, false, &mut got);
+                let ops = Operands::packed(k, &a, &panels);
+                SimdKernel::walk(width, m, k, n, ops, None, false, &mut got);
                 assert_bits_eq_at(&format!("{tag} plain"), &want, &got);
                 for relu in [false, true] {
                     let mut want_epi = want.clone();
                     epilogue_reference(n, &bias, relu, &mut want_epi);
                     got.fill(0.0);
                     let b = Some(bias.as_slice());
-                    SimdKernel::packed_gemm(width, m, k, n, &a, &panels, b, relu, &mut got);
+                    SimdKernel::walk(width, m, k, n, ops, b, relu, &mut got);
                     assert_bits_eq_at(&format!("{tag} bias relu={relu}"), &want_epi, &got);
                 }
 
@@ -2431,7 +2359,8 @@ mod tests {
                 NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut want);
                 pack_panels_t_into::<SPW>(k, n, &bt, &mut panels);
                 got.fill(0.0);
-                SimdKernel::packed_gemm(width, m, k, n, &a, &panels, None, false, &mut got);
+                let ops = Operands::packed(k, &a, &panels);
+                SimdKernel::walk(width, m, k, n, ops, None, false, &mut got);
                 assert_bits_eq_at(&format!("{tag} nt"), &want, &got);
 
                 let mut want_tn = vec![0.0; k * n];
@@ -2441,6 +2370,74 @@ mod tests {
                 assert_bits_eq_at(&format!("{tag} tn"), &want_tn, &got_tn);
             }
         }
+    }
+
+    #[test]
+    fn direct_gemm_tn_matches_naive_at_every_supported_width() {
+        // The direct walks' bit contract: `kernel().gemm_tn` (the narrow
+        // walk below 8 columns, the 8-wide one from 8 up) and the 8-wide
+        // walk capped at each vector width the host supports, against
+        // naive. The widths cross the narrow/8-wide edge, the panel
+        // triple/pair/single split and a tail panel (n); the output rows
+        // cross the 8-row tile (k); the samples cross the two-step unroll
+        // (m). Outputs start non-zero.
+        //
+        // Every fifth operand is a signed zero or a subnormal, and each
+        // operand holds one +∞, one −∞ and one NaN (each poisons one row or
+        // column of the output, so most elements stay finite). The NaN is
+        // the host's default NaN, the one ∞ − ∞ gives, so a chain that
+        // meets two NaNs has one possible payload whichever operand the
+        // hardware keeps.
+        let nan = std::hint::black_box(f64::INFINITY) - std::hint::black_box(f64::INFINITY);
+        let spiked = |len: usize, seed: u64| {
+            let mut v = fill(len, seed);
+            let tame = [-0.0, 0.0, 4e-320, -2.5e-310];
+            for (i, x) in v.iter_mut().enumerate().skip(seed as usize % 5).step_by(5) {
+                *x = tame[i % tame.len()];
+            }
+            if len > 0 {
+                for (j, wild) in [f64::INFINITY, f64::NEG_INFINITY, nan]
+                    .into_iter()
+                    .enumerate()
+                {
+                    v[(seed as usize * 31 + j * 97) % len] = wild;
+                }
+            }
+            v
+        };
+        for n in [4, 5, 7, 8, 9, 12, 16, 17, 24, 32, 33] {
+            for k in [0, 1, 7, 8, 9, 65] {
+                for m in [0, 1, 31, 32, 33, 300] {
+                    let seed = (n * 10_000 + k * 1_000 + m) as u64;
+                    let a = spiked(m * k, seed);
+                    let b = spiked(m * n, seed + 1);
+                    let start = spiked(k * n, seed + 2);
+                    let mut want = start.clone();
+                    NaiveKernel.gemm_tn(m, k, n, &a, &b, &mut want);
+                    let mut got = start.clone();
+                    kernel().gemm_tn(m, k, n, &a, &b, &mut got);
+                    assert_bits_eq_at(&format!("kernel() {m}x{k}x{n}"), &want, &got);
+                    for width in supported_widths() {
+                        got.copy_from_slice(&start);
+                        SimdKernel::gemm_tn_at(width, m, k, n, &a, &b, &mut got);
+                        assert_bits_eq_at(&format!("{width:?} {m}x{k}x{n}"), &want, &got);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "right operand too short")]
+    fn walk_rejects_an_operand_too_short_for_the_product() {
+        // The micro-kernels read through raw pointers, so the walk checks
+        // that its operands cover the product before any of them runs.
+        let (m, k, n) = (9, 8, 16);
+        let a = fill(m * k, 1);
+        let b = fill(m * n - 1, 2);
+        let mut out = vec![0.0; k * n];
+        let ops = Operands::tn(k, n, &a, &b);
+        SimdKernel::walk(SimdWidth::detected(), k, m, n, ops, None, false, &mut out);
     }
 
     #[test]
@@ -2529,9 +2526,6 @@ mod tests {
                     let mut got_tn = start_tn.clone();
                     ker.gemm_tn(m, k, n, &a, &c, &mut got_tn);
                     assert_bits_eq_at(&format!("{tag} gemm_tn"), &want_tn, &got_tn);
-                    got_tn.copy_from_slice(&start_tn);
-                    ker.gemm_tn_prepacked(m, k, n, &ker.pack_a(m, k, &a), &c, &mut got_tn);
-                    assert_bits_eq_at(&format!("{tag} gemm_tn_prepacked"), &want_tn, &got_tn);
                 }
             }
         }
@@ -2563,7 +2557,6 @@ mod tests {
             let a = fill(m * k, 71 + m as u64);
             let b = fill(k * n, 72 + n as u64);
             let bt = fill(n * k, 73 + k as u64);
-            let c = fill(m * n, 74 + m as u64);
             for backend in backends {
                 let mut plain = vec![0.0; m * n];
                 backend.gemm(m, k, n, &a, &b, &mut plain);
@@ -2579,14 +2572,6 @@ mod tests {
                 let mut packed_nt = vec![0.0; m * n];
                 backend.gemm_nt_prepacked(m, k, n, &a, &pbt, &mut packed_nt);
                 assert_bits_eq(&plain_nt, &packed_nt);
-
-                let mut plain_tn = vec![0.0; k * n];
-                backend.gemm_tn(m, k, n, &a, &c, &mut plain_tn);
-                let pa = backend.pack_a(m, k, &a);
-                assert_eq!((pa.m(), pa.k()), (m, k));
-                let mut packed_tn = vec![0.0; k * n];
-                backend.gemm_tn_prepacked(m, k, n, &pa, &c, &mut packed_tn);
-                assert_bits_eq(&plain_tn, &packed_tn);
             }
         }
     }
@@ -2779,10 +2764,6 @@ mod tests {
         let pb2 = SimdKernel.pack_b(3, 0, &[]);
         let mut out2: Vec<f64> = Vec::new();
         SimdKernel.gemm_prepacked(2, 3, 0, &fill(6, 1), &pb2, &mut out2);
-        let pa = NaiveKernel.pack_a(0, 2, &[]);
-        let mut out3 = vec![0.0; 2 * 3];
-        NaiveKernel.gemm_tn_prepacked(0, 2, 3, &pa, &[], &mut out3);
-        assert!(out3.iter().all(|&x| x == 0.0));
     }
 
     #[test]

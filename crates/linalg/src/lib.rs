@@ -31,8 +31,7 @@ pub mod vector;
 
 pub use fault::{fault_grammar, FaultPlan};
 pub use kernel::{
-    kernel, kernel_kind, BlockedKernel, GemmBackend, KernelKind, NaiveKernel, PackedA, PackedB,
-    SimdKernel,
+    kernel, kernel_kind, BlockedKernel, GemmBackend, KernelKind, NaiveKernel, PackedB, SimdKernel,
 };
 pub use matrix::Matrix;
 pub use qr::{least_squares, QrFactorization};

@@ -2,12 +2,15 @@
 //! entry of `kernel()` on the workloads' narrow shapes (census's 12→2
 //! softmax at the trainers' batch of 32 and on a 300-row evaluation, and a
 //! three-class head) runs without a single heap allocation, and so does
-//! re-packing into a handle that already holds the operand's size.
+//! re-packing into a handle that already holds the operand's size. Nor
+//! does `kernel().gemm_tn` at any width: faces' three weight gradients,
+//! a 300-row one and a deep 512×784×64 product read `A` and `B` where
+//! they lie.
 //!
 //! A counting global allocator tallies the allocations made on the calling
 //! thread, so other test threads cannot disturb the count.
 
-use st_linalg::{kernel, PackedA, PackedB};
+use st_linalg::{kernel, PackedB};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -69,7 +72,6 @@ fn narrow_products_allocate_nothing_after_warm_up() {
         let mut out_tn = vec![0.0; k * n];
         let mut pb = PackedB::default();
         let mut pbt = PackedB::default();
-        let mut pa = PackedA::default();
         // One warm-up call (it sizes the handles), then the counted one.
         let check = |what: &str, f: &mut dyn FnMut()| {
             f();
@@ -86,7 +88,6 @@ fn narrow_products_allocate_nothing_after_warm_up() {
         check("pack_b_t_into", &mut || {
             ker.pack_b_t_into(k, n, &bt, &mut pbt)
         });
-        check("pack_a_into", &mut || ker.pack_a_into(m, k, &a, &mut pa));
         check("gemm_prepacked", &mut || {
             ker.gemm_prepacked(m, k, n, &a, &pb, &mut out)
         });
@@ -99,8 +100,31 @@ fn narrow_products_allocate_nothing_after_warm_up() {
         check("gemm_nt_prepacked", &mut || {
             ker.gemm_nt_prepacked(m, k, n, &a, &pbt, &mut out)
         });
-        check("gemm_tn_prepacked", &mut || {
-            ker.gemm_tn_prepacked(m, k, n, &pa, &c, &mut out_tn)
-        });
+    }
+}
+
+#[test]
+fn gemm_tn_allocates_nothing_after_warm_up_at_any_width() {
+    // Faces' weight gradients at the trainers' batch of 32 (16→32, 32→16,
+    // 16→4), a 300-row 4-column one, and a deep product that spans many
+    // 8-row tiles and a full L2 panel block.
+    let ker = kernel();
+    for (m, k, n) in [
+        (32, 16, 4),
+        (32, 32, 16),
+        (32, 16, 32),
+        (300, 16, 4),
+        (512, 784, 64),
+    ] {
+        let a = fill(m * k, 6);
+        let c = fill(m * n, 7);
+        let mut out = vec![0.0; k * n];
+        let mut gemm_tn = || ker.gemm_tn(m, k, n, &a, &c, &mut out);
+        gemm_tn();
+        let count = allocations(&mut gemm_tn);
+        assert_eq!(
+            count, 0,
+            "gemm_tn {m}x{k}x{n}: {count} allocations after warm-up"
+        );
     }
 }

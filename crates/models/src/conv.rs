@@ -157,7 +157,8 @@ struct ConvScratch {
     gb: Vec<f64>,
     /// Prepacked kernel bank (`cols · Wᵀ` operand, packed transposed).
     w_pack: PackedB,
-    /// Prepacked dense-head weights.
+    /// Prepacked dense-head weights: `W` for the forward `pooled·W`, then
+    /// `Wᵀ` for the backward `dZ·Wᵀ`.
     head_pack: PackedB,
 }
 
@@ -456,8 +457,10 @@ impl ConvNet {
         // Dense head gradients, via the transpose-free GEMM shapes.
         s.pooled.matmul_tn_into(&s.dz, &mut s.grad_head_w);
         s.dz.col_sums_into(&mut s.grad_head_b);
-        // Gradient wrt pooled features, before updating the head.
-        s.dz.matmul_nt_into(&self.head.w, &mut s.dpooled);
+        // Gradient wrt pooled features, before updating the head: against
+        // `Wᵀ` packed into the head's pack, whose forward use is over.
+        self.head.w.pack_as_rhs_t_into(&mut s.head_pack);
+        s.dz.matmul_nt_prepacked_into(&s.head_pack, &mut s.dpooled);
 
         // Route through the max pool and the ReLU into conv-space gradients.
         s.dconv.reset_to_zeros(m, self.conv.out_ch * ch * cw);

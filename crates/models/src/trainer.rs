@@ -428,11 +428,13 @@ fn train_core(
 /// Reusable buffers for the minibatch loop.
 ///
 /// Gathered batches, activations, dropout factors, gradients and the
-/// operand packs of every product live here and are resized in place, so
-/// once the loop has seen its largest minibatch it makes no heap
-/// allocation (`tests/alloc_free.rs` counts). Each buffer is filled by an
-/// `_into` or prepacked twin of an allocating call with the same
-/// operations, so the training bits are those of the allocating loop.
+/// weight pack of the forward and input-gradient products live here and
+/// are resized in place, so once the loop has seen its largest minibatch
+/// it makes no heap allocation (`tests/alloc_free.rs` counts; the weight
+/// gradients' `gemm_tn` reads its operands in place and allocates
+/// nothing). Each buffer is filled by an `_into` or prepacked twin of an
+/// allocating call with the same operations, so the training bits are
+/// those of the allocating loop.
 #[derive(Debug, Default)]
 struct TrainScratch {
     /// Gathered minibatch features.
@@ -462,11 +464,6 @@ struct TrainScratch {
     /// pack is a snapshot and every step updates every layer, so each use
     /// re-packs into this buffer (a copy, not an allocation).
     w_pack: PackedB,
-    /// `Aᵀ`, the transposed input of the layer in hand: the left operand
-    /// of its weight gradient ([`weight_grad_into`]).
-    at: Matrix,
-    /// `dZ` packed as the right operand of the weight gradient.
-    dz_pack: PackedB,
 }
 
 impl TrainScratch {
@@ -525,37 +522,6 @@ fn forward_train(net: &Mlp, dropout: f64, rng: &mut StdRng, scratch: &mut TrainS
     }
 }
 
-/// Output width below which [`st_linalg::kernel`] runs a product on its
-/// narrow core, which reads both operands in place and allocates nothing
-/// (`docs/kernels.md`). Census's two-class softmax gradient is one.
-const NARROW_COLS: usize = 4;
-
-/// The weight gradient `out = aᵀ·dz` with no heap allocation.
-///
-/// The pack-on-call `gemm_tn` allocates a transpose block and a panel
-/// buffer on every call once the output is [`NARROW_COLS`] wide, so a wide
-/// product transposes `a` into `at`, packs `dz` into `dz_pack` and runs
-/// `gemm(k, m, n, aᵀ, dz)` on the pack. That reduces every element over
-/// the samples in `gemm_tn`'s ascending order (the [`st_linalg::PackedA`]
-/// contract), so the bits are the same. A narrow product keeps `gemm_tn`,
-/// which allocates nothing there and would only gain a transpose.
-fn weight_grad_into(
-    a: &Matrix,
-    dz: &Matrix,
-    at: &mut Matrix,
-    dz_pack: &mut PackedB,
-    out: &mut Matrix,
-) {
-    if dz.cols() < NARROW_COLS {
-        a.matmul_tn_into(dz, out);
-        return;
-    }
-    at.reset_to_zeros(a.cols(), a.rows());
-    st_linalg::kernel().transpose(a.rows(), a.cols(), a.as_slice(), at.as_mut_slice());
-    dz.pack_as_rhs_into(dz_pack);
-    at.matmul_prepacked_into(dz_pack, out);
-}
-
 /// One optimizer step on the gathered minibatch (backprop + per-tensor
 /// update), entirely in scratch space.
 fn descent_step(
@@ -582,8 +548,8 @@ fn descent_step(
     }
 
     // Backward pass, output layer first: per layer the weight gradient
-    // `Aᵀ·dZ` and, past the input layer, the input gradient `dZ·Wᵀ` against
-    // the packed `Wᵀ`, both through the scratch's packs.
+    // `Aᵀ·dZ`, which the kernel reads in place, and, past the input layer,
+    // the input gradient `dZ·Wᵀ` against the scratch's packed `Wᵀ`.
     for li in (0..net.layers.len()).rev() {
         let a_in = if li == 0 {
             &scratch.bx
@@ -591,13 +557,7 @@ fn descent_step(
             &scratch.acts[li - 1]
         };
         // grad_w = a_inᵀ · dz ; grad_b = column sums of dz.
-        weight_grad_into(
-            a_in,
-            &scratch.dz,
-            &mut scratch.at,
-            &mut scratch.dz_pack,
-            &mut scratch.grad_w,
-        );
+        a_in.matmul_tn_into(&scratch.dz, &mut scratch.grad_w);
         scratch.dz.col_sums_into(&mut scratch.grad_b);
 
         // Propagate before mutating this layer's weights.
@@ -757,34 +717,6 @@ mod tests {
         );
         forward_train(&net, 0.0, &mut rng, &mut scratch);
         assert_logits_match(&net, &scratch);
-    }
-
-    #[test]
-    fn weight_grad_into_matches_gemm_tn_bitwise() {
-        // Narrow and wide outputs, minibatch and tail sizes, and a batch
-        // past `gemm_tn`'s 128-row sample block; the scratch carries over
-        // between shapes as it does between layers.
-        let mut rng = seeded_rng(41);
-        let (mut at, mut dz_pack, mut out) =
-            (Matrix::zeros(0, 0), PackedB::default(), Matrix::zeros(0, 0));
-        for (m, k, n) in [
-            (32, 12, 2),
-            (32, 16, 4),
-            (7, 32, 16),
-            (32, 16, 32),
-            (200, 9, 8),
-            (1, 5, 3),
-            (32, 3, 33),
-        ] {
-            let a = Matrix::from_fn(m, k, |_, _| st_data::normal(&mut rng));
-            let dz = Matrix::from_fn(m, n, |_, _| st_data::normal(&mut rng));
-            weight_grad_into(&a, &dz, &mut at, &mut dz_pack, &mut out);
-            let want = a.matmul_tn(&dz);
-            assert_eq!((out.rows(), out.cols()), (k, n));
-            for (w, g) in want.as_slice().iter().zip(out.as_slice()) {
-                assert_eq!(w.to_bits(), g.to_bits(), "{m}x{k}x{n}: {w} vs {g}");
-            }
-        }
     }
 
     #[test]

@@ -1,15 +1,16 @@
-//! The MLP training step allocates nothing: `train_on_rows` on the faces
-//! family's 16→32→16→4 network makes exactly as many heap allocations when
-//! it trains for two epochs as for one, with dropout off and on. Every
-//! buffer the minibatch loop needs (gathered batch, activations, dropout
-//! factors, gradients, operand packs) reaches its size in the first epoch
-//! and is reused from then on.
+//! The MLP and conv training steps allocate nothing: `train_on_rows` on
+//! the faces family's 16→32→16→4 network (dropout off and on) and
+//! `ConvNet::train` on 8×8 images make exactly as many heap allocations
+//! when they train for two epochs as for one. Every buffer the minibatch
+//! loop needs (gathered batch, activations, dropout factors, gradients,
+//! operand packs) reaches its size in the first epoch and is reused from
+//! then on.
 //!
 //! A counting global allocator tallies the allocations made on the calling
 //! thread, so other test threads cannot disturb the count.
 
 use st_linalg::{Matrix, SplitMix64};
-use st_models::{train_on_rows, ModelSpec, TrainConfig};
+use st_models::{train_on_rows, ConvNet, ConvTrainConfig, ImageShape, ModelSpec, TrainConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -86,4 +87,31 @@ fn mlp_training_allocates_nothing_after_the_first_epoch() {
             base.dropout
         );
     }
+}
+
+#[test]
+fn conv_training_allocates_nothing_after_the_first_epoch() {
+    const CLASSES: usize = 4;
+    let shape = ImageShape {
+        channels: 1,
+        height: 8,
+        width: 8,
+    };
+    let mut rng = SplitMix64::new(11);
+    // 300 rows leave a short last minibatch (the default batch is 32).
+    let n = 300;
+    let x = Matrix::from_fn(n, shape.flat_len(), |_, _| rng.next_f64() * 2.0 - 1.0);
+    let y: Vec<usize> = (0..n).map(|i| (i * 5) % CLASSES).collect();
+    let count = |epochs: usize| {
+        let cfg = ConvTrainConfig {
+            epochs,
+            seed: 3,
+            ..ConvTrainConfig::default()
+        };
+        allocations(|| {
+            std::hint::black_box(ConvNet::train(&x, &y, shape, CLASSES, &cfg));
+        })
+    };
+    let (one, two) = (count(1), count(2));
+    assert_eq!(one, two, "{one} allocations at 1 epoch, {two} at 2");
 }
