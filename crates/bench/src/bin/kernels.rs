@@ -1,6 +1,7 @@
 //! Microbenchmark of the compute-kernel layer: the naive reference, both
 //! packed cores and the production `kernel()` on a tour of shapes, with a
-//! bit-identity cross-check against naive on every timed shape.
+//! bit-identity cross-check against naive on every timed shape, and of the
+//! training step's softmax cross-entropy gradient (gate 5).
 //!
 //! ```text
 //! cargo run --release -p st_bench --bin kernels
@@ -28,8 +29,8 @@
 //!
 //! * `blocked` ≥ 2× `naive` on 256×256 matmul;
 //! * `simd` ≥ 1.5× `blocked` on 256×256 matmul on hosts whose AVX-512
-//!   path is live, measured as the best of several interleaved rounds;
-//!   on AVX2-only hosts the bar is parity, because `blocked`'s
+//!   path is live (gates 1 and 2 each take the best of single reps timed
+//!   in turn, gate 4's schedule); on AVX2-only hosts the bar is parity, because `blocked`'s
 //!   auto-vectorized core already saturates the 256-bit mul/add ports
 //!   (see docs/kernels.md), and the AVX2 `simd` path is gated on ≥ 1×;
 //! * `kernel()` no more than 10% slower than `naive` on every workload
@@ -42,10 +43,18 @@
 //!   place — `kernel().transpose` of `A` into a reused buffer,
 //!   `pack_b_into` of `dZ` into a reused handle, then `gemm_prepacked` —
 //!   on faces' three weight gradients (32×16×32, 32×32×16, 32×16×4), best
-//!   of interleaved rounds, after a bit cross-check of the two routes.
+//!   of interleaved rounds, after a bit cross-check of the two routes;
+//! * `softmax_xent_grad`, the trainers' staged softmax cross-entropy
+//!   gradient at the host's vector width, no slower than the per-row loop
+//!   it replaced (a softmax call per row, the one-hot subtraction, a
+//!   division by the batch) on census's 32×2 batch, faces' 32×4 and a
+//!   ragged 24×2 last batch: bits first, then the best of single reps
+//!   timed in turn.
 
 use st_bench::{assert_bits_identical, bench_fill as fill, best_secs, rule};
-use st_linalg::{kernel, BlockedKernel, GemmBackend, NaiveKernel, PackedB, SimdKernel};
+use st_linalg::{
+    kernel, softmax_xent_grad, BlockedKernel, GemmBackend, NaiveKernel, PackedB, SimdKernel,
+};
 
 /// One timed operation on one shape across all backends.
 enum Op {
@@ -174,7 +183,10 @@ fn main() {
 
     let backends: [&dyn GemmBackend; 4] = [&NaiveKernel, &BlockedKernel, &SimdKernel, kernel()];
 
-    println!("Compute-kernel microbench (best of {reps})");
+    println!(
+        "Compute-kernel microbench (best of {reps}); gate 5 times the softmax cross-entropy \
+         gradient"
+    );
     println!(
         "production kernel: {} (gemm/gemm_nt: narrow core below 4 output columns, 4-wide \
          blocked core from 4 to 7, 8-wide simd core from 8 up on AVX2/AVX-512 hosts, 4-wide \
@@ -256,24 +268,25 @@ fn main() {
     println!("\ngates:");
     let gate_rounds = if quick { 3 } else { 5 };
 
-    // Gate 1 + 2: blocked vs naive, simd vs blocked on 256x256, measured
-    // as the best of several interleaved rounds (round-robin timing keeps
-    // scheduler noise from landing on one contender only).
+    // Gate 1 + 2: blocked vs naive, simd vs blocked on 256x256, each the
+    // best of single reps taken in turn (gate 4's schedule): a slow host
+    // phase then costs every contender a rep, where blocks of reps per
+    // contender could let it land on one of them only.
     let (m, k, n) = (256, 256, 256);
     let a = fill(m * k, 0xA256);
     let b = fill(k * n, 0xB256);
     let mut out = vec![0.0; m * n];
     let (mut t_naive, mut t_blocked, mut t_simd) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..gate_rounds {
-        t_naive = t_naive.min(best_secs(reps, || {
+    for _ in 0..gate_rounds * reps * 2 {
+        t_naive = t_naive.min(best_secs(1, || {
             out.fill(0.0);
             NaiveKernel.gemm(m, k, n, &a, &b, &mut out);
         }));
-        t_blocked = t_blocked.min(best_secs(reps, || {
+        t_blocked = t_blocked.min(best_secs(1, || {
             out.fill(0.0);
             BlockedKernel.gemm(m, k, n, &a, &b, &mut out);
         }));
-        t_simd = t_simd.min(best_secs(reps, || {
+        t_simd = t_simd.min(best_secs(1, || {
             out.fill(0.0);
             SimdKernel.gemm(m, k, n, &a, &b, &mut out);
         }));
@@ -419,5 +432,89 @@ fn main() {
         slowest.0, slowest.1
     );
 
+    // Gate 5: the trainers' softmax cross-entropy gradient, one staged
+    // pass over the minibatch at the host's vector width, against the
+    // per-row loop it replaced, on census's batch (32×2), faces' (32×4)
+    // and a ragged last batch (24×2, where the 1/m scale divides). Bits
+    // first, then the best of single reps taken in turn; each call starts
+    // from a fresh copy of the logits, as a step does.
+    let mut slowest = (0.0, String::new());
+    for (m, n) in [(32, 2), (32, 4), (24, 2)] {
+        let label = format!("softmax gradient {m}x{n}");
+        let logits: Vec<f64> = fill(m * n, 0x50F7 + (m * n) as u64)
+            .iter()
+            .map(|x| 4.0 * x)
+            .collect();
+        let labels: Vec<usize> = (0..m).map(|r| (r * 7 + 3) % n).collect();
+        let (mut shared, mut per_row) = (logits.clone(), logits.clone());
+        softmax_xent_grad(&mut shared, n, &labels);
+        xent_grad_per_row(&mut per_row, n, &labels);
+        assert_bits_identical(&format!("{label} [per-row loop]"), &per_row, &shared);
+        // A turn takes about 0.1 ms, so many turns cost little and keep
+        // one slow host phase from deciding the best of either side.
+        let calls = 64;
+        let (mut t_shared, mut t_per_row) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..gate_rounds * reps * 20 {
+            t_shared = t_shared.min(best_secs(1, || {
+                for _ in 0..calls {
+                    shared.copy_from_slice(&logits);
+                    softmax_xent_grad(std::hint::black_box(&mut shared), n, &labels);
+                }
+            }));
+            t_per_row = t_per_row.min(best_secs(1, || {
+                for _ in 0..calls {
+                    per_row.copy_from_slice(&logits);
+                    xent_grad_per_row(std::hint::black_box(&mut per_row), n, &labels);
+                }
+            }));
+        }
+        let ratio = t_shared / t_per_row;
+        println!(
+            "    {label}: {:.2}µ staged, {:.2}µ per row",
+            t_shared / calls as f64 * 1e6,
+            t_per_row / calls as f64 * 1e6
+        );
+        assert!(
+            ratio <= 1.0,
+            "the staged softmax gradient must be no slower than the per-row loop on {label}, \
+             got {ratio:.2}x that loop's time"
+        );
+        if ratio > slowest.0 {
+            slowest = (ratio, label);
+        }
+    }
+    println!(
+        "  softmax_xent_grad vs the per-row loop: slowest {:.2}x the loop's time ({}; gate <= \
+         1.00x)",
+        slowest.0, slowest.1
+    );
+
     println!("\nall gates passed; every backend bit-identical to naive on every timed shape");
+}
+
+/// The softmax cross-entropy gradient as the trainers computed it before
+/// `softmax_xent_grad`: a softmax call per row (every `exp` taken), the
+/// one-hot subtraction, then a division of each element by the batch.
+/// Gate 5's baseline.
+fn xent_grad_per_row(z: &mut [f64], n: usize, labels: &[usize]) {
+    #[inline(never)]
+    fn softmax(row: &mut [f64]) {
+        let mx = row.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
+        let mut sum = 0.0;
+        for x in row.iter_mut() {
+            *x = (*x - mx).exp();
+            sum += *x;
+        }
+        for x in row.iter_mut() {
+            *x /= sum;
+        }
+    }
+    let m = labels.len();
+    for (row, &label) in z.chunks_exact_mut(n).zip(labels) {
+        softmax(row);
+        row[label] -= 1.0;
+        for v in row.iter_mut() {
+            *v /= m as f64;
+        }
+    }
 }

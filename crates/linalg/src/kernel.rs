@@ -42,7 +42,7 @@
 //! are snapshots: re-pack (buffer-reusing `*_into`) when the operand
 //! mutates.
 
-use std::sync::OnceLock;
+use crate::simd::SimdWidth;
 
 /// Panel width of the packed GEMM micro-kernel: output columns are packed
 /// four at a time, interleaved per `k` step, so the inner loop reads one
@@ -613,11 +613,11 @@ impl BlockedKernel {
     /// `add_bias_rows` pass — and `relu` then clamps the element with the
     /// [`relu_rows`] comparison, the bits of a separate ReLU pass.
     ///
-    /// Dispatches to the widest vector unit the CPU offers. The AVX copy
-    /// is the *same* Rust body compiled with 256-bit lanes enabled —
-    /// per-lane accumulation chains are untouched (and Rust never
-    /// contracts mul+add into FMA), so both copies are bit-identical; only
-    /// throughput changes.
+    /// Runs at AVX width where the CPU has AVX ([`SimdWidth::run`]): the
+    /// *same* Rust body compiled with 256-bit lanes enabled — per-lane
+    /// accumulation chains are untouched (and Rust never contracts mul+add
+    /// into FMA), so both copies are bit-identical; only throughput
+    /// changes.
     #[allow(clippy::too_many_arguments)]
     fn packed_gemm(
         m: usize,
@@ -629,33 +629,10 @@ impl BlockedKernel {
         relu: bool,
         out: &mut [f64],
     ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx") {
-            // SAFETY: the `avx` target feature was just detected at runtime.
-            unsafe { Self::packed_gemm_avx(m, k, n, a, packed, bias, relu, out) };
-            return;
-        }
-        Self::packed_gemm_body(m, k, n, a, packed, bias, relu, out);
-    }
-
-    /// AVX-compiled instantiation of [`Self::packed_gemm_body`].
-    ///
-    /// # Safety
-    /// The caller must ensure the CPU supports AVX.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn packed_gemm_avx(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        packed: &[f64],
-        bias: Option<&[f64]>,
-        relu: bool,
-        out: &mut [f64],
-    ) {
-        Self::packed_gemm_body(m, k, n, a, packed, bias, relu, out);
+        SimdWidth::Avx.run(
+            #[inline(always)]
+            || Self::packed_gemm_body(m, k, n, a, packed, bias, relu, out),
+        );
     }
 
     #[inline(always)]
@@ -1088,40 +1065,6 @@ impl GemmBackend for BlockedKernel {
     }
 }
 
-/// Vector width of the [`SimdKernel`] core's compute path, fixed once per
-/// process by CPU detection. Every width runs the same per-element
-/// ascending-`k` chains, so all three give the same bits; the unit tests
-/// check each width the host supports against [`NaiveKernel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-enum SimdWidth {
-    /// The scalar mirror of the lane arithmetic.
-    Scalar,
-    /// 256-bit AVX2 micro-kernels.
-    Avx2,
-    /// 512-bit AVX-512F micro-kernels.
-    Avx512,
-}
-
-impl SimdWidth {
-    /// The widest path this CPU offers, detected on first use.
-    fn detected() -> SimdWidth {
-        static DETECTED: OnceLock<SimdWidth> = OnceLock::new();
-        *DETECTED.get_or_init(|| {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    return SimdWidth::Avx512;
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    return SimdWidth::Avx2;
-                }
-            }
-            SimdWidth::Scalar
-        })
-    }
-}
-
 /// The 8-wide core: AVX2 intrinsics with an AVX-512 path where the CPU
 /// offers one, selected at runtime. [`kernel`] runs it for products at
 /// least eight columns wide.
@@ -1132,7 +1075,8 @@ impl SimdWidth {
 /// contraction, no horizontal reductions). The scalar fallback mirrors the
 /// lane arithmetic exactly, so `simd` is bit-identical to [`NaiveKernel`]
 /// on every target; only throughput differs between the AVX2, AVX-512, and
-/// scalar instantiations. From 8 columns up, `gemm_tn` runs the same
+/// scalar instantiations (the scalar mirror is compiled with AVX on CPUs
+/// that have AVX but not AVX2). From 8 columns up, `gemm_tn` runs the same
 /// micro-kernels on `A` and `B` where they lie, with no transpose or pack;
 /// below 8 it is [`kernel`]'s narrow walk.
 #[derive(Debug, Default, Clone, Copy)]
@@ -1223,7 +1167,8 @@ impl SimdKernel {
     /// agree. `bias` and `relu` are the fused epilogues of
     /// [`BlockedKernel`]'s core, appended at each element's single
     /// write-back; the vector ReLU is a `< 0` blend, not a `max`, so `-0.0`
-    /// and `NaN` keep their bits as in [`relu_rows`].
+    /// and `NaN` keep their bits as in [`relu_rows`]. Below AVX2 the walk
+    /// is the scalar mirror, compiled with AVX on CPUs that have it.
     #[allow(clippy::too_many_arguments)]
     fn walk(
         width: SimdWidth,
@@ -1250,7 +1195,10 @@ impl SimdKernel {
             // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
             SimdWidth::Avx2 => unsafe { Self::walk_avx2(rows, depth, n, ops, bias, relu, out) },
-            _ => Self::walk_scalar(rows, depth, n, ops, bias, relu, out),
+            narrower => narrower.run(
+                #[inline(always)]
+                || Self::walk_scalar(rows, depth, n, ops, bias, relu, out),
+            ),
         }
     }
 
@@ -1262,6 +1210,7 @@ impl SimdKernel {
 
     /// Scalar mirror of the vector paths: same panel walk, same per-element
     /// ascending-`p` chains, lane loops written out by hand.
+    #[inline(always)]
     fn walk_scalar(
         rows: usize,
         depth: usize,
@@ -1312,6 +1261,17 @@ impl SimdKernel {
             // without per-step bounds checks, about twice as fast.
             for (&x, g) in a[..depth].iter().zip(b.chunks_exact(SPW)) {
                 for l in 0..w {
+                    acc[l] += x * g[l];
+                }
+            }
+        } else if w == SPW {
+            // A full panel read in place (`gemm_tn`): eight lanes known at
+            // compile time, which an AVX instantiation keeps in two vector
+            // registers.
+            for p in 0..depth {
+                let x = a[p * ops.astep];
+                let g = &b[p * ops.ldb..][..SPW];
+                for l in 0..SPW {
                     acc[l] += x * g[l];
                 }
             }
@@ -1845,19 +1805,15 @@ impl NarrowCore {
     }
 
     /// `out += aᵀ·b` for `n` up to 7. Runs the AVX-compiled copy of the
-    /// same body where the CPU has AVX: 256-bit lanes along `k`,
-    /// per-element chains untouched, about twice the speed on census's
-    /// 32×12×2 gradient.
+    /// same body where the CPU has AVX ([`SimdWidth::run`]): 256-bit lanes
+    /// along `k`, per-element chains untouched, about twice the speed on
+    /// census's 32×12×2 gradient.
     fn gemm_tn(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         fn body<const N: usize>(m: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx") {
-                // SAFETY: the `avx` target feature was just detected at
-                // runtime.
-                unsafe { NarrowCore::tn_avx::<N>(m, k, a, b, out) };
-                return;
-            }
-            NarrowCore::tn::<N>(m, k, a, b, out);
+            SimdWidth::Avx.run(
+                #[inline(always)]
+                || NarrowCore::tn::<N>(m, k, a, b, out),
+            );
         }
         let bodies: [NarrowBody; SPW - 1] = [
             body::<1>, body::<2>, body::<3>, body::<4>, body::<5>, body::<6>, body::<7>,
@@ -1935,16 +1891,6 @@ impl NarrowCore {
         }
     }
 
-    /// AVX-compiled instantiation of [`tn`](Self::tn).
-    ///
-    /// # Safety
-    /// The caller must ensure the CPU supports AVX.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx")]
-    unsafe fn tn_avx<const N: usize>(m: usize, k: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        Self::tn::<N>(m, k, a, b, out);
-    }
-
     /// The `gemm_tn` walk. For each [`NK`]-chunk of `out`'s rows, the
     /// chunk's `N` columns sit in a stack buffer; the rows of `a` and `b`
     /// then stream through in ascending `i`, and each `(column, i)` step is
@@ -1999,8 +1945,9 @@ enum Core {
 /// [`SPW`] and the CPU has AVX2 or AVX-512, and the 4-wide
 /// [`BlockedKernel`] core otherwise. `gemm_tn` runs the narrow core's walk
 /// below [`SPW`] and the 8-wide core's direct walk from [`SPW`] up (its
-/// scalar mirror without AVX2): both read `A` and `B` where they lie, so
-/// no panel width has a pack to amortize. The pack methods follow the
+/// scalar mirror without AVX2, AVX-compiled where the CPU has AVX): both
+/// read `A` and `B` where they lie, so no panel width has a pack to
+/// amortize. The pack methods follow the
 /// `gemm` rule: the `Raw` layout below four columns (so the prepacked
 /// entries run the narrow core through `gemm`), and the matching panel
 /// layout above. The prepacked entries dispatch on the handle's layout.
@@ -2015,7 +1962,7 @@ impl AutoKernel {
     fn core(n: usize) -> Core {
         if n < PW {
             Core::Narrow
-        } else if n >= SPW && SimdWidth::detected() > SimdWidth::Scalar {
+        } else if n >= SPW && SimdWidth::detected() >= SimdWidth::Avx2 {
             Core::Simd
         } else {
             Core::Blocked
@@ -2167,14 +2114,6 @@ mod tests {
         shapes
     }
 
-    /// Every width of the 8-wide core this host can run.
-    fn supported_widths() -> Vec<SimdWidth> {
-        [SimdWidth::Scalar, SimdWidth::Avx2, SimdWidth::Avx512]
-            .into_iter()
-            .filter(|&w| w <= SimdWidth::detected())
-            .collect()
-    }
-
     /// The unfused epilogues, written out: `+ bias[j]` on every row, then
     /// (when `relu`) the model stack's `< 0` clamp, which keeps `-0.0` and
     /// `NaN`.
@@ -2322,11 +2261,12 @@ mod tests {
 
     #[test]
     fn simd_core_matches_naive_at_every_supported_width() {
-        // Each width the host supports (AVX-512, AVX2, scalar) runs the
+        // Each width the host supports (AVX-512, AVX2, and the scalar
+        // mirror compiled with AVX and for the baseline) runs the
         // 8-wide core directly: the plain, bias and bias+ReLU write-backs
         // on `B` panels, the plain one on `Bᵀ` panels, and the `gemm_tn`
         // walk, all against the naive reference.
-        let widths = supported_widths();
+        let widths = SimdWidth::supported();
         assert_eq!(widths[0], SimdWidth::Scalar);
         for width in widths {
             for (si, &(m, k, n)) in gallery_and_random(0x51D7, 40).iter().enumerate() {
@@ -2376,8 +2316,9 @@ mod tests {
     fn direct_gemm_tn_matches_naive_at_every_supported_width() {
         // The direct walks' bit contract: `kernel().gemm_tn` (the narrow
         // walk below 8 columns, the 8-wide one from 8 up) and the 8-wide
-        // walk capped at each vector width the host supports, against
-        // naive. The widths cross the narrow/8-wide edge, the panel
+        // walk capped at each vector width the host supports — the
+        // scalar mirror's AVX and baseline instantiations included —
+        // against naive. The widths cross the narrow/8-wide edge, the panel
         // triple/pair/single split and a tail panel (n); the output rows
         // cross the 8-row tile (k); the samples cross the two-step unroll
         // (m). Outputs start non-zero.
@@ -2417,7 +2358,7 @@ mod tests {
                     let mut got = start.clone();
                     kernel().gemm_tn(m, k, n, &a, &b, &mut got);
                     assert_bits_eq_at(&format!("kernel() {m}x{k}x{n}"), &want, &got);
-                    for width in supported_widths() {
+                    for width in SimdWidth::supported() {
                         got.copy_from_slice(&start);
                         SimdKernel::gemm_tn_at(width, m, k, n, &a, &b, &mut got);
                         assert_bits_eq_at(&format!("{width:?} {m}x{k}x{n}"), &want, &got);

@@ -17,6 +17,11 @@
 //! 8-wide one for each product from its output width, and every core is
 //! bit-identical to [`NaiveKernel`] by construction — see
 //! `docs/kernels.md`.
+//!
+//! The elementwise passes of a training step (the softmax cross-entropy
+//! gradient, column sums) and the cores' portable walks are compiled once
+//! per vector width and run at the widest the CPU offers
+//! ([`SimdWidth::run`]), with the same bits at every width.
 
 pub mod fault;
 pub mod kernel;
@@ -24,6 +29,7 @@ pub mod matrix;
 pub mod qr;
 pub mod resample;
 pub mod running;
+pub mod simd;
 pub mod solve;
 pub mod special;
 pub mod stats;
@@ -37,7 +43,10 @@ pub use matrix::Matrix;
 pub use qr::{least_squares, QrFactorization};
 pub use resample::{bootstrap_ci, pearson, spearman, ConfidenceInterval, SplitMix64};
 pub use running::RunningStats;
+pub use simd::SimdWidth;
 pub use solve::{cholesky_solve, gaussian_solve, SolveError};
-pub use special::{log_sum_exp, sigmoid, softmax_in_place, softmax_prob, EPS_PROB};
+pub use special::{
+    log_sum_exp, sigmoid, softmax_in_place, softmax_prob, softmax_xent_grad, EPS_PROB,
+};
 pub use stats::{mean, quantile, std_dev, variance, weighted_mean};
 pub use vector::{argmax, axpy, dot, l2_norm, linf_norm, scale_in_place, sub};

@@ -6,6 +6,7 @@
 //! bit (see [`crate::kernel`](mod@crate::kernel)).
 
 use crate::kernel::{kernel, PackedB};
+use crate::simd::SimdWidth;
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -435,15 +436,28 @@ impl Matrix {
     }
 
     /// [`col_sums`](Self::col_sums) into a reusable vector (cleared and
-    /// refilled, allocation reused).
+    /// refilled, allocation reused). Runs at the host's vector width
+    /// ([`SimdWidth::run`]): the lanes hold distinct columns, each still
+    /// one chain down the rows, so every width gives the same bits.
     pub fn col_sums_into(&self, out: &mut Vec<f64>) {
+        self.col_sums_at(SimdWidth::detected(), out);
+    }
+
+    /// [`col_sums_into`](Self::col_sums_into) compiled for `width`
+    /// (capped at the host's).
+    fn col_sums_at(&self, width: SimdWidth, out: &mut Vec<f64>) {
         out.clear();
         out.resize(self.cols, 0.0);
-        for row in self.data.chunks_exact(self.cols.max(1)) {
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += x;
-            }
-        }
+        width.run(
+            #[inline(always)]
+            || {
+                for row in self.data.chunks_exact(self.cols.max(1)) {
+                    for (o, &x) in out.iter_mut().zip(row) {
+                        *o += x;
+                    }
+                }
+            },
+        );
     }
 
     /// Copies the listed rows into a new matrix (minibatch gathering).
@@ -726,6 +740,47 @@ mod tests {
     fn col_sums_reduce_rows() {
         let m = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
         assert_eq!(m.col_sums(), vec![9., 12.]);
+    }
+
+    #[test]
+    fn col_sums_keep_their_bits_at_every_width() {
+        // Against the row-by-row loop, at baseline and every width the
+        // host supports, on widths that leave vector tails, with signed
+        // zeros, subnormals, infinities and the host's default NaN mixed
+        // in (one NaN kind, so a chain meeting two has one payload).
+        let nan = std::hint::black_box(f64::INFINITY) - std::hint::black_box(f64::INFINITY);
+        let specials = [0.0, -0.0, 4e-320, -2.5e-310, f64::INFINITY, -1e308, nan];
+        let mut rng = crate::resample::SplitMix64::new(0xC015);
+        for (rows, cols) in [(32, 2), (32, 4), (33, 16), (7, 32), (24, 3), (1, 9), (0, 5)] {
+            let data: Vec<f64> = (0..rows * cols)
+                .map(|i| {
+                    if i % 11 == 3 {
+                        specials[i % specials.len()]
+                    } else {
+                        rng.next_f64() * 4.0 - 2.0
+                    }
+                })
+                .collect();
+            let m = Matrix::from_vec(rows, cols, data);
+            let mut want = vec![0.0; cols];
+            for r in 0..rows {
+                for (o, &x) in want.iter_mut().zip(m.row(r)) {
+                    *o += x;
+                }
+            }
+            for width in SimdWidth::supported() {
+                let mut got = vec![1.0; 3];
+                m.col_sums_at(width, &mut got);
+                assert_eq!(got.len(), cols);
+                for (j, (w, g)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(
+                        w.to_bits(),
+                        g.to_bits(),
+                        "{width:?} {rows}x{cols} column {j}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use st_data::rng::normal;
 use st_data::seeded_rng;
-use st_linalg::{softmax_in_place, Matrix, PackedB};
+use st_linalg::{softmax_in_place, softmax_xent_grad, Matrix, PackedB};
 
 /// Shape of one input image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -445,14 +445,8 @@ impl ConvNet {
         // Softmax cross-entropy gradient. The logits buffer *becomes* dZ
         // (a pointer swap, not a copy).
         std::mem::swap(&mut s.dz, &mut s.logits);
-        for r in 0..m {
-            let row = s.dz.row_mut(r);
-            softmax_in_place(row);
-            row[by[r]] -= 1.0;
-            for v in row.iter_mut() {
-                *v /= m as f64;
-            }
-        }
+        let classes = s.dz.cols();
+        softmax_xent_grad(s.dz.as_mut_slice(), classes, by);
 
         // Dense head gradients, via the transpose-free GEMM shapes.
         s.pooled.matmul_tn_into(&s.dz, &mut s.grad_head_w);

@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use st_data::rng::normal;
-use st_linalg::{softmax_in_place, Matrix, PackedB};
+use st_linalg::{softmax_in_place, Matrix, PackedB, SimdWidth};
 
 /// One fully-connected layer: `out = in · W + b`.
 ///
@@ -93,21 +93,37 @@ impl Layer {
 /// mispredicts, while a select over whole slices vectorizes. The select
 /// gives the branch's bits: `+0.0` and `-0.0` activations pass no
 /// gradient, a NaN activation passes its gradient through, and a dropout
-/// scale is one multiply.
+/// scale is one multiply. The pass runs at the host's vector width
+/// (`st_linalg::SimdWidth::run`), with the same bits at every width.
 pub(crate) fn relu_backward(d: &mut [f64], act: &[f64], factors: &[f64]) {
+    relu_backward_at(SimdWidth::detected(), d, act, factors);
+}
+
+/// [`relu_backward`] compiled for `width` (capped at the host's).
+fn relu_backward_at(width: SimdWidth, d: &mut [f64], act: &[f64], factors: &[f64]) {
     assert_eq!(d.len(), act.len(), "gradient/activation length mismatch");
     if factors.is_empty() {
-        for (v, &a) in d.iter_mut().zip(act) {
-            *v = if a <= 0.0 { 0.0 } else { *v };
-        }
+        width.run(
+            #[inline(always)]
+            || {
+                for (v, &a) in d.iter_mut().zip(act) {
+                    *v = if a <= 0.0 { 0.0 } else { *v };
+                }
+            },
+        );
     } else {
         assert_eq!(d.len(), factors.len(), "gradient/dropout length mismatch");
-        for ((v, &a), &f) in d.iter_mut().zip(act).zip(factors) {
-            // Scaled unconditionally so both arms of the select are plain
-            // values (the discarded product changes no bit).
-            let scaled = *v * f;
-            *v = if a <= 0.0 { 0.0 } else { scaled };
-        }
+        width.run(
+            #[inline(always)]
+            || {
+                for ((v, &a), &f) in d.iter_mut().zip(act).zip(factors) {
+                    // Scaled unconditionally so both arms of the select are
+                    // plain values (the discarded product changes no bit).
+                    let scaled = *v * f;
+                    *v = if a <= 0.0 { 0.0 } else { scaled };
+                }
+            },
+        );
     }
 }
 
@@ -427,17 +443,20 @@ mod tests {
                 std::hint::black_box(cases.iter().filter_map(|c| c.2).collect());
             let mut want = grad.clone();
             relu_backward_reference(&mut want, &act, &factors);
-            let mut got = grad.clone();
-            relu_backward(&mut got, &act, &factors);
-            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    w.to_bits(),
-                    g.to_bits(),
-                    "act {:?}, grad {:?}, factor {:?}: want {w:?}, got {g:?}",
-                    act[i],
-                    grad[i],
-                    factors.get(i)
-                );
+            // Baseline and every vector width the host supports.
+            for width in SimdWidth::supported() {
+                let mut got = grad.clone();
+                relu_backward_at(width, &mut got, &act, &factors);
+                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                    assert_eq!(
+                        w.to_bits(),
+                        g.to_bits(),
+                        "{width:?}: act {:?}, grad {:?}, factor {:?}: want {w:?}, got {g:?}",
+                        act[i],
+                        grad[i],
+                        factors.get(i)
+                    );
+                }
             }
         }
     }

@@ -5,6 +5,13 @@
 //! replayable part of the configuration. All rules operate on flat parameter
 //! slices so dense layers, biases, and convolution kernels share one code
 //! path.
+//!
+//! Every rule is one elementwise pass compiled once per vector width, and
+//! [`OptimizerState::update`] runs it at the widest the CPU offers
+//! (`st_linalg::SimdWidth::run`); each parameter's arithmetic is the same
+//! at every width, so the bits are too.
+
+use st_linalg::SimdWidth;
 
 /// Learning-rate schedule, evaluated per epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,48 +151,66 @@ impl OptimizerState {
 
     /// Applies one update to tensor `slot`: `params ← params − lr · step`,
     /// where the step direction depends on the rule. `l2` adds classical
-    /// weight decay (`grad + l2 · param`).
+    /// weight decay (`grad + l2 · param`). Runs at the host's vector width.
     ///
     /// # Panics
     /// Panics when lengths disagree with the slot allocation.
     pub fn update(&mut self, slot: usize, params: &mut [f64], grads: &[f64], lr: f64, l2: f64) {
-        let s = &mut self.slots[slot];
-        assert_eq!(params.len(), s.m.len(), "slot {slot} length mismatch");
-        assert_eq!(params.len(), grads.len(), "grad length mismatch");
+        self.update_at(SimdWidth::detected(), slot, params, grads, lr, l2);
+    }
 
-        match self.kind {
-            OptimizerKind::Sgd => {
-                for (p, &g) in params.iter_mut().zip(grads) {
-                    *p -= lr * (g + l2 * *p);
+    /// [`update`](Self::update) compiled for `width` (capped at the
+    /// host's).
+    fn update_at(
+        &mut self,
+        width: SimdWidth,
+        slot: usize,
+        params: &mut [f64],
+        grads: &[f64],
+        lr: f64,
+        l2: f64,
+    ) {
+        let t = self.t;
+        let Slot { m, v } = &mut self.slots[slot];
+        assert_eq!(params.len(), m.len(), "slot {slot} length mismatch");
+        assert_eq!(params.len(), grads.len(), "grad length mismatch");
+        let kind = self.kind;
+        width.run(
+            #[inline(always)]
+            || match kind {
+                OptimizerKind::Sgd => {
+                    for (p, &g) in params.iter_mut().zip(grads) {
+                        *p -= lr * (g + l2 * *p);
+                    }
                 }
-            }
-            OptimizerKind::Momentum { beta } => {
-                for ((p, &g), m) in params.iter_mut().zip(grads).zip(&mut s.m) {
-                    *m = beta * *m - lr * (g + l2 * *p);
-                    *p += *m;
+                OptimizerKind::Momentum { beta } => {
+                    for ((p, &g), m) in params.iter_mut().zip(grads).zip(m) {
+                        *m = beta * *m - lr * (g + l2 * *p);
+                        *p += *m;
+                    }
                 }
-            }
-            OptimizerKind::Adam { beta1, beta2, eps } => {
-                let t = self.t.max(1) as i32;
-                let bc1 = 1.0 - beta1.powi(t);
-                let bc2 = 1.0 - beta2.powi(t);
-                for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(&mut s.m).zip(&mut s.v) {
-                    let g = g + l2 * *p;
-                    *m = beta1 * *m + (1.0 - beta1) * g;
-                    *v = beta2 * *v + (1.0 - beta2) * g * g;
-                    let mhat = *m / bc1;
-                    let vhat = *v / bc2;
-                    *p -= lr * mhat / (vhat.sqrt() + eps);
+                OptimizerKind::Adam { beta1, beta2, eps } => {
+                    let t = t.max(1) as i32;
+                    let bc1 = 1.0 - beta1.powi(t);
+                    let bc2 = 1.0 - beta2.powi(t);
+                    for (((p, &g), m), v) in params.iter_mut().zip(grads).zip(m).zip(v) {
+                        let g = g + l2 * *p;
+                        *m = beta1 * *m + (1.0 - beta1) * g;
+                        *v = beta2 * *v + (1.0 - beta2) * g * g;
+                        let mhat = *m / bc1;
+                        let vhat = *v / bc2;
+                        *p -= lr * mhat / (vhat.sqrt() + eps);
+                    }
                 }
-            }
-            OptimizerKind::AdaGrad { eps } => {
-                for (((p, &g), _m), v) in params.iter_mut().zip(grads).zip(&mut s.m).zip(&mut s.v) {
-                    let g = g + l2 * *p;
-                    *v += g * g;
-                    *p -= lr * g / (v.sqrt() + eps);
+                OptimizerKind::AdaGrad { eps } => {
+                    for ((p, &g), v) in params.iter_mut().zip(grads).zip(v) {
+                        let g = g + l2 * *p;
+                        *v += g * g;
+                        *p -= lr * g / (v.sqrt() + eps);
+                    }
                 }
-            }
-        }
+            },
+        );
     }
 }
 
@@ -267,6 +292,55 @@ mod tests {
         st.update(1, &mut b, &[0.0, 0.0, 0.0], 0.1, 0.0);
         assert!(a.iter().all(|&v| v != 0.0));
         assert!(b.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn every_rule_keeps_its_bits_at_every_width() {
+        // Each rule's pass at every width the host supports against its
+        // baseline copy, over three steps (so the moments carry state) on
+        // a tensor with a vector tail, with signed zeros, subnormals and
+        // large values among the parameters and gradients, with and
+        // without weight decay.
+        let mut rng = st_linalg::SplitMix64::new(0x0917);
+        let len = 37;
+        let specials = [0.0, -0.0, 4e-320, -2.5e-310, 1e300, -3.0];
+        let mut draw = |i: usize| {
+            if i % 7 == 2 {
+                specials[i % specials.len()]
+            } else {
+                rng.next_f64() * 2.0 - 1.0
+            }
+        };
+        let start: Vec<f64> = (0..len).map(&mut draw).collect();
+        let grads: Vec<Vec<f64>> = (0..3).map(|_| (0..len).map(&mut draw).collect()).collect();
+        for kind in [
+            OptimizerKind::Sgd,
+            OptimizerKind::default_momentum(),
+            OptimizerKind::default_adam(),
+            OptimizerKind::AdaGrad { eps: 1e-8 },
+        ] {
+            for l2 in [0.0, 1e-4] {
+                let run = |width: SimdWidth| {
+                    let mut st = OptimizerState::new(kind, &[len]);
+                    let mut p = start.clone();
+                    for g in &grads {
+                        st.next_step();
+                        st.update_at(width, 0, &mut p, g, 0.05, l2);
+                    }
+                    p
+                };
+                let want = run(SimdWidth::Scalar);
+                for width in SimdWidth::supported() {
+                    for (i, (w, g)) in want.iter().zip(&run(width)).enumerate() {
+                        assert_eq!(
+                            w.to_bits(),
+                            g.to_bits(),
+                            "{kind:?} l2 {l2} {width:?} at {i}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

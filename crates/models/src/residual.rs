@@ -14,7 +14,7 @@ use crate::optimizer::{OptimizerKind, OptimizerState};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use st_data::seeded_rng;
-use st_linalg::{softmax_in_place, Matrix, PackedB};
+use st_linalg::{softmax_in_place, softmax_xent_grad, Matrix, PackedB};
 
 /// One residual block: two width-preserving dense layers with an identity
 /// skip, post-activation (`out = ReLU(x + W₂·ReLU(W₁·x + b₁) + b₂)`).
@@ -300,19 +300,12 @@ impl ResidualMlp {
         opt: &mut OptimizerState,
         packs: &ResidualPacks,
     ) {
-        let m = bx.rows();
         let (stem_out, traces, logits) = self.forward_trace_with(bx, Some(packs));
 
         // Softmax cross-entropy gradient.
         let mut dz = logits;
-        for r in 0..m {
-            let row = dz.row_mut(r);
-            softmax_in_place(row);
-            row[by[r]] -= 1.0;
-            for v in row.iter_mut() {
-                *v /= m as f64;
-            }
-        }
+        let classes = dz.cols();
+        softmax_xent_grad(dz.as_mut_slice(), classes, by);
 
         // Gradients of (w, b) for a dense layer given input and dout,
         // via the transpose-free batched GEMM shapes.

@@ -14,7 +14,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use st_data::{seeded_rng, Example};
-use st_linalg::{softmax_in_place, Matrix, PackedB};
+use st_linalg::{softmax_xent_grad, Matrix, PackedB};
 
 /// Hyperparameters for one training run.
 #[derive(Debug, Clone, PartialEq)]
@@ -366,9 +366,14 @@ fn train_core(
             }
             // Numeric guard, input side: a non-finite feature would flow
             // through softmax into every parameter; reject it as a typed
-            // error before the step runs. One read pass over a minibatch —
-            // cheap next to the step's three GEMMs.
-            if !scratch.bx.as_slice().iter().all(|v| v.is_finite()) {
+            // error before the step runs. One read pass over a minibatch,
+            // folded without an early exit so it vectorizes.
+            let finite = scratch
+                .bx
+                .as_slice()
+                .iter()
+                .fold(true, |ok, v| ok & v.is_finite());
+            if !finite {
                 return Err(TrainError::NonFiniteLoss { epoch });
             }
             opt.next_step();
@@ -532,20 +537,13 @@ fn descent_step(
     opt: &mut OptimizerState,
     rng: &mut StdRng,
 ) {
-    let m = scratch.bx.rows();
     forward_train(net, config.dropout, rng, scratch);
 
     // Softmax cross-entropy gradient on logits: (p - onehot) / m. The
     // logits buffer *becomes* dZ (a pointer swap, not a copy).
     std::mem::swap(&mut scratch.dz, &mut scratch.logits);
-    for r in 0..m {
-        let row = scratch.dz.row_mut(r);
-        softmax_in_place(row);
-        row[scratch.by[r]] -= 1.0;
-        for v in row.iter_mut() {
-            *v /= m as f64;
-        }
-    }
+    let classes = scratch.dz.cols();
+    softmax_xent_grad(scratch.dz.as_mut_slice(), classes, &scratch.by);
 
     // Backward pass, output layer first: per layer the weight gradient
     // `Aᵀ·dZ`, which the kernel reads in place, and, past the input layer,

@@ -1,10 +1,11 @@
 //! The MLP and conv training steps allocate nothing: `train_on_rows` on
-//! the faces family's 16→32→16→4 network (dropout off and on) and
-//! `ConvNet::train` on 8×8 images make exactly as many heap allocations
-//! when they train for two epochs as for one. Every buffer the minibatch
-//! loop needs (gathered batch, activations, dropout factors, gradients,
-//! operand packs) reaches its size in the first epoch and is reused from
-//! then on.
+//! the census family's 12→2 softmax model and the faces family's
+//! 16→32→16→4 network (dropout off and on), and `ConvNet::train` on 8×8
+//! images, make exactly as many heap allocations when they train for two
+//! epochs as for one. Every buffer the minibatch loop needs (gathered
+//! batch, activations, dropout factors, gradients, operand packs)
+//! reaches its size in the first epoch and is reused from then on, and
+//! the softmax gradient works in stack buffers.
 //!
 //! A counting global allocator tallies the allocations made on the calling
 //! thread, so other test threads cannot disturb the count.
@@ -87,6 +88,31 @@ fn mlp_training_allocates_nothing_after_the_first_epoch() {
             base.dropout
         );
     }
+}
+
+#[test]
+fn softmax_training_allocates_nothing_after_the_first_epoch() {
+    const FEATURES: usize = 12;
+    const CLASSES: usize = 2;
+    let mut rng = SplitMix64::new(5);
+    // 150 rows: four minibatches of 32, then a ragged one of 22.
+    let n = 150;
+    let x = Matrix::from_fn(n, FEATURES, |_, _| rng.next_f64() * 4.0 - 2.0);
+    let y: Vec<usize> = (0..n).map(|i| (i * 3) % CLASSES).collect();
+    let rows: Vec<usize> = (0..n).rev().collect();
+    let spec = ModelSpec::softmax();
+    assert!(spec.hidden.is_empty(), "the census model");
+    let count = |epochs: usize| {
+        let cfg = TrainConfig {
+            epochs,
+            ..TrainConfig::default().with_seed(3)
+        };
+        allocations(|| {
+            std::hint::black_box(train_on_rows(&x, &y, &rows, FEATURES, CLASSES, &spec, &cfg));
+        })
+    };
+    let (one, two) = (count(1), count(2));
+    assert_eq!(one, two, "{one} allocations at 1 epoch, {two} at 2");
 }
 
 #[test]
