@@ -1075,8 +1075,7 @@ impl GemmBackend for BlockedKernel {
 /// contraction, no horizontal reductions). The scalar fallback mirrors the
 /// lane arithmetic exactly, so `simd` is bit-identical to [`NaiveKernel`]
 /// on every target; only throughput differs between the AVX2, AVX-512, and
-/// scalar instantiations (the scalar mirror is compiled with AVX on CPUs
-/// that have AVX but not AVX2). From 8 columns up, `gemm_tn` runs the same
+/// scalar instantiations. From 8 columns up, `gemm_tn` runs the same
 /// micro-kernels on `A` and `B` where they lie, with no transpose or pack;
 /// below 8 it is [`kernel`]'s narrow walk.
 #[derive(Debug, Default, Clone, Copy)]
@@ -1167,8 +1166,7 @@ impl SimdKernel {
     /// agree. `bias` and `relu` are the fused epilogues of
     /// [`BlockedKernel`]'s core, appended at each element's single
     /// write-back; the vector ReLU is a `< 0` blend, not a `max`, so `-0.0`
-    /// and `NaN` keep their bits as in [`relu_rows`]. Below AVX2 the walk
-    /// is the scalar mirror, compiled with AVX on CPUs that have it.
+    /// and `NaN` keep their bits as in [`relu_rows`].
     #[allow(clippy::too_many_arguments)]
     fn walk(
         width: SimdWidth,
@@ -1195,10 +1193,7 @@ impl SimdKernel {
             // SAFETY: as above.
             #[cfg(target_arch = "x86_64")]
             SimdWidth::Avx2 => unsafe { Self::walk_avx2(rows, depth, n, ops, bias, relu, out) },
-            narrower => narrower.run(
-                #[inline(always)]
-                || Self::walk_scalar(rows, depth, n, ops, bias, relu, out),
-            ),
+            _ => Self::walk_scalar(rows, depth, n, ops, bias, relu, out),
         }
     }
 
@@ -1210,7 +1205,6 @@ impl SimdKernel {
 
     /// Scalar mirror of the vector paths: same panel walk, same per-element
     /// ascending-`p` chains, lane loops written out by hand.
-    #[inline(always)]
     fn walk_scalar(
         rows: usize,
         depth: usize,
@@ -1266,8 +1260,7 @@ impl SimdKernel {
             }
         } else if w == SPW {
             // A full panel read in place (`gemm_tn`): eight lanes known at
-            // compile time, which an AVX instantiation keeps in two vector
-            // registers.
+            // compile time, which the compiler keeps in vector registers.
             for p in 0..depth {
                 let x = a[p * ops.astep];
                 let g = &b[p * ops.ldb..][..SPW];
@@ -1945,9 +1938,8 @@ enum Core {
 /// [`SPW`] and the CPU has AVX2 or AVX-512, and the 4-wide
 /// [`BlockedKernel`] core otherwise. `gemm_tn` runs the narrow core's walk
 /// below [`SPW`] and the 8-wide core's direct walk from [`SPW`] up (its
-/// scalar mirror without AVX2, AVX-compiled where the CPU has AVX): both
-/// read `A` and `B` where they lie, so no panel width has a pack to
-/// amortize. The pack methods follow the
+/// scalar mirror without AVX2): both read `A` and `B` where they lie, so
+/// no panel width has a pack to amortize. The pack methods follow the
 /// `gemm` rule: the `Raw` layout below four columns (so the prepacked
 /// entries run the narrow core through `gemm`), and the matching panel
 /// layout above. The prepacked entries dispatch on the handle's layout.
@@ -2261,9 +2253,8 @@ mod tests {
 
     #[test]
     fn simd_core_matches_naive_at_every_supported_width() {
-        // Each width the host supports (AVX-512, AVX2, and the scalar
-        // mirror compiled with AVX and for the baseline) runs the
-        // 8-wide core directly: the plain, bias and bias+ReLU write-backs
+        // Each width the host supports (AVX-512, AVX2, and below AVX2
+        // the scalar mirror) runs the 8-wide core directly: the plain, bias and bias+ReLU write-backs
         // on `B` panels, the plain one on `Bᵀ` panels, and the `gemm_tn`
         // walk, all against the naive reference.
         let widths = SimdWidth::supported();
@@ -2316,9 +2307,8 @@ mod tests {
     fn direct_gemm_tn_matches_naive_at_every_supported_width() {
         // The direct walks' bit contract: `kernel().gemm_tn` (the narrow
         // walk below 8 columns, the 8-wide one from 8 up) and the 8-wide
-        // walk capped at each vector width the host supports — the
-        // scalar mirror's AVX and baseline instantiations included —
-        // against naive. The widths cross the narrow/8-wide edge, the panel
+        // walk capped at each vector width the host supports (the scalar
+        // mirror below AVX2), against naive. The widths cross the narrow/8-wide edge, the panel
         // triple/pair/single split and a tail panel (n); the output rows
         // cross the 8-row tile (k); the samples cross the two-step unroll
         // (m). Outputs start non-zero.

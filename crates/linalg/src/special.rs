@@ -88,14 +88,6 @@ pub fn softmax_prob(logits: &[f64], index: usize) -> f64 {
 /// power of two, so an index masked by it needs no bounds check).
 const EXP_CHUNK: usize = 64;
 
-/// The widest rows on which [`softmax_xent_grad`] skips the maximum's
-/// `exp` call. The skip saves one call (about 5.8 ns on the 2-core AVX-512
-/// container) per row, and gathering the other shifted logits and
-/// scattering their exponentials back costs about 1.5 ns per entry, so
-/// the saving outgrows the cost only on short rows: on 32-row batches
-/// the skip was faster at 4, 5 and 6 classes and slower at 8 and 10.
-const SKIP_MAX_COLS: usize = 6;
-
 /// The softmax cross-entropy gradient of a minibatch, in place:
 /// `logits` (`labels.len()` rows of `n`, row-major) becomes
 /// `(softmax(row) − onehot(label)) / m` with `m = labels.len()`, the `dZ`
@@ -107,11 +99,13 @@ const SKIP_MAX_COLS: usize = 6;
 /// stages over the whole minibatch instead of one row at a time:
 ///
 /// 1. each row's maximum, subtracted from the row;
-/// 2. the exponentials: on rows of up to six classes the shifted logits
-///    that are not `±0` are gathered into a stack buffer and
-///    exponentiated in one tight loop, and the `±0` ones (each row's
-///    maximum) become `1.0`, which is `exp(±0)` exactly — half the libm
-///    calls of a two-class batch; wider rows call `exp` on every entry;
+/// 2. the exponentials: the shifted logits that are not `±0` are
+///    gathered into a stack buffer and exponentiated in one tight loop,
+///    and the `±0` ones (each row's maximum) become `1.0`, which is
+///    `exp(±0)` exactly — half the libm calls of a two-class batch. The
+///    gather is not `exp_shifted` in a loop over the minibatch: that loop
+///    vectorizes, and the vectorized loop calls `exp` on every lane and
+///    blends in the `1.0`s, so it skips no call;
 /// 3. each row's sum, in ascending order from `0.0`, and the division by
 ///    it;
 /// 4. `1.0` subtracted at each label;
@@ -158,32 +152,26 @@ fn xent_grad_body(z: &mut [f64], n: usize, labels: &[usize]) {
             *x -= max;
         }
     }
-    if n <= SKIP_MAX_COLS {
-        let mut live = [0.0; EXP_CHUNK];
-        for chunk in z.chunks_mut(EXP_CHUNK) {
-            // Compact, exponentiate, scatter back: selects, not branches,
-            // since where the maximum sits in a row follows the data. The
-            // cursors stay below `EXP_CHUNK`, so masking them changes no
-            // index.
-            let mut count = 0;
-            for &d in chunk.iter() {
-                live[count % EXP_CHUNK] = d;
-                count += usize::from(d != 0.0);
-            }
-            for e in &mut live[..count] {
-                *e = e.exp();
-            }
-            let mut next = 0;
-            for x in chunk.iter_mut() {
-                let called = *x != 0.0;
-                let e = live[next % EXP_CHUNK];
-                *x = if called { e } else { 1.0 };
-                next += usize::from(called);
-            }
+    let mut live = [0.0; EXP_CHUNK];
+    for chunk in z.chunks_mut(EXP_CHUNK) {
+        // Compact, exponentiate, scatter back: selects, not branches,
+        // since where the maximum sits in a row follows the data. The
+        // cursors stay below `EXP_CHUNK`, so masking them changes no
+        // index.
+        let mut count = 0;
+        for &d in chunk.iter() {
+            live[count % EXP_CHUNK] = d;
+            count += usize::from(d != 0.0);
         }
-    } else {
-        for x in z.iter_mut() {
-            *x = x.exp();
+        for e in &mut live[..count] {
+            *e = e.exp();
+        }
+        let mut next = 0;
+        for x in chunk.iter_mut() {
+            let called = *x != 0.0;
+            let e = live[next % EXP_CHUNK];
+            *x = if called { e } else { 1.0 };
+            next += usize::from(called);
         }
     }
     for row in z.chunks_exact_mut(n) {
