@@ -2254,9 +2254,10 @@ mod tests {
     #[test]
     fn simd_core_matches_naive_at_every_supported_width() {
         // Each width the host supports (AVX-512, AVX2, and below AVX2
-        // the scalar mirror) runs the 8-wide core directly: the plain, bias and bias+ReLU write-backs
-        // on `B` panels, the plain one on `Bᵀ` panels, and the `gemm_tn`
-        // walk, all against the naive reference.
+        // the scalar mirror) runs the 8-wide core directly: the plain,
+        // bias and bias+ReLU write-backs on `B` panels, the plain one on
+        // `Bᵀ` panels, and the `gemm_tn` walk, all against the naive
+        // reference.
         let widths = SimdWidth::supported();
         assert_eq!(widths[0], SimdWidth::Scalar);
         for width in widths {
@@ -2308,10 +2309,10 @@ mod tests {
         // The direct walks' bit contract: `kernel().gemm_tn` (the narrow
         // walk below 8 columns, the 8-wide one from 8 up) and the 8-wide
         // walk capped at each vector width the host supports (the scalar
-        // mirror below AVX2), against naive. The widths cross the narrow/8-wide edge, the panel
-        // triple/pair/single split and a tail panel (n); the output rows
-        // cross the 8-row tile (k); the samples cross the two-step unroll
-        // (m). Outputs start non-zero.
+        // mirror below AVX2), against naive. The widths cross the
+        // narrow/8-wide edge, the panel triple/pair/single split and a
+        // tail panel (n); the output rows cross the 8-row tile (k); the
+        // samples cross the two-step unroll (m). Outputs start non-zero.
         //
         // Every fifth operand is a signed zero or a subnormal, and each
         // operand holds one +∞, one −∞ and one NaN (each poisons one row or
