@@ -1,6 +1,7 @@
 //! Microbench: the model substrate — MLP vs ConvNet training cost, the
-//! quantitative side of the "MLPs stand in for the paper's CNNs" note in
-//! DESIGN.md (the CNN path exists but costs this much more per training).
+//! quantitative side of the reproduction's MLPs standing in for the
+//! paper's CNNs (the CNN path exists but costs this much more per
+//! training).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use st_data::{image_fashion, seeded_rng, SliceId};

@@ -100,7 +100,7 @@ fn run(aware: bool) -> RunResult {
 }
 
 fn main() {
-    let kernel = st_linalg::kernel();
+    let kernel = st_linalg::kernel_kind();
     println!(
         "drift gate: driftbench under {DRIFT_SPEC}, budget {BUDGET}, kernel {} {}",
         kernel.name(),

@@ -88,7 +88,7 @@ fn percentile(sorted: &[f64], p: f64) -> f64 {
 }
 
 fn main() {
-    let kernel = st_linalg::kernel();
+    let kernel = st_linalg::kernel_kind();
     let n = sessions();
     let r = rounds();
 

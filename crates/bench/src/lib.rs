@@ -1,5 +1,6 @@
 //! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the Slice Tuner paper (see `DESIGN.md` for the index).
+//! and figure of the Slice Tuner paper (one binary each under `src/bin/`,
+//! such as `table6` and `fig7`).
 //!
 //! Each binary prints the same rows/series the paper reports. Runtime knobs
 //! come from the environment so the full suite can be scaled:

@@ -2,24 +2,24 @@
 //!
 //! Every dense product in the workspace — batch forward/backward passes in
 //! `st-models`, the QR factorization behind the curve fitter, the trial
-//! executor's evaluation matmuls — bottoms out in the handful of primitives
-//! defined by [`GemmBackend`]. This module owns that trait, a transparent
-//! reference implementation ([`NaiveKernel`]), two packed compute cores
+//! executor's evaluation matmuls — runs on the one production [`Kernel`],
+//! which [`kernel`] returns. This module owns it, a transparent reference
+//! implementation ([`NaiveKernel`]), two packed compute cores
 //! ([`BlockedKernel`], four output columns per panel, and [`SimdKernel`],
-//! eight per panel with explicit AVX2/AVX-512 micro-kernels), a private
-//! narrow core for products under four columns, and the one production
-//! backend, [`kernel`].
+//! eight per panel with explicit AVX2/AVX-512 micro-kernels) and a private
+//! narrow core for products under four columns.
 //!
 //! **Bit-identical accumulation.** Slice Tuner's determinism story (trial
 //! aggregates independent of `--jobs`, memoized curve estimations, pinned
 //! proptest seeds) requires that the choice of core never changes a single
-//! output bit. Every backend therefore accumulates each output element in
+//! output bit. Every core therefore accumulates each output element in
 //! strictly ascending `k` order — blocking and vector lanes only re-tile the
 //! *interleaving* across output elements, never the per-element summation
-//! chain. The unit tests below check every vector width the host supports,
-//! and the proptest suite in `crates/linalg/tests/proptests.rs` checks
-//! [`kernel`] and both cores, with exact (`to_bits`) equality against
-//! [`NaiveKernel`] on rectangular and degenerate shapes.
+//! chain. The unit tests below check every vector width the host supports
+//! and every pack layout, and the proptest suite in
+//! `crates/linalg/tests/proptests.rs` checks [`kernel`] and both cores, with
+//! exact (`to_bits`) equality against [`NaiveKernel`] on rectangular and
+//! degenerate shapes.
 //!
 //! **One kernel, routed per product.** [`kernel`] picks a core on every
 //! call from the product's output width `n`: the narrow core when `n < 4`,
@@ -36,11 +36,10 @@
 //!
 //! **Prepacked operands.** Workloads that multiply a stream of activation
 //! batches against one fixed weight matrix pack that operand **once**
-//! ([`PackedB`]) and reuse it across `gemm_prepacked`/`gemm_nt_prepacked`
-//! calls — the packing cores skip their per-call pack, the naive reference
-//! falls back to pack-on-call, and all results stay bit-identical. Handles
-//! are snapshots: re-pack (buffer-reusing `*_into`) when the operand
-//! mutates.
+//! ([`PackedB`], from `B` or from its transposed storage) and reuse it
+//! across `gemm_prepacked` calls — the packing cores skip their per-call
+//! pack, and all results stay bit-identical. Handles are snapshots:
+//! re-pack (buffer-reusing `*_into`) when the operand mutates.
 
 use crate::simd::SimdWidth;
 
@@ -78,9 +77,8 @@ const SIMD_PANEL_BLOCK_BYTES: usize = 512 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PackLayout {
     /// Verbatim row-major copy of `B` (`k×n`): every prepacked call runs
-    /// the backend's ordinary `gemm` on it. It is [`NaiveKernel`]'s
-    /// pack-on-call fallback, and what [`kernel`] packs when `n < PW`, so
-    /// those prepacked products run the narrow core with no per-call pack.
+    /// [`Kernel::gemm`] on it. [`kernel`] packs it when `n < PW`, so those
+    /// prepacked products run the narrow core with no per-call pack.
     Raw,
     /// [`PW`]-wide interleaved column panels, read by [`BlockedKernel`]'s
     /// core. [`kernel`] packs these when `PW ≤ n < SPW`, and from `PW` up
@@ -92,9 +90,8 @@ enum PackLayout {
     Panels8,
 }
 
-/// A `B` operand packed **once** into a backend's panel layout and reused
-/// across many [`GemmBackend::gemm_prepacked`] /
-/// [`GemmBackend::gemm_nt_prepacked`] calls.
+/// A `B` operand packed **once** into a core's panel layout and reused
+/// across many [`Kernel::gemm_prepacked`] calls.
 ///
 /// The estimator hot path multiplies thousands of different activation
 /// batches against the *same* weight matrix; packing per call re-shuffles
@@ -104,13 +101,13 @@ enum PackLayout {
 /// **Lifetime / invalidation contract.** The handle is a snapshot: it
 /// captures the operand's bytes at pack time and never observes later
 /// mutations. Callers that mutate the source (an optimizer step updating
-/// weights) must re-pack — [`GemmBackend::pack_b_into`] reuses the
-/// handle's allocation, so re-packing is a copy, not an allocation.
+/// weights) must re-pack — [`Kernel::pack_b_into`] reuses the handle's
+/// allocation, so re-packing is a copy, not an allocation.
 ///
 /// **Bit identity.** Packing is pure data movement; the packed cores run
 /// the same ascending-`k` per-element chains as the pack-on-call paths, so
-/// a prepacked product is bit-identical to its pack-on-call twin on every
-/// backend (proptested).
+/// a prepacked product is bit-identical to its pack-on-call twin in every
+/// layout (tested).
 #[derive(Debug, Clone)]
 pub struct PackedB {
     layout: PackLayout,
@@ -128,6 +125,44 @@ impl PackedB {
     /// Output columns (`B` columns) the handle was packed for.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Packs `b` (`k×n` row-major) in `layout`, reusing the allocation.
+    fn pack(&mut self, layout: PackLayout, k: usize, n: usize, b: &[f64]) {
+        debug_assert_eq!(b.len(), k * n);
+        self.layout = layout;
+        self.k = k;
+        self.n = n;
+        match layout {
+            PackLayout::Raw => {
+                self.data.clear();
+                self.data.extend_from_slice(b);
+            }
+            PackLayout::Panels4 => pack_panels_into::<PW>(k, n, b, &mut self.data),
+            PackLayout::Panels8 => pack_panels_into::<SPW>(k, n, b, &mut self.data),
+        }
+    }
+
+    /// Packs `B` given its transposed storage `bt` (`n×k` row-major: row
+    /// `j` of `bt` is column `j` of `B`) in `layout`, reusing the
+    /// allocation. The transpose is resolved here, so a prepacked product
+    /// on the handle does no per-call transpose work.
+    fn pack_t(&mut self, layout: PackLayout, k: usize, n: usize, bt: &[f64]) {
+        debug_assert_eq!(bt.len(), n * k);
+        self.layout = layout;
+        self.k = k;
+        self.n = n;
+        match layout {
+            PackLayout::Raw => {
+                self.data.clear();
+                self.data.resize(k * n, 0.0);
+                // An exact copy: `gemm` on the materialized `B` accumulates
+                // the same ascending-`k` chains `gemm_nt` runs on `bt`.
+                Kernel.transpose(n, k, bt, &mut self.data);
+            }
+            PackLayout::Panels4 => pack_panels_t_into::<PW>(k, n, bt, &mut self.data),
+            PackLayout::Panels8 => pack_panels_t_into::<SPW>(k, n, bt, &mut self.data),
+        }
     }
 }
 
@@ -246,15 +281,14 @@ fn pack_panels_t_into<const W: usize>(k: usize, n: usize, bt: &[f64], packed: &m
 /// panel handle feeds its packed core, which appends the epilogues to each
 /// element's chain at its single store. `Raw` handles, and `k == 0`
 /// products (nothing to reduce, but the bias still broadcasts), run
-/// `backend.gemm` and then the unfused passes in the same order — the
+/// [`Kernel::gemm`] and then the unfused passes in the same order — the
 /// same bits either way.
 ///
 /// # Panics
 /// Panics when the handle's shape does not match `(k, n)` or
 /// `bias.len() != n`.
 #[allow(clippy::too_many_arguments)]
-fn prepacked<B: GemmBackend + ?Sized>(
-    backend: &B,
+fn prepacked(
     m: usize,
     k: usize,
     n: usize,
@@ -282,7 +316,7 @@ fn prepacked<B: GemmBackend + ?Sized>(
             SimdKernel::walk(SimdWidth::detected(), m, k, n, ops, bias, relu, out)
         }
         _ => {
-            backend.gemm(m, k, n, a, &pb.data, out);
+            Kernel.gemm(m, k, n, a, &pb.data, out);
             if let Some(bias) = bias {
                 bias_rows(n, bias, out);
             }
@@ -293,214 +327,16 @@ fn prepacked<B: GemmBackend + ?Sized>(
     }
 }
 
-/// The dense compute primitives every backend must provide.
-///
-/// All matrices are row-major `f64` slices with explicit dimensions; `out`
-/// buffers are **accumulated into** (callers zero them for a plain
-/// product), except [`transpose`](Self::transpose) and
-/// [`matvec`](Self::matvec) which assign.
-///
-/// Implementations must accumulate each output element in ascending-`k`
-/// order so all backends produce bit-identical results (see module docs).
-pub trait GemmBackend: Send + Sync {
-    /// Human-readable backend name (for logs and the `kernels` bench).
-    fn name(&self) -> &'static str;
-
-    /// `out += a · b` with `a: m×k`, `b: k×n`, `out: m×n`.
-    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]);
-
-    /// `out += a · bᵀ` with `a: m×k`, `bt: n×k` (row-major), `out: m×n`.
-    ///
-    /// This is the backward-pass shape `dZ · Wᵀ` without materializing the
-    /// transpose: row `j` of `bt` is exactly column `j` of `btᵀ`.
-    fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]);
-
-    /// `out += aᵀ · b` with `a: m×k`, `b: m×n`, `out: k×n`.
-    ///
-    /// This is the gradient shape `Xᵀ · dZ` without materializing the
-    /// transpose: the cores read both operands where they lie.
-    fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]);
-
-    /// `out[r] = dot(a.row(r), v)` with `a: rows×cols`.
-    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]);
-
-    /// `out[c] += Σ_r v[r] · a[r][c]` with `a: rows×cols` (i.e. `aᵀ · v`).
-    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]);
-
-    /// `out = aᵀ` with `a: rows×cols`, `out: cols×rows`.
-    fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]);
-
-    // ---- The prepacked operand API ------------------------------------
-    //
-    // Pack once, multiply many times. The default pack methods are the
-    // pack-on-call fallback `naive` uses: the handle stores the operand
-    // verbatim and every prepacked call runs the backend's ordinary entry
-    // point. `blocked` and `simd` override them to emit their native panel
-    // layouts, and the production kernel emits `Raw` or one of the two by
-    // the product's output width. The prepacked entries dispatch on the
-    // handle's layout, so a panel handle feeds its packed core directly,
-    // skipping the per-call pack. Every combination is bit-identical to
-    // the pack-on-call twin.
-
-    /// Packs the `B` operand of [`gemm`](Self::gemm) (`b: k×n` row-major)
-    /// into `dst`, reusing `dst`'s allocation.
-    fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(b.len(), k * n);
-        dst.layout = PackLayout::Raw;
-        dst.k = k;
-        dst.n = n;
-        dst.data.clear();
-        dst.data.extend_from_slice(b);
-    }
-
-    /// Packs the `B` operand of [`gemm_nt`](Self::gemm_nt) given its
-    /// transposed storage (`bt: n×k` row-major — row `j` of `bt` is column
-    /// `j` of the logical `B`), reusing `dst`'s allocation. The transpose
-    /// is resolved at pack time, so the handle feeds
-    /// [`gemm_nt_prepacked`](Self::gemm_nt_prepacked) with no per-call
-    /// transpose work.
-    fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(bt.len(), n * k);
-        dst.layout = PackLayout::Raw;
-        dst.k = k;
-        dst.n = n;
-        dst.data.clear();
-        dst.data.resize(k * n, 0.0);
-        if k > 0 && n > 0 {
-            // An exact copy: `gemm` on the materialized `B` accumulates
-            // the same ascending-`k` chains `gemm_nt` runs on `bt`.
-            self.transpose(n, k, bt, &mut dst.data);
-        }
-    }
-
-    /// Allocating convenience for [`pack_b_into`](Self::pack_b_into).
-    fn pack_b(&self, k: usize, n: usize, b: &[f64]) -> PackedB {
-        let mut dst = PackedB::default();
-        self.pack_b_into(k, n, b, &mut dst);
-        dst
-    }
-
-    /// Allocating convenience for [`pack_b_t_into`](Self::pack_b_t_into).
-    fn pack_b_t(&self, k: usize, n: usize, bt: &[f64]) -> PackedB {
-        let mut dst = PackedB::default();
-        self.pack_b_t_into(k, n, bt, &mut dst);
-        dst
-    }
-
-    /// [`gemm`](Self::gemm) with `B` prepacked: `out += a · B`.
-    ///
-    /// Bit-identical to `gemm(m, k, n, a, b, out)` for the `b` the handle
-    /// was packed from, on every backend.
-    ///
-    /// # Panics
-    /// Panics when the handle's shape does not match `(k, n)`.
-    fn gemm_prepacked(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        out: &mut [f64],
-    ) {
-        prepacked(self, m, k, n, a, pb, None, false, out);
-    }
-
-    /// [`gemm_nt`](Self::gemm_nt) with `Bᵀ` prepacked: `out += a · bᵀ`
-    /// where the handle came from [`pack_b_t`](Self::pack_b_t). The
-    /// transpose was resolved at pack time, so this is the same packed
-    /// walk as [`gemm_prepacked`](Self::gemm_prepacked) — and bit-identical
-    /// to the pack-on-call `gemm_nt`.
-    ///
-    /// # Panics
-    /// Panics when the handle's shape does not match `(k, n)`.
-    fn gemm_nt_prepacked(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        out: &mut [f64],
-    ) {
-        self.gemm_prepacked(m, k, n, a, pb, out);
-    }
-
-    /// [`gemm_prepacked`](Self::gemm_prepacked) with a **fused bias
-    /// epilogue**: `out += a · B`, then `bias[j]` added to every row's
-    /// column `j` — the affine forward `X·W + b` in one pass.
-    ///
-    /// **Bit identity.** The packed cores accumulate each output element
-    /// in a single ascending-`k` register chain and store it exactly once;
-    /// the epilogue appends `+ bias[j]` to the end of that chain at the
-    /// write-back, which is precisely where a separate
-    /// `add_bias_rows` pass would add it. The fused product is therefore
-    /// `to_bits`-identical to `gemm_prepacked` followed by the separate
-    /// bias pass on every backend (proptested). `Raw` handles (naive's
-    /// pack-on-call fallback, and [`kernel`]'s products under four
-    /// columns) run the product first and an unfused bias pass after —
-    /// same contract, no fusion.
-    ///
-    /// # Panics
-    /// Panics when the handle's shape does not match `(k, n)` or
-    /// `bias.len() != n`.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_prepacked_bias(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        prepacked(self, m, k, n, a, pb, Some(bias), false, out);
-    }
-
-    /// [`gemm_prepacked_bias`](Self::gemm_prepacked_bias) with a **fused
-    /// ReLU epilogue** appended after the bias: `out = relu(out + a·B +
-    /// bias)` — the hidden-layer forward `relu(X·W + b)` in one pass.
-    ///
-    /// **Bit identity.** The packed cores store each output element
-    /// exactly once, so clamping at the write-back reads the same value a
-    /// separate ReLU pass would read; the clamp itself is the separate
-    /// pass's `< 0` comparison (see `relu_rows` — `-0.0` and `NaN`
-    /// survive untouched, a vector `max` would flip them). The fused call
-    /// is therefore `to_bits`-identical to `gemm_prepacked_bias` followed
-    /// by `relu_rows` on every backend (proptested). `Raw` handles and
-    /// `k == 0` products run the unfused passes in that exact order
-    /// instead.
-    ///
-    /// # Panics
-    /// Panics when the handle's shape does not match `(k, n)` or
-    /// `bias.len() != n`.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm_prepacked_bias_relu(
-        &self,
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        pb: &PackedB,
-        bias: &[f64],
-        out: &mut [f64],
-    ) {
-        prepacked(self, m, k, n, a, pb, Some(bias), true, out);
-    }
-}
-
-/// The straight-line reference backend: textbook `ikj` loops, no blocking,
-/// no branches. Every other backend is tested against this one bit-for-bit.
+/// The straight-line reference: textbook `ikj` loops, no blocking, no
+/// branches. Every core is tested against this one bit-for-bit. Like
+/// [`Kernel`]'s, its products accumulate into `out` and its transpose
+/// assigns.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NaiveKernel;
 
-impl GemmBackend for NaiveKernel {
-    fn name(&self) -> &'static str {
-        "naive"
-    }
-
-    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+impl NaiveKernel {
+    /// `out += a · b` with `a: m×k`, `b: k×n`, `out: m×n`.
+    pub fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), k * n);
         debug_assert_eq!(out.len(), m * n);
@@ -516,7 +352,8 @@ impl GemmBackend for NaiveKernel {
         }
     }
 
-    fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
+    /// `out += a · bᵀ` with `a: m×k`, `bt: n×k` (row-major), `out: m×n`.
+    pub fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(bt.len(), n * k);
         debug_assert_eq!(out.len(), m * n);
@@ -534,7 +371,8 @@ impl GemmBackend for NaiveKernel {
         }
     }
 
-    fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+    /// `out += aᵀ · b` with `a: m×k`, `b: m×n`, `out: k×n`.
+    pub fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         debug_assert_eq!(a.len(), m * k);
         debug_assert_eq!(b.len(), m * n);
         debug_assert_eq!(out.len(), k * n);
@@ -550,33 +388,8 @@ impl GemmBackend for NaiveKernel {
         }
     }
 
-    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(v.len(), cols);
-        debug_assert_eq!(out.len(), rows);
-        for (r, o) in out.iter_mut().enumerate() {
-            let row = &a[r * cols..(r + 1) * cols];
-            let mut acc = 0.0;
-            for (&x, &y) in row.iter().zip(v) {
-                acc += x * y;
-            }
-            *o = acc;
-        }
-    }
-
-    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(v.len(), rows);
-        debug_assert_eq!(out.len(), cols);
-        for (r, &vr) in v.iter().enumerate() {
-            let row = &a[r * cols..(r + 1) * cols];
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += vr * x;
-            }
-        }
-    }
-
-    fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
+    /// `out = aᵀ` with `a: rows×cols`, `out: cols×rows`.
+    pub fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
         debug_assert_eq!(a.len(), rows * cols);
         debug_assert_eq!(out.len(), rows * cols);
         for r in 0..rows {
@@ -587,10 +400,10 @@ impl GemmBackend for NaiveKernel {
     }
 }
 
-/// The 4-wide core: cache-blocked and register-tiled. [`kernel`] runs its
-/// `gemm` and `gemm_nt` for products four to seven columns wide, and from
-/// four columns up on CPUs without AVX2 or AVX-512; its `gemm_tn` is
-/// [`kernel`]'s.
+/// The 4-wide core: cache-blocked and register-tiled. [`kernel`] runs it
+/// for `gemm` and `gemm_nt` products four to seven columns wide, and from
+/// four columns up on CPUs without AVX2 or AVX-512, and prepacked
+/// products on the 4-wide handles it packs for them.
 ///
 /// `gemm` tiles the output columns (`NC`) and the reduction dimension
 /// (`KC`) so a `KC × NC` panel of `B` stays cache-resident, processes
@@ -603,6 +416,39 @@ impl GemmBackend for NaiveKernel {
 pub struct BlockedKernel;
 
 impl BlockedKernel {
+    /// `out += a · b` with `a: m×k`, `b: k×n`, `out: m×n`, packing `b` into
+    /// 4-wide panels on every call (below `PACK_MIN_ROWS` rows, the axpy
+    /// path instead).
+    pub fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), k * n);
+        debug_assert_eq!(out.len(), m * n);
+        if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        if m < PACK_MIN_ROWS {
+            Self::axpy_gemm(m, k, n, a, b, out);
+            return;
+        }
+        let mut packed = Vec::new();
+        pack_panels_into::<PW>(k, n, b, &mut packed);
+        Self::packed_gemm(m, k, n, a, &packed, None, false, out);
+    }
+
+    /// `out += a · bᵀ` with `a: m×k`, `bt: n×k` (row-major), `out: m×n`,
+    /// packing `bt` into 4-wide panels on every call.
+    pub fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(bt.len(), n * k);
+        debug_assert_eq!(out.len(), m * n);
+        if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        let mut packed = Vec::new();
+        pack_panels_t_into::<PW>(k, n, bt, &mut packed);
+        Self::packed_gemm(m, k, n, a, &packed, None, false, out);
+    }
+
     /// The packed dot core: `out += a · B` with `B` pre-packed into
     /// [`PW`]-wide panels. Every output element is accumulated in one
     /// register across the whole reduction (ascending `k`, bit-identical
@@ -932,139 +778,6 @@ impl BlockedKernel {
     }
 }
 
-impl GemmBackend for BlockedKernel {
-    fn name(&self) -> &'static str {
-        "blocked"
-    }
-
-    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if m < PACK_MIN_ROWS {
-            Self::axpy_gemm(m, k, n, a, b, out);
-            return;
-        }
-        let mut packed = Vec::new();
-        pack_panels_into::<PW>(k, n, b, &mut packed);
-        Self::packed_gemm(m, k, n, a, &packed, None, false, out);
-    }
-
-    fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(bt.len(), n * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        let mut packed = Vec::new();
-        pack_panels_t_into::<PW>(k, n, bt, &mut packed);
-        Self::packed_gemm(m, k, n, a, &packed, None, false, out);
-    }
-
-    fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        // The 4-wide core reads contiguous rows of `Aᵀ` and packed panels,
-        // so its `gemm_tn` would transpose `A` and pack `B` first; the
-        // production walks read both in place.
-        AutoKernel.gemm_tn(m, k, n, a, b, out);
-    }
-
-    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(v.len(), cols);
-        debug_assert_eq!(out.len(), rows);
-        // Row pairs share the streamed v loads; per-row accumulation stays
-        // ascending-k, so bits match the naive dot.
-        let mut r = 0;
-        while r + 2 <= rows {
-            let row0 = &a[r * cols..(r + 1) * cols];
-            let row1 = &a[(r + 1) * cols..(r + 2) * cols];
-            let mut acc0 = 0.0;
-            let mut acc1 = 0.0;
-            for (p, &vv) in v.iter().enumerate() {
-                acc0 += row0[p] * vv;
-                acc1 += row1[p] * vv;
-            }
-            out[r] = acc0;
-            out[r + 1] = acc1;
-            r += 2;
-        }
-        if r < rows {
-            let row = &a[r * cols..(r + 1) * cols];
-            let mut acc = 0.0;
-            for (&x, &y) in row.iter().zip(v) {
-                acc += x * y;
-            }
-            out[r] = acc;
-        }
-    }
-
-    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(v.len(), rows);
-        debug_assert_eq!(out.len(), cols);
-        let mut r = 0;
-        while r + 2 <= rows {
-            let (v0, v1) = (v[r], v[r + 1]);
-            let row0 = &a[r * cols..(r + 1) * cols];
-            let row1 = &a[(r + 1) * cols..(r + 2) * cols];
-            for (c, o) in out.iter_mut().enumerate() {
-                let mut acc = *o;
-                acc += v0 * row0[c];
-                acc += v1 * row1[c];
-                *o = acc;
-            }
-            r += 2;
-        }
-        if r < rows {
-            let vr = v[r];
-            let row = &a[r * cols..(r + 1) * cols];
-            for (o, &x) in out.iter_mut().zip(row) {
-                *o += vr * x;
-            }
-        }
-    }
-
-    fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(b.len(), k * n);
-        dst.layout = PackLayout::Panels4;
-        dst.k = k;
-        dst.n = n;
-        pack_panels_into::<PW>(k, n, b, &mut dst.data);
-    }
-
-    fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(bt.len(), n * k);
-        dst.layout = PackLayout::Panels4;
-        dst.k = k;
-        dst.n = n;
-        pack_panels_t_into::<PW>(k, n, bt, &mut dst.data);
-    }
-
-    fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), rows * cols);
-        debug_assert_eq!(out.len(), rows * cols);
-        // Blocked swap: both the strided reads and the strided writes stay
-        // inside a TB×TB tile that fits L1, instead of walking a whole
-        // column per output row.
-        for rb in (0..rows).step_by(TB) {
-            let rh = TB.min(rows - rb);
-            for cb in (0..cols).step_by(TB) {
-                let cw = TB.min(cols - cb);
-                for r in rb..rb + rh {
-                    let row = &a[r * cols + cb..r * cols + cb + cw];
-                    for (dc, &x) in row.iter().enumerate() {
-                        out[(cb + dc) * rows + r] = x;
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// The 8-wide core: AVX2 intrinsics with an AVX-512 path where the CPU
 /// offers one, selected at runtime. [`kernel`] runs it for products at
 /// least eight columns wide.
@@ -1075,9 +788,9 @@ impl GemmBackend for BlockedKernel {
 /// contraction, no horizontal reductions). The scalar fallback mirrors the
 /// lane arithmetic exactly, so `simd` is bit-identical to [`NaiveKernel`]
 /// on every target; only throughput differs between the AVX2, AVX-512, and
-/// scalar instantiations. From 8 columns up, `gemm_tn` runs the same
-/// micro-kernels on `A` and `B` where they lie, with no transpose or pack;
-/// below 8 it is [`kernel`]'s narrow walk.
+/// scalar instantiations. From 8 columns up, [`Kernel::gemm_tn`] runs the
+/// same micro-kernels on `A` and `B` where they lie, with no transpose or
+/// pack.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct SimdKernel;
 
@@ -1158,6 +871,43 @@ impl<'a> Operands<'a> {
 }
 
 impl SimdKernel {
+    /// `out += a · b` with `a: m×k`, `b: k×n`, `out: m×n`, packing `b` into
+    /// 8-wide panels on every call (below `PACK_MIN_ROWS` rows, the 4-wide
+    /// core's axpy path instead).
+    pub fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(b.len(), k * n);
+        debug_assert_eq!(out.len(), m * n);
+        if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        if m < PACK_MIN_ROWS {
+            // Packing never amortizes on a handful of rows; the blocked
+            // axpy fallback is bit-identical (ascending-k everywhere).
+            BlockedKernel::axpy_gemm(m, k, n, a, b, out);
+            return;
+        }
+        let mut packed = Vec::new();
+        pack_panels_into::<SPW>(k, n, b, &mut packed);
+        let ops = Operands::packed(k, a, &packed);
+        Self::walk(SimdWidth::detected(), m, k, n, ops, None, false, out);
+    }
+
+    /// `out += a · bᵀ` with `a: m×k`, `bt: n×k` (row-major), `out: m×n`,
+    /// packing `bt` into 8-wide panels on every call.
+    pub fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(a.len(), m * k);
+        debug_assert_eq!(bt.len(), n * k);
+        debug_assert_eq!(out.len(), m * n);
+        if m == 0 || k == 0 || n == 0 {
+            return;
+        }
+        let mut packed = Vec::new();
+        pack_panels_t_into::<SPW>(k, n, bt, &mut packed);
+        let ops = Operands::packed(k, a, &packed);
+        Self::walk(SimdWidth::detected(), m, k, n, ops, None, false, out);
+    }
+
     /// `out += L·R` for the `rows × depth` by `depth × n` operands `ops`
     /// describes, on the `width` path. The width is capped at the detected
     /// one, so a test can run a narrower path on a wider host but nothing
@@ -1675,81 +1425,6 @@ impl SimdKernel {
     }
 }
 
-impl GemmBackend for SimdKernel {
-    fn name(&self) -> &'static str {
-        "simd"
-    }
-
-    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        if m < PACK_MIN_ROWS {
-            // Packing never amortizes on a handful of rows; the blocked
-            // axpy fallback is bit-identical (ascending-k everywhere).
-            BlockedKernel::axpy_gemm(m, k, n, a, b, out);
-            return;
-        }
-        let mut packed = Vec::new();
-        pack_panels_into::<SPW>(k, n, b, &mut packed);
-        let ops = Operands::packed(k, a, &packed);
-        Self::walk(SimdWidth::detected(), m, k, n, ops, None, false, out);
-    }
-
-    fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(bt.len(), n * k);
-        debug_assert_eq!(out.len(), m * n);
-        if m == 0 || k == 0 || n == 0 {
-            return;
-        }
-        let mut packed = Vec::new();
-        pack_panels_t_into::<SPW>(k, n, bt, &mut packed);
-        let ops = Operands::packed(k, a, &packed);
-        Self::walk(SimdWidth::detected(), m, k, n, ops, None, false, out);
-    }
-
-    fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
-        // [`kernel`]'s: below 8 columns a panel is mostly padding, and
-        // the narrow walk reads the same operands in place.
-        AutoKernel.gemm_tn(m, k, n, a, b, out);
-    }
-
-    fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(b.len(), k * n);
-        dst.layout = PackLayout::Panels8;
-        dst.k = k;
-        dst.n = n;
-        pack_panels_into::<SPW>(k, n, b, &mut dst.data);
-    }
-
-    fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
-        debug_assert_eq!(bt.len(), n * k);
-        dst.layout = PackLayout::Panels8;
-        dst.k = k;
-        dst.n = n;
-        pack_panels_t_into::<SPW>(k, n, bt, &mut dst.data);
-    }
-
-    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        // A dot product vectorized across `k` would need partial-sum lanes
-        // (a reassociation); the paired-row scalar walk is the fastest
-        // schedule that keeps the naive chain. Shared with `blocked`.
-        BlockedKernel.matvec(rows, cols, a, v, out);
-    }
-
-    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        BlockedKernel.matvec_t(rows, cols, a, v, out);
-    }
-
-    fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
-        BlockedKernel.transpose(rows, cols, a, out);
-    }
-}
-
 /// Rows the narrow core's `gemm` and `gemm_nt` interleave: `NR·n`
 /// independent accumulation chains per reduction step, where one row alone
 /// would leave `n < 4` serial chains waiting on add latency.
@@ -1930,26 +1605,28 @@ enum Core {
     Simd,
 }
 
-/// The production backend [`kernel`] returns: each product's output width
+/// The production kernel [`kernel`] returns: each product's output width
 /// picks its core.
 ///
 /// `gemm` and `gemm_nt` run the narrow core when the output width `n` is
-/// below [`PW`] (4), the 8-wide [`SimdKernel`] core when `n` is at least
-/// [`SPW`] and the CPU has AVX2 or AVX-512, and the 4-wide
+/// below 4 (`PW`), the 8-wide [`SimdKernel`] core when `n` is at least 8
+/// (`SPW`) and the CPU has AVX2 or AVX-512, and the 4-wide
 /// [`BlockedKernel`] core otherwise. `gemm_tn` runs the narrow core's walk
-/// below [`SPW`] and the 8-wide core's direct walk from [`SPW`] up (its
-/// scalar mirror without AVX2): both read `A` and `B` where they lie, so
-/// no panel width has a pack to amortize. The pack methods follow the
-/// `gemm` rule: the `Raw` layout below four columns (so the prepacked
-/// entries run the narrow core through `gemm`), and the matching panel
-/// layout above. The prepacked entries dispatch on the handle's layout.
-/// `matvec`, `matvec_t` and `transpose` run the blocked schedules. Every
-/// core is bit-identical to [`NaiveKernel`], so the routing changes no
-/// output bit.
+/// below 8 columns and the 8-wide core's direct walk from 8 up (its scalar
+/// mirror without AVX2): both read `A` and `B` where they lie, so no panel
+/// width has a pack to amortize. The pack methods follow the `gemm` rule:
+/// the `Raw` layout below four columns (so the prepacked entries run the
+/// narrow core through `gemm`), and the matching panel layout above. The
+/// prepacked entries dispatch on the handle's layout. Every core is
+/// bit-identical to [`NaiveKernel`], so the routing changes no output bit.
+///
+/// All matrices are row-major `f64` slices with explicit dimensions. The
+/// products **accumulate into** `out` (callers zero it for a plain
+/// product); [`transpose`](Self::transpose) assigns.
 #[derive(Debug, Default, Clone, Copy)]
-struct AutoKernel;
+pub struct Kernel;
 
-impl AutoKernel {
+impl Kernel {
     /// The core a `gemm` or `gemm_nt` with `n` output columns runs on.
     fn core(n: usize) -> Core {
         if n < PW {
@@ -1960,14 +1637,19 @@ impl AutoKernel {
             Core::Blocked
         }
     }
-}
 
-impl GemmBackend for AutoKernel {
-    fn name(&self) -> &'static str {
-        "auto"
+    /// The layout a `B` with `n` columns is packed in: the one its core
+    /// reads. The narrow core reads `B` unpacked.
+    fn layout(n: usize) -> PackLayout {
+        match Self::core(n) {
+            Core::Narrow => PackLayout::Raw,
+            Core::Blocked => PackLayout::Panels4,
+            Core::Simd => PackLayout::Panels8,
+        }
     }
 
-    fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+    /// `out += a · b` with `a: m×k`, `b: k×n`, `out: m×n`.
+    pub fn gemm(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         match Self::core(n) {
             Core::Narrow => NarrowCore::gemm(m, k, n, a, b, out),
             Core::Blocked => BlockedKernel.gemm(m, k, n, a, b, out),
@@ -1975,7 +1657,11 @@ impl GemmBackend for AutoKernel {
         }
     }
 
-    fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
+    /// `out += a · bᵀ` with `a: m×k`, `bt: n×k` (row-major), `out: m×n`.
+    ///
+    /// This is the backward-pass shape `dZ · Wᵀ` without materializing the
+    /// transpose: row `j` of `bt` is exactly column `j` of `btᵀ`.
+    pub fn gemm_nt(&self, m: usize, k: usize, n: usize, a: &[f64], bt: &[f64], out: &mut [f64]) {
         match Self::core(n) {
             Core::Narrow => NarrowCore::gemm_nt(m, k, n, a, bt, out),
             Core::Blocked => BlockedKernel.gemm_nt(m, k, n, a, bt, out),
@@ -1983,7 +1669,11 @@ impl GemmBackend for AutoKernel {
         }
     }
 
-    fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
+    /// `out += aᵀ · b` with `a: m×k`, `b: m×n`, `out: k×n`.
+    ///
+    /// This is the gradient shape `Xᵀ · dZ` without materializing the
+    /// transpose: the cores read both operands where they lie.
+    pub fn gemm_tn(&self, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], out: &mut [f64]) {
         if n < SPW {
             NarrowCore::gemm_tn(m, k, n, a, b, out);
         } else {
@@ -1991,33 +1681,132 @@ impl GemmBackend for AutoKernel {
         }
     }
 
-    fn matvec(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        BlockedKernel.matvec(rows, cols, a, v, out);
-    }
-
-    fn matvec_t(&self, rows: usize, cols: usize, a: &[f64], v: &[f64], out: &mut [f64]) {
-        BlockedKernel.matvec_t(rows, cols, a, v, out);
-    }
-
-    fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
-        BlockedKernel.transpose(rows, cols, a, out);
-    }
-
-    fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
-        // The narrow core reads `B` unpacked: `Raw`, as naive stores it.
-        match Self::core(n) {
-            Core::Narrow => NaiveKernel.pack_b_into(k, n, b, dst),
-            Core::Blocked => BlockedKernel.pack_b_into(k, n, b, dst),
-            Core::Simd => SimdKernel.pack_b_into(k, n, b, dst),
+    /// `out = aᵀ` with `a: rows×cols`, `out: cols×rows`.
+    pub fn transpose(&self, rows: usize, cols: usize, a: &[f64], out: &mut [f64]) {
+        debug_assert_eq!(a.len(), rows * cols);
+        debug_assert_eq!(out.len(), rows * cols);
+        // Blocked swap: both the strided reads and the strided writes stay
+        // inside a TB×TB tile that fits L1, instead of walking a whole
+        // column per output row.
+        for rb in (0..rows).step_by(TB) {
+            let rh = TB.min(rows - rb);
+            for cb in (0..cols).step_by(TB) {
+                let cw = TB.min(cols - cb);
+                for r in rb..rb + rh {
+                    let row = &a[r * cols + cb..r * cols + cb + cw];
+                    for (dc, &x) in row.iter().enumerate() {
+                        out[(cb + dc) * rows + r] = x;
+                    }
+                }
+            }
         }
     }
 
-    fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
-        match Self::core(n) {
-            Core::Narrow => NaiveKernel.pack_b_t_into(k, n, bt, dst),
-            Core::Blocked => BlockedKernel.pack_b_t_into(k, n, bt, dst),
-            Core::Simd => SimdKernel.pack_b_t_into(k, n, bt, dst),
-        }
+    /// Packs the `B` operand of [`gemm`](Self::gemm) (`b: k×n` row-major)
+    /// into `dst`, reusing `dst`'s allocation, in the layout of the core
+    /// `gemm` runs on.
+    pub fn pack_b_into(&self, k: usize, n: usize, b: &[f64], dst: &mut PackedB) {
+        dst.pack(Self::layout(n), k, n, b);
+    }
+
+    /// Packs the `B` operand of [`gemm_nt`](Self::gemm_nt) given its
+    /// transposed storage (`bt: n×k` row-major — row `j` of `bt` is column
+    /// `j` of the logical `B`), reusing `dst`'s allocation. The transpose
+    /// is resolved at pack time, so
+    /// [`gemm_prepacked`](Self::gemm_prepacked) on the handle computes
+    /// `a · bᵀ`, bit-identical to `gemm_nt`, with no per-call transpose
+    /// work.
+    pub fn pack_b_t_into(&self, k: usize, n: usize, bt: &[f64], dst: &mut PackedB) {
+        dst.pack_t(Self::layout(n), k, n, bt);
+    }
+
+    /// Allocating convenience for [`pack_b_into`](Self::pack_b_into).
+    pub fn pack_b(&self, k: usize, n: usize, b: &[f64]) -> PackedB {
+        let mut dst = PackedB::default();
+        self.pack_b_into(k, n, b, &mut dst);
+        dst
+    }
+
+    /// [`gemm`](Self::gemm) with `B` prepacked: `out += a · B`.
+    ///
+    /// Bit-identical to `gemm(m, k, n, a, b, out)` for the `b` the handle
+    /// was packed from, and to `gemm_nt(m, k, n, a, bt, out)` for a handle
+    /// packed from `bt`.
+    ///
+    /// # Panics
+    /// Panics when the handle's shape does not match `(k, n)`.
+    pub fn gemm_prepacked(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        out: &mut [f64],
+    ) {
+        prepacked(m, k, n, a, pb, None, false, out);
+    }
+
+    /// [`gemm_prepacked`](Self::gemm_prepacked) with a **fused bias
+    /// epilogue**: `out += a · B`, then `bias[j]` added to every row's
+    /// column `j` — the affine forward `X·W + b` in one pass.
+    ///
+    /// **Bit identity.** The packed cores accumulate each output element
+    /// in a single ascending-`k` register chain and store it exactly once;
+    /// the epilogue appends `+ bias[j]` to the end of that chain at the
+    /// write-back, which is precisely where a separate
+    /// `add_bias_rows` pass would add it. The fused product is therefore
+    /// `to_bits`-identical to `gemm_prepacked` followed by the separate
+    /// bias pass in every layout (tested). `Raw` handles (products under
+    /// four columns) run the product first and an unfused bias pass after —
+    /// same contract, no fusion.
+    ///
+    /// # Panics
+    /// Panics when the handle's shape does not match `(k, n)` or
+    /// `bias.len() != n`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_prepacked_bias(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        bias: &[f64],
+        out: &mut [f64],
+    ) {
+        prepacked(m, k, n, a, pb, Some(bias), false, out);
+    }
+
+    /// [`gemm_prepacked_bias`](Self::gemm_prepacked_bias) with a **fused
+    /// ReLU epilogue** appended after the bias: `out = relu(out + a·B +
+    /// bias)` — the hidden-layer forward `relu(X·W + b)` in one pass.
+    ///
+    /// **Bit identity.** The packed cores store each output element
+    /// exactly once, so clamping at the write-back reads the same value a
+    /// separate ReLU pass would read; the clamp itself is the separate
+    /// pass's `< 0` comparison (see `relu_rows` — `-0.0` and `NaN`
+    /// survive untouched, a vector `max` would flip them). The fused call
+    /// is therefore `to_bits`-identical to `gemm_prepacked_bias` followed
+    /// by `relu_rows` in every layout (tested). `Raw` handles and
+    /// `k == 0` products run the unfused passes in that exact order
+    /// instead.
+    ///
+    /// # Panics
+    /// Panics when the handle's shape does not match `(k, n)` or
+    /// `bias.len() != n`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn gemm_prepacked_bias_relu(
+        &self,
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        pb: &PackedB,
+        bias: &[f64],
+        out: &mut [f64],
+    ) {
+        prepacked(m, k, n, a, pb, Some(bias), true, out);
     }
 }
 
@@ -2029,22 +1818,22 @@ pub enum KernelKind {
     /// The width-routed production kernel, the only kind
     /// [`kernel_kind`] returns.
     Auto,
-    /// No backend: [`kernel_kind`] never returns it. Kept because
+    /// No kernel: [`kernel_kind`] never returns it. Kept because
     /// `perfbench/src/serve.rs:120` compares against it.
     Sharded,
 }
 
 impl KernelKind {
-    /// The kind's name; `kernel().name()` for [`KernelKind::Auto`].
-    /// Kept because `perfbench/src/main.rs:191,321` prints it.
+    /// The kind's name; `"auto"` for [`KernelKind::Auto`], the production
+    /// [`Kernel`]. Kept because `perfbench/src/main.rs:191,321` prints it.
     pub fn name(self) -> &'static str {
         match self {
-            KernelKind::Auto => kernel().name(),
+            KernelKind::Auto => "auto",
             KernelKind::Sharded => "sharded",
         }
     }
 
-    /// Always `true`: every backend is bit-identical to [`NaiveKernel`].
+    /// Always `true`: every core is bit-identical to [`NaiveKernel`].
     /// Kept because `perfbench/src/main.rs:191` checks it.
     pub fn bit_deterministic(self) -> bool {
         true
@@ -2057,11 +1846,11 @@ pub fn kernel_kind() -> KernelKind {
     KernelKind::Auto
 }
 
-/// The backend every [`crate::Matrix`] operation dispatches to: one
+/// The kernel every [`crate::Matrix`] operation dispatches to: one
 /// deterministic kernel that picks the narrow, 4-wide or 8-wide core for
 /// each product from its output width (see the module docs).
-pub fn kernel() -> &'static dyn GemmBackend {
-    &AutoKernel
+pub fn kernel() -> &'static Kernel {
+    &Kernel
 }
 
 #[cfg(test)]
@@ -2132,21 +1921,15 @@ mod tests {
     }
 
     #[test]
-    fn blocked_nt_tn_match_naive_bitwise() {
+    fn blocked_nt_matches_naive_bitwise() {
         let (m, k, n) = (19, 23, 17);
         let a = fill(m * k, 3);
         let bt = fill(n * k, 4);
-        let b = fill(m * n, 5);
         let mut x = vec![0.0; m * n];
         let mut y = vec![0.0; m * n];
         NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut x);
         BlockedKernel.gemm_nt(m, k, n, &a, &bt, &mut y);
         assert_bits_eq(&x, &y);
-        let mut u = vec![0.0; k * n];
-        let mut v = vec![0.0; k * n];
-        NaiveKernel.gemm_tn(m, k, n, &a, &b, &mut u);
-        BlockedKernel.gemm_tn(m, k, n, &a, &b, &mut v);
-        assert_bits_eq(&u, &v);
     }
 
     #[test]
@@ -2178,34 +1961,16 @@ mod tests {
     }
 
     #[test]
-    fn vector_ops_match_bitwise() {
-        let (rows, cols) = (21, 15);
-        let a = fill(rows * cols, 10);
-        let v = fill(cols, 11);
-        let w = fill(rows, 12);
-        let mut x = vec![0.0; rows];
-        let mut y = vec![0.0; rows];
-        NaiveKernel.matvec(rows, cols, &a, &v, &mut x);
-        BlockedKernel.matvec(rows, cols, &a, &v, &mut y);
-        assert_bits_eq(&x, &y);
-        let mut s = vec![0.0; cols];
-        let mut t = vec![0.0; cols];
-        NaiveKernel.matvec_t(rows, cols, &a, &w, &mut s);
-        BlockedKernel.matvec_t(rows, cols, &a, &w, &mut t);
-        assert_bits_eq(&s, &t);
-    }
-
-    #[test]
     fn transposes_match_and_invert() {
         let (rows, cols) = (37, 41);
         let a = fill(rows * cols, 13);
         let mut x = vec![0.0; rows * cols];
         let mut y = vec![0.0; rows * cols];
         NaiveKernel.transpose(rows, cols, &a, &mut x);
-        BlockedKernel.transpose(rows, cols, &a, &mut y);
+        kernel().transpose(rows, cols, &a, &mut y);
         assert_bits_eq(&x, &y);
         let mut back = vec![0.0; rows * cols];
-        BlockedKernel.transpose(cols, rows, &y, &mut back);
+        kernel().transpose(cols, rows, &y, &mut back);
         assert_bits_eq(&a, &back);
     }
 
@@ -2216,7 +1981,7 @@ mod tests {
         NaiveKernel.gemm(0, 0, 0, &[], &[], &mut out);
         let mut o2 = vec![0.0; 4];
         // 0-row gemm_tn leaves the accumulator untouched.
-        BlockedKernel.gemm_tn(0, 2, 2, &[], &[], &mut o2);
+        kernel().gemm_tn(0, 2, 2, &[], &[], &mut o2);
         assert!(o2.iter().all(|&x| x == 0.0));
     }
 
@@ -2234,21 +1999,15 @@ mod tests {
     }
 
     #[test]
-    fn simd_nt_tn_match_naive_bitwise() {
+    fn simd_nt_matches_naive_bitwise() {
         let (m, k, n) = (19, 23, 17);
         let a = fill(m * k, 31);
         let bt = fill(n * k, 32);
-        let b = fill(m * n, 33);
         let mut x = vec![0.0; m * n];
         let mut y = vec![0.0; m * n];
         NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut x);
         SimdKernel.gemm_nt(m, k, n, &a, &bt, &mut y);
         assert_bits_eq(&x, &y);
-        let mut u = vec![0.0; k * n];
-        let mut v = vec![0.0; k * n];
-        NaiveKernel.gemm_tn(m, k, n, &a, &b, &mut u);
-        SimdKernel.gemm_tn(m, k, n, &a, &b, &mut v);
-        assert_bits_eq(&u, &v);
     }
 
     #[test]
@@ -2394,11 +2153,9 @@ mod tests {
             };
             let b = fill(k * n, 300 + n as u64);
             assert_eq!(kernel().pack_b(k, n, &b).layout, want, "pack_b, n = {n}");
-            assert_eq!(
-                kernel().pack_b_t(k, n, &b).layout,
-                want,
-                "pack_b_t, n = {n}"
-            );
+            let mut pbt = PackedB::default();
+            kernel().pack_b_t_into(k, n, &b, &mut pbt);
+            assert_eq!(pbt.layout, want, "pack_b_t_into, n = {n}");
         }
     }
 
@@ -2449,15 +2206,23 @@ mod tests {
                     got.copy_from_slice(&start);
                     ker.gemm_nt(m, k, n, &a, &bt, &mut got);
                     assert_bits_eq_at(&format!("{tag} gemm_nt"), &want, &got);
+                    let mut pbt = PackedB::default();
+                    ker.pack_b_t_into(k, n, &bt, &mut pbt);
                     got.copy_from_slice(&start);
-                    ker.gemm_nt_prepacked(m, k, n, &a, &ker.pack_b_t(k, n, &bt), &mut got);
-                    assert_bits_eq_at(&format!("{tag} gemm_nt_prepacked"), &want, &got);
+                    ker.gemm_prepacked(m, k, n, &a, &pbt, &mut got);
+                    assert_bits_eq_at(&format!("{tag} gemm_prepacked on Bᵀ"), &want, &got);
 
                     let mut want_tn = start_tn.clone();
                     NaiveKernel.gemm_tn(m, k, n, &a, &c, &mut want_tn);
                     let mut got_tn = start_tn.clone();
                     ker.gemm_tn(m, k, n, &a, &c, &mut got_tn);
                     assert_bits_eq_at(&format!("{tag} gemm_tn"), &want_tn, &got_tn);
+
+                    let mut want_t = vec![0.0; m * k];
+                    NaiveKernel.transpose(m, k, &a, &mut want_t);
+                    let mut got_t = vec![f64::NAN; m * k];
+                    ker.transpose(m, k, &a, &mut got_t);
+                    assert_bits_eq_at(&format!("{tag} transpose"), &want_t, &got_t);
                 }
             }
         }
@@ -2466,82 +2231,83 @@ mod tests {
     #[test]
     fn kernel_kind_names_the_production_kernel() {
         assert_eq!(kernel_kind(), KernelKind::Auto);
-        assert_eq!(kernel_kind().name(), kernel().name());
+        assert_eq!(kernel_kind().name(), "auto");
         assert!(kernel_kind().bit_deterministic());
+    }
+
+    /// Every pack layout, whichever core [`kernel`] picks on this host:
+    /// the `Raw` copy the narrow core reads, and the 4- and 8-wide panels.
+    const LAYOUTS: [PackLayout; 3] = [PackLayout::Raw, PackLayout::Panels4, PackLayout::Panels8];
+
+    /// A handle of `b` (`k×n`) in `layout`.
+    fn packed_in(layout: PackLayout, k: usize, n: usize, b: &[f64]) -> PackedB {
+        let mut pb = PackedB::default();
+        pb.pack(layout, k, n, b);
+        pb
+    }
+
+    /// The layout tests' shapes: the gallery and random shapes, the
+    /// estimator's 16-row minibatch against a 784×64 operand (`k` spans
+    /// many panel blocks), and the `k = 0`, `m = 0` and `n = 0` edges.
+    fn layout_shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = gallery_and_random(0x1A70, 30);
+        shapes.extend([(16, 784, 64), (4, 0, 6), (0, 3, 5), (5, 4, 0)]);
+        shapes
     }
 
     #[test]
     fn prepacked_matches_pack_on_call_bitwise() {
-        // Every backend, every prepacked entry point, across degenerate,
-        // small-m (axpy fallback boundary), and general shapes, and a deep
-        // minibatch profile (16 rows against a 784x64 operand, k spanning
-        // many K blocks): the prepacked product must equal its
-        // pack-on-call twin bit-for-bit.
-        let backends: [&dyn GemmBackend; 4] = [&NaiveKernel, &BlockedKernel, &SimdKernel, kernel()];
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 9, 8),
-            (7, 5, 3),
-            (17, 13, 11),
-            (33, 29, 37),
-            (16, 784, 64),
-        ] {
-            let a = fill(m * k, 71 + m as u64);
-            let b = fill(k * n, 72 + n as u64);
-            let bt = fill(n * k, 73 + k as u64);
-            for backend in backends {
-                let mut plain = vec![0.0; m * n];
-                backend.gemm(m, k, n, &a, &b, &mut plain);
-                let pb = backend.pack_b(k, n, &b);
-                assert_eq!((pb.k(), pb.n()), (k, n));
-                let mut packed = vec![0.0; m * n];
-                backend.gemm_prepacked(m, k, n, &a, &pb, &mut packed);
-                assert_bits_eq(&plain, &packed);
+        // In every layout a prepacked product equals naive's pack-on-call
+        // one bit for bit: from a `B` handle against `gemm`, from a `Bᵀ`
+        // handle against `gemm_nt`. Outputs start non-zero: the entry
+        // accumulates into `out`.
+        for layout in LAYOUTS {
+            for (si, &(m, k, n)) in layout_shapes().iter().enumerate() {
+                let seed = 71 + 8 * si as u64;
+                let a = fill(m * k, seed);
+                let b = fill(k * n, seed + 1);
+                let bt = fill(n * k, seed + 2);
+                let start = fill(m * n, seed + 3);
+                let tag = format!("{layout:?} {m}x{k}x{n}");
 
-                let mut plain_nt = vec![0.0; m * n];
-                backend.gemm_nt(m, k, n, &a, &bt, &mut plain_nt);
-                let pbt = backend.pack_b_t(k, n, &bt);
-                let mut packed_nt = vec![0.0; m * n];
-                backend.gemm_nt_prepacked(m, k, n, &a, &pbt, &mut packed_nt);
-                assert_bits_eq(&plain_nt, &packed_nt);
+                let pb = packed_in(layout, k, n, &b);
+                assert_eq!((pb.k(), pb.n()), (k, n));
+                let mut want = start.clone();
+                NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
+                let mut got = start.clone();
+                kernel().gemm_prepacked(m, k, n, &a, &pb, &mut got);
+                assert_bits_eq_at(&format!("{tag} B"), &want, &got);
+
+                let mut pbt = PackedB::default();
+                pbt.pack_t(layout, k, n, &bt);
+                want.copy_from_slice(&start);
+                NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut want);
+                got.copy_from_slice(&start);
+                kernel().gemm_prepacked(m, k, n, &a, &pbt, &mut got);
+                assert_bits_eq_at(&format!("{tag} Bᵀ"), &want, &got);
             }
         }
     }
 
     #[test]
     fn fused_bias_matches_separate_pass_bitwise() {
-        // The fused-bias contract: `gemm_prepacked_bias` must equal
-        // `gemm_prepacked` followed by a separate bias pass, bit for bit,
-        // on the same backend — including the k == 0 edge (bias only),
-        // narrow tails, the raw fallback handles, and a 784-deep forward.
-        let backends: [&dyn GemmBackend; 4] = [&NaiveKernel, &BlockedKernel, &SimdKernel, kernel()];
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 9, 8),
-            (7, 5, 3),
-            (17, 13, 11),
-            (33, 29, 37),
-            (4, 0, 6),
-            (0, 3, 5),
-            (5, 4, 0),
-            (2, 8, 30),
-            (64, 784, 64),
-        ] {
-            let a = fill(m * k, 91 + m as u64);
-            let b = fill(k * n, 92 + n as u64);
-            let bias = fill(n, 93 + k as u64);
-            for backend in backends {
-                let pb = backend.pack_b(k, n, &b);
-                let mut want = vec![0.0; m * n];
-                backend.gemm_prepacked(m, k, n, &a, &pb, &mut want);
-                for row in want.chunks_exact_mut(n.max(1)) {
-                    for (o, &bv) in row.iter_mut().zip(&bias) {
-                        *o += bv;
-                    }
-                }
-                let mut got = vec![0.0; m * n];
-                backend.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut got);
-                assert_bits_eq(&want, &got);
+        // The fused-bias contract: `gemm_prepacked_bias` must equal the
+        // product followed by a separate bias pass, bit for bit, in every
+        // layout — including the k == 0 edge (bias only), narrow tails and
+        // a 784-deep forward.
+        for layout in LAYOUTS {
+            for (si, &(m, k, n)) in layout_shapes().iter().enumerate() {
+                let seed = 91 + 8 * si as u64;
+                let a = fill(m * k, seed);
+                let b = fill(k * n, seed + 1);
+                let bias = fill(n, seed + 2);
+                let mut want = fill(m * n, seed + 3);
+                let mut got = want.clone();
+                NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
+                epilogue_reference(n, &bias, false, &mut want);
+                let pb = packed_in(layout, k, n, &b);
+                kernel().gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut got);
+                assert_bits_eq_at(&format!("{layout:?} {m}x{k}x{n}"), &want, &got);
             }
         }
     }
@@ -2549,49 +2315,30 @@ mod tests {
     #[test]
     #[should_panic(expected = "bias length mismatch")]
     fn fused_bias_rejects_wrong_bias_length() {
-        let pb = SimdKernel.pack_b(4, 4, &fill(16, 97));
+        let pb = kernel().pack_b(4, 4, &fill(16, 97));
         let mut out = vec![0.0; 3 * 4];
-        SimdKernel.gemm_prepacked_bias(3, 4, 4, &fill(12, 98), &pb, &fill(3, 99), &mut out);
-    }
-
-    fn relu_reference(out: &mut [f64]) {
-        // Mirror of the model stack's epilogue: keeps -0.0 and NaN.
-        for v in out {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
+        kernel().gemm_prepacked_bias(3, 4, 4, &fill(12, 98), &pb, &fill(3, 99), &mut out);
     }
 
     #[test]
     fn fused_relu_matches_separate_pass_bitwise() {
-        // `gemm_prepacked_bias_relu` must equal `gemm_prepacked_bias`
-        // followed by the model stack's scalar clamp, bit for bit, on the
-        // same backend — the clamp happens at each element's single
-        // write-back, never inside a summation chain.
-        let backends: [&dyn GemmBackend; 4] = [&NaiveKernel, &BlockedKernel, &SimdKernel, kernel()];
-        for &(m, k, n) in &[
-            (1, 1, 1),
-            (3, 9, 8),
-            (7, 5, 3),
-            (17, 13, 11),
-            (33, 29, 37),
-            (4, 0, 6),
-            (0, 3, 5),
-            (5, 4, 0),
-            (2, 8, 30),
-        ] {
-            let a = fill(m * k, 141 + m as u64);
-            let b = fill(k * n, 142 + n as u64);
-            let bias = fill(n, 143 + k as u64);
-            for backend in backends {
-                let pb = backend.pack_b(k, n, &b);
-                let mut want = vec![0.0; m * n];
-                backend.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut want);
-                relu_reference(&mut want);
-                let mut got = vec![0.0; m * n];
-                backend.gemm_prepacked_bias_relu(m, k, n, &a, &pb, &bias, &mut got);
-                assert_bits_eq(&want, &got);
+        // `gemm_prepacked_bias_relu` must equal the product, the bias pass
+        // and the model stack's scalar clamp, bit for bit, in every layout
+        // — the clamp happens at each element's single write-back, never
+        // inside a summation chain.
+        for layout in LAYOUTS {
+            for (si, &(m, k, n)) in layout_shapes().iter().enumerate() {
+                let seed = 141 + 8 * si as u64;
+                let a = fill(m * k, seed);
+                let b = fill(k * n, seed + 1);
+                let bias = fill(n, seed + 2);
+                let mut want = fill(m * n, seed + 3);
+                let mut got = want.clone();
+                NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
+                epilogue_reference(n, &bias, true, &mut want);
+                let pb = packed_in(layout, k, n, &b);
+                kernel().gemm_prepacked_bias_relu(m, k, n, &a, &pb, &bias, &mut got);
+                assert_bits_eq_at(&format!("{layout:?} {m}x{k}x{n}"), &want, &got);
             }
         }
     }
@@ -2609,29 +2356,25 @@ mod tests {
         assert_eq!(v[4].to_bits(), 0.0f64.to_bits());
         // k == 0 broadcasts the bias into a caller-zeroed out, then clamps.
         let bias = [-1.0, 1.5, -2.0, 0.25];
-        for backend in [
-            &NaiveKernel as &dyn GemmBackend,
-            &BlockedKernel,
-            &SimdKernel,
-            kernel(),
-        ] {
-            let pb = backend.pack_b(0, 4, &[]);
+        for layout in LAYOUTS {
+            let pb = packed_in(layout, 0, 4, &[]);
             let mut out = vec![0.0; 2 * 4];
-            backend.gemm_prepacked_bias_relu(2, 0, 4, &[], &pb, &bias, &mut out);
+            kernel().gemm_prepacked_bias_relu(2, 0, 4, &[], &pb, &bias, &mut out);
             for row in out.chunks_exact(4) {
                 assert_eq!(row[0].to_bits(), 0.0f64.to_bits());
                 assert_eq!(row[1].to_bits(), 1.5f64.to_bits());
                 assert_eq!(row[2].to_bits(), 0.0f64.to_bits());
                 assert_eq!(row[3].to_bits(), 0.25f64.to_bits());
             }
-            // n = 2 with k > 0: `kernel()`'s raw handle, whose product runs
-            // the narrow core before the unfused bias and clamp passes.
+            // n = 2 with k > 0: the raw handle's product runs the narrow
+            // core before the unfused bias and clamp passes, the panel
+            // handles clamp their tail lanes at the write-back.
             // From `out = -0.0`: row 0 gives `-0.0 + 1·-0.0 + -0.0 = -0.0`
             // (kept) and `-0.0 + 1·-1 + 0.5 = -0.5` (clamped to +0.0);
             // row 1 multiplies by NaN (kept).
-            let pb = backend.pack_b(1, 2, &[-0.0, -1.0]);
+            let pb = packed_in(layout, 1, 2, &[-0.0, -1.0]);
             let mut out = vec![-0.0; 2 * 2];
-            backend.gemm_prepacked_bias_relu(
+            kernel().gemm_prepacked_bias_relu(
                 2,
                 1,
                 2,
@@ -2640,9 +2383,9 @@ mod tests {
                 &[-0.0, 0.5],
                 &mut out,
             );
-            assert_eq!(out[0].to_bits(), (-0.0f64).to_bits());
-            assert_eq!(out[1].to_bits(), 0.0f64.to_bits());
-            assert!(out[2].is_nan() && out[3].is_nan());
+            assert_eq!(out[0].to_bits(), (-0.0f64).to_bits(), "{layout:?}");
+            assert_eq!(out[1].to_bits(), 0.0f64.to_bits(), "{layout:?}");
+            assert!(out[2].is_nan() && out[3].is_nan(), "{layout:?}");
         }
         assert_eq!(kernel().pack_b(1, 2, &[-0.0, -1.0]).layout, PackLayout::Raw);
     }
@@ -2650,18 +2393,18 @@ mod tests {
     #[test]
     fn prepacked_handle_reused_across_calls() {
         // The point of the API: pack once, multiply many different
-        // left-hand sides — each call must match its pack-on-call twin.
+        // left-hand sides — each call must match naive's product.
         let (k, n) = (23, 17);
         let b = fill(k * n, 81);
-        for backend in [&BlockedKernel as &dyn GemmBackend, &SimdKernel, kernel()] {
-            let pb = backend.pack_b(k, n, &b);
+        for layout in LAYOUTS {
+            let pb = packed_in(layout, k, n, &b);
             for (round, &m) in [1usize, 6, 13].iter().enumerate() {
                 let a = fill(m * k, 82 + round as u64);
-                let mut plain = vec![0.0; m * n];
-                backend.gemm(m, k, n, &a, &b, &mut plain);
-                let mut packed = vec![0.0; m * n];
-                backend.gemm_prepacked(m, k, n, &a, &pb, &mut packed);
-                assert_bits_eq(&plain, &packed);
+                let mut want = vec![0.0; m * n];
+                NaiveKernel.gemm(m, k, n, &a, &b, &mut want);
+                let mut got = vec![0.0; m * n];
+                kernel().gemm_prepacked(m, k, n, &a, &pb, &mut got);
+                assert_bits_eq_at(&format!("{layout:?} m = {m}"), &want, &got);
             }
         }
     }
@@ -2671,38 +2414,42 @@ mod tests {
         let (k, n) = (31, 24);
         let b1 = fill(k * n, 85);
         let b2 = fill(k * n, 86);
-        let mut pb = PackedB::default();
-        SimdKernel.pack_b_into(k, n, &b1, &mut pb);
-        let cap = pb.data.capacity();
         let a = fill(9 * k, 87);
-        let mut first = vec![0.0; 9 * n];
-        SimdKernel.gemm_prepacked(9, k, n, &a, &pb, &mut first);
-        // Re-pack (the optimizer-update invalidation path) into the same
-        // allocation; results must track the new operand.
-        SimdKernel.pack_b_into(k, n, &b2, &mut pb);
-        assert_eq!(pb.data.capacity(), cap, "allocation reused");
-        let mut second = vec![0.0; 9 * n];
-        SimdKernel.gemm_prepacked(9, k, n, &a, &pb, &mut second);
-        let mut want = vec![0.0; 9 * n];
-        SimdKernel.gemm(9, k, n, &a, &b2, &mut want);
-        assert_bits_eq(&want, &second);
+        for layout in LAYOUTS {
+            let mut pb = PackedB::default();
+            pb.pack(layout, k, n, &b1);
+            let cap = pb.data.capacity();
+            let mut first = vec![0.0; 9 * n];
+            kernel().gemm_prepacked(9, k, n, &a, &pb, &mut first);
+            // Re-pack (the optimizer-update invalidation path) into the
+            // same allocation; results must track the new operand.
+            pb.pack(layout, k, n, &b2);
+            assert_eq!(pb.data.capacity(), cap, "{layout:?}: allocation reused");
+            let mut second = vec![0.0; 9 * n];
+            kernel().gemm_prepacked(9, k, n, &a, &pb, &mut second);
+            let mut want = vec![0.0; 9 * n];
+            NaiveKernel.gemm(9, k, n, &a, &b2, &mut want);
+            assert_bits_eq_at(&format!("{layout:?}"), &want, &second);
+        }
     }
 
     #[test]
     fn prepacked_empty_shapes_are_noops() {
-        let pb = BlockedKernel.pack_b(0, 4, &[]);
-        let mut out = vec![1.0; 0];
-        BlockedKernel.gemm_prepacked(0, 0, 4, &[], &pb, &mut out);
-        let pb2 = SimdKernel.pack_b(3, 0, &[]);
-        let mut out2: Vec<f64> = Vec::new();
-        SimdKernel.gemm_prepacked(2, 3, 0, &fill(6, 1), &pb2, &mut out2);
+        for layout in LAYOUTS {
+            let pb = packed_in(layout, 0, 4, &[]);
+            let mut out = vec![1.0; 0];
+            kernel().gemm_prepacked(0, 0, 4, &[], &pb, &mut out);
+            let pb2 = packed_in(layout, 3, 0, &[]);
+            let mut out2: Vec<f64> = Vec::new();
+            kernel().gemm_prepacked(2, 3, 0, &fill(6, 1), &pb2, &mut out2);
+        }
     }
 
     #[test]
     #[should_panic(expected = "prepacked B shape mismatch")]
     fn prepacked_shape_mismatch_is_rejected() {
-        let pb = BlockedKernel.pack_b(4, 4, &fill(16, 1));
+        let pb = kernel().pack_b(4, 4, &fill(16, 1));
         let mut out = vec![0.0; 3 * 5];
-        BlockedKernel.gemm_prepacked(3, 4, 5, &fill(12, 2), &pb, &mut out);
+        kernel().gemm_prepacked(3, 4, 5, &fill(12, 2), &pb, &mut out);
     }
 }

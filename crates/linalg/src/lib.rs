@@ -12,10 +12,10 @@
 //! rows interchangeably.
 //!
 //! Dense products dispatch through the compute-kernel layer in
-//! [`kernel`](mod@kernel): one production kernel ([`kernel()`]) picks the
-//! narrow core (under four output columns), the 4-wide packed core or the
-//! 8-wide one for each product from its output width, and every core is
-//! bit-identical to [`NaiveKernel`] by construction — see
+//! [`kernel`](mod@kernel): one production [`Kernel`] ([`kernel()`]) picks
+//! the narrow core (under four output columns), the 4-wide packed core or
+//! the 8-wide one for each product from its output width, and every core
+//! is bit-identical to [`NaiveKernel`] by construction — see
 //! `docs/kernels.md`.
 //!
 //! The elementwise passes of a training step (the softmax cross-entropy
@@ -37,7 +37,7 @@ pub mod vector;
 
 pub use fault::{fault_grammar, FaultPlan};
 pub use kernel::{
-    kernel, kernel_kind, BlockedKernel, GemmBackend, KernelKind, NaiveKernel, PackedB, SimdKernel,
+    kernel, kernel_kind, BlockedKernel, Kernel, KernelKind, NaiveKernel, PackedB, SimdKernel,
 };
 pub use matrix::Matrix;
 pub use qr::{least_squares, QrFactorization};

@@ -241,21 +241,20 @@ impl Matrix {
         kernel().pack_b_into(self.rows, self.cols, &self.data, dst);
     }
 
-    /// Packs `self` once as the (transposed) right-hand side of
-    /// [`matmul_nt`](Self::matmul_nt) (`X · selfᵀ` products); the
-    /// transpose is resolved at pack time.
-    pub fn pack_as_rhs_t(&self) -> PackedB {
-        kernel().pack_b_t(self.cols, self.rows, &self.data)
-    }
-
-    /// [`pack_as_rhs_t`](Self::pack_as_rhs_t) into a reusable handle.
+    /// Packs `self` as the (transposed) right-hand side of
+    /// [`matmul_nt`](Self::matmul_nt) (`X · selfᵀ` products) into a
+    /// reusable handle. The transpose is resolved at pack time, so
+    /// [`matmul_prepacked_into`](Self::matmul_prepacked_into) on the
+    /// handle gives `matmul_nt`'s bits.
     pub fn pack_as_rhs_t_into(&self, dst: &mut PackedB) {
         kernel().pack_b_t_into(self.cols, self.rows, &self.data, dst);
     }
 
     /// [`matmul_into`](Self::matmul_into) against a prepacked right-hand
-    /// side ([`pack_as_rhs`](Self::pack_as_rhs)): same kernel arithmetic,
-    /// identical bits, no per-call packing.
+    /// side ([`pack_as_rhs`](Self::pack_as_rhs)), or
+    /// [`matmul_nt_into`](Self::matmul_nt_into) against one packed by
+    /// [`pack_as_rhs_t_into`](Self::pack_as_rhs_t_into): same kernel
+    /// arithmetic, identical bits, no per-call packing.
     ///
     /// # Panics
     /// Panics if `self.cols() != pack.k()`.
@@ -284,7 +283,7 @@ impl Matrix {
     /// [`matmul_prepacked_into`](Self::matmul_prepacked_into) with the
     /// bias broadcast fused into the packed cores' write-back instead of a
     /// second full sweep over `out` ([`add_bias_rows`](Self::add_bias_rows)).
-    /// Bit-identical to the two-step sequence on every backend (the
+    /// Bit-identical to the two-step sequence in every pack layout (the
     /// fused-bias contract, proptested).
     ///
     /// # Panics
@@ -316,7 +315,7 @@ impl Matrix {
     /// with the hidden-layer ReLU clamp also fused into the single packed
     /// write-back. The clamp is `v < 0.0 → 0.0` (keeps `-0.0` and NaN),
     /// bit-identical to the fused-bias call followed by a separate scalar
-    /// ReLU sweep on every backend.
+    /// ReLU sweep in every pack layout.
     ///
     /// # Panics
     /// Panics if `self.cols() != pack.k()` or `bias.len() != pack.n()`.
@@ -343,92 +342,9 @@ impl Matrix {
         );
     }
 
-    /// [`matmul_nt_into`](Self::matmul_nt_into) against a prepacked
-    /// right-hand side ([`pack_as_rhs_t`](Self::pack_as_rhs_t)).
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != pack.k()`.
-    pub fn matmul_nt_prepacked_into(&self, pack: &PackedB, out: &mut Matrix) {
-        assert_eq!(
-            self.cols,
-            pack.k(),
-            "matmul_nt_prepacked shape mismatch: {}x{} * packed ({}x{})ᵀ",
-            self.rows,
-            self.cols,
-            pack.n(),
-            pack.k()
-        );
-        out.reset_to_zeros(self.rows, pack.n());
-        kernel().gemm_nt_prepacked(
-            self.rows,
-            self.cols,
-            pack.n(),
-            &self.data,
-            pack,
-            &mut out.data,
-        );
-    }
-
-    /// Sparse-aware matrix product: skips zero entries of `self`.
-    ///
-    /// The dense [`matmul`](Self::matmul) path deliberately has no zero
-    /// test — on dense data the branch mispredicts and costs more than the
-    /// skipped multiply. Use this variant when `self` is known to be
-    /// mostly zeros (e.g. one-hot/masked designs); the result may differ
-    /// from `matmul` only in the sign of negative zeros.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != rhs.rows()`.
-    pub fn matmul_sparse(&self, rhs: &Matrix) -> Matrix {
-        assert_eq!(
-            self.cols, rhs.rows,
-            "matmul_sparse shape mismatch: {}x{} * {}x{}",
-            self.rows, self.cols, rhs.rows, rhs.cols
-        );
-        let mut out = Matrix::zeros(self.rows, rhs.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                let rhs_row = rhs.row(k);
-                let out_row = out.row_mut(i);
-                for (o, &b) in out_row.iter_mut().zip(rhs_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix-vector product `self * v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.cols()`.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.cols, "matvec shape mismatch");
-        let mut out = vec![0.0; self.rows];
-        kernel().matvec(self.rows, self.cols, &self.data, v, &mut out);
-        out
-    }
-
-    /// Transposed matrix-vector product `selfᵀ * v`.
-    ///
-    /// # Panics
-    /// Panics if `v.len() != self.rows()`.
-    pub fn matvec_t(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(v.len(), self.rows, "matvec_t shape mismatch");
-        let mut out = vec![0.0; self.cols];
-        kernel().matvec_t(self.rows, self.cols, &self.data, v, &mut out);
-        out
-    }
-
     /// Per-column sums (the bias-gradient reduction of a batch).
     ///
-    /// Accumulated directly in ascending row order — the same bits as a
-    /// `matvec_t` against a ones vector, without allocating one in the
-    /// per-minibatch gradient hot path.
+    /// Accumulated directly in ascending row order, one chain per column.
     pub fn col_sums(&self) -> Vec<f64> {
         let mut out = Vec::new();
         self.col_sums_into(&mut out);
@@ -687,20 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_matmul() {
-        let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let v = vec![1., 0., -1.];
-        assert_eq!(a.matvec(&v), vec![-2., -2.]);
-    }
-
-    #[test]
-    fn matvec_t_matches_transpose_matvec() {
-        let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
-        let v = vec![2., -1.];
-        assert_eq!(a.matvec_t(&v), a.transpose().matvec(&v));
-    }
-
-    #[test]
     fn axpy_assign_accumulates() {
         let mut a = Matrix::zeros(2, 2);
         let g = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
@@ -727,13 +629,6 @@ mod tests {
         let a = Matrix::from_vec(3, 2, vec![1., -2., 3., 4., -5., 6.]);
         let b = Matrix::from_vec(3, 4, (0..12).map(|i| (i as f64).sin()).collect());
         assert_eq!(a.matmul_tn(&b), a.transpose().matmul(&b));
-    }
-
-    #[test]
-    fn matmul_sparse_agrees_with_dense() {
-        let a = Matrix::from_vec(2, 3, vec![0., 2., 0., 4., 0., 6.]);
-        let b = Matrix::from_vec(3, 2, vec![7., 8., 9., 10., 11., 12.]);
-        assert_eq!(a.matmul_sparse(&b), a.matmul(&b));
     }
 
     #[test]
@@ -846,8 +741,9 @@ mod tests {
         a.matmul_prepacked_into(&pb, &mut out);
         assert_eq!(out, a.matmul(&b));
 
-        let pbt = bt.pack_as_rhs_t();
-        a.matmul_nt_prepacked_into(&pbt, &mut out);
+        let mut pbt = PackedB::default();
+        bt.pack_as_rhs_t_into(&mut pbt);
+        a.matmul_prepacked_into(&pbt, &mut out);
         assert_eq!(out, a.matmul_nt(&bt));
 
         // Fused bias == matmul_prepacked_into + add_bias_rows, bitwise.

@@ -151,7 +151,10 @@ mod tests {
     use super::*;
 
     fn residual(a: &Matrix, x: &[f64], b: &[f64]) -> f64 {
-        crate::vector::linf_norm(&crate::vector::sub(&a.matvec(x), b))
+        let ax: Vec<f64> = (0..a.rows())
+            .map(|r| crate::vector::dot(a.row(r), x))
+            .collect();
+        crate::vector::linf_norm(&crate::vector::sub(&ax, b))
     }
 
     #[test]

@@ -97,8 +97,8 @@ fn narrow_products_allocate_nothing_after_warm_up() {
         check("gemm_prepacked_bias_relu", &mut || {
             ker.gemm_prepacked_bias_relu(m, k, n, &a, &pb, &bias, &mut out)
         });
-        check("gemm_nt_prepacked", &mut || {
-            ker.gemm_nt_prepacked(m, k, n, &a, &pbt, &mut out)
+        check("gemm_prepacked on the pack_b_t_into handle", &mut || {
+            ker.gemm_prepacked(m, k, n, &a, &pbt, &mut out)
         });
     }
 }

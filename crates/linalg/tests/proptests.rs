@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use st_linalg::{
     cholesky_solve, dot, gaussian_solve, l2_norm, log_sum_exp, mean, quantile, sigmoid,
-    softmax_in_place, sub, variance, BlockedKernel, GemmBackend, Matrix, NaiveKernel, SimdKernel,
+    softmax_in_place, sub, variance, BlockedKernel, Matrix, NaiveKernel, PackedB, SimdKernel,
 };
 
 fn finite_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -56,7 +56,8 @@ proptest! {
     #[test]
     fn gaussian_solution_satisfies_system(a in square_matrix(4), b in finite_vec(4)) {
         if let Ok(x) = gaussian_solve(a.clone(), &b) {
-            let r = sub(&a.matvec(&x), &b);
+            let ax: Vec<f64> = (0..4).map(|r| dot(a.row(r), &x)).collect();
+            let r = sub(&ax, &b);
             // Residual scaled by solution magnitude: ill-conditioned random
             // matrices can legitimately amplify error.
             let scale = 1.0 + l2_norm(&x) * a.frobenius_norm();
@@ -218,18 +219,18 @@ fn assert_bits_equal(op: &str, a: &[f64], b: &[f64]) {
     }
 }
 
-/// Runs every backend op on one `(m, k, n)` shape and asserts bitwise
-/// equality of the production kernel and both packed cores — blocked and
-/// simd — against the naive reference.
+/// A `gemm`-shaped entry: `(m, k, n, a, b, out)`.
+type Product = fn(usize, usize, usize, &[f64], &[f64], &mut [f64]);
+
+/// Runs every product entry on one `(m, k, n)` shape and asserts bitwise
+/// equality against the naive reference: `gemm` and `gemm_nt` of the
+/// production kernel and both packed cores — blocked and simd — and the
+/// production kernel's `gemm_tn` and `transpose`.
 fn check_kernel_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed);
     let b = kernel_data(k * n, seed.wrapping_add(1));
     let bt = kernel_data(n * k, seed.wrapping_add(2));
     let c = kernel_data(m * n, seed.wrapping_add(3));
-    let v = kernel_data(k, seed.wrapping_add(4));
-    let w = kernel_data(m, seed.wrapping_add(5));
-
-    let backends: [&dyn GemmBackend; 3] = [st_linalg::kernel(), &BlockedKernel, &SimdKernel];
 
     let mut x = vec![0.0; m * n];
     NaiveKernel.gemm(m, k, n, &a, &b, &mut x);
@@ -237,140 +238,117 @@ fn check_kernel_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     NaiveKernel.gemm_tn(m, k, n, &a, &c, &mut u);
     let mut nt = vec![0.0; m * n];
     NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut nt);
-    let mut mv_n = vec![0.0; m];
-    NaiveKernel.matvec(m, k, &a, &v, &mut mv_n);
-    let mut mt_n = vec![0.0; k];
-    NaiveKernel.matvec_t(m, k, &a, &w, &mut mt_n);
     let mut t_n = vec![0.0; m * k];
     NaiveKernel.transpose(m, k, &a, &mut t_n);
 
-    for backend in backends {
-        let name = backend.name();
+    let cores: [(&str, Product, Product); 3] = [
+        (
+            "kernel()",
+            |m, k, n, a, b, out| st_linalg::kernel().gemm(m, k, n, a, b, out),
+            |m, k, n, a, bt, out| st_linalg::kernel().gemm_nt(m, k, n, a, bt, out),
+        ),
+        (
+            "blocked",
+            |m, k, n, a, b, out| BlockedKernel.gemm(m, k, n, a, b, out),
+            |m, k, n, a, bt, out| BlockedKernel.gemm_nt(m, k, n, a, bt, out),
+        ),
+        (
+            "simd",
+            |m, k, n, a, b, out| SimdKernel.gemm(m, k, n, a, b, out),
+            |m, k, n, a, bt, out| SimdKernel.gemm_nt(m, k, n, a, bt, out),
+        ),
+    ];
+    for (name, gemm, gemm_nt) in cores {
         let mut y = vec![0.0; m * n];
-        backend.gemm(m, k, n, &a, &b, &mut y);
+        gemm(m, k, n, &a, &b, &mut y);
         assert_bits_equal(&format!("{name} gemm"), &x, &y);
 
         y.fill(0.0);
-        backend.gemm_nt(m, k, n, &a, &bt, &mut y);
+        gemm_nt(m, k, n, &a, &bt, &mut y);
         assert_bits_equal(&format!("{name} gemm_nt"), &nt, &y);
-
-        let mut z = vec![0.0; k * n];
-        backend.gemm_tn(m, k, n, &a, &c, &mut z);
-        assert_bits_equal(&format!("{name} gemm_tn"), &u, &z);
-
-        let mut mv = vec![0.0; m];
-        backend.matvec(m, k, &a, &v, &mut mv);
-        assert_bits_equal(&format!("{name} matvec"), &mv_n, &mv);
-
-        let mut mt = vec![0.0; k];
-        backend.matvec_t(m, k, &a, &w, &mut mt);
-        assert_bits_equal(&format!("{name} matvec_t"), &mt_n, &mt);
-
-        let mut t = vec![0.0; m * k];
-        backend.transpose(m, k, &a, &mut t);
-        assert_bits_equal(&format!("{name} transpose"), &t_n, &t);
     }
+
+    let ker = st_linalg::kernel();
+    let mut z = vec![0.0; k * n];
+    ker.gemm_tn(m, k, n, &a, &c, &mut z);
+    assert_bits_equal("kernel() gemm_tn", &u, &z);
+
+    let mut t = vec![0.0; m * k];
+    ker.transpose(m, k, &a, &mut t);
+    assert_bits_equal("kernel() transpose", &t_n, &t);
 }
 
-/// Asserts the prepacked entry points are `to_bits`-identical to their
-/// pack-on-call twins for every backend — naive (raw fallback handle),
-/// the production kernel, blocked, and simd — on one `(m, k, n)` shape.
+/// Asserts the production kernel's prepacked products are
+/// `to_bits`-identical to the naive reference on one `(m, k, n)` shape:
+/// `gemm_prepacked` on a `pack_b` handle against `gemm`, and on a
+/// `pack_b_t_into` handle against `gemm_nt`.
 fn check_prepacked_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed.wrapping_add(11));
     let b = kernel_data(k * n, seed.wrapping_add(12));
     let bt = kernel_data(n * k, seed.wrapping_add(13));
+    let ker = st_linalg::kernel();
 
-    let backends: [&dyn GemmBackend; 4] = [
-        &NaiveKernel,
-        st_linalg::kernel(),
-        &BlockedKernel,
-        &SimdKernel,
-    ];
+    let mut plain = vec![0.0; m * n];
+    NaiveKernel.gemm(m, k, n, &a, &b, &mut plain);
+    let pb = ker.pack_b(k, n, &b);
+    let mut packed = vec![0.0; m * n];
+    ker.gemm_prepacked(m, k, n, &a, &pb, &mut packed);
+    assert_bits_equal("gemm_prepacked", &plain, &packed);
 
-    for backend in backends {
-        let name = backend.name();
-
-        let mut plain = vec![0.0; m * n];
-        backend.gemm(m, k, n, &a, &b, &mut plain);
-        let pb = backend.pack_b(k, n, &b);
-        let mut packed = vec![0.0; m * n];
-        backend.gemm_prepacked(m, k, n, &a, &pb, &mut packed);
-        assert_bits_equal(&format!("{name} gemm_prepacked"), &plain, &packed);
-
-        let mut plain_nt = vec![0.0; m * n];
-        backend.gemm_nt(m, k, n, &a, &bt, &mut plain_nt);
-        let pbt = backend.pack_b_t(k, n, &bt);
-        let mut packed_nt = vec![0.0; m * n];
-        backend.gemm_nt_prepacked(m, k, n, &a, &pbt, &mut packed_nt);
-        assert_bits_equal(&format!("{name} gemm_nt_prepacked"), &plain_nt, &packed_nt);
-    }
+    let mut plain_nt = vec![0.0; m * n];
+    NaiveKernel.gemm_nt(m, k, n, &a, &bt, &mut plain_nt);
+    let mut pbt = PackedB::default();
+    ker.pack_b_t_into(k, n, &bt, &mut pbt);
+    let mut packed_nt = vec![0.0; m * n];
+    ker.gemm_prepacked(m, k, n, &a, &pbt, &mut packed_nt);
+    assert_bits_equal("gemm_prepacked on Bᵀ", &plain_nt, &packed_nt);
 }
 
-/// Asserts the fused-bias epilogue (`gemm_prepacked_bias`) is
-/// `to_bits`-identical to `gemm_prepacked` followed by a separate
-/// element-wise bias pass, for every backend — naive (raw fallback
-/// handle), the production kernel, blocked, and simd — on one `(m, k, n)`
-/// shape.
+/// Asserts the production kernel's fused-bias epilogue
+/// (`gemm_prepacked_bias`) is `to_bits`-identical to `gemm_prepacked`
+/// followed by a separate element-wise bias pass on one `(m, k, n)` shape.
 fn check_fused_bias_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed.wrapping_add(21));
     let b = kernel_data(k * n, seed.wrapping_add(22));
     let bias = kernel_data(n, seed.wrapping_add(23));
+    let ker = st_linalg::kernel();
 
-    let backends: [&dyn GemmBackend; 4] = [
-        &NaiveKernel,
-        st_linalg::kernel(),
-        &BlockedKernel,
-        &SimdKernel,
-    ];
-
-    for backend in backends {
-        let name = backend.name();
-        let pb = backend.pack_b(k, n, &b);
-        let mut want = vec![0.0; m * n];
-        backend.gemm_prepacked(m, k, n, &a, &pb, &mut want);
-        if n > 0 {
-            for row in want.chunks_exact_mut(n) {
-                for (o, &bv) in row.iter_mut().zip(&bias) {
-                    *o += bv;
-                }
+    let pb = ker.pack_b(k, n, &b);
+    let mut want = vec![0.0; m * n];
+    ker.gemm_prepacked(m, k, n, &a, &pb, &mut want);
+    if n > 0 {
+        for row in want.chunks_exact_mut(n) {
+            for (o, &bv) in row.iter_mut().zip(&bias) {
+                *o += bv;
             }
         }
-        let mut fused = vec![0.0; m * n];
-        backend.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut fused);
-        assert_bits_equal(&format!("{name} gemm_prepacked_bias"), &want, &fused);
     }
+    let mut fused = vec![0.0; m * n];
+    ker.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut fused);
+    assert_bits_equal("gemm_prepacked_bias", &want, &fused);
 }
 
-/// Asserts the fused-ReLU epilogue (`gemm_prepacked_bias_relu`) is
-/// `to_bits`-identical to `gemm_prepacked_bias` followed by a separate
-/// clamp-at-zero pass, for every backend — naive (raw fallback handle),
-/// the production kernel, blocked, and simd — on one `(m, k, n)` shape.
+/// Asserts the production kernel's fused-ReLU epilogue
+/// (`gemm_prepacked_bias_relu`) is `to_bits`-identical to
+/// `gemm_prepacked_bias` followed by a separate clamp-at-zero pass on one
+/// `(m, k, n)` shape.
 fn check_fused_relu_equivalence(m: usize, k: usize, n: usize, seed: u64) {
     let a = kernel_data(m * k, seed.wrapping_add(26));
     let b = kernel_data(k * n, seed.wrapping_add(27));
     let bias = kernel_data(n, seed.wrapping_add(28));
+    let ker = st_linalg::kernel();
 
-    let backends: [&dyn GemmBackend; 4] = [
-        &NaiveKernel,
-        st_linalg::kernel(),
-        &BlockedKernel,
-        &SimdKernel,
-    ];
-
-    for backend in backends {
-        let name = backend.name();
-        let pb = backend.pack_b(k, n, &b);
-        let mut want = vec![0.0; m * n];
-        backend.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut want);
-        for v in want.iter_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+    let pb = ker.pack_b(k, n, &b);
+    let mut want = vec![0.0; m * n];
+    ker.gemm_prepacked_bias(m, k, n, &a, &pb, &bias, &mut want);
+    for v in want.iter_mut() {
+        if *v < 0.0 {
+            *v = 0.0;
         }
-        let mut fused = vec![0.0; m * n];
-        backend.gemm_prepacked_bias_relu(m, k, n, &a, &pb, &bias, &mut fused);
-        assert_bits_equal(&format!("{name} gemm_prepacked_bias_relu"), &want, &fused);
     }
+    let mut fused = vec![0.0; m * n];
+    ker.gemm_prepacked_bias_relu(m, k, n, &a, &pb, &bias, &mut fused);
+    assert_bits_equal("gemm_prepacked_bias_relu", &want, &fused);
 }
 
 /// A fixed shape gallery: degenerate (empty, 1×1),
@@ -417,9 +395,9 @@ proptest! {
         check_kernel_equivalence(m, k, n, seed);
     }
 
-    /// Prepacked gemm/gemm_nt/gemm_tn vs their pack-on-call twins on
-    /// random rectangular shapes (empty dimensions included), across
-    /// every backend.
+    /// The production kernel's prepacked products on `B` and `Bᵀ` handles
+    /// vs naive's `gemm` and `gemm_nt` on random rectangular shapes (empty
+    /// dimensions included), on all three sides of the width rule.
     #[test]
     fn prepacked_bit_identical_on_random_shapes(
         m in 0usize..24,
@@ -432,8 +410,8 @@ proptest! {
 
     /// The fused-bias forward vs the unfused `gemm_prepacked` +
     /// bias-rows sequence on random rectangular shapes (empty dimensions
-    /// included — a `k == 0` product must still broadcast the bias),
-    /// across every backend.
+    /// included — a `k == 0` product must still broadcast the bias), in
+    /// every layout the width rule packs.
     #[test]
     fn fused_bias_bit_identical_on_random_shapes(
         m in 0usize..24,
@@ -446,7 +424,7 @@ proptest! {
 
     /// The fused-ReLU forward vs the fused-bias call plus a separate
     /// clamp-at-zero pass on random rectangular shapes (empty dimensions
-    /// included), across every backend.
+    /// included), in every layout the width rule packs.
     #[test]
     fn fused_relu_bit_identical_on_random_shapes(
         m in 0usize..24,
@@ -458,7 +436,7 @@ proptest! {
     }
 
     /// The Matrix layer dispatches every product through the production
-    /// kernel, which must agree with the reference backend bit-for-bit.
+    /// kernel, which must agree with the naive reference bit-for-bit.
     #[test]
     fn matrix_ops_match_reference_kernel(
         m in 1usize..16,

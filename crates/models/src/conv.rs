@@ -252,7 +252,7 @@ impl ConvNet {
         let k = self.conv.k;
         let patch = self.conv.in_ch * k * k;
         // `conv.w` rows are kernel banks = columns of the logical B,
-        // exactly the transposed-storage shape `pack_b_t` consumes.
+        // exactly the transposed-storage shape `pack_b_t_into` consumes.
         st_linalg::kernel().pack_b_t_into(patch, self.conv.out_ch, &self.conv.w, &mut s.w_pack);
         self.head.pack_weights_into(&mut s.head_pack);
         let ConvScratch {
@@ -300,7 +300,7 @@ impl ConvNet {
         // conv_out[pos][o] = b[o] + cols.row(pos) · w.row(o).
         conv_out.reset_to_zeros(positions, self.conv.out_ch);
         conv_out.add_bias_rows(&self.conv.b);
-        st_linalg::kernel().gemm_nt_prepacked(
+        st_linalg::kernel().gemm_prepacked(
             positions,
             patch,
             self.conv.out_ch,
@@ -454,7 +454,7 @@ impl ConvNet {
         // Gradient wrt pooled features, before updating the head: against
         // `Wᵀ` packed into the head's pack, whose forward use is over.
         self.head.w.pack_as_rhs_t_into(&mut s.head_pack);
-        s.dz.matmul_nt_prepacked_into(&s.head_pack, &mut s.dpooled);
+        s.dz.matmul_prepacked_into(&s.head_pack, &mut s.dpooled);
 
         // Route through the max pool and the ReLU into conv-space gradients.
         s.dconv.reset_to_zeros(m, self.conv.out_ch * ch * cw);

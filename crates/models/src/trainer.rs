@@ -563,7 +563,7 @@ fn descent_step(
             net.layers[li].w.pack_as_rhs_t_into(&mut scratch.w_pack);
             scratch
                 .dz
-                .matmul_nt_prepacked_into(&scratch.w_pack, &mut scratch.da);
+                .matmul_prepacked_into(&scratch.w_pack, &mut scratch.da);
             // ReLU mask from the stored post-activation (dropped units have
             // zero activation, so the same test covers both), plus the
             // inverted-dropout scale factors.
