@@ -1,8 +1,11 @@
-//! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the Slice Tuner paper (one binary each under `src/bin/`,
-//! such as `table6` and `fig7`).
+//! Shared harness for the experiment binaries that regenerate the Slice
+//! Tuner paper's tables and figures.
 //!
-//! Each binary prints the same rows/series the paper reports. Runtime knobs
+//! The `paper` binary holds every strategy-comparison experiment (Tables
+//! 2–10, Figure 10 and the rotting-bandit extension) as data and prints
+//! them through `slice_tuner::report`: `paper table6` runs one, `paper
+//! all` runs them all. The experiments with bespoke measurements (such as
+//! `fig7` and `table1`) keep a binary each under `src/bin/`. Runtime knobs
 //! come from the environment so the full suite can be scaled:
 //!
 //! - `ST_TRIALS` — trials per cell (paper: 10; default here: 3)
@@ -10,18 +13,19 @@
 //! - `ST_JOBS` — worker threads for the parallel trial executor
 //!   (default 0 = all cores)
 //!
-//! Every binary routes its repeated-trial cells through [`run_cell`], which
-//! fans trials out over `ST_JOBS` workers and shares one process-wide
-//! curve-estimation cache — sweeps that re-estimate identical `(dataset,
-//! seed)` curves (λ sweeps, schedule comparisons) reuse the fits instead of
-//! retraining, without changing a single output bit.
+//! Repeated-trial cells run through [`run_cell`], which fans trials out over
+//! `ST_JOBS` workers. `paper` gives each experiment one fresh curve-estimation
+//! cache, so sweeps that re-estimate identical `(dataset, seed)` curves (λ
+//! sweeps, schedule comparisons) reuse the fits instead of retraining,
+//! without changing a single output bit, and an experiment prints the same
+//! numbers, trainings counts included, alone or after others.
 
-use slice_tuner::{AggregateResult, CurveCache, Strategy, TunerConfig};
+use slice_tuner::{AggregateResult, Strategy, TunerConfig};
 use st_data::{families, DatasetFamily};
 use st_models::ModelSpec;
-use std::sync::{Arc, OnceLock};
 
 /// One benchmark dataset wired up like the paper's Section 6.1 settings.
+#[derive(Clone)]
 pub struct FamilySetup {
     /// The dataset family (synthetic analog).
     pub family: DatasetFamily,
@@ -144,21 +148,10 @@ pub fn jobs() -> usize {
         .unwrap_or(0)
 }
 
-/// The process-wide curve-estimation cache shared by every [`run_cell`].
-///
-/// Keys include the dataset content fingerprint and the derived estimator
-/// seed, so sharing across unrelated cells is always sound: a hit is
-/// bit-identical to recomputation. Reported training counts reflect
-/// trainings actually performed — a cached estimation costs zero.
-pub fn shared_cache() -> Arc<CurveCache> {
-    static CACHE: OnceLock<Arc<CurveCache>> = OnceLock::new();
-    Arc::clone(CACHE.get_or_init(CurveCache::shared))
-}
-
 /// Runs one repeated-trial experiment cell through the parallel executor
 /// ([`slice_tuner::run_trials_parallel`]) with the bench-wide [`jobs`]
-/// setting and the [`shared_cache`]. Drop-in replacement for the
-/// sequential `slice_tuner::run_trials` with identical aggregates.
+/// setting; the sequential `slice_tuner::run_trials` gives identical
+/// aggregates. A curve cache rides in on `config`.
 pub fn run_cell(
     family: &DatasetFamily,
     initial_sizes: &[usize],
@@ -168,17 +161,13 @@ pub fn run_cell(
     config: &TunerConfig,
     trials: usize,
 ) -> AggregateResult {
-    let config = match &config.cache {
-        Some(_) => config.clone(),
-        None => config.clone().with_cache(shared_cache()),
-    };
     slice_tuner::run_trials_parallel(
         family,
         initial_sizes,
         validation_size,
         budget,
         strategy,
-        &config,
+        config,
         trials,
         jobs(),
     )

@@ -10,7 +10,7 @@
 mod args;
 
 use args::Args;
-use slice_tuner::{PoolSource, SliceTuner, Strategy, TSchedule, TunerConfig};
+use slice_tuner::{PoolSource, SliceTuner, Strategy, TunerConfig};
 use st_data::{families, SlicedDataset, SlicingConfig};
 use st_server::session::{family_by_name, spec_for};
 use std::process::ExitCode;
@@ -101,17 +101,7 @@ fn usage() {
 }
 
 fn strategy_by_name(name: &str) -> Result<Strategy, String> {
-    match name {
-        "uniform" => Ok(Strategy::Uniform),
-        "waterfilling" | "water-filling" => Ok(Strategy::WaterFilling),
-        "proportional" => Ok(Strategy::Proportional),
-        "oneshot" | "one-shot" => Ok(Strategy::OneShot),
-        "conservative" => Ok(Strategy::Iterative(TSchedule::conservative())),
-        "moderate" => Ok(Strategy::Iterative(TSchedule::moderate())),
-        "aggressive" => Ok(Strategy::Iterative(TSchedule::aggressive())),
-        "bandit" => Ok(Strategy::RottingBandit(Default::default())),
-        other => Err(format!("unknown strategy '{other}'")),
-    }
+    slice_tuner::strategy_from_name(name).ok_or_else(|| format!("unknown strategy '{name}'"))
 }
 
 /// The `tune` command's validated inputs.
@@ -688,6 +678,8 @@ fn cmd_experiment(args: &Args) -> Result<(), String> {
             )
         })
         .collect();
+    let rows: Vec<(&str, &slice_tuner::AggregateResult)> =
+        rows.iter().map(|r| (r.strategy.name(), r)).collect();
 
     match format {
         "markdown" => {

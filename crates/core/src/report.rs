@@ -1,45 +1,46 @@
 //! Result formatting: markdown and CSV writers for experiment outputs.
 //!
-//! Every bench binary regenerates one of the paper's tables; this module
-//! owns the row/series formatting so the binaries print consistent,
-//! diffable output (and EXPERIMENTS.md can paste it verbatim).
+//! The `paper` bench binary and the CLI's `experiment` print their tables
+//! through these writers, so every table has one consistent, diffable
+//! layout. A row is a label and its aggregate: the strategy's name where
+//! that identifies the row, or what does (a λ, an estimation mode, a
+//! bandit's ε).
 
 use crate::runner::AggregateResult;
 
 /// Renders a markdown table in the layout of the paper's Table 2 / Table 6:
-/// one row per method with loss and avg/max EER summaries.
-pub fn methods_markdown(title: &str, rows: &[AggregateResult]) -> String {
+/// one row per labelled result with loss and avg/max EER summaries, under
+/// an "Original" row read from the first result (the rows of one table run
+/// the same trial datasets, and `original` is measured before any
+/// acquisition).
+pub fn methods_markdown(title: &str, rows: &[(&str, &AggregateResult)]) -> String {
     let mut out = String::new();
     out.push_str(&format!("### {title}\n\n"));
     out.push_str("| Method | Loss | Avg. EER | Max. EER | # Iters | Trainings |\n");
     out.push_str("|---|---|---|---|---|---|\n");
-    if let Some(first) = rows.first() {
+    if let Some((_, first)) = rows.first() {
         out.push_str(&format!(
             "| Original | {} | {} | {} | n/a | n/a |\n",
             first.original_loss, first.original_avg_eer, first.original_max_eer
         ));
     }
-    for r in rows {
+    for (label, r) in rows {
         out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.1} | {:.1} |\n",
-            r.strategy.name(),
-            r.loss,
-            r.avg_eer,
-            r.max_eer,
-            r.iterations,
-            r.trainings
+            "| {label} | {} | {} | {} | {:.1} | {:.1} |\n",
+            r.loss, r.avg_eer, r.max_eer, r.iterations, r.trainings
         ));
     }
     out
 }
 
 /// Renders the per-slice acquisition table (the paper's Table 3 / Table 5
-/// layout): one row per method, one column per slice.
+/// layout): one row per labelled result, one column per slice, each mean
+/// rounded half away from zero.
 pub fn acquisition_markdown(
     title: &str,
     slice_names: &[&str],
     initial_sizes: &[usize],
-    rows: &[AggregateResult],
+    rows: &[(&str, &AggregateResult)],
 ) -> String {
     let mut out = String::new();
     out.push_str(&format!("### {title}\n\n"));
@@ -56,26 +57,25 @@ pub fn acquisition_markdown(
         out.push_str(&format!(" {s} |"));
     }
     out.push_str(" n/a |\n");
-    for r in rows {
-        out.push_str(&format!("| {} |", r.strategy.name()));
+    for (label, r) in rows {
+        out.push_str(&format!("| {label} |"));
         for a in &r.acquired_mean {
-            out.push_str(&format!(" {:.0} |", a));
+            out.push_str(&format!(" {} |", a.round()));
         }
         out.push_str(&format!(" {:.1} |\n", r.iterations));
     }
     out
 }
 
-/// CSV export of method summaries (one row per method, header included),
+/// CSV export of labelled summaries (one row per result, header included),
 /// for plotting outside the repo.
-pub fn methods_csv(rows: &[AggregateResult]) -> String {
+pub fn methods_csv(rows: &[(&str, &AggregateResult)]) -> String {
     let mut out = String::from(
         "method,loss_mean,loss_std,avg_eer_mean,avg_eer_std,max_eer_mean,max_eer_std,iterations,trainings\n",
     );
-    for r in rows {
+    for (label, r) in rows {
         out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{}\n",
-            r.strategy.name(),
+            "{label},{},{},{},{},{},{},{},{}\n",
             r.loss.mean,
             r.loss.std,
             r.avg_eer.mean,
@@ -114,7 +114,7 @@ pub fn series_markdown(
     }
     out.push('\n');
     for (i, &x) in xs.iter().enumerate() {
-        out.push_str(&format!("| {x:.0} |"));
+        out.push_str(&format!("| {x} |"));
         for (_, ys) in series {
             out.push_str(&format!(" {:.4} |", ys[i]));
         }
@@ -148,15 +148,15 @@ mod tests {
 
     #[test]
     fn methods_table_contains_all_rows_and_header() {
-        let rows = vec![
+        let (uni, one) = (
             fake_row(Strategy::Uniform, 0.4),
             fake_row(Strategy::OneShot, 0.35),
-        ];
-        let md = methods_markdown("Table 2 — census", &rows);
+        );
+        let md = methods_markdown("Table 2 — census", &[("Uniform", &uni), ("λ = 0.1", &one)]);
         assert!(md.contains("### Table 2 — census"));
         assert!(md.contains("| Original | 0.500 ± 0.010 |"));
         assert!(md.contains("| Uniform | 0.400 ± 0.010 |"));
-        assert!(md.contains("| One-shot | 0.350 ± 0.010 |"));
+        assert!(md.contains("| λ = 0.1 | 0.350 ± 0.010 |"));
         // Markdown structure: every data line has the same column count.
         let cols: Vec<usize> = md
             .lines()
@@ -168,20 +168,24 @@ mod tests {
 
     #[test]
     fn acquisition_table_lists_slices() {
-        let rows = vec![fake_row(Strategy::Uniform, 0.4)];
-        let md = acquisition_markdown("Table 3", &["s0", "s1"], &[100, 100], &rows);
+        let mut row = fake_row(Strategy::Uniform, 0.4);
+        let md = acquisition_markdown("Table 3", &["s0", "s1"], &[100, 100], &[("Uniform", &row)]);
         assert!(md.contains("| s0 | s1 |"));
         assert!(md.contains("| Original | 100 | 100 |"));
         assert!(md.contains("| Uniform | 10 | 20 |"));
+        // Means of two trials end in .5; they round half away from zero.
+        row.acquired_mean = vec![12.5, 13.5];
+        let md = acquisition_markdown("Table 5", &["s0", "s1"], &[100, 100], &[("λ = 1", &row)]);
+        assert!(md.contains("| λ = 1 | 13 | 14 |"), "{md}");
     }
 
     #[test]
     fn csv_has_header_plus_one_line_per_method() {
-        let rows = vec![
+        let (uni, one) = (
             fake_row(Strategy::Uniform, 0.4),
             fake_row(Strategy::OneShot, 0.3),
-        ];
-        let csv = methods_csv(&rows);
+        );
+        let csv = methods_csv(&[("Uniform", &uni), ("One-shot", &one)]);
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("method,loss_mean"));
         assert!(csv.contains("One-shot,0.3,"));
@@ -192,10 +196,14 @@ mod tests {
         let md = series_markdown(
             "Figure 10",
             "Budget",
-            &[1000.0, 2000.0],
-            &[("Uniform", vec![0.3, 0.25]), ("Moderate", vec![0.28, 0.22])],
+            &[0.1, 1000.0, 2000.0],
+            &[
+                ("Uniform", vec![0.35, 0.3, 0.25]),
+                ("Moderate", vec![0.33, 0.28, 0.22]),
+            ],
         );
         assert!(md.contains("| Budget | Uniform | Moderate |"));
+        assert!(md.contains("| 0.1 | 0.3500 | 0.3300 |"), "{md}");
         assert!(md.contains("| 1000 | 0.3000 | 0.2800 |"));
         assert!(md.contains("| 2000 | 0.2500 | 0.2200 |"));
     }

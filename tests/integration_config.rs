@@ -66,6 +66,7 @@ fn parsed_spec_runs_and_reports() {
     }
 
     // The reports render with one row per strategy plus the Original row.
+    let rows: Vec<_> = rows.iter().map(|r| (r.strategy.name(), r)).collect();
     let md = methods_markdown("census spec", &rows);
     for s in &spec.strategies {
         assert!(md.contains(s.name()), "missing {} in\n{md}", s.name());

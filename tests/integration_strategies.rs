@@ -54,6 +54,31 @@ fn slice_tuner_beats_baselines_on_unfairness_census() {
         uni.avg_eer.mean
     );
     assert!(moderate.loss.mean < uni.loss.mean + 0.02);
+
+    // The `paper` bench bin's "Original" rows read the first strategy
+    // cell's `original`, with no zero-budget cell of their own: no
+    // strategy may touch a trial's data before `original` is measured.
+    let zero = run_trials(
+        &fam,
+        &sizes,
+        150,
+        0.0,
+        Strategy::Uniform,
+        &cfg(ModelSpec::softmax(), 1),
+        trials,
+    );
+    let bits = |r: &slice_tuner::EvalReport| {
+        let all = [r.overall_loss, r.avg_eer, r.max_eer];
+        let all = all.iter().chain(&r.per_slice_losses);
+        all.map(|x| x.to_bits()).collect::<Vec<_>>()
+    };
+    assert_eq!(zero.trials.len(), trials);
+    for agg in [&uni, &moderate] {
+        let name = agg.strategy.name();
+        for (t, z) in agg.trials.iter().zip(&zero.trials) {
+            assert_eq!(bits(&t.original), bits(&z.original), "{name}");
+        }
+    }
 }
 
 #[test]
