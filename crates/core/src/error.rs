@@ -1,11 +1,11 @@
 //! The workspace's unified error type.
 //!
 //! Every layer already reports failures through its own typed error
-//! (`FitError`, `SolveError`, `CsvError`, `ModelIoError`, `SpecError`,
-//! `TrainError`, …, all implementing [`std::error::Error`]). [`Error`]
-//! folds them into one enum with `From` conversions, so the CLI — and any
-//! embedding application — can propagate any of them with `?` and print a
-//! single one-line diagnostic before exiting nonzero.
+//! (`FitError`, `SolveError`, `CsvError`, `SpecError`, `TrainError`, …,
+//! all implementing [`std::error::Error`]). [`Error`] folds them into one
+//! enum with `From` conversions, so the CLI — and any embedding
+//! application — can propagate any of them with `?` and print a single
+//! one-line diagnostic before exiting nonzero.
 
 use std::fmt;
 
@@ -18,8 +18,6 @@ pub enum Error {
     Solve(st_linalg::SolveError),
     /// CSV ingestion failed.
     Csv(st_data::CsvError),
-    /// Model serialization failed.
-    ModelIo(st_models::ModelIoError),
     /// An experiment spec failed to parse.
     Spec(crate::config::SpecError),
     /// Training hit a numeric guard.
@@ -40,7 +38,6 @@ impl fmt::Display for Error {
             Error::Fit(e) => write!(f, "{e}"),
             Error::Solve(e) => write!(f, "{e}"),
             Error::Csv(e) => write!(f, "{e}"),
-            Error::ModelIo(e) => write!(f, "{e}"),
             Error::Spec(e) => write!(f, "{e}"),
             Error::Train(e) => write!(f, "{e}"),
             Error::Trial(e) => write!(f, "{e}"),
@@ -57,7 +54,6 @@ impl std::error::Error for Error {
             Error::Fit(e) => Some(e),
             Error::Solve(e) => Some(e),
             Error::Csv(e) => Some(e),
-            Error::ModelIo(e) => Some(e),
             Error::Spec(e) => Some(e),
             Error::Train(e) => Some(e),
             Error::Trial(e) => Some(e),
@@ -81,7 +77,6 @@ macro_rules! from_impl {
 from_impl!(Fit, st_curve::FitError);
 from_impl!(Solve, st_linalg::SolveError);
 from_impl!(Csv, st_data::CsvError);
-from_impl!(ModelIo, st_models::ModelIoError);
 from_impl!(Spec, crate::config::SpecError);
 from_impl!(Train, st_models::TrainError);
 from_impl!(Trial, crate::trials::TrialError);

@@ -75,7 +75,7 @@ pub use error::Error;
 pub use incremental::IncrementalState;
 pub use influence::{influence_sweep, InfluencePoint, InfluenceSweep};
 pub use metrics::{avg_eer, max_eer, EvalReport};
-pub use report::{acquisition_markdown, methods_csv, methods_markdown, series_markdown};
+pub use report::{acquisition_markdown, methods_csv, methods_markdown};
 pub use runner::{run_trials, AggregateResult, Setting, Summary};
 pub use similarity::{similarity_matrix, SimilarityMatrix};
 pub use strategy::{

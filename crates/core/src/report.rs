@@ -89,40 +89,6 @@ pub fn methods_csv(rows: &[(&str, &AggregateResult)]) -> String {
     out
 }
 
-/// Renders an (x, series...) table as markdown — the layout behind the
-/// figure reproductions (e.g. Figure 10's budget sweep).
-///
-/// # Panics
-/// Panics when a series' length differs from `xs`.
-pub fn series_markdown(
-    title: &str,
-    x_label: &str,
-    xs: &[f64],
-    series: &[(&str, Vec<f64>)],
-) -> String {
-    for (name, ys) in series {
-        assert_eq!(ys.len(), xs.len(), "series {name} length mismatch");
-    }
-    let mut out = String::new();
-    out.push_str(&format!("### {title}\n\n| {x_label} |"));
-    for (name, _) in series {
-        out.push_str(&format!(" {name} |"));
-    }
-    out.push_str("\n|---|");
-    for _ in series {
-        out.push_str("---|");
-    }
-    out.push('\n');
-    for (i, &x) in xs.iter().enumerate() {
-        out.push_str(&format!("| {x} |"));
-        for (_, ys) in series {
-            out.push_str(&format!(" {:.4} |", ys[i]));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,28 +155,5 @@ mod tests {
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("method,loss_mean"));
         assert!(csv.contains("One-shot,0.3,"));
-    }
-
-    #[test]
-    fn series_table_rows_match_xs() {
-        let md = series_markdown(
-            "Figure 10",
-            "Budget",
-            &[0.1, 1000.0, 2000.0],
-            &[
-                ("Uniform", vec![0.35, 0.3, 0.25]),
-                ("Moderate", vec![0.33, 0.28, 0.22]),
-            ],
-        );
-        assert!(md.contains("| Budget | Uniform | Moderate |"));
-        assert!(md.contains("| 0.1 | 0.3500 | 0.3300 |"), "{md}");
-        assert!(md.contains("| 1000 | 0.3000 | 0.2800 |"));
-        assert!(md.contains("| 2000 | 0.2500 | 0.2200 |"));
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn series_length_mismatch_is_rejected() {
-        let _ = series_markdown("x", "b", &[1.0], &[("a", vec![0.1, 0.2])]);
     }
 }

@@ -160,20 +160,11 @@ impl Matrix {
         );
     }
 
-    /// Matrix product `self * rhsᵀ` without materializing the transpose.
+    /// Matrix product `self * rhsᵀ` into a reusable output matrix, without
+    /// materializing the transpose.
     ///
     /// This is the backward-pass shape `dZ · Wᵀ`: row `j` of `rhs` serves
     /// directly as column `j` of `rhsᵀ`, so both operands stream row-major.
-    ///
-    /// # Panics
-    /// Panics if `self.cols() != rhs.cols()`.
-    pub fn matmul_nt(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_nt_into(rhs, &mut out);
-        out
-    }
-
-    /// [`matmul_nt`](Self::matmul_nt) into a reusable output matrix.
     ///
     /// # Panics
     /// Panics if `self.cols() != rhs.cols()`.
@@ -194,20 +185,11 @@ impl Matrix {
         );
     }
 
-    /// Matrix product `selfᵀ * rhs` without materializing the transpose.
+    /// Matrix product `selfᵀ * rhs` into a reusable output matrix, without
+    /// materializing the transpose.
     ///
     /// This is the gradient shape `Xᵀ · dZ`; both operands are streamed
     /// row-major as a sequence of rank-1 updates.
-    ///
-    /// # Panics
-    /// Panics if `self.rows() != rhs.rows()`.
-    pub fn matmul_tn(&self, rhs: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(0, 0);
-        self.matmul_tn_into(rhs, &mut out);
-        out
-    }
-
-    /// [`matmul_tn`](Self::matmul_tn) into a reusable output matrix.
     ///
     /// # Panics
     /// Panics if `self.rows() != rhs.rows()`.
@@ -242,10 +224,10 @@ impl Matrix {
     }
 
     /// Packs `self` as the (transposed) right-hand side of
-    /// [`matmul_nt`](Self::matmul_nt) (`X · selfᵀ` products) into a
-    /// reusable handle. The transpose is resolved at pack time, so
+    /// [`matmul_nt_into`](Self::matmul_nt_into) (`X · selfᵀ` products) into
+    /// a reusable handle. The transpose is resolved at pack time, so
     /// [`matmul_prepacked_into`](Self::matmul_prepacked_into) on the
-    /// handle gives `matmul_nt`'s bits.
+    /// handle gives `matmul_nt_into`'s bits.
     pub fn pack_as_rhs_t_into(&self, dst: &mut PackedB) {
         kernel().pack_b_t_into(self.cols, self.rows, &self.data, dst);
     }
@@ -342,19 +324,13 @@ impl Matrix {
         );
     }
 
-    /// Per-column sums (the bias-gradient reduction of a batch).
+    /// Per-column sums (the bias-gradient reduction of a batch) into a
+    /// reusable vector (cleared and refilled, allocation reused).
     ///
     /// Accumulated directly in ascending row order, one chain per column.
-    pub fn col_sums(&self) -> Vec<f64> {
-        let mut out = Vec::new();
-        self.col_sums_into(&mut out);
-        out
-    }
-
-    /// [`col_sums`](Self::col_sums) into a reusable vector (cleared and
-    /// refilled, allocation reused). Runs at the host's vector width
-    /// ([`SimdWidth::run`]): the lanes hold distinct columns, each still
-    /// one chain down the rows, so every width gives the same bits.
+    /// Runs at the host's vector width ([`SimdWidth::run`]): the lanes hold
+    /// distinct columns, each still one chain down the rows, so every width
+    /// gives the same bits.
     pub fn col_sums_into(&self, out: &mut Vec<f64>) {
         self.col_sums_at(SimdWidth::detected(), out);
     }
@@ -442,21 +418,6 @@ impl Matrix {
         }
     }
 
-    /// Elementwise in-place addition `self += rhs`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn add_assign(&mut self, rhs: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "add shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += b;
-        }
-    }
-
     /// In-place scaled addition `self += alpha * rhs`.
     ///
     /// # Panics
@@ -469,13 +430,6 @@ impl Matrix {
         );
         for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
             *a += alpha * b;
-        }
-    }
-
-    /// In-place scalar multiplication.
-    pub fn scale(&mut self, alpha: f64) {
-        for a in &mut self.data {
-            *a *= alpha;
         }
     }
 
@@ -621,20 +575,26 @@ mod tests {
     fn matmul_nt_matches_explicit_transpose() {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         let b = Matrix::from_vec(4, 3, (0..12).map(|i| i as f64 * 0.5 - 2.0).collect());
-        assert_eq!(a.matmul_nt(&b), a.matmul(&b.transpose()));
+        let mut out = Matrix::zeros(0, 0);
+        a.matmul_nt_into(&b, &mut out);
+        assert_eq!(out, a.matmul(&b.transpose()));
     }
 
     #[test]
     fn matmul_tn_matches_explicit_transpose() {
         let a = Matrix::from_vec(3, 2, vec![1., -2., 3., 4., -5., 6.]);
         let b = Matrix::from_vec(3, 4, (0..12).map(|i| (i as f64).sin()).collect());
-        assert_eq!(a.matmul_tn(&b), a.transpose().matmul(&b));
+        let mut out = Matrix::zeros(0, 0);
+        a.matmul_tn_into(&b, &mut out);
+        assert_eq!(out, a.transpose().matmul(&b));
     }
 
     #[test]
     fn col_sums_reduce_rows() {
         let m = Matrix::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        assert_eq!(m.col_sums(), vec![9., 12.]);
+        let mut sums = vec![1.0; 7];
+        m.col_sums_into(&mut sums);
+        assert_eq!(sums, vec![9., 12.]);
     }
 
     #[test]
@@ -718,16 +678,19 @@ mod tests {
         a.matmul_into(&b, &mut out);
         assert_eq!(out, a.matmul(&b));
         a.matmul_nt_into(&bt, &mut out);
-        assert_eq!(out, a.matmul_nt(&bt));
+        assert_eq!(out, a.matmul(&bt.transpose()));
         a.matmul_tn_into(&c, &mut out);
-        assert_eq!(out, a.matmul_tn(&c));
+        assert_eq!(out, a.transpose().matmul(&c));
         a.gather_rows_into(&[2, 0], &mut out);
         assert_eq!(out, a.gather_rows(&[2, 0]));
         assert_eq!(out.data.capacity(), cap, "allocation reused");
 
         let mut sums = vec![1.0; 7];
+        let cap = sums.capacity();
         a.col_sums_into(&mut sums);
-        assert_eq!(sums, a.col_sums());
+        let want: Vec<f64> = (0..a.cols()).map(|j| a.col(j).iter().sum()).collect();
+        assert_eq!(sums, want);
+        assert_eq!(sums.capacity(), cap, "allocation reused");
     }
 
     #[test]
@@ -744,7 +707,7 @@ mod tests {
         let mut pbt = PackedB::default();
         bt.pack_as_rhs_t_into(&mut pbt);
         a.matmul_prepacked_into(&pbt, &mut out);
-        assert_eq!(out, a.matmul_nt(&bt));
+        assert_eq!(out, a.matmul(&bt.transpose()));
 
         // Fused bias == matmul_prepacked_into + add_bias_rows, bitwise.
         let bias = vec![0.25, -1.5];
@@ -771,7 +734,7 @@ mod tests {
 
         // Re-pack into the same handles after mutating the operands.
         let mut b2 = b.clone();
-        b2.scale(1.5);
+        b2.as_mut_slice()[0] += 1.5;
         let mut pb2 = pb;
         b2.pack_as_rhs_into(&mut pb2);
         a.matmul_prepacked_into(&pb2, &mut out);

@@ -451,16 +451,19 @@ proptest! {
         NaiveKernel.gemm(m, k, n, a.as_slice(), b.as_slice(), &mut reference);
         assert_bits_equal("Matrix::matmul", product.as_slice(), &reference);
 
+        let mut out = Matrix::zeros(0, 0);
         let bt = Matrix::from_vec(n, k, kernel_data(n * k, seed ^ 2));
+        a.matmul_nt_into(&bt, &mut out);
         assert_bits_equal(
-            "Matrix::matmul_nt",
-            a.matmul_nt(&bt).as_slice(),
+            "Matrix::matmul_nt_into",
+            out.as_slice(),
             a.matmul(&bt.transpose()).as_slice(),
         );
         let c = Matrix::from_vec(m, n, kernel_data(m * n, seed ^ 3));
+        a.matmul_tn_into(&c, &mut out);
         assert_bits_equal(
-            "Matrix::matmul_tn",
-            a.matmul_tn(&c).as_slice(),
+            "Matrix::matmul_tn_into",
+            out.as_slice(),
             a.transpose().matmul(&c).as_slice(),
         );
     }

@@ -5,7 +5,7 @@
 //! real [`ConvNet`](crate::ConvNet), future models) plugs in through this
 //! one trait.
 
-use st_linalg::{argmax, Matrix, EPS_PROB};
+use st_linalg::{argmax, Matrix};
 
 /// A trained multi-class classifier over dense feature batches.
 pub trait Classifier {
@@ -63,12 +63,7 @@ pub fn log_loss_of<C: Classifier + ?Sized>(model: &C, x: &Matrix, y: &[usize]) -
     if y.is_empty() {
         return f64::NAN;
     }
-    let p = model.predict_proba(x);
-    let mut total = 0.0;
-    for (r, &label) in y.iter().enumerate() {
-        total -= p[(r, label)].clamp(EPS_PROB, 1.0 - EPS_PROB).ln();
-    }
-    total / y.len() as f64
+    crate::loss::nll_of_proba(&model.predict_proba(x), y)
 }
 
 /// Argmax accuracy for any [`Classifier`]. Returns `NaN` for an empty batch.

@@ -14,7 +14,7 @@
 
 use crate::classifier::Classifier;
 use crate::network::Layer;
-use crate::optimizer::{OptimizerKind, OptimizerState};
+use crate::optimizer::OptimizerState;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use st_data::rng::normal;
@@ -82,7 +82,8 @@ pub struct ConvNet {
     pub head: Layer,
 }
 
-/// Hyperparameters for [`ConvNet::train`].
+/// Hyperparameters for [`ConvNet::train`]. The update rule is the MLP
+/// trainer's heavy-ball momentum (β = 0.9).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvTrainConfig {
     /// Output channels of the conv block.
@@ -95,8 +96,6 @@ pub struct ConvTrainConfig {
     pub batch_size: usize,
     /// Learning rate (constant; these nets train for few epochs).
     pub lr: f64,
-    /// Update rule.
-    pub optimizer: OptimizerKind,
     /// Seed for init and shuffling.
     pub seed: u64,
 }
@@ -109,7 +108,6 @@ impl Default for ConvTrainConfig {
             epochs: 15,
             batch_size: 32,
             lr: 0.05,
-            optimizer: OptimizerKind::default_momentum(),
             seed: 0,
         }
     }
@@ -409,7 +407,7 @@ impl ConvNet {
             net.head.w.rows() * net.head.w.cols(),
             net.head.b.len(),
         ];
-        let mut opt = OptimizerState::new(config.optimizer, &lens);
+        let mut opt = OptimizerState::new(&lens);
         let mut order: Vec<usize> = (0..n).collect();
         let mut scratch = ConvScratch::default();
         let mut bx = Matrix::zeros(0, 0);
@@ -421,7 +419,6 @@ impl ConvNet {
                 x.gather_rows_into(chunk, &mut bx);
                 by.clear();
                 by.extend(chunk.iter().map(|&i| y[i]));
-                opt.next_step();
                 net.step(&bx, &by, config.lr, &mut opt, &mut scratch);
             }
         }

@@ -73,11 +73,6 @@ pub fn log_loss_packed_scratch(
     nll_of_proba(p, y)
 }
 
-/// [`log_loss`] over a list of examples.
-pub fn log_loss_on(model: &Mlp, examples: &[Example]) -> f64 {
-    log_loss(model, &examples_to_matrix(examples), &labels_of(examples))
-}
-
 /// [`log_loss_packed`] over a list of examples.
 pub fn log_loss_packed_on(model: &PackedMlp<'_>, examples: &[Example]) -> f64 {
     log_loss_packed(model, &examples_to_matrix(examples), &labels_of(examples))

@@ -84,47 +84,30 @@ impl Layer {
 }
 
 /// Backward pass through a ReLU: zeroes `d` wherever the post-ReLU
-/// activation `act` is `<= 0.0`, and scales every other entry by its
-/// inverted-dropout factor when `factors` is non-empty (one factor per
-/// entry, `0` or `1/keep`).
+/// activation `act` is `<= 0.0`.
 ///
 /// Each element is a select, not a branch: about half of a layer's units
 /// are inactive in no learnable pattern, so a per-element branch
 /// mispredicts, while a select over whole slices vectorizes. The select
 /// gives the branch's bits: `+0.0` and `-0.0` activations pass no
-/// gradient, a NaN activation passes its gradient through, and a dropout
-/// scale is one multiply. The pass runs at the host's vector width
-/// (`st_linalg::SimdWidth::run`), with the same bits at every width.
-pub(crate) fn relu_backward(d: &mut [f64], act: &[f64], factors: &[f64]) {
-    relu_backward_at(SimdWidth::detected(), d, act, factors);
+/// gradient, and a NaN activation passes its gradient through. The pass
+/// runs at the host's vector width (`st_linalg::SimdWidth::run`), with the
+/// same bits at every width.
+pub(crate) fn relu_backward(d: &mut [f64], act: &[f64]) {
+    relu_backward_at(SimdWidth::detected(), d, act);
 }
 
 /// [`relu_backward`] compiled for `width` (capped at the host's).
-fn relu_backward_at(width: SimdWidth, d: &mut [f64], act: &[f64], factors: &[f64]) {
+fn relu_backward_at(width: SimdWidth, d: &mut [f64], act: &[f64]) {
     assert_eq!(d.len(), act.len(), "gradient/activation length mismatch");
-    if factors.is_empty() {
-        width.run(
-            #[inline(always)]
-            || {
-                for (v, &a) in d.iter_mut().zip(act) {
-                    *v = if a <= 0.0 { 0.0 } else { *v };
-                }
-            },
-        );
-    } else {
-        assert_eq!(d.len(), factors.len(), "gradient/dropout length mismatch");
-        width.run(
-            #[inline(always)]
-            || {
-                for ((v, &a), &f) in d.iter_mut().zip(act).zip(factors) {
-                    // Scaled unconditionally so both arms of the select are
-                    // plain values (the discarded product changes no bit).
-                    let scaled = *v * f;
-                    *v = if a <= 0.0 { 0.0 } else { scaled };
-                }
-            },
-        );
-    }
+    width.run(
+        #[inline(always)]
+        || {
+            for (v, &a) in d.iter_mut().zip(act) {
+                *v = if a <= 0.0 { 0.0 } else { *v };
+            }
+        },
+    );
 }
 
 /// A ReLU multi-layer perceptron with a softmax output head.
@@ -388,12 +371,10 @@ mod tests {
 
     /// The branchy backward ReLU the trainer ran before [`relu_backward`],
     /// kept as its bit reference.
-    fn relu_backward_reference(d: &mut [f64], act: &[f64], mask: &[f64]) {
-        for (idx, (v, &a)) in d.iter_mut().zip(act).enumerate() {
+    fn relu_backward_reference(d: &mut [f64], act: &[f64]) {
+        for (v, &a) in d.iter_mut().zip(act) {
             if a <= 0.0 {
                 *v = 0.0;
-            } else if !mask.is_empty() {
-                *v *= mask[idx];
             }
         }
     }
@@ -421,42 +402,27 @@ mod tests {
             f64::NEG_INFINITY,
             f64::NAN,
         ];
-        let keep: f64 = 0.75;
-        // Every (activation, gradient) pair without dropout, and every
-        // pair under each dropout factor.
-        let pairs: Vec<(f64, f64)> = acts
-            .iter()
-            .flat_map(|&a| grads.iter().map(move |&g| (a, g)))
-            .collect();
-        let no_dropout: Vec<(f64, f64, Option<f64>)> =
-            pairs.iter().map(|&(a, g)| (a, g, None)).collect();
-        let dropout: Vec<(f64, f64, Option<f64>)> = pairs
-            .iter()
-            .flat_map(|&(a, g)| [0.0, 1.0 / keep].map(|f| (a, g, Some(f))))
-            .collect();
-        for cases in [no_dropout, dropout] {
-            // Opaque inputs: constant folding may not pick a NaN payload
-            // the hardware would not.
-            let act: Vec<f64> = std::hint::black_box(cases.iter().map(|c| c.0).collect());
-            let grad: Vec<f64> = std::hint::black_box(cases.iter().map(|c| c.1).collect());
-            let factors: Vec<f64> =
-                std::hint::black_box(cases.iter().filter_map(|c| c.2).collect());
-            let mut want = grad.clone();
-            relu_backward_reference(&mut want, &act, &factors);
-            // Baseline and every vector width the host supports.
-            for width in SimdWidth::supported() {
-                let mut got = grad.clone();
-                relu_backward_at(width, &mut got, &act, &factors);
-                for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-                    assert_eq!(
-                        w.to_bits(),
-                        g.to_bits(),
-                        "{width:?}: act {:?}, grad {:?}, factor {:?}: want {w:?}, got {g:?}",
-                        act[i],
-                        grad[i],
-                        factors.get(i)
-                    );
-                }
+        // Every (activation, gradient) pair. Opaque inputs: constant
+        // folding may not pick a NaN payload the hardware would not.
+        let (act, grad): (Vec<f64>, Vec<f64>) = std::hint::black_box(
+            acts.iter()
+                .flat_map(|&a| grads.iter().map(move |&g| (a, g)))
+                .unzip(),
+        );
+        let mut want = grad.clone();
+        relu_backward_reference(&mut want, &act);
+        // Baseline and every vector width the host supports.
+        for width in SimdWidth::supported() {
+            let mut got = grad.clone();
+            relu_backward_at(width, &mut got, &act);
+            for (i, (w, g)) in want.iter().zip(&got).enumerate() {
+                assert_eq!(
+                    w.to_bits(),
+                    g.to_bits(),
+                    "{width:?}: act {:?}, grad {:?}: want {w:?}, got {g:?}",
+                    act[i],
+                    grad[i]
+                );
             }
         }
     }

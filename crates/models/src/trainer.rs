@@ -1,18 +1,17 @@
-//! Minibatch training with pluggable update rules, dropout, and optional
-//! early stopping.
+//! Minibatch training of the shared MLP.
 //!
 //! The paper fixes hyperparameters once per dataset by grid search and never
 //! changes them afterwards "for consistent model training"; experiments here
 //! do the same — each dataset harness owns one [`TrainConfig`], and every
-//! run is a deterministic function of `(data, spec, config)`.
+//! run is a deterministic function of `(data, spec, config)`. The update
+//! rule (heavy-ball momentum, β = 0.9) and the per-epoch learning-rate
+//! decay (×0.97) are constants.
 
 use crate::batch::{examples_to_matrix, labels_of};
 use crate::network::{relu_backward, Mlp};
-use crate::optimizer::{LrSchedule, OptimizerKind, OptimizerState};
+use crate::optimizer::OptimizerState;
 use crate::spec::ModelSpec;
-use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::Rng;
 use st_data::{seeded_rng, Example};
 use st_linalg::{softmax_xent_grad, Matrix, PackedB};
 
@@ -23,19 +22,17 @@ pub struct TrainConfig {
     pub epochs: usize,
     /// Minibatch size.
     pub batch_size: usize,
-    /// Base learning rate (scheduled per epoch by `schedule`).
+    /// Base learning rate: epoch `e` runs at `lr · 0.97^e`.
     pub lr: f64,
     /// L2 weight-decay coefficient.
     pub l2: f64,
-    /// Parameter update rule.
-    pub optimizer: OptimizerKind,
-    /// Learning-rate schedule.
-    pub schedule: LrSchedule,
-    /// Dropout probability on hidden activations (0 disables).
-    pub dropout: f64,
-    /// Seed for parameter init, minibatch shuffling, and dropout masks.
+    /// Seed for parameter init and minibatch shuffling.
     pub seed: u64,
 }
+
+/// Per-epoch learning-rate decay factor: epoch `e` runs at
+/// `lr · LR_DECAY^e`.
+const LR_DECAY: f64 = 0.97;
 
 impl Default for TrainConfig {
     fn default() -> Self {
@@ -44,9 +41,6 @@ impl Default for TrainConfig {
             batch_size: 32,
             lr: 0.12,
             l2: 1e-4,
-            optimizer: OptimizerKind::default_momentum(),
-            schedule: LrSchedule::Exponential { gamma: 0.97 },
-            dropout: 0.0,
             seed: 0,
         }
     }
@@ -57,26 +51,6 @@ impl TrainConfig {
     pub fn with_seed(&self, seed: u64) -> Self {
         TrainConfig {
             seed,
-            ..self.clone()
-        }
-    }
-
-    /// Returns a copy with a different update rule.
-    pub fn with_optimizer(&self, optimizer: OptimizerKind) -> Self {
-        TrainConfig {
-            optimizer,
-            ..self.clone()
-        }
-    }
-
-    /// Returns a copy with dropout enabled at probability `p`.
-    ///
-    /// # Panics
-    /// Panics unless `0 ≤ p < 1`.
-    pub fn with_dropout(&self, p: f64) -> Self {
-        assert!((0.0..1.0).contains(&p), "dropout must be in [0, 1)");
-        TrainConfig {
-            dropout: p,
             ..self.clone()
         }
     }
@@ -91,11 +65,6 @@ pub enum TrainError {
         /// Epoch (0-based) whose parameter scan failed.
         epoch: usize,
     },
-    /// The validation loss became non-finite.
-    NonFiniteValidation {
-        /// Epoch (0-based) whose validation loss was non-finite.
-        epoch: usize,
-    },
 }
 
 impl std::fmt::Display for TrainError {
@@ -105,26 +74,11 @@ impl std::fmt::Display for TrainError {
                 f,
                 "non-finite minibatch loss poisoned the model parameters at epoch {epoch}"
             ),
-            TrainError::NonFiniteValidation { epoch } => {
-                write!(f, "validation loss became non-finite at epoch {epoch}")
-            }
         }
     }
 }
 
 impl std::error::Error for TrainError {}
-
-/// Outcome of [`train_validated`]: the chosen model plus stopping metadata.
-#[derive(Debug, Clone)]
-pub struct TrainOutcome {
-    /// The best model found (by validation loss when early stopping is on,
-    /// otherwise the final model).
-    pub model: Mlp,
-    /// Epochs actually executed.
-    pub epochs_run: usize,
-    /// Validation loss of the returned model (`NaN` without validation).
-    pub best_val_loss: f64,
-}
 
 /// Trains a network of architecture `spec` on a dense batch.
 ///
@@ -132,7 +86,8 @@ pub struct TrainOutcome {
 /// The run is a deterministic function of `(x, y, spec, config)`.
 ///
 /// # Panics
-/// Panics if `y.len() != x.rows()` or a label is out of range.
+/// Panics if `y.len() != x.rows()` or a label is out of range, or when the
+/// numeric guards reject the run (see [`try_train_on_rows`]).
 pub fn train(
     x: &Matrix,
     y: &[usize],
@@ -141,78 +96,7 @@ pub fn train(
     spec: &ModelSpec,
     config: &TrainConfig,
 ) -> Mlp {
-    train_validated(x, y, None, input_dim, num_classes, spec, config, None).model
-}
-
-/// Relative margin an epoch must beat the best validation loss by to count
-/// as an improvement for early stopping (the `min_delta` of other
-/// frameworks, expressed relatively so it is loss-scale-free).
-const MIN_RELATIVE_IMPROVEMENT: f64 = 1e-3;
-
-/// [`train`] with an optional validation set and early-stopping patience.
-///
-/// When `validation = Some((vx, vy))` and `patience = Some(p)`, training
-/// stops after `p` consecutive epochs without improving the validation loss
-/// by at least 0.1% relative (`MIN_RELATIVE_IMPROVEMENT`)
-/// and returns the best model seen. Without patience the validation set is
-/// only used to report `best_val_loss`.
-///
-/// # Panics
-/// Panics on shape/label mismatches (see [`train`]), or when the numeric
-/// guards reject the run — use [`try_train_validated`] to handle a
-/// [`TrainError`] instead.
-#[allow(clippy::too_many_arguments)]
-pub fn train_validated(
-    x: &Matrix,
-    y: &[usize],
-    validation: Option<(&Matrix, &[usize])>,
-    input_dim: usize,
-    num_classes: usize,
-    spec: &ModelSpec,
-    config: &TrainConfig,
-    patience: Option<usize>,
-) -> TrainOutcome {
-    try_train_validated(
-        x,
-        y,
-        validation,
-        input_dim,
-        num_classes,
-        spec,
-        config,
-        patience,
-    )
-    .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`train_validated`] with the numeric guards surfaced as a typed error
-/// instead of a panic.
-///
-/// # Errors
-/// Returns a [`TrainError`] when a minibatch poisons the parameters with
-/// non-finite values or the validation loss becomes non-finite.
-#[allow(clippy::too_many_arguments)]
-pub fn try_train_validated(
-    x: &Matrix,
-    y: &[usize],
-    validation: Option<(&Matrix, &[usize])>,
-    input_dim: usize,
-    num_classes: usize,
-    spec: &ModelSpec,
-    config: &TrainConfig,
-    patience: Option<usize>,
-) -> Result<TrainOutcome, TrainError> {
-    train_core(
-        x,
-        y,
-        None,
-        validation,
-        input_dim,
-        num_classes,
-        spec,
-        config,
-        patience,
-    )
+    train_core(x, y, None, input_dim, num_classes, spec, config).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Trains on the subset of `x`'s rows named by `rows` (with `y` labelling
@@ -222,9 +106,9 @@ pub fn try_train_validated(
 /// stacked training matrix (`SlicedDataset::matrices`), subset sampling
 /// yields row ids, and every minibatch gathers its rows straight from the
 /// stacked matrix. The run is bit-identical to extracting the sub-matrix
-/// first and calling [`train`] on it — same RNG draws (init, shuffles,
-/// dropout), same gathered bytes, same op order — just without the
-/// intermediate copy.
+/// first and calling [`train`] on it — same RNG draws (init, shuffles),
+/// same gathered bytes, same op order — just without the intermediate
+/// copy.
 ///
 /// Returns the freshly-initialized network when `rows` is empty (mirroring
 /// [`train_on_examples`] on an empty list).
@@ -265,37 +149,23 @@ pub fn try_train_on_rows(
         let mut rng = seeded_rng(config.seed);
         return Ok(Mlp::new(input_dim, &spec.hidden, num_classes, &mut rng));
     }
-    Ok(train_core(
-        x,
-        y,
-        Some(rows),
-        None,
-        input_dim,
-        num_classes,
-        spec,
-        config,
-        None,
-    )?
-    .model)
+    train_core(x, y, Some(rows), input_dim, num_classes, spec, config)
 }
 
-/// The shared minibatch loop behind [`train_validated`] and
-/// [`train_on_rows`]. `rows = Some(ids)` restricts training to those rows
-/// of `x` (an index indirection resolved at minibatch-gather time);
-/// `None` trains on all rows. Both paths run the identical op and RNG
-/// sequence for the same effective training set.
-#[allow(clippy::too_many_arguments)]
+/// The shared minibatch loop behind [`train`] and [`train_on_rows`].
+/// `rows = Some(ids)` restricts training to those rows of `x` (an index
+/// indirection resolved at minibatch-gather time); `None` trains on all
+/// rows. Both paths run the identical op and RNG sequence for the same
+/// effective training set.
 fn train_core(
     x: &Matrix,
     y: &[usize],
     rows: Option<&[usize]>,
-    validation: Option<(&Matrix, &[usize])>,
     input_dim: usize,
     num_classes: usize,
     spec: &ModelSpec,
     config: &TrainConfig,
-    patience: Option<usize>,
-) -> Result<TrainOutcome, TrainError> {
+) -> Result<Mlp, TrainError> {
     assert_eq!(x.rows(), y.len(), "feature/label count mismatch");
     match rows {
         None => assert!(y.iter().all(|&l| l < num_classes), "label out of range"),
@@ -316,11 +186,7 @@ fn train_core(
     let mut net = Mlp::new(input_dim, &spec.hidden, num_classes, &mut rng);
     let n = rows.map_or(x.rows(), <[usize]>::len);
     if n == 0 {
-        return Ok(TrainOutcome {
-            model: net,
-            epochs_run: 0,
-            best_val_loss: f64::NAN,
-        });
+        return Ok(net);
     }
 
     // One optimizer slot per tensor: w then b per layer.
@@ -329,16 +195,13 @@ fn train_core(
         .iter()
         .flat_map(|l| [l.w.rows() * l.w.cols(), l.b.len()])
         .collect();
-    let mut opt = OptimizerState::new(config.optimizer, &lens);
+    let mut opt = OptimizerState::new(&lens);
 
     let mut order: Vec<usize> = (0..n).collect();
-    let mut best: Option<(f64, Mlp)> = None;
-    let mut since_best = 0usize;
-    let mut epochs_run = 0usize;
     let mut scratch = TrainScratch::for_net(&net);
 
     for epoch in 0..config.epochs {
-        let lr = config.schedule.lr_at(config.lr, epoch);
+        let lr = config.lr * LR_DECAY.powi(epoch as i32);
         order.shuffle(&mut rng);
         for chunk in order.chunks(config.batch_size.max(1)) {
             // With a row map the chunk's positions resolve to rows of the
@@ -376,70 +239,28 @@ fn train_core(
             if !finite {
                 return Err(TrainError::NonFiniteLoss { epoch });
             }
-            opt.next_step();
-            descent_step(&mut net, &mut scratch, lr, config, &mut opt, &mut rng);
+            descent_step(&mut net, &mut scratch, lr, config.l2, &mut opt);
         }
-        epochs_run = epoch + 1;
         // Numeric guard: a single non-finite minibatch loss propagates into
         // the weights through the update, so one O(params) scan per epoch
         // catches it without touching the minibatch hot loop.
         if !net.params_finite() {
             return Err(TrainError::NonFiniteLoss { epoch });
         }
-
-        if let Some((vx, vy)) = validation {
-            let val = crate::loss::log_loss(&net, vx, vy);
-            if !vy.is_empty() && !val.is_finite() {
-                return Err(TrainError::NonFiniteValidation { epoch });
-            }
-            // An epoch only counts as an improvement when it beats the best
-            // loss by a relative margin. Without the margin, smoothly
-            // decaying learning rates produce ever-smaller but strictly
-            // positive improvements on easy data, and patience never fires.
-            let improved = best
-                .as_ref()
-                .is_none_or(|(b, _)| val < *b - b.abs() * MIN_RELATIVE_IMPROVEMENT);
-            if improved {
-                best = Some((val, net.clone()));
-                since_best = 0;
-            } else {
-                since_best += 1;
-                if patience.is_some_and(|p| since_best >= p) {
-                    break;
-                }
-            }
-        }
     }
-
-    Ok(match best {
-        Some((loss, model)) if patience.is_some() => TrainOutcome {
-            model,
-            epochs_run,
-            best_val_loss: loss,
-        },
-        Some((loss, _)) => TrainOutcome {
-            model: net,
-            epochs_run,
-            best_val_loss: loss,
-        },
-        None => TrainOutcome {
-            model: net,
-            epochs_run,
-            best_val_loss: f64::NAN,
-        },
-    })
+    Ok(net)
 }
 
 /// Reusable buffers for the minibatch loop.
 ///
-/// Gathered batches, activations, dropout factors, gradients and the
-/// weight pack of the forward and input-gradient products live here and
-/// are resized in place, so once the loop has seen its largest minibatch
-/// it makes no heap allocation (`tests/alloc_free.rs` counts; the weight
-/// gradients' `gemm_tn` reads its operands in place and allocates
-/// nothing). Each buffer is filled by an `_into` or prepacked twin of an
-/// allocating call with the same operations, so the training bits are
-/// those of the allocating loop.
+/// Gathered batches, activations, gradients and the weight pack of the
+/// forward and input-gradient products live here and are resized in
+/// place, so once the loop has seen its largest minibatch it makes no heap
+/// allocation (`tests/alloc_free.rs` counts; the weight gradients'
+/// `gemm_tn` reads its operands in place and allocates nothing). Each
+/// buffer is filled by an `_into` or prepacked twin of an allocating call
+/// with the same operations, so the training bits are those of the
+/// allocating loop.
 #[derive(Debug, Default)]
 struct TrainScratch {
     /// Gathered minibatch features.
@@ -449,14 +270,10 @@ struct TrainScratch {
     /// Chunk positions resolved through the caller's row map
     /// ([`train_on_rows`]); unused when training on all rows.
     map: Vec<usize>,
-    /// Post-ReLU (and post-dropout) activation of hidden layer `i`,
-    /// feeding layer `i + 1`.
+    /// Post-ReLU activation of hidden layer `i`, feeding layer `i + 1`.
     acts: Vec<Matrix>,
     /// Output-layer logits of the forward pass.
     logits: Matrix,
-    /// Multiplicative dropout factors (0 or `1/keep`) per hidden
-    /// activation; empty vectors when dropout is off.
-    masks: Vec<Vec<f64>>,
     /// Gradient flowing backward (`dZ`), and its ping-pong partner.
     dz: Matrix,
     da: Matrix,
@@ -476,19 +293,16 @@ impl TrainScratch {
         let hidden = net.layers.len() - 1;
         TrainScratch {
             acts: (0..hidden).map(|_| Matrix::zeros(0, 0)).collect(),
-            masks: vec![Vec::new(); hidden],
             ..Default::default()
         }
     }
 }
 
-/// Forward pass with inverted dropout on hidden activations, into the
-/// scratch: `scratch.acts[i]` receives the *post-dropout* activation of
-/// hidden layer `i` (feeding layer `i + 1`), `scratch.logits` the output
-/// logits, and `scratch.masks[i]` the dropout factors (empty when dropout
-/// is off). Identical operations — and RNG draws — to the allocating
-/// version this replaced, so training bits are unchanged.
-fn forward_train(net: &Mlp, dropout: f64, rng: &mut StdRng, scratch: &mut TrainScratch) {
+/// Forward pass into the scratch: `scratch.acts[i]` receives the
+/// post-ReLU activation of hidden layer `i` (feeding layer `i + 1`) and
+/// `scratch.logits` the output logits. Identical operations to the
+/// allocating version this replaced, so training bits are unchanged.
+fn forward_train(net: &Mlp, scratch: &mut TrainScratch) {
     let last = net.layers.len() - 1;
     for (i, layer) in net.layers.iter().enumerate() {
         layer.pack_weights_into(&mut scratch.w_pack);
@@ -510,20 +324,6 @@ fn forward_train(net: &Mlp, dropout: f64, rng: &mut StdRng, scratch: &mut TrainS
         // `< 0.0` clamp, same bits as the affine forward plus a separate
         // sweep, one pass over `z` instead of two.
         layer.forward_prepacked_relu_into(&scratch.w_pack, input, z);
-        let mask = &mut scratch.masks[i];
-        mask.clear();
-        if dropout > 0.0 {
-            let keep = 1.0 - dropout;
-            for v in z.as_mut_slice() {
-                let factor = if rng.gen::<f64>() < keep {
-                    1.0 / keep
-                } else {
-                    0.0
-                };
-                *v *= factor;
-                mask.push(factor);
-            }
-        }
     }
 }
 
@@ -533,11 +333,10 @@ fn descent_step(
     net: &mut Mlp,
     scratch: &mut TrainScratch,
     lr: f64,
-    config: &TrainConfig,
+    l2: f64,
     opt: &mut OptimizerState,
-    rng: &mut StdRng,
 ) {
-    forward_train(net, config.dropout, rng, scratch);
+    forward_train(net, scratch);
 
     // Softmax cross-entropy gradient on logits: (p - onehot) / m. The
     // logits buffer *becomes* dZ (a pointer swap, not a copy).
@@ -564,14 +363,7 @@ fn descent_step(
             scratch
                 .dz
                 .matmul_prepacked_into(&scratch.w_pack, &mut scratch.da);
-            // ReLU mask from the stored post-activation (dropped units have
-            // zero activation, so the same test covers both), plus the
-            // inverted-dropout scale factors.
-            relu_backward(
-                scratch.da.as_mut_slice(),
-                scratch.acts[li - 1].as_slice(),
-                &scratch.masks[li - 1],
-            );
+            relu_backward(scratch.da.as_mut_slice(), scratch.acts[li - 1].as_slice());
             std::mem::swap(&mut scratch.dz, &mut scratch.da);
         }
 
@@ -581,7 +373,7 @@ fn descent_step(
             layer.w.as_mut_slice(),
             scratch.grad_w.as_slice(),
             lr,
-            config.l2,
+            l2,
         );
         opt.update(2 * li + 1, &mut layer.b, &scratch.grad_b, lr, 0.0);
     }
@@ -693,9 +485,9 @@ mod tests {
             }
         };
 
-        forward_train(&net, 0.0, &mut rng, &mut scratch);
+        forward_train(&net, &mut scratch);
         assert_logits_match(&net, &scratch);
-        forward_train(&net, 0.0, &mut rng, &mut scratch);
+        forward_train(&net, &mut scratch);
         assert_logits_match(&net, &scratch);
 
         // A real optimizer step updates every layer; the next forward must
@@ -705,15 +497,14 @@ mod tests {
             .iter()
             .flat_map(|l| [l.w.rows() * l.w.cols(), l.b.len()])
             .collect();
-        let mut opt = OptimizerState::new(config.optimizer, &lens);
-        opt.next_step();
+        let mut opt = OptimizerState::new(&lens);
         let before = net.clone();
-        descent_step(&mut net, &mut scratch, 0.1, &config, &mut opt, &mut rng);
+        descent_step(&mut net, &mut scratch, 0.1, config.l2, &mut opt);
         assert!(
             net.layers.iter().zip(&before.layers).all(|(a, b)| a != b),
             "a step updates every layer"
         );
-        forward_train(&net, 0.0, &mut rng, &mut scratch);
+        forward_train(&net, &mut scratch);
         assert_logits_match(&net, &scratch);
     }
 
@@ -724,14 +515,10 @@ mod tests {
         let rows: Vec<usize> = (0..x.rows()).step_by(3).chain([1, 4, 7]).collect();
         let sub_x = x.gather_rows(&rows);
         let sub_y: Vec<usize> = rows.iter().map(|&i| y[i]).collect();
-        for cfg in [
-            TrainConfig::default().with_seed(5),
-            TrainConfig::default().with_dropout(0.2).with_seed(5),
-        ] {
-            let direct = train(&sub_x, &sub_y, 2, 3, &ModelSpec::small(), &cfg);
-            let via_rows = train_on_rows(&x, &y, &rows, 2, 3, &ModelSpec::small(), &cfg);
-            assert_eq!(direct, via_rows, "row-mapped training must match bits");
-        }
+        let cfg = TrainConfig::default().with_seed(5);
+        let direct = train(&sub_x, &sub_y, 2, 3, &ModelSpec::small(), &cfg);
+        let via_rows = train_on_rows(&x, &y, &rows, 2, 3, &ModelSpec::small(), &cfg);
+        assert_eq!(direct, via_rows, "row-mapped training must match bits");
         // Empty rows mirror train_on_examples on an empty list.
         let cfg = TrainConfig::default();
         let empty = train_on_rows(&x, &y, &[], 2, 3, &ModelSpec::small(), &cfg);
@@ -846,29 +633,6 @@ mod tests {
     }
 
     #[test]
-    fn dropout_training_is_deterministic_and_still_learns() {
-        let (x, y) = blobs(60, &[(-2.0, 0.0), (2.0, 0.0)], 13);
-        let cfg = TrainConfig::default().with_dropout(0.3).with_seed(5);
-        let a = train(&x, &y, 2, 2, &ModelSpec::small(), &cfg);
-        let b = train(&x, &y, 2, 2, &ModelSpec::small(), &cfg);
-        assert_eq!(a, b, "dropout masks must derive from the seed");
-        assert!(log_loss(&a, &x, &y) < 0.3, "dropout net should still learn");
-    }
-
-    #[test]
-    fn adam_learns_the_same_task() {
-        let (x, y) = blobs(60, &[(-2.0, 0.0), (2.0, 0.0)], 17);
-        let cfg = TrainConfig {
-            lr: 0.01,
-            optimizer: OptimizerKind::default_adam(),
-            schedule: LrSchedule::Constant,
-            ..TrainConfig::default()
-        };
-        let net = train(&x, &y, 2, 2, &ModelSpec::small(), &cfg);
-        assert!(log_loss(&net, &x, &y) < 0.1);
-    }
-
-    #[test]
     fn training_beats_initialization() {
         let (x, y) = blobs(50, &[(-1.5, 0.0), (1.5, 0.0), (0.0, 1.5)], 4);
         let cfg = TrainConfig::default();
@@ -876,55 +640,6 @@ mod tests {
         let mut rng = seeded_rng(cfg.seed);
         let init = Mlp::new(2, &ModelSpec::small().hidden, 3, &mut rng);
         assert!(log_loss(&trained, &x, &y) < log_loss(&init, &x, &y) * 0.5);
-    }
-
-    #[test]
-    fn early_stopping_halts_before_epoch_budget() {
-        let (x, y) = blobs(40, &[(-3.0, 0.0), (3.0, 0.0)], 6);
-        let (vx, vy) = blobs(40, &[(-3.0, 0.0), (3.0, 0.0)], 7);
-        let cfg = TrainConfig {
-            epochs: 200,
-            ..TrainConfig::default()
-        };
-        let out = train_validated(
-            &x,
-            &y,
-            Some((&vx, &vy)),
-            2,
-            2,
-            &ModelSpec::softmax(),
-            &cfg,
-            Some(5),
-        );
-        assert!(
-            out.epochs_run < 200,
-            "should stop early, ran {}",
-            out.epochs_run
-        );
-        assert!(out.best_val_loss < 0.1);
-        // Returned model must realize the reported validation loss.
-        assert!((log_loss(&out.model, &vx, &vy) - out.best_val_loss).abs() < 1e-12);
-    }
-
-    #[test]
-    fn validation_without_patience_reports_loss_but_runs_full() {
-        let (x, y) = blobs(30, &[(-2.0, 0.0), (2.0, 0.0)], 8);
-        let cfg = TrainConfig {
-            epochs: 12,
-            ..TrainConfig::default()
-        };
-        let out = train_validated(
-            &x,
-            &y,
-            Some((&x, &y)),
-            2,
-            2,
-            &ModelSpec::softmax(),
-            &cfg,
-            None,
-        );
-        assert_eq!(out.epochs_run, 12);
-        assert!(out.best_val_loss.is_finite());
     }
 
     #[test]
@@ -946,11 +661,5 @@ mod tests {
             &ModelSpec::softmax(),
             &TrainConfig::default(),
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "dropout must be in [0, 1)")]
-    fn rejects_dropout_of_one() {
-        let _ = TrainConfig::default().with_dropout(1.0);
     }
 }

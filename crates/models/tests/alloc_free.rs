@@ -1,11 +1,10 @@
 //! The MLP and conv training steps allocate nothing: `train_on_rows` on
 //! the census family's 12→2 softmax model and the faces family's
-//! 16→32→16→4 network (dropout off and on), and `ConvNet::train` on 8×8
-//! images, make exactly as many heap allocations when they train for two
-//! epochs as for one. Every buffer the minibatch loop needs (gathered
-//! batch, activations, dropout factors, gradients, operand packs)
-//! reaches its size in the first epoch and is reused from then on, and
-//! the softmax gradient works in stack buffers.
+//! 16→32→16→4 network, and `ConvNet::train` on 8×8 images, make exactly as
+//! many heap allocations when they train for two epochs as for one. Every
+//! buffer the minibatch loop needs (gathered batch, activations,
+//! gradients, operand packs) reaches its size in the first epoch and is
+//! reused from then on, and the softmax gradient works in stack buffers.
 //!
 //! A counting global allocator tallies the allocations made on the calling
 //! thread, so other test threads cannot disturb the count.
@@ -68,26 +67,17 @@ fn mlp_training_allocates_nothing_after_the_first_epoch() {
     let rows: Vec<usize> = (0..n).rev().step_by(2).chain(1..21).collect();
     let spec = ModelSpec::basic();
     assert_eq!(spec.hidden, [32, 16], "the faces network");
-    for base in [
-        TrainConfig::default().with_seed(3),
-        TrainConfig::default().with_dropout(0.2).with_seed(3),
-    ] {
-        let count = |epochs: usize| {
-            let cfg = TrainConfig {
-                epochs,
-                ..base.clone()
-            };
-            allocations(|| {
-                std::hint::black_box(train_on_rows(&x, &y, &rows, FEATURES, CLASSES, &spec, &cfg));
-            })
+    let count = |epochs: usize| {
+        let cfg = TrainConfig {
+            epochs,
+            ..TrainConfig::default().with_seed(3)
         };
-        let (one, two) = (count(1), count(2));
-        assert_eq!(
-            one, two,
-            "dropout {}: {one} allocations at 1 epoch, {two} at 2",
-            base.dropout
-        );
-    }
+        allocations(|| {
+            std::hint::black_box(train_on_rows(&x, &y, &rows, FEATURES, CLASSES, &spec, &cfg));
+        })
+    };
+    let (one, two) = (count(1), count(2));
+    assert_eq!(one, two, "{one} allocations at 1 epoch, {two} at 2");
 }
 
 #[test]
