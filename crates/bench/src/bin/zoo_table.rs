@@ -10,7 +10,7 @@
 use slice_tuner::{PoolSource, SliceTuner};
 use st_bench::{rule, FamilySetup};
 use st_curve::{fit_zoo, CurveFamily, CurvePoint};
-use st_data::SlicedDataset;
+use st_data::{seeded_rng, split_seed, SlicedDataset};
 use std::collections::HashMap;
 
 fn main() {
@@ -45,7 +45,8 @@ fn main() {
         for (k, &frac) in cfg.fractions.iter().enumerate() {
             for r in 0..cfg.repeats {
                 let ds = tuner.dataset();
-                let subset = ds.joint_train_subset_rows_seeded(frac, (k * 31 + r) as u64 + 1, 0);
+                let seed = (k * 31 + r) as u64 + 1;
+                let subset = dense.joint_subset_rows(frac, &mut seeded_rng(split_seed(seed, 0)));
                 let model = st_models::train_on_rows(
                     &dense.train_x,
                     &dense.train_y,
@@ -95,8 +96,9 @@ fn main() {
     }
 
     println!("Winner counts across {total} slices:");
+    // Ties print by name: the map's iteration order changes per process.
     let mut rows: Vec<_> = wins.into_iter().collect();
-    rows.sort_by_key(|&(_, n)| std::cmp::Reverse(n));
+    rows.sort_by_key(|&(name, n)| (std::cmp::Reverse(n), name));
     for (name, n) in rows {
         println!("  {name:<10} {n}");
     }

@@ -76,7 +76,7 @@ fn usage() {
          \x20                           [--retries 2] [--checkpoint path [--resume true]]\n\
          \x20                           [--halt-after K] [--mode amortized|exhaustive]\n\
          \x20                           [--drift-detection true [--drift-threshold 0.6]]\n\
-         \x20                           [--incremental true [--max-staleness N]]\n\
+         \x20                           [--incremental true [--max-staleness N]] (with --mode exhaustive)\n\
          \x20                           [--max-drift-resets 3]\n\
          \x20 slice-tuner-cli curves    --family <name> [--size 300] [--seed 42]\n\
          \x20 slice-tuner-cli autoslice --family <name> [--examples 1200] [--max-depth 4]\n\
@@ -185,6 +185,12 @@ fn parse_tune(args: &Args) -> Result<TuneRun, String> {
     // dirty set; without it the bound would be accepted and do nothing.
     if max_staleness.is_some() && !incremental {
         return Err("--max-staleness needs --incremental true".into());
+    }
+    // Under the amortized schedule one joint training measures every
+    // slice, so the memo has nothing to skip: the flag would be accepted
+    // and change no result.
+    if incremental && mode != slice_tuner::EstimationMode::Exhaustive {
+        return Err("--incremental true needs --mode exhaustive".into());
     }
     if resume && args.get("checkpoint").is_none() {
         return Err("--resume needs --checkpoint <path> to resume from".into());
@@ -773,9 +779,24 @@ mod tests {
         let run = parse_tune_flags("").unwrap();
         assert!(!run.config.incremental);
         assert_eq!(run.config.max_staleness, usize::MAX);
-        let run = parse_tune_flags("--incremental true --max-staleness 0").unwrap();
+        let run =
+            parse_tune_flags("--mode exhaustive --incremental true --max-staleness 0").unwrap();
         assert!(run.config.incremental);
         assert_eq!(run.config.max_staleness, 0);
+    }
+
+    #[test]
+    fn incremental_without_exhaustive_mode_is_refused() {
+        for flags in [
+            "--incremental true",
+            "--mode amortized --incremental true",
+            "--incremental true --max-staleness 5",
+        ] {
+            let err = parse_tune_flags(flags)
+                .err()
+                .expect("incremental mode needs the exhaustive schedule");
+            assert!(err.contains("--mode exhaustive"), "{flags}: {err}");
+        }
     }
 
     #[test]

@@ -58,19 +58,21 @@ pub struct TunerConfig {
     /// exists as the reference the data-plane, chaos and drift tests
     /// compare the dense plane against. Off by default.
     pub per_call_gather: bool,
-    /// Incremental re-estimation across acquisition rounds: the working
-    /// dataset switches to append-only snapshots, the iterative loop tracks
-    /// a per-slice dirty set, and (under the exhaustive schedule) each
-    /// round re-measures only slices whose training data changed since the
-    /// last estimation, reusing the previous round's estimates for the
-    /// rest. The estimator seed is pinned across rounds in this mode, so
-    /// skipping a clean slice is a pure memo — re-measuring it would
-    /// reproduce the cached bits exactly. Off by default (CLI
-    /// `--incremental true`). [`TunerConfig::max_staleness`] `= 0` keeps
-    /// every incremental semantic but re-measures every slice every round:
-    /// the refit-everything baseline. Incremental estimations bypass
-    /// [`TunerConfig::cache`] (their results are history-dependent; see
-    /// [`crate::cache`]).
+    /// Incremental re-estimation across acquisition rounds: the iterative
+    /// loop tracks a per-slice dirty set, and under the exhaustive schedule
+    /// each round re-measures only slices whose training data changed
+    /// since the last estimation, reusing the previous round's estimates
+    /// for the rest. The estimator seed is pinned across rounds in this
+    /// mode, so skipping a clean slice is a pure memo — re-measuring it
+    /// would reproduce the cached bits exactly. Under the amortized
+    /// schedule one joint training measures every slice, so there is
+    /// nothing to skip and no result changes. Off by default (CLI
+    /// `--mode exhaustive --incremental true`; the CLI refuses the flag
+    /// under the amortized schedule). [`TunerConfig::max_staleness`]
+    /// `= 0` keeps every incremental semantic but re-measures every slice
+    /// every round: the refit-everything baseline. Incremental estimations
+    /// bypass [`TunerConfig::cache`] (their results are history-dependent;
+    /// see [`crate::cache`]).
     pub incremental: bool,
     /// Panic-isolation retries for estimation measurements and trial
     /// workers (CLI `--retries`, default 2). Retries are **bit-identical**
@@ -399,12 +401,7 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
     /// Every tuner path — the CLI's direct commands, the sequential trial
     /// runner, each worker of the parallel executor, and server sessions —
     /// funnels through here and runs `config` as given.
-    pub fn new(mut ds: SlicedDataset, source: &'a mut S, config: TunerConfig) -> Self {
-        if config.incremental {
-            // Acquired rows append below the existing train matrix instead
-            // of forcing a full snapshot re-stack each round.
-            ds.enable_incremental_snapshot();
-        }
+    pub fn new(ds: SlicedDataset, source: &'a mut S, config: TunerConfig) -> Self {
         SliceTuner {
             ds,
             source,
@@ -458,31 +455,15 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
         // The stacked matrix holds all_train()'s rows in the same order,
         // so training on it is bit-identical to the cloning path (an
         // empty dataset falls through `train`'s n == 0 early return with
-        // the same freshly-initialized network). An appended-layout
-        // snapshot (incremental mode) is no longer slice-major, so the
-        // minibatch gathers go through the canonical row order instead —
-        // the gathered bytes, and therefore the training bits, still match
-        // the re-stacked matrix exactly (the data-plane gather contract).
-        let model = if dense.is_slice_major() {
-            st_models::train(
-                &dense.train_x,
-                &dense.train_y,
-                self.ds.feature_dim,
-                self.ds.num_classes,
-                &self.config.spec,
-                &cfg,
-            )
-        } else {
-            st_models::train_on_rows(
-                &dense.train_x,
-                &dense.train_y,
-                &dense.canonical_row_order(),
-                self.ds.feature_dim,
-                self.ds.num_classes,
-                &self.config.spec,
-                &cfg,
-            )
-        };
+        // the same freshly-initialized network).
+        let model = st_models::train(
+            &dense.train_x,
+            &dense.train_y,
+            self.ds.feature_dim,
+            self.ds.num_classes,
+            &self.config.spec,
+            &cfg,
+        );
         self.trainings.fetch_add(1, Ordering::Relaxed);
         let report = EvalReport::evaluate(&model, &self.ds);
         (model, report)
@@ -559,9 +540,7 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
     /// Under [`EstimationMode::Amortized`] one joint training measures
     /// every slice — nothing can be skipped — so this delegates to the
     /// plain full schedule at the caller's `stream`, making amortized
-    /// incremental runs bit-identical to from-scratch ones (only the
-    /// append-only data plane differs, and that is gather-contract
-    /// bit-identical).
+    /// incremental runs bit-identical to from-scratch ones.
     ///
     /// Exhaustive results are history-dependent (they splice in estimates
     /// from earlier rounds), so this path never consults
@@ -726,7 +705,7 @@ impl<'a, S: AcquisitionSource> SliceTuner<'a, S> {
                 let subset = match req.target_slice {
                     None => dense.joint_subset_rows(req.frac, &mut seeded_rng(split_seed(seed, 0))),
                     Some(s) => {
-                        let len = dense.slice_len(s);
+                        let len = dense.slice_rows[s].len();
                         let k = ((len as f64 * req.frac).round() as usize).clamp(1, len.max(1));
                         let mut rng = seeded_rng(split_seed(seed, 1));
                         dense.exhaustive_subset_rows(SliceId(s), k, &mut rng)

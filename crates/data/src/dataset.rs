@@ -38,7 +38,8 @@ impl SliceData {
 /// validation sets. The matrix-native hot paths (the estimator's repeated
 /// per-slice evaluations, `train_on_rows`) go through
 /// [`SlicedDataset::matrices`], a lazily-built dense snapshot that is
-/// rebuilt only when the data changes.
+/// rebuilt only when the data changes; after an acquisition only its train
+/// half is re-stacked.
 pub struct SlicedDataset {
     /// Feature dimensionality.
     pub feature_dim: usize,
@@ -49,10 +50,6 @@ pub struct SlicedDataset {
     /// The cached dense snapshot (see [`Self::matrices`]); `None` until
     /// first use and after [`Self::invalidate_matrices`].
     matrices: Mutex<Option<Arc<DatasetMatrices>>>,
-    /// When true, [`Self::absorb`] extends the cached snapshot in place
-    /// (append layout) instead of leaving it to be re-stacked. See
-    /// [`Self::enable_incremental_snapshot`].
-    incremental_snapshot: bool,
 }
 
 impl Clone for SlicedDataset {
@@ -64,7 +61,6 @@ impl Clone for SlicedDataset {
             num_classes: self.num_classes,
             slices: self.slices.clone(),
             matrices: Mutex::new(None),
-            incremental_snapshot: self.incremental_snapshot,
         }
     }
 }
@@ -92,39 +88,25 @@ impl fmt::Debug for SlicedDataset {
 ///   example stacked in slice order (the exact layout of
 ///   [`SlicedDataset::all_train`]), with [`slice_rows`](Self::slice_rows)
 ///   mapping each slice to its row range. Subset *row ids*
-///   ([`SlicedDataset::joint_train_subset_rows`]) index into this matrix,
-///   so sampling never clones an [`Example`].
+///   ([`Self::joint_subset_rows`], [`Self::exhaustive_subset_rows`]) index
+///   into this matrix, so sampling never clones an [`Example`].
 /// - [`val_x`](Self::val_x)/[`val_y`](Self::val_y): each slice's
 ///   validation features/labels, byte-identical to what
 ///   `examples_to_matrix`/`labels_of` build from the example lists (an
 ///   empty slice mirrors the `0×0` matrix the per-call gather produces).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DatasetMatrices {
     /// Signature of the training data this snapshot was built from.
     sig_train: u64,
     /// Signature of the validation data this snapshot was built from.
     sig_val: u64,
-    /// All training examples stacked row-major: in slice order when the
-    /// snapshot is [slice-major](Self::is_slice_major), with acquired rows
-    /// appended below the original stack otherwise (incremental mode).
+    /// All training examples stacked row-major in slice order.
     pub train_x: Matrix,
     /// Labels of `train_x`'s rows.
     pub train_y: Vec<usize>,
     /// Per-slice row ranges of `train_x` (slice `i` owns rows
-    /// `slice_rows[i]`). Only meaningful for
-    /// [slice-major](Self::is_slice_major) snapshots; empty after an
-    /// in-place append — use [`Self::slice_segments`], which covers both
-    /// layouts.
+    /// `slice_rows[i]`, in acquisition order).
     pub slice_rows: Vec<Range<usize>>,
-    /// Per-slice physical row segments of `train_x`, in each slice's
-    /// logical (acquisition) order. A slice-major snapshot has at most one
-    /// segment per slice; incremental appends add segments at the bottom
-    /// of the matrix.
-    segments: Vec<Vec<Range<usize>>>,
-    /// True while rows are stacked in slice order (the layout of
-    /// [`SlicedDataset::all_train`]); false once incremental appends have
-    /// landed rows out of that order.
-    slice_major: bool,
     /// Per-slice validation feature matrices. `Arc`-shared across
     /// snapshots: acquisition touches only training data, so a rebuild
     /// triggered by [`SlicedDataset::absorb`] re-stacks the train matrix
@@ -135,72 +117,37 @@ pub struct DatasetMatrices {
 }
 
 impl DatasetMatrices {
-    /// True while `train_x` stacks rows in slice order. Incremental appends
-    /// ([`SlicedDataset::absorb`] in incremental-snapshot mode) clear this;
-    /// consumers that need the canonical order gather through
-    /// [`Self::canonical_row_order`] instead of re-stacking.
-    pub fn is_slice_major(&self) -> bool {
-        self.slice_major
-    }
-
-    /// Per-slice physical row segments of `train_x`, each slice's rows in
-    /// logical (acquisition) order. Valid for both layouts.
-    pub fn slice_segments(&self) -> &[Vec<Range<usize>>] {
-        &self.segments
-    }
-
-    /// Number of training rows slice `s` owns.
-    pub fn slice_len(&self, s: usize) -> usize {
-        self.segments[s].iter().map(|r| r.end - r.start).sum()
-    }
-
-    /// The physical rows of `train_x` in canonical slice-major logical
-    /// order — gathering minibatches through this order trains bit-identical
-    /// to the re-stacked matrix a from-scratch build would produce.
-    pub fn canonical_row_order(&self) -> Vec<usize> {
-        let mut rows = Vec::with_capacity(self.train_y.len());
-        for segs in &self.segments {
-            for seg in segs {
-                rows.extend(seg.clone());
-            }
-        }
-        rows
-    }
-
-    /// [`SlicedDataset::joint_train_subset_rows`] evaluated against this
-    /// snapshot: identical RNG draws and per-slice picks, with logical
-    /// example indices mapped to physical rows through
-    /// [`Self::slice_segments`]. On a slice-major snapshot the output is
-    /// bit-identical to the dataset method; on an appended layout it names
-    /// the same logical examples. The ≥ 1 clamp applies only to `frac > 0`;
-    /// a zero fraction returns an empty subset without consuming RNG draws.
+    /// [`SlicedDataset::joint_train_subset`] as row ids into `train_x`:
+    /// same RNG draws, same per-slice picks, same slice-major order —
+    /// training on the gathered rows is bit-identical to training on the
+    /// cloned subset — but no `Example` is cloned, and the per-slice
+    /// counts come out of the sampling pass for free. The ≥ 1 clamp
+    /// applies only to `frac > 0`; a zero fraction returns an empty subset
+    /// without consuming RNG draws.
     pub fn joint_subset_rows<R: Rng + ?Sized>(&self, frac: f64, rng: &mut R) -> SubsetRows {
         assert!((0.0..=1.0).contains(&frac), "frac must be in [0,1]");
-        if frac == 0.0 {
-            return SubsetRows {
-                rows: Vec::new(),
-                per_slice: vec![0; self.segments.len()],
-            };
-        }
         let mut rows = Vec::new();
-        let mut per_slice = Vec::with_capacity(self.segments.len());
-        for segs in &self.segments {
-            let n = segs.iter().map(|r| r.end - r.start).sum::<usize>();
+        let mut per_slice = vec![0; self.slice_rows.len()];
+        if frac == 0.0 {
+            return SubsetRows { rows, per_slice };
+        }
+        for (range, count) in self.slice_rows.iter().zip(&mut per_slice) {
+            let n = range.len();
             if n == 0 {
-                per_slice.push(0);
                 continue;
             }
             let take = ((n as f64 * frac).round() as usize).clamp(1, n);
-            let mut idx: Vec<usize> = (0..n).collect();
+            let mut idx: Vec<usize> = range.clone().collect();
             idx.shuffle(rng);
-            rows.extend(idx[..take].iter().map(|&i| physical_row(segs, i)));
-            per_slice.push(take);
+            rows.extend_from_slice(&idx[..take]);
+            *count = take;
         }
         SubsetRows { rows, per_slice }
     }
 
-    /// [`SlicedDataset::exhaustive_train_subset_rows`] evaluated against
-    /// this snapshot (same contract as [`Self::joint_subset_rows`]).
+    /// [`SlicedDataset::exhaustive_train_subset`] as row ids into
+    /// `train_x` (same RNG draws and ordering; see
+    /// [`Self::joint_subset_rows`]).
     pub fn exhaustive_subset_rows<R: Rng + ?Sized>(
         &self,
         slice: SliceId,
@@ -208,37 +155,21 @@ impl DatasetMatrices {
         rng: &mut R,
     ) -> SubsetRows {
         let mut rows = Vec::new();
-        let mut per_slice = Vec::with_capacity(self.segments.len());
-        for (i, segs) in self.segments.iter().enumerate() {
-            let n = segs.iter().map(|r| r.end - r.start).sum::<usize>();
+        let mut per_slice = Vec::with_capacity(self.slice_rows.len());
+        for (i, range) in self.slice_rows.iter().enumerate() {
             if i == slice.index() {
-                let take = k.min(n);
-                let mut idx: Vec<usize> = (0..n).collect();
+                let take = k.min(range.len());
+                let mut idx: Vec<usize> = range.clone().collect();
                 idx.shuffle(rng);
-                rows.extend(idx[..take].iter().map(|&j| physical_row(segs, j)));
+                rows.extend_from_slice(&idx[..take]);
                 per_slice.push(take);
             } else {
-                for seg in segs {
-                    rows.extend(seg.clone());
-                }
-                per_slice.push(n);
+                rows.extend(range.clone());
+                per_slice.push(range.len());
             }
         }
         SubsetRows { rows, per_slice }
     }
-}
-
-/// Maps a slice-logical example index to its physical row through the
-/// slice's segment list.
-fn physical_row(segs: &[Range<usize>], mut i: usize) -> usize {
-    for seg in segs {
-        let len = seg.end - seg.start;
-        if i < len {
-            return seg.start + i;
-        }
-        i -= len;
-    }
-    panic!("logical row index out of range");
 }
 
 /// A training subset sampled as row ids into
@@ -319,7 +250,6 @@ impl SlicedDataset {
             num_classes: family.num_classes,
             slices,
             matrices: Mutex::new(None),
-            incremental_snapshot: false,
         }
     }
 
@@ -352,7 +282,6 @@ impl SlicedDataset {
             num_classes,
             slices,
             matrices: Mutex::new(None),
-            incremental_snapshot: false,
         }
     }
 
@@ -432,34 +361,16 @@ impl SlicedDataset {
         out
     }
 
-    /// Switches [`Self::absorb`] to append-only snapshot maintenance: an
-    /// acquisition extends the cached dense snapshot in place — new rows
-    /// stack below the existing train matrix, the affected slices' row
-    /// segments grow, and the validation half keeps its `Arc`s — instead of
-    /// leaving the whole snapshot to be re-stacked on the next
-    /// [`Self::matrices`] call.
-    ///
-    /// The appended layout is no longer slice-major
-    /// ([`DatasetMatrices::is_slice_major`] turns false), so consumers that
-    /// depend on the canonical row order must gather through
-    /// [`DatasetMatrices::canonical_row_order`] or sample through the
-    /// snapshot's segment-aware subset methods. The incremental tuner mode
-    /// enables this; the default stays off, keeping the rebuilt-snapshot
-    /// path bit-identical to previous behavior.
-    pub fn enable_incremental_snapshot(&mut self) {
-        self.incremental_snapshot = true;
-    }
+    /// Does nothing: [`Self::absorb`] always appends to the example lists
+    /// and the next [`Self::matrices`] call re-stacks the train half. It
+    /// stays because the repository benchmark calls it
+    /// (`perfbench/src/replay.rs:205`).
+    pub fn enable_incremental_snapshot(&mut self) {}
 
-    /// True when [`Self::enable_incremental_snapshot`] has been called.
-    pub fn incremental_snapshot(&self) -> bool {
-        self.incremental_snapshot
-    }
-
-    /// Appends acquired examples to their slices' training sets.
-    ///
-    /// In incremental-snapshot mode the cached dense snapshot is extended
-    /// in place (see [`Self::enable_incremental_snapshot`]); otherwise the
-    /// next [`Self::matrices`] call re-stacks it.
+    /// Appends acquired examples to their slices' training sets; the next
+    /// [`Self::matrices`] call re-stacks the train half of the snapshot.
+    /// An empty acquisition moves no signature, so the cached snapshot
+    /// keeps its identity.
     ///
     /// # Panics
     /// Panics if an example's slice id is out of range — validated before
@@ -467,11 +378,6 @@ impl SlicedDataset {
     /// outside the process should go through [`Self::try_absorb`] (or be
     /// bounds-checked at parse time, see `io::read_examples_bounded`).
     pub fn absorb(&mut self, acquired: Vec<Example>) {
-        // An empty acquisition is a guaranteed snapshot no-op: no signature
-        // moves and the cached snapshot keeps its identity.
-        if acquired.is_empty() {
-            return;
-        }
         for e in &acquired {
             let idx = e.slice.index();
             assert!(
@@ -479,12 +385,8 @@ impl SlicedDataset {
                 "acquired example for unknown slice {idx}"
             );
         }
-        if self.incremental_snapshot && self.feature_dim > 0 {
-            self.absorb_append(acquired);
-        } else {
-            for e in acquired {
-                self.slices[e.slice.index()].train.push(e);
-            }
+        for e in acquired {
+            self.slices[e.slice.index()].train.push(e);
         }
     }
 
@@ -503,53 +405,6 @@ impl SlicedDataset {
         }
         self.absorb(acquired);
         Ok(())
-    }
-
-    /// The incremental-mode absorb: grows the cached snapshot in place
-    /// (uniquely-owned snapshots are extended without a copy; an `Arc`
-    /// still held by a caller forces one clone) and refreshes its
-    /// signatures so the next [`Self::matrices`] call hits. With a cold
-    /// cache there is nothing to extend — examples are appended to the
-    /// lists and the next call stacks slice-major as usual.
-    fn absorb_append(&mut self, acquired: Vec<Example>) {
-        let extended = {
-            let mut guard = self.matrices.lock().expect("matrix cache lock");
-            guard.take().map(|arc| {
-                let mut snap = Arc::try_unwrap(arc).unwrap_or_else(|shared| (*shared).clone());
-                let mut flat = Vec::with_capacity(acquired.len() * self.feature_dim);
-                for (row, e) in (snap.train_x.rows()..).zip(acquired.iter()) {
-                    assert_eq!(
-                        e.features.len(),
-                        self.feature_dim,
-                        "example feature dim {} does not match dataset dim {}",
-                        e.features.len(),
-                        self.feature_dim
-                    );
-                    flat.extend_from_slice(&e.features);
-                    snap.train_y.push(e.label);
-                    let segs = &mut snap.segments[e.slice.index()];
-                    match segs.last_mut() {
-                        // Consecutive rows of one slice coalesce into one
-                        // segment, so segment lists stay short.
-                        Some(last) if last.end == row => last.end = row + 1,
-                        _ => segs.push(row..row + 1),
-                    }
-                }
-                snap.train_x.append_rows(self.feature_dim, &flat);
-                snap.slice_major = false;
-                snap.slice_rows = Vec::new();
-                snap
-            })
-        };
-        for e in acquired {
-            self.slices[e.slice.index()].train.push(e);
-        }
-        if let Some(mut snap) = extended {
-            let (sig_train, sig_val) = self.matrices_sigs();
-            snap.sig_train = sig_train;
-            snap.sig_val = sig_val;
-            *self.matrices.lock().expect("matrix cache lock") = Some(Arc::new(snap));
-        }
     }
 
     /// Takes an X% random subset of *every* slice's training data jointly —
@@ -737,17 +592,9 @@ impl SlicedDataset {
 
         let (train_x, train_y) = stack(&mut self.slices.iter().map(|s| &s.train));
         let mut slice_rows = Vec::with_capacity(self.slices.len());
-        let mut segments = Vec::with_capacity(self.slices.len());
         let mut start = 0;
         for s in &self.slices {
             slice_rows.push(start..start + s.train.len());
-            segments.push(if s.train.is_empty() {
-                Vec::new()
-            } else {
-                // One whole-slice segment (a Vec<Range>, not a collected
-                // range — the append layout adds more segments later).
-                std::iter::once(start..start + s.train.len()).collect()
-            });
             start += s.train.len();
         }
         let (val_x, val_y) = match reuse_val {
@@ -769,82 +616,9 @@ impl SlicedDataset {
             train_x,
             train_y,
             slice_rows,
-            segments,
-            slice_major: true,
             val_x,
             val_y,
         }
-    }
-
-    /// [`Self::joint_train_subset`] as row ids into the dense snapshot's
-    /// train matrix: same RNG draws, same per-slice picks, same slice-major
-    /// order — training on the gathered rows is bit-identical to training
-    /// on the cloned subset — but no `Example` is cloned, and the
-    /// per-slice counts come out of the sampling pass for free. The ≥ 1
-    /// clamp applies only to `frac > 0`; a zero fraction returns an empty
-    /// subset without consuming RNG draws.
-    pub fn joint_train_subset_rows<R: Rng + ?Sized>(&self, frac: f64, rng: &mut R) -> SubsetRows {
-        assert!((0.0..=1.0).contains(&frac), "frac must be in [0,1]");
-        if frac == 0.0 {
-            return SubsetRows {
-                rows: Vec::new(),
-                per_slice: vec![0; self.slices.len()],
-            };
-        }
-        let mut rows = Vec::new();
-        let mut per_slice = Vec::with_capacity(self.slices.len());
-        let mut start = 0;
-        for s in &self.slices {
-            let n = s.train.len();
-            if n == 0 {
-                per_slice.push(0);
-                continue;
-            }
-            let take = ((n as f64 * frac).round() as usize).clamp(1, n);
-            let mut idx: Vec<usize> = (0..n).collect();
-            idx.shuffle(rng);
-            rows.extend(idx[..take].iter().map(|&i| start + i));
-            per_slice.push(take);
-            start += n;
-        }
-        SubsetRows { rows, per_slice }
-    }
-
-    /// [`Self::exhaustive_train_subset`] as row ids into the dense
-    /// snapshot's train matrix (same RNG draws and ordering; see
-    /// [`Self::joint_train_subset_rows`]).
-    pub fn exhaustive_train_subset_rows<R: Rng + ?Sized>(
-        &self,
-        slice: SliceId,
-        k: usize,
-        rng: &mut R,
-    ) -> SubsetRows {
-        let mut rows = Vec::new();
-        let mut per_slice = Vec::with_capacity(self.slices.len());
-        let mut start = 0;
-        for (i, s) in self.slices.iter().enumerate() {
-            let n = s.train.len();
-            if i == slice.index() {
-                let take = k.min(n);
-                let mut idx: Vec<usize> = (0..n).collect();
-                idx.shuffle(rng);
-                rows.extend(idx[..take].iter().map(|&j| start + j));
-                per_slice.push(take);
-            } else {
-                rows.extend(start..start + n);
-                per_slice.push(n);
-            }
-            start += n;
-        }
-        SubsetRows { rows, per_slice }
-    }
-
-    /// Deterministic helper: seeded [`Self::joint_train_subset_rows`]
-    /// (stream-split exactly like [`Self::joint_train_subset_seeded`], so
-    /// the two sample the same subset).
-    pub fn joint_train_subset_rows_seeded(&self, frac: f64, seed: u64, stream: u64) -> SubsetRows {
-        let mut rng = seeded_rng(split_seed(seed, stream));
-        self.joint_train_subset_rows(frac, &mut rng)
     }
 }
 
@@ -1063,7 +837,7 @@ mod tests {
         // Joint: same RNG stream ⇒ the row ids name exactly the examples
         // the cloning subset picks, in the same order.
         let sub = ds.joint_train_subset_seeded(0.5, 3, 0);
-        let rows = ds.joint_train_subset_rows_seeded(0.5, 3, 0);
+        let rows = m.joint_subset_rows(0.5, &mut seeded_rng(split_seed(3, 0)));
         assert_eq!(rows.rows.len(), sub.len());
         for (&r, e) in rows.rows.iter().zip(&sub) {
             assert_eq!(m.train_x.row(r), &e.features[..]);
@@ -1080,12 +854,14 @@ mod tests {
         let mut rng1 = seeded_rng(11);
         let sub = ds.exhaustive_train_subset(SliceId(2), 10, &mut rng1);
         let mut rng2 = seeded_rng(11);
-        let rows = ds.exhaustive_train_subset_rows(SliceId(2), 10, &mut rng2);
+        let rows = m.exhaustive_subset_rows(SliceId(2), 10, &mut rng2);
         assert_eq!(rows.rows.len(), sub.len());
         for (&r, e) in rows.rows.iter().zip(&sub) {
             assert_eq!(m.train_x.row(r), &e.features[..]);
         }
         assert_eq!(rows.per_slice, vec![40, 0, 10]);
+        // Both samplers consumed the same draws.
+        assert_eq!(rng1.gen::<u64>(), rng2.gen::<u64>());
     }
 
     #[test]
@@ -1093,14 +869,11 @@ mod tests {
         let ds = SlicedDataset::generate(&family(), &[10, 10, 10], 2, 5);
         let mut rng = seeded_rng(7);
         assert!(ds.joint_train_subset(0.0, &mut rng).is_empty());
-        let rows = ds.joint_train_subset_rows(0.0, &mut rng);
+        let rows = ds.matrices().joint_subset_rows(0.0, &mut rng);
         assert!(rows.rows.is_empty());
         assert_eq!(rows.per_slice, vec![0, 0, 0]);
-        let snap = ds.matrices();
-        let snap_rows = snap.joint_subset_rows(0.0, &mut rng);
-        assert!(snap_rows.rows.is_empty());
-        // No RNG draw was consumed by any of the three: the stream is still
-        // at its seeded start.
+        // No RNG draw was consumed by either: the stream is still at its
+        // seeded start.
         let mut fresh = seeded_rng(7);
         assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>());
     }
@@ -1143,106 +916,6 @@ mod tests {
     fn absorb_still_asserts_on_unknown_slice() {
         let mut ds = SlicedDataset::generate(&family(), &[2, 2, 2], 2, 3);
         ds.absorb(vec![Example::new(vec![0.0, 0.0], 0, SliceId(7))]);
-    }
-
-    #[test]
-    fn incremental_absorb_appends_below_and_keeps_val_arcs() {
-        let fam = family();
-        let mut ds = SlicedDataset::generate(&fam, &[8, 8, 8], 4, 9);
-        ds.enable_incremental_snapshot();
-        let before = ds.matrices();
-        assert!(before.is_slice_major());
-        let acquired = fam.sample_slice_seeded(SliceId(1), 3, 9, 42);
-        let expected_new: Vec<_> = acquired.clone();
-        ds.absorb(acquired);
-        let after = ds.matrices();
-        // Appended layout: old rows untouched, new rows at the bottom.
-        assert!(!after.is_slice_major());
-        assert!(after.slice_rows.is_empty());
-        assert_eq!(after.train_x.rows(), 27);
-        for r in 0..24 {
-            assert_eq!(after.train_x.row(r), before.train_x.row(r));
-            assert_eq!(after.train_y[r], before.train_y[r]);
-        }
-        for (k, e) in expected_new.iter().enumerate() {
-            assert_eq!(after.train_x.row(24 + k), &e.features[..]);
-            assert_eq!(after.train_y[24 + k], e.label);
-        }
-        // Segments: slice 1 owns its original range plus the appended tail.
-        assert_eq!(after.slice_segments()[1], vec![8..16, 24..27]);
-        assert_eq!(after.slice_len(1), 11);
-        // Validation half carried over by Arc.
-        assert!(Arc::ptr_eq(&before.val_x, &after.val_x));
-        assert!(Arc::ptr_eq(&before.val_y, &after.val_y));
-        // Signatures were refreshed: the next call is a cache hit.
-        assert!(Arc::ptr_eq(&after, &ds.matrices()));
-        // The canonical row order recovers the slice-major stack of a
-        // from-scratch build exactly.
-        let fresh = ds.build_matrices();
-        let order = after.canonical_row_order();
-        assert_eq!(order.len(), fresh.train_x.rows());
-        for (canon_r, &phys_r) in order.iter().enumerate() {
-            assert_eq!(after.train_x.row(phys_r), fresh.train_x.row(canon_r));
-            assert_eq!(after.train_y[phys_r], fresh.train_y[canon_r]);
-        }
-    }
-
-    #[test]
-    fn incremental_absorb_with_cold_cache_stacks_canonically() {
-        let fam = family();
-        let mut ds = SlicedDataset::generate(&fam, &[5, 5, 5], 2, 9);
-        ds.enable_incremental_snapshot();
-        // No snapshot built yet: absorb just appends to the lists.
-        ds.absorb(fam.sample_slice_seeded(SliceId(0), 2, 9, 42));
-        let snap = ds.matrices();
-        assert!(snap.is_slice_major());
-        assert_eq!(snap.slice_rows, vec![0..7, 7..12, 12..17]);
-    }
-
-    #[test]
-    fn snapshot_subsets_match_dataset_subsets_when_slice_major() {
-        let ds = SlicedDataset::generate(&family(), &[40, 0, 25], 2, 5);
-        let snap = ds.matrices();
-        let a = ds.joint_train_subset_rows_seeded(0.5, 3, 0);
-        let mut rng = seeded_rng(split_seed(3, 0));
-        let b = snap.joint_subset_rows(0.5, &mut rng);
-        assert_eq!(a, b);
-        let mut rng1 = seeded_rng(11);
-        let c = ds.exhaustive_train_subset_rows(SliceId(2), 10, &mut rng1);
-        let mut rng2 = seeded_rng(11);
-        let d = snap.exhaustive_subset_rows(SliceId(2), 10, &mut rng2);
-        assert_eq!(c, d);
-    }
-
-    #[test]
-    fn snapshot_subsets_name_same_logical_examples_after_append() {
-        let fam = family();
-        let mut canonical = SlicedDataset::generate(&fam, &[12, 6, 9], 3, 21);
-        let mut incremental = canonical.clone();
-        incremental.enable_incremental_snapshot();
-        let _warm = incremental.matrices(); // seed the cache so absorb appends
-        let batch = fam.sample_slice_seeded(SliceId(0), 4, 21, 42);
-        canonical.absorb(batch.clone());
-        incremental.absorb(batch);
-        let cs = canonical.matrices();
-        let is = incremental.matrices();
-        // Same draws, same logical picks: the gathered feature rows agree
-        // even though the physical layouts differ.
-        for frac in [0.3, 0.6, 1.0] {
-            let a = cs.joint_subset_rows(frac, &mut seeded_rng(5));
-            let b = is.joint_subset_rows(frac, &mut seeded_rng(5));
-            assert_eq!(a.per_slice, b.per_slice);
-            for (&ra, &rb) in a.rows.iter().zip(&b.rows) {
-                assert_eq!(cs.train_x.row(ra), is.train_x.row(rb));
-                assert_eq!(cs.train_y[ra], is.train_y[rb]);
-            }
-        }
-        let a = cs.exhaustive_subset_rows(SliceId(0), 7, &mut seeded_rng(6));
-        let b = is.exhaustive_subset_rows(SliceId(0), 7, &mut seeded_rng(6));
-        assert_eq!(a.per_slice, b.per_slice);
-        for (&ra, &rb) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(cs.train_x.row(ra), is.train_x.row(rb));
-        }
     }
 
     #[test]

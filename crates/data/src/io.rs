@@ -2,8 +2,8 @@
 //!
 //! Slice Tuner's crowdsourcing pipeline stores acquired batches between
 //! collection rounds (the paper used S3 + manual post-processing); this
-//! module provides the equivalent local capability without new
-//! dependencies. Format: one example per line,
+//! module provides the equivalent text format without new dependencies
+//! (the server stores uploads in it). Format: one example per line,
 //! `label,slice,f0,f1,...` with full-precision floats.
 
 use crate::example::{Example, SliceId};
@@ -232,40 +232,6 @@ pub fn read_examples_covering(text: &str, num_slices: usize) -> Result<Vec<Examp
     Ok(examples)
 }
 
-/// Writes examples to a file.
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save_examples(path: &std::path::Path, examples: &[Example]) -> std::io::Result<()> {
-    std::fs::write(path, write_examples(examples))
-}
-
-/// Reads examples from a file.
-///
-/// # Errors
-/// Propagates I/O errors; parse failures surface as
-/// [`std::io::ErrorKind::InvalidData`].
-pub fn load_examples(path: &std::path::Path) -> std::io::Result<Vec<Example>> {
-    let text = std::fs::read_to_string(path)?;
-    read_examples(&text)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
-/// [`load_examples`] with slice ids bounds-checked against `num_slices`
-/// (see [`read_examples_bounded`]).
-///
-/// # Errors
-/// Propagates I/O errors; parse and bounds failures surface as
-/// [`std::io::ErrorKind::InvalidData`].
-pub fn load_examples_bounded(
-    path: &std::path::Path,
-    num_slices: usize,
-) -> std::io::Result<Vec<Example>> {
-    let text = std::fs::read_to_string(path)?;
-    read_examples_bounded(&text, num_slices)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,17 +298,6 @@ mod tests {
                 found: 1
             })
         );
-    }
-
-    #[test]
-    fn file_round_trip() {
-        let dir = std::env::temp_dir().join("st_data_io_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("examples.csv");
-        let ex = sample();
-        save_examples(&path, &ex).unwrap();
-        assert_eq!(load_examples(&path).unwrap(), ex);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

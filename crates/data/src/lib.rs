@@ -42,10 +42,9 @@ pub use example::{Example, SliceId};
 pub use generator::{DatasetFamily, GaussianSliceModel, LabelCluster, SliceSpec};
 pub use image::{image_fashion, ImageFamily, ImageSliceSpec, Pattern};
 pub use io::{
-    load_examples, load_examples_bounded, read_examples, read_examples_bounded,
-    read_examples_covering, save_examples, write_examples, CsvError,
+    read_examples, read_examples_bounded, read_examples_covering, write_examples, CsvError,
 };
 pub use rng::{normal, seeded_rng, split_seed};
 pub use sizes::{decaying_sizes, equal_sizes};
 pub use slicing::{auto_slice, SlicingConfig, SlicingResult, SplitNode};
-pub use splits::{k_fold, stratified_split, Fold};
+pub use splits::stratified_split;

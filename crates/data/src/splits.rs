@@ -1,10 +1,9 @@
-//! Stratified splitting and k-fold utilities.
+//! Stratified splitting.
 //!
 //! The paper splits each slice into train and validation sets and assumes a
-//! validation set "large enough to evaluate models" (Section 4.1). These
-//! helpers make the splits label-stratified — important for small slices,
-//! where an unlucky split can starve a class — and provide k-fold iteration
-//! for the curve-fit reliability studies.
+//! validation set "large enough to evaluate models" (Section 4.1). This
+//! helper makes the splits label-stratified — important for small slices,
+//! where an unlucky split can starve a class.
 
 use crate::example::Example;
 use rand::seq::SliceRandom;
@@ -49,50 +48,6 @@ pub fn stratified_split<R: Rng + ?Sized>(
         }
     }
     (train, val)
-}
-
-/// One train/held-out pair from [`k_fold`].
-#[derive(Debug, Clone)]
-pub struct Fold {
-    /// Training portion (all folds but one).
-    pub train: Vec<Example>,
-    /// Held-out portion (one fold).
-    pub held_out: Vec<Example>,
-}
-
-/// Deterministic k-fold partition (shuffled once with `rng`).
-///
-/// Every example lands in exactly one held-out fold; fold sizes differ by at
-/// most one.
-///
-/// # Panics
-/// Panics when `k == 0` or `k > examples.len()`.
-pub fn k_fold<R: Rng + ?Sized>(examples: &[Example], k: usize, rng: &mut R) -> Vec<Fold> {
-    assert!(k > 0, "k must be positive");
-    assert!(k <= examples.len(), "more folds than examples");
-    let mut order: Vec<usize> = (0..examples.len()).collect();
-    order.shuffle(rng);
-
-    // Assign contiguous chunks of the shuffled order to folds.
-    let mut assignment = vec![0usize; examples.len()];
-    for (pos, &i) in order.iter().enumerate() {
-        assignment[i] = pos % k;
-    }
-
-    (0..k)
-        .map(|fold| {
-            let mut train = Vec::new();
-            let mut held_out = Vec::new();
-            for (i, e) in examples.iter().enumerate() {
-                if assignment[i] == fold {
-                    held_out.push(e.clone());
-                } else {
-                    train.push(e.clone());
-                }
-            }
-            Fold { train, held_out }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -159,37 +114,5 @@ mod tests {
         seen.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let expected: Vec<f64> = (0..40).map(|i| i as f64).collect();
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn k_fold_covers_every_example_exactly_once() {
-        let ex = labeled(23, &[0, 1]);
-        let mut rng = seeded_rng(6);
-        let folds = k_fold(&ex, 5, &mut rng);
-        assert_eq!(folds.len(), 5);
-        let total_held: usize = folds.iter().map(|f| f.held_out.len()).sum();
-        assert_eq!(total_held, 23);
-        for f in &folds {
-            assert_eq!(f.train.len() + f.held_out.len(), 23);
-            // Sizes differ by at most one: 23/5 → folds of 4 or 5.
-            assert!(f.held_out.len() == 4 || f.held_out.len() == 5);
-        }
-    }
-
-    #[test]
-    fn k_fold_is_deterministic_per_seed() {
-        let ex = labeled(12, &[0]);
-        let a = k_fold(&ex, 3, &mut seeded_rng(7));
-        let b = k_fold(&ex, 3, &mut seeded_rng(7));
-        for (fa, fb) in a.iter().zip(&b) {
-            assert_eq!(fa.held_out, fb.held_out);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "more folds than examples")]
-    fn rejects_too_many_folds() {
-        let ex = labeled(2, &[0]);
-        let _ = k_fold(&ex, 3, &mut seeded_rng(8));
     }
 }

@@ -1,6 +1,7 @@
 //! Property-based tests for the dataset substrate.
 
 use proptest::prelude::*;
+use rand::Rng;
 use st_data::dataset::imbalance_ratio_of;
 use st_data::{DatasetFamily, GaussianSliceModel, LabelCluster, SliceSpec, SlicedDataset};
 
@@ -194,9 +195,10 @@ proptest! {
         check(&ds);
     }
 
-    /// Row-id subsets must name exactly the examples the cloning subsets
-    /// pick (same RNG stream), and the per-slice counts must equal the
-    /// per-slice re-scan they replace.
+    /// The snapshot's row-id subsets — the samplers the estimator runs —
+    /// must name exactly the examples the cloning subsets pick (same RNG
+    /// stream, same draws consumed), and the per-slice counts must equal
+    /// the per-slice re-scan they replace.
     #[test]
     fn subset_rows_match_cloned_subsets(
         fam in arb_family(),
@@ -209,7 +211,7 @@ proptest! {
         let m = ds.matrices();
 
         let sub = ds.joint_train_subset_seeded(frac, seed, 0);
-        let rows = ds.joint_train_subset_rows_seeded(frac, seed, 0);
+        let rows = m.joint_subset_rows(frac, &mut st_data::seeded_rng(st_data::split_seed(seed, 0)));
         prop_assert_eq!(rows.rows.len(), sub.len());
         for (&r, e) in rows.rows.iter().zip(&sub) {
             prop_assert_eq!(m.train_x.row(r), &e.features[..]);
@@ -224,33 +226,13 @@ proptest! {
         let mut rng1 = st_data::seeded_rng(seed ^ 5);
         let ex_sub = ds.exhaustive_train_subset(st_data::SliceId(0), k, &mut rng1);
         let mut rng2 = st_data::seeded_rng(seed ^ 5);
-        let ex_rows = ds.exhaustive_train_subset_rows(st_data::SliceId(0), k, &mut rng2);
+        let ex_rows = m.exhaustive_subset_rows(st_data::SliceId(0), k, &mut rng2);
         prop_assert_eq!(ex_rows.rows.len(), ex_sub.len());
         for (&r, e) in ex_rows.rows.iter().zip(&ex_sub) {
             prop_assert_eq!(m.train_x.row(r), &e.features[..]);
         }
         prop_assert_eq!(ex_rows.per_slice[0], k.min(size));
-    }
-
-    #[test]
-    fn k_fold_held_out_sets_partition(
-        n in 6usize..40,
-        k in 2usize..6,
-        seed in 0u64..100,
-    ) {
-        prop_assume!(k <= n);
-        let ex: Vec<st_data::Example> = (0..n)
-            .map(|i| st_data::Example::new(vec![i as f64], 0, st_data::SliceId(0)))
-            .collect();
-        let mut rng = st_data::seeded_rng(seed);
-        let folds = st_data::k_fold(&ex, k, &mut rng);
-        let mut ids: Vec<i64> = folds
-            .iter()
-            .flat_map(|f| f.held_out.iter().map(|e| e.features[0] as i64))
-            .collect();
-        ids.sort_unstable();
-        let expect: Vec<i64> = (0..n as i64).collect();
-        prop_assert_eq!(ids, expect);
+        prop_assert_eq!(rng1.gen::<u64>(), rng2.gen::<u64>());
     }
 
     #[test]

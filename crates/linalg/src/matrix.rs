@@ -379,32 +379,6 @@ impl Matrix {
         }
     }
 
-    /// Appends rows from a row-major buffer, growing the matrix in place.
-    ///
-    /// An empty (`0 × 0`) matrix adopts `cols` from the first append. This
-    /// is the grow operation behind the incremental dataset snapshot:
-    /// acquired rows land below the existing stack without re-stacking it.
-    ///
-    /// # Panics
-    /// Panics if `cols == 0`, if `data.len()` is not a multiple of `cols`,
-    /// or if a non-empty matrix has a different column count.
-    pub fn append_rows(&mut self, cols: usize, data: &[f64]) {
-        assert!(cols > 0, "append_rows needs a positive column count");
-        assert_eq!(
-            data.len() % cols,
-            0,
-            "append_rows: buffer length {} is not a multiple of {cols}",
-            data.len()
-        );
-        if self.rows == 0 {
-            self.cols = cols;
-            self.data.clear();
-        }
-        assert_eq!(self.cols, cols, "append_rows: column count mismatch");
-        self.data.extend_from_slice(data);
-        self.rows += data.len() / cols;
-    }
-
     /// Adds `bias` to every row (the broadcast `+ b` of an affine layer).
     ///
     /// # Panics
@@ -418,21 +392,6 @@ impl Matrix {
         }
     }
 
-    /// In-place scaled addition `self += alpha * rhs`.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn axpy_assign(&mut self, alpha: f64, rhs: &Matrix) {
-        assert_eq!(
-            (self.rows, self.cols),
-            (rhs.rows, rhs.cols),
-            "axpy shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&rhs.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Fill every entry with `value`.
     pub fn fill(&mut self, value: f64) {
         self.data.fill(value);
@@ -441,11 +400,6 @@ impl Matrix {
     /// Frobenius norm.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
-    /// True if any entry is NaN or infinite.
-    pub fn has_non_finite(&self) -> bool {
-        self.data.iter().any(|x| !x.is_finite())
     }
 }
 
@@ -515,25 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn append_rows_grows_in_place() {
-        let mut m = Matrix::zeros(0, 0);
-        m.append_rows(3, &[1., 2., 3., 4., 5., 6.]);
-        assert_eq!(m, Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]));
-        m.append_rows(3, &[7., 8., 9.]);
-        assert_eq!(m.rows(), 3);
-        assert_eq!(m.row(2), &[7., 8., 9.]);
-        m.append_rows(3, &[]);
-        assert_eq!(m.rows(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "column count mismatch")]
-    fn append_rows_rejects_width_change() {
-        let mut m = Matrix::from_vec(1, 2, vec![1., 2.]);
-        m.append_rows(3, &[1., 2., 3.]);
-    }
-
-    #[test]
     fn identity_matmul_is_noop() {
         let m = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
         let i = Matrix::identity(2);
@@ -554,15 +489,6 @@ mod tests {
         let a = Matrix::from_vec(2, 3, vec![1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.transpose().transpose(), a);
         assert_eq!(a.transpose()[(2, 1)], 6.0);
-    }
-
-    #[test]
-    fn axpy_assign_accumulates() {
-        let mut a = Matrix::zeros(2, 2);
-        let g = Matrix::from_vec(2, 2, vec![1., 2., 3., 4.]);
-        a.axpy_assign(0.5, &g);
-        a.axpy_assign(0.5, &g);
-        assert_eq!(a, g);
     }
 
     #[test]
@@ -747,13 +673,5 @@ mod tests {
         m.reset_to_zeros(3, 2);
         assert_eq!((m.rows(), m.cols()), (3, 2));
         assert!(m.as_slice().iter().all(|&x| x == 0.0));
-    }
-
-    #[test]
-    fn detects_non_finite() {
-        let mut m = Matrix::zeros(2, 2);
-        assert!(!m.has_non_finite());
-        m[(1, 1)] = f64::NAN;
-        assert!(m.has_non_finite());
     }
 }

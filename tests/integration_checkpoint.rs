@@ -91,7 +91,7 @@ fn kill_at_round_one_then_resume_is_bit_identical_sequential() {
 }
 
 /// Under the amortized schedule, with and without incremental mode (whose
-/// append-only snapshots and memo state the checkpoint must carry).
+/// memo state the checkpoint must carry).
 #[test]
 fn kill_at_round_one_then_resume_is_bit_identical_jobs_four() {
     for incremental in [false, true] {

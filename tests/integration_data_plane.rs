@@ -90,8 +90,8 @@ fn parallel_trials_match_per_call_gather_at_any_jobs() {
 }
 
 /// Exhaustive-mode estimation (per-slice subsets) must also match across
-/// data planes — it exercises `exhaustive_train_subset_rows` and the
-/// single-slice evaluation path.
+/// data planes — it exercises `DatasetMatrices::exhaustive_subset_rows`
+/// and the single-slice evaluation path.
 #[test]
 fn exhaustive_estimation_matches_per_call_gather() {
     let fam = families::fashion();
@@ -190,14 +190,9 @@ fn snapshot_tracks_acquisitions_within_a_run() {
     let grown: usize = result.acquired.iter().sum();
     assert_eq!(after.train_x.rows(), before_rows + grown);
     assert_eq!(after.train_y.len(), before_rows + grown);
-    // And the snapshot still mirrors the example lists exactly — gathered
-    // through the canonical row order, so the check also holds for the
-    // append layout incremental mode uses (`TunerConfig::incremental`).
+    // And the snapshot still mirrors the example lists exactly.
     let fresh = tuner.dataset().build_matrices();
-    let order = after.canonical_row_order();
-    assert_eq!(order.len(), fresh.train_x.rows());
-    for (logical, &phys) in order.iter().enumerate() {
-        assert_eq!(after.train_x.row(phys), fresh.train_x.row(logical));
-        assert_eq!(after.train_y[phys], fresh.train_y[logical]);
-    }
+    assert_eq!(after.train_x.as_slice(), fresh.train_x.as_slice());
+    assert_eq!(after.train_y, fresh.train_y);
+    assert_eq!(after.slice_rows, fresh.slice_rows);
 }
